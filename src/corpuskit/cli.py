@@ -18,6 +18,7 @@ from corpuskit import reddit_threads
 from corpuskit.bloom import BloomFilter, ExactSet, bloom_load, bloom_save
 from corpuskit.correlate import filter_correlation, merge_attribute_shards
 from corpuskit.dedupe import (
+    DedupeConfigError,
     DedupeCounters,
     DedupeStageConfig,
     ccnet_group_dedupe,
@@ -26,8 +27,9 @@ from corpuskit.dedupe import (
     dedupe_by_document,
     dedupe_by_paragraph,
     dedupe_by_url,
+    gated_paragraphs,
 )
-from corpuskit.documents import count_stats, count_words, paragraph_texts
+from corpuskit.documents import count_stats
 from corpuskit.filters import FilterConfigError
 from corpuskit.mixer import MixConfig, MixConfigError, mix
 from corpuskit.ngram_classifier import (
@@ -38,12 +40,18 @@ from corpuskit.ngram_classifier import (
     train,
 )
 from corpuskit.pipeline import (
-    UnknownTaggerError,
+    TaggerConfigError,
     WebPipelineConfig,
     run_pipeline_web,
     run_tag,
 )
-from corpuskit.shard_io import read_documents, write_attributes, write_documents
+from corpuskit.shard_io import (
+    ShardNameError,
+    output_paths,
+    read_documents,
+    write_attributes,
+    write_documents,
+)
 
 logger = logging.getLogger("corpuskit")
 
@@ -131,6 +139,7 @@ def _cmd_tag(args, config) -> int:
 def _cmd_dedupe(args, config) -> int:
     inputs = _require(_setting(args, config, "inputs", None), "--inputs")
     out_dir = Path(_require(_setting(args, config, "out_dir", None), "--out-dir"))
+    outputs = output_paths(inputs, out_dir)
     stage_config = DedupeStageConfig(
         stage=_require(_setting(args, config, "stage", None), "--stage"),
         min_paragraph_tokens=int(_setting(args, config, "min_paragraph_tokens", 0)),
@@ -142,10 +151,12 @@ def _cmd_dedupe(args, config) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         documents = 0
         flagged = 0
-        for path, records in ccnet_group_dedupe(list(inputs), int(group_bytes)):
+        # one (shard, records) pair per input, in input order
+        groups = ccnet_group_dedupe(list(inputs), int(group_bytes))
+        for out_path, (_, records) in zip(outputs, groups):
             documents += len(records)
             flagged += sum(1 for rec in records if rec.attributes)
-            write_attributes(records, out_dir / Path(path).name)
+            write_attributes(records, out_path)
         _emit_report(
             {
                 "stage": "paragraph",
@@ -158,34 +169,23 @@ def _cmd_dedupe(args, config) -> int:
         )
         return EXIT_OK
     backend = _make_backend(args, config)
+    save_path = _setting(args, config, "save_filter", None)
+    if save_path and isinstance(backend, ExactSet):
+        raise ValidationError("--save-filter requires the bloom backend")
     out_dir.mkdir(parents=True, exist_ok=True)
     counters = DedupeCounters()
-    stage_fns = {
+    stage_fn = {
         "url": dedupe_by_url,
         "document": dedupe_by_document,
         "paragraph": dedupe_by_paragraph,
-    }
-    for path in inputs:
-        path = Path(path)
-
-        def records(path=path):
-            if stage_config.stage == "paragraph":
-                pairs = dedupe_by_paragraph(
-                    read_documents(path),
-                    backend,
-                    counters,
-                    min_paragraph_tokens=stage_config.min_paragraph_tokens,
-                )
-            else:
-                pairs = stage_fns[stage_config.stage](read_documents(path), backend, counters)
-            for _, attrs in pairs:
-                yield attrs
-
-        write_attributes(records(), out_dir / path.name)
-    save_path = _setting(args, config, "save_filter", None)
+    }[stage_config.stage]
+    gate = {}
+    if stage_config.stage == "paragraph":
+        gate = {"min_paragraph_tokens": stage_config.min_paragraph_tokens}
+    for path, out_path in zip(inputs, outputs):
+        pairs = stage_fn(read_documents(path), backend, counters, **gate)
+        write_attributes((attrs for _, attrs in pairs), out_path)
     if save_path:
-        if isinstance(backend, ExactSet):
-            raise ValidationError("--save-filter requires the bloom backend")
         bloom_save(backend, save_path)
     _emit_report(
         {
@@ -203,6 +203,7 @@ def _cmd_dedupe(args, config) -> int:
 def _cmd_decontaminate(args, config) -> int:
     inputs = _require(_setting(args, config, "inputs", None), "--inputs")
     out_dir = Path(_require(_setting(args, config, "out_dir", None), "--out-dir"))
+    outputs = output_paths(inputs, out_dir)
     min_tokens = int(_setting(args, config, "min_paragraph_tokens", 13))
     load_path = _setting(args, config, "load_filter", None)
     if load_path:
@@ -211,45 +212,33 @@ def _cmd_decontaminate(args, config) -> int:
             raise ValidationError(f"filter {load_path} is not a seeded read-only filter")
     else:
         test_sets = _require(_setting(args, config, "test_set", None), "--test-set")
-        # size the filter to the seeded paragraph count
-        n_keys = 0
-        for path in test_sets:
-            for doc in read_documents(path):
-                n_keys += sum(
-                    1
-                    for para in paragraph_texts(doc.text)
-                    if count_words(para, "unicode") > min_tokens
-                )
-        p = float(_setting(args, config, "bloom_p", 1e-4))
-        seed = int(_setting(args, config, "seed", 0))
-        if _setting(args, config, "exact", False):
-            filt = ExactSet()
-        else:
-            filt = BloomFilter.create(max(n_keys, 1), p, seed)
+        save_path = _setting(args, config, "save_filter", None)
 
         def test_docs():
             for path in test_sets:
                 yield from read_documents(path)
 
-        seeded = decontaminate_seed(filt, test_docs(), min_paragraph_tokens=min_tokens)
-        save_path = _setting(args, config, "save_filter", None)
-        if save_path:
-            if isinstance(seeded, ExactSet):
+        if _setting(args, config, "exact", False):
+            if save_path:
                 raise ValidationError("--save-filter requires the bloom backend")
+            filt = ExactSet()
+        else:
+            # size the filter to the paragraphs the seeding gate admits
+            n_keys = sum(1 for doc in test_docs() for _ in gated_paragraphs(doc, min_tokens))
+            p = float(_setting(args, config, "bloom_p", 1e-4))
+            seed = int(_setting(args, config, "seed", 0))
+            filt = BloomFilter.create(max(n_keys, 1), p, seed)
+        seeded = decontaminate_seed(filt, test_docs(), min_paragraph_tokens=min_tokens)
+        if save_path:
             bloom_save(seeded, save_path)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     counters = DedupeCounters()
-    for path in inputs:
-        path = Path(path)
-
-        def records(path=path):
-            for _, attrs in decontaminate_tag(
-                read_documents(path), seeded, counters, min_paragraph_tokens=min_tokens
-            ):
-                yield attrs
-
-        write_attributes(records(), out_dir / path.name)
+    for path, out_path in zip(inputs, outputs):
+        pairs = decontaminate_tag(
+            read_documents(path), seeded, counters, min_paragraph_tokens=min_tokens
+        )
+        write_attributes((attrs for _, attrs in pairs), out_path)
     _emit_report(
         {
             "documents": counters.documents,
@@ -513,7 +502,9 @@ _VALIDATION_ERRORS = (
     ValidationError,
     MixConfigError,
     FilterConfigError,
-    UnknownTaggerError,
+    TaggerConfigError,
+    DedupeConfigError,
+    ShardNameError,
 )
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol
 from urllib.parse import urlsplit, urlunsplit
@@ -36,7 +36,10 @@ CONTAMINATED = "decontamination__contaminated"
 
 DECONTAMINATION_MIN_TOKENS = 13
 CCNET_MAX_GROUP_BYTES = 20 * 2**30
-CCNET_DIGEST = "sha1"
+
+
+class DedupeConfigError(ValueError):
+    pass
 
 
 class KeyFilter(Protocol):
@@ -51,13 +54,12 @@ class KeyFilter(Protocol):
 class DedupeStageConfig:
     stage: str  # url | document | paragraph
     min_paragraph_tokens: int = 0  # 0 disables the gate (empty paragraphs included)
-    read_only: bool = False
 
     def __post_init__(self) -> None:
         if self.stage not in ("url", "document", "paragraph"):
-            raise ValueError(f"unknown dedupe stage {self.stage!r}")
+            raise DedupeConfigError(f"unknown dedupe stage {self.stage!r}")
         if self.min_paragraph_tokens < 0:
-            raise ValueError("min_paragraph_tokens must be >= 0")
+            raise DedupeConfigError("min_paragraph_tokens must be >= 0")
 
 
 @dataclass
@@ -66,7 +68,6 @@ class DedupeCounters:
     flagged: int = 0
     missing_url: int = 0
     flagged_paragraphs: int = 0
-    reasons: dict = field(default_factory=dict)
 
 
 def normalize_url(url: str) -> str:
@@ -119,7 +120,9 @@ def dedupe_by_document(
         yield doc, attrs
 
 
-def _gated_paragraphs(doc: Document, min_tokens: int):
+def gated_paragraphs(doc: Document, min_tokens: int):
+    """Yield ``(span, paragraph bytes)`` for each paragraph with more than
+    ``min_tokens`` unicode words; a gate of 0 admits every paragraph."""
     data = doc.text_bytes
     for span in segment_paragraphs(doc.text):
         para = data[span.start : span.end]
@@ -140,7 +143,7 @@ def dedupe_by_paragraph(
         counters.documents += 1
         attrs = DocumentAttributes(id=doc.id)
         spans = []
-        for span, para in _gated_paragraphs(doc, min_paragraph_tokens):
+        for span, para in gated_paragraphs(doc, min_paragraph_tokens):
             if backend.insert_check(para):
                 spans.append(AttributeSpan(span.start, span.end, 1.0))
         if spans:
@@ -215,7 +218,7 @@ def decontaminate_seed(
     if filt.read_only:
         raise ValueError("decontamination seeding needs a mutable filter")
     for doc in test_docs:
-        for _, para in _gated_paragraphs(doc, min_paragraph_tokens):
+        for _, para in gated_paragraphs(doc, min_paragraph_tokens):
             filt.insert_check(para)
     return filt.freeze()
 
@@ -234,7 +237,7 @@ def decontaminate_tag(
         counters.documents += 1
         attrs = DocumentAttributes(id=doc.id)
         contaminated = any(
-            seeded.contains(para) for _, para in _gated_paragraphs(doc, min_paragraph_tokens)
+            seeded.contains(para) for _, para in gated_paragraphs(doc, min_paragraph_tokens)
         )
         if contaminated:
             counters.flagged += 1

@@ -8,6 +8,7 @@ encoded text at span edges always yields valid UTF-8.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -193,17 +194,13 @@ def _unicode_word_char_spans(text: str) -> Iterator[tuple[int, int]]:
             yield start, i
 
 
-def _whitespace_word_char_spans(text: str) -> Iterator[tuple[int, int]]:
-    n = len(text)
-    i = 0
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        start = i
-        while i < n and not text[i].isspace():
-            i += 1
-        yield start, i
+# ``\s`` in a str pattern is exactly ``str.isspace``
+_NON_SPACE_RUN = re.compile(r"\S+")
+
+
+def whitespace_word_spans(text: str) -> list[tuple[int, int]]:
+    """Codepoint ``(start, end)`` of each run of non-whitespace characters."""
+    return [m.span() for m in _NON_SPACE_RUN.finditer(text)]
 
 
 def segment_words(text: str, mode: str = "unicode") -> list[AttributeSpan]:
@@ -215,7 +212,7 @@ def segment_words(text: str, mode: str = "unicode") -> list[AttributeSpan]:
     if mode == "unicode":
         char_spans = _unicode_word_char_spans(text)
     elif mode == "whitespace":
-        char_spans = _whitespace_word_char_spans(text)
+        char_spans = whitespace_word_spans(text)
     else:
         raise ValueError(f"unknown segmentation mode {mode!r}")
     return char_spans_to_byte_spans(text, ((s, e, 1.0) for s, e in char_spans))
@@ -225,7 +222,7 @@ def count_words(text: str, mode: str = "unicode") -> int:
     if mode == "unicode":
         return sum(1 for _ in _unicode_word_char_spans(text))
     if mode == "whitespace":
-        return sum(1 for _ in _whitespace_word_char_spans(text))
+        return len(whitespace_word_spans(text))
     raise ValueError(f"unknown segmentation mode {mode!r}")
 
 

@@ -26,7 +26,7 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 
-from corpuskit.documents import AttributeSpan, Document
+from corpuskit.documents import AttributeSpan, Document, whitespace_word_spans
 
 TOP_NGRAM_THRESHOLDS = {2: 0.20, 3: 0.18, 4: 0.16}
 DUP_NGRAM_THRESHOLDS = {5: 0.15, 6: 0.14, 7: 0.13, 8: 0.12, 9: 0.11, 10: 0.10}
@@ -102,21 +102,6 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
-def _word_char_spans(text: str) -> list[tuple[int, int]]:
-    spans = []
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i].isspace():
-            i += 1
-            continue
-        start = i
-        while i < n and not text[i].isspace():
-            i += 1
-        spans.append((start, i))
-    return spans
-
-
 def _top_ngram_fraction(token_ids: list[int], spans: list[tuple[int, int]], n: int, text_len: int) -> float:
     if len(token_ids) < n or text_len == 0:
         return 0.0
@@ -155,7 +140,7 @@ def _dup_ngram_fraction(token_ids: list[int], spans: list[tuple[int, int]], n: i
 
 
 def gopher_report(text: str) -> GopherReport:
-    word_spans = _word_char_spans(text)
+    word_spans = whitespace_word_spans(text)
     words = [text[s:e] for s, e in word_spans]
     word_count = len(words)
 

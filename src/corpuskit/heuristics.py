@@ -7,8 +7,9 @@ from corpuskit.documents import (
     Document,
     char_spans_to_byte_spans,
     count_words,
+    whitespace_word_spans,
 )
-from corpuskit.gopher import split_lines, _word_char_spans
+from corpuskit.gopher import split_lines
 
 TERMINAL_PUNCTUATION = frozenset('.?!"')
 
@@ -58,7 +59,7 @@ def find_repetition_runs(text: str) -> list[tuple[int, int, int]]:
 
     Each run is reported once, at the smallest period that detects it.
     """
-    spans = _word_char_spans(text)
+    spans = whitespace_word_spans(text)
     intern: dict[str, int] = {}
     tokens = [intern.setdefault(text[s:e], len(intern)) for s, e in spans]
     n = len(tokens)
@@ -137,15 +138,14 @@ def _truthy(value) -> bool:
     return bool(value)
 
 
-def tag_reddit_quality(
-    doc: Document, blocklist: frozenset[str] | None = None
-) -> dict[str, list[AttributeSpan]]:
+def tag_reddit_quality(doc: Document) -> dict[str, list[AttributeSpan]]:
     """Length, vote, and moderation flags for submissions and comments.
 
     Comments shorter than 500 characters and submissions shorter than 400
     are too short; documents over 40,000 characters are too long; comments
     with fewer than 3 votes are low-vote. Deleted/removed/over-18 content
-    and blocklisted subreddits are flagged for removal.
+    is flagged for removal. Banned subreddits are
+    :func:`tag_banned_subreddit`'s job.
     """
     kind = doc.metadata.get("kind")
     if kind not in ("submission", "comment"):
@@ -160,8 +160,6 @@ def tag_reddit_quality(
     flags["reddit__author_deleted"] = _truthy(doc.metadata.get("author_deleted"))
     flags["reddit__moderator_removed"] = _truthy(doc.metadata.get("moderator_removed"))
     flags["reddit__over_18"] = _truthy(doc.metadata.get("over_18"))
-    if blocklist is not None and "subreddit" in doc.metadata:
-        flags["reddit__banned_subreddit"] = str(doc.metadata["subreddit"]).lower() in blocklist
 
     end = len(doc.text_bytes)
     return {name: [AttributeSpan(0, end, 1.0)] for name, value in flags.items() if value}

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
@@ -19,7 +18,9 @@ from typing import Iterator
 from corpuskit.documents import Document, DocumentAttributes
 from corpuskit.filters import Drop, FilterExpr, apply_filters
 from corpuskit.shard_io import (
+    StageReport,
     document_to_line,
+    map_shards,
     open_shard_write,
     read_attributes,
     read_documents,
@@ -100,17 +101,14 @@ class MixConfig:
         return obj
 
 
-def sample_proportions(
-    weights: dict[str, float], sizes: dict[str, float], seed: int = 0
-) -> dict[str, float]:
+def sample_proportions(weights: dict[str, float], sizes: dict[str, float]) -> dict[str, float]:
     """Per-source inclusion probabilities realizing the target byte shares.
 
     Expected output shares equal the normalized weights exactly; the
     densest source is sampled at 100% (a source cannot exceed its available
-    mass without upsampling). Deterministic; the seed only drives the
-    later per-document draws.
+    mass without upsampling). Deterministic and seed-free: the mix seed
+    drives only the later per-document draws.
     """
-    del seed
     total_weight = sum(weights.values())
     if total_weight <= 0:
         raise MixConfigError("proportion weights must not all be zero")
@@ -138,23 +136,13 @@ def _keep_draw(seed: int, source: str, doc_id: str, repeat: int) -> float:
 
 
 @dataclass
-class SourceReport:
-    input_docs: int = 0
-    kept_docs: int = 0
-    dropped_docs: int = 0
-    sampled_out_docs: int = 0
-    kept_text_bytes: int = 0
-    drop_reasons: dict = field(default_factory=dict)
-
-
-@dataclass
 class MixReport:
-    sources: dict[str, SourceReport] = field(default_factory=dict)
+    sources: dict[str, StageReport] = field(default_factory=dict)
     output_shards: list[str] = field(default_factory=list)
 
-    def source(self, name: str) -> SourceReport:
+    def source(self, name: str) -> StageReport:
         if name not in self.sources:
-            self.sources[name] = SourceReport()
+            self.sources[name] = StageReport(stage=name)
         return self.sources[name]
 
     def to_json(self) -> dict:
@@ -242,23 +230,16 @@ def _filter_one_file(
     seed: int,
     upsample: dict[str, int],
     rates: dict[str, float] | None,
-) -> dict:
+) -> dict[str, StageReport]:
     """Phase 1 worker: filter + sample one input file into one part file."""
-    per_source: dict[str, SourceReport] = {}
-
-    def report(source: str) -> SourceReport:
-        if source not in per_source:
-            per_source[source] = SourceReport()
-        return per_source[source]
-
+    report = MixReport()
     with open_shard_write(part_path) as out:
         for doc, attrs in iter_doc_attrs(doc_path, stream.attributes):
-            rep = report(doc.source)
+            rep = report.source(doc.source)
             rep.input_docs += 1
             decision = apply_filters(doc, attrs, stream.filters)
             if isinstance(decision, Drop):
-                rep.dropped_docs += 1
-                rep.drop_reasons[decision.reason] = rep.drop_reasons.get(decision.reason, 0) + 1
+                rep.drop(decision.reason)
                 continue
             kept_doc = decision.doc
             rate = 1.0 if rates is None else rates.get(doc.source, 1.0)
@@ -270,17 +251,7 @@ def _filter_one_file(
                 rep.kept_text_bytes += len(kept_doc.text_bytes)
                 out.write(document_to_line(kept_doc))
                 out.write("\n")
-    return {
-        source: {
-            "input_docs": rep.input_docs,
-            "kept_docs": rep.kept_docs,
-            "dropped_docs": rep.dropped_docs,
-            "sampled_out_docs": rep.sampled_out_docs,
-            "kept_text_bytes": rep.kept_text_bytes,
-            "drop_reasons": rep.drop_reasons,
-        }
-        for source, rep in per_source.items()
-    }
+    return report.sources
 
 
 def mix(config: MixConfig, out_dir: str | os.PathLike, workers: int = 1) -> MixReport:
@@ -297,40 +268,20 @@ def mix(config: MixConfig, out_dir: str | os.PathLike, workers: int = 1) -> MixR
     rates = None
     if config.proportions is not None:
         sizes = measure_source_sizes(config)
-        rates = sample_proportions(config.proportions, sizes, config.seed)
+        rates = sample_proportions(config.proportions, sizes)
 
     tasks = []
+    parts = []
     for stream_idx, stream in enumerate(config.streams):
         for file_idx, doc_path in enumerate(stream.documents):
             part = tmp_dir / f"part-{stream_idx:03d}-{file_idx:05d}.jsonl"
-            tasks.append((stream, str(doc_path), str(part)))
+            parts.append(part)
+            tasks.append((stream, str(doc_path), str(part), config.seed, config.upsample, rates))
 
     report = MixReport()
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _filter_one_file, stream, doc_path, part, config.seed, config.upsample, rates
-                )
-                for stream, doc_path, part in tasks
-            ]
-            results = [f.result() for f in futures]
-    else:
-        results = [
-            _filter_one_file(stream, doc_path, part, config.seed, config.upsample, rates)
-            for stream, doc_path, part in tasks
-        ]
-
-    for result in results:
-        for source, counts in result.items():
-            rep = report.source(source)
-            rep.input_docs += counts["input_docs"]
-            rep.kept_docs += counts["kept_docs"]
-            rep.dropped_docs += counts["dropped_docs"]
-            rep.sampled_out_docs += counts["sampled_out_docs"]
-            rep.kept_text_bytes += counts["kept_text_bytes"]
-            for reason, n in counts["drop_reasons"].items():
-                rep.drop_reasons[reason] = rep.drop_reasons.get(reason, 0) + n
+    for sources in map_shards(_filter_one_file, tasks, workers):
+        for name, counts in sources.items():
+            report.source(name).merge(counts)
 
     # Phase 2: concatenate parts in config order into byte-capped shards.
     shard_idx = 0
@@ -346,7 +297,7 @@ def mix(config: MixConfig, out_dir: str | os.PathLike, workers: int = 1) -> MixR
         current_bytes = 0
 
     open_next()
-    for _, _, part in tasks:
+    for part in parts:
         with open(part, "rb") as f:
             for line in f:
                 if current_bytes > 0 and current_bytes + len(line) > config.output_shard_bytes:

@@ -39,7 +39,6 @@ PII_ATTRIBUTE_NAMES = {
 MAX_SPANS_FOR_MASKING = 5
 
 TOXICITY_HIGH_THRESHOLD = 0.4
-TOXICITY_LOW_THRESHOLD = 0.0004
 
 
 @dataclass

@@ -12,7 +12,6 @@ quality/content filtering, and paragraph dedup last.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
@@ -31,13 +30,25 @@ from corpuskit.filters import Drop, FilterExpr, apply_filters, merge_spans
 from corpuskit.gopher import tag_gopher
 from corpuskit.ngram_classifier import load_model, score_english, score_language_paragraph_avg
 from corpuskit.pii import ContentTagConfig, apply_pii_policy, pii_attributes, tag_pii
-from corpuskit.shard_io import read_documents, write_attributes, write_documents
+from corpuskit.shard_io import (
+    Counters,
+    StageReport,
+    map_shards,
+    output_paths,
+    read_documents,
+    write_attributes,
+    write_documents,
+)
 from corpuskit.toxicity import tag_toxicity
 
 TaggerFn = Callable[[Document], dict[str, list[AttributeSpan]]]
 
 
-class UnknownTaggerError(ValueError):
+class TaggerConfigError(ValueError):
+    pass
+
+
+class UnknownTaggerError(TaggerConfigError):
     pass
 
 
@@ -78,10 +89,11 @@ def _toxicity_tagger(params: dict) -> TaggerFn:
 
 
 def _reddit_quality_tagger(params: dict) -> TaggerFn:
-    blocklist = None
-    if params.get("blocklist"):
-        blocklist = heuristics.load_subreddit_blocklist(params["blocklist"])
-    return lambda doc: heuristics.tag_reddit_quality(doc, blocklist)
+    if "blocklist" in params:
+        raise TaggerConfigError(
+            "reddit_quality takes no blocklist; ban subreddits with the banned_subreddit tagger"
+        )
+    return heuristics.tag_reddit_quality
 
 
 def _banned_subreddit_tagger(params: dict) -> TaggerFn:
@@ -125,7 +137,7 @@ def build_tagger(name: str, params: dict | None = None) -> TaggerFn:
 
 
 @dataclass
-class TagReport:
+class TagReport(Counters):
     """Per-attribute document/character counts, in the same units the
     curation reports use (percent of documents, percent of UTF-8 bytes)."""
 
@@ -134,14 +146,6 @@ class TagReport:
     attribute_documents: dict[str, int] = field(default_factory=dict)
     attribute_bytes: dict[str, int] = field(default_factory=dict)
     wall_seconds: float = 0.0
-
-    def merge_shard(self, counts: "TagReport") -> None:
-        self.total_documents += counts.total_documents
-        self.total_text_bytes += counts.total_text_bytes
-        for name, n in counts.attribute_documents.items():
-            self.attribute_documents[name] = self.attribute_documents.get(name, 0) + n
-        for name, n in counts.attribute_bytes.items():
-            self.attribute_bytes[name] = self.attribute_bytes.get(name, 0) + n
 
     def to_json(self) -> dict:
         attrs = {}
@@ -165,17 +169,23 @@ class TagReport:
         }
 
 
+def _tag_document(doc: Document, taggers: list[TaggerFn]) -> DocumentAttributes:
+    """Run every tagger on one document and merge their attributes."""
+    attrs = DocumentAttributes(id=doc.id)
+    for tagger in taggers:
+        attrs.merge(DocumentAttributes(id=doc.id, attributes=tagger(doc)))
+    return attrs
+
+
 def _tag_one_shard(doc_path: str, out_path: str, specs: list[tuple[str, dict]]) -> TagReport:
-    taggers = [(name, build_tagger(name, params)) for name, params in specs]
+    taggers = [build_tagger(name, params) for name, params in specs]
     counts = TagReport()
 
     def records():
         for doc in read_documents(doc_path):
             counts.total_documents += 1
             counts.total_text_bytes += len(doc.text_bytes)
-            merged = DocumentAttributes(id=doc.id)
-            for name, tagger in taggers:
-                merged.merge(DocumentAttributes(id=doc.id, attributes=tagger(doc)))
+            merged = _tag_document(doc, taggers)
             for attr_name, spans in merged.attributes.items():
                 if not spans:
                     continue
@@ -199,19 +209,13 @@ def run_tag(
     workers: int = 1,
 ) -> TagReport:
     """Tag every shard, writing one sidecar per input shard (same name)."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    outputs = output_paths(doc_paths, out_dir)
+    Path(out_dir).mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
-    tasks = [(str(p), str(out / Path(p).name)) for p in doc_paths]
+    tasks = [(str(p), str(o), tagger_specs) for p, o in zip(doc_paths, outputs)]
     report = TagReport()
-    if workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(_tag_one_shard, dp, op, tagger_specs) for dp, op in tasks]
-            shard_counts = [f.result() for f in futures]
-    else:
-        shard_counts = [_tag_one_shard(dp, op, tagger_specs) for dp, op in tasks]
-    for counts in shard_counts:
-        report.merge_shard(counts)
+    for counts in map_shards(_tag_one_shard, tasks, workers):
+        report.merge(counts)
     report.wall_seconds = time.monotonic() - started
     return report
 
@@ -236,28 +240,6 @@ class WebPipelineConfig:
         return BloomFilter.create(self.bloom_n, self.bloom_p, self.seed)
 
 
-@dataclass
-class StageReport:
-    stage: str
-    input_docs: int = 0
-    kept_docs: int = 0
-    dropped_docs: int = 0
-    drop_reasons: dict = field(default_factory=dict)
-
-    def drop(self, reason: str) -> None:
-        self.dropped_docs += 1
-        self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
-
-    def to_json(self) -> dict:
-        return {
-            "stage": self.stage,
-            "input_docs": self.input_docs,
-            "kept_docs": self.kept_docs,
-            "dropped_docs": self.dropped_docs,
-            "drop_reasons": dict(sorted(self.drop_reasons.items())),
-        }
-
-
 QUALITY_DROP_FILTERS = [
     FilterExpr("gopher__matches_any", "document", ">=", 1.0, "drop_doc"),
     FilterExpr("c4__no_punc_fraction", "document", ">", 0.5, "drop_doc"),
@@ -276,35 +258,27 @@ def _quality_content_shard(
     toxicity_threshold: float,
 ) -> StageReport:
     report = StageReport(stage="quality_content")
-    taggers: list[TaggerFn] = [
-        tag_gopher,
-        heuristics.tag_c4_nopunc,
-        heuristics.tag_repetition,
-    ]
+    specs: list[tuple[str, dict]] = [("gopher", {}), ("c4", {}), ("repetition", {})]
     exprs = list(QUALITY_DROP_FILTERS)
     if language_model:
-        taggers.append(_language_tagger({"model": language_model}))
+        specs.append(("language", {"model": language_model}))
         exprs.append(FilterExpr("lang__en", "document", "<", 0.5, "drop_doc"))
     if hate_model or nsfw_model:
-        taggers.append(
-            _toxicity_tagger(
-                {
-                    "hate_model": hate_model,
-                    "nsfw_model": nsfw_model,
-                    "threshold": toxicity_threshold,
-                }
+        specs.append(
+            (
+                "toxicity",
+                {"hate_model": hate_model, "nsfw_model": nsfw_model, "threshold": toxicity_threshold},
             )
         )
         exprs.append(FilterExpr("toxicity__hate", "span", ">", toxicity_threshold, "remove_span"))
         exprs.append(FilterExpr("toxicity__nsfw", "span", ">", toxicity_threshold, "remove_span"))
+    taggers = [build_tagger(name, params) for name, params in specs]
     pii_config = ContentTagConfig(toxicity_threshold=toxicity_threshold)
 
     def survivors():
         for doc in read_documents(doc_path):
             report.input_docs += 1
-            attrs = DocumentAttributes(id=doc.id)
-            for tagger in taggers:
-                attrs.merge(DocumentAttributes(id=doc.id, attributes=tagger(doc)))
+            attrs = _tag_document(doc, taggers)
             # PII density is judged on the original text; sparse spans are
             # masked in the same splice pass as toxic sentence removal.
             if len(tag_pii(doc)) > pii_config.pii_max_spans_for_masking:
@@ -328,22 +302,24 @@ def _quality_content_shard(
 
 def run_pipeline_web(config: WebPipelineConfig) -> list[StageReport]:
     """URL and document dedup, then quality/content filtering, and finally
-    paragraph dedup; aborts naming the stage on failure."""
+    paragraph dedup. Every stage writes one shard per input shard, named
+    like it, so inputs sharing a basename are rejected before any stage."""
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tmp1 = out_dir / ".stage-dedup"
     tmp2 = out_dir / ".stage-quality"
-    tmp1.mkdir(exist_ok=True)
-    tmp2.mkdir(exist_ok=True)
+    dedup_paths = output_paths(config.inputs, tmp1)
+    quality_paths = output_paths(config.inputs, tmp2)
+    final_paths = output_paths(config.inputs, out_dir)
+    for tmp in (tmp1, tmp2):
+        tmp.mkdir(parents=True, exist_ok=True)
 
     url_report = StageReport(stage="url_dedup")
     doc_report = StageReport(stage="doc_dedup")
     url_backend = config.make_backend()
     doc_backend = config.make_backend()
-    shards = [Path(p) for p in config.inputs]
 
     # Dedup inserts are order-sensitive, so stages 1-2 stream sequentially.
-    for shard in shards:
+    for shard, dst in zip(config.inputs, dedup_paths):
         def dedup_survivors(shard=shard):
             for doc, url_attrs in dedupe_by_url(read_documents(shard), url_backend):
                 url_report.input_docs += 1
@@ -358,53 +334,30 @@ def run_pipeline_web(config: WebPipelineConfig) -> list[StageReport]:
                 doc_report.kept_docs += 1
                 yield doc
 
-        write_documents(dedup_survivors(), tmp1 / shard.name)
+        write_documents(dedup_survivors(), dst)
 
-    quality_tasks = [(str(tmp1 / s.name), str(tmp2 / s.name)) for s in shards]
-    if config.workers > 1 and len(quality_tasks) > 1:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            futures = [
-                pool.submit(
-                    _quality_content_shard,
-                    src,
-                    dst,
-                    config.language_model,
-                    config.hate_model,
-                    config.nsfw_model,
-                    config.toxicity_threshold,
-                )
-                for src, dst in quality_tasks
-            ]
-            quality_shards = [f.result() for f in futures]
-    else:
-        quality_shards = [
-            _quality_content_shard(
-                src,
-                dst,
-                config.language_model,
-                config.hate_model,
-                config.nsfw_model,
-                config.toxicity_threshold,
-            )
-            for src, dst in quality_tasks
-        ]
+    quality_tasks = [
+        (
+            str(src),
+            str(dst),
+            config.language_model,
+            config.hate_model,
+            config.nsfw_model,
+            config.toxicity_threshold,
+        )
+        for src, dst in zip(dedup_paths, quality_paths)
+    ]
     quality_report = StageReport(stage="quality_content")
-    for shard_report in quality_shards:
-        quality_report.input_docs += shard_report.input_docs
-        quality_report.kept_docs += shard_report.kept_docs
-        quality_report.dropped_docs += shard_report.dropped_docs
-        for reason, n in shard_report.drop_reasons.items():
-            quality_report.drop_reasons[reason] = quality_report.drop_reasons.get(reason, 0) + n
+    for shard_report in map_shards(_quality_content_shard, quality_tasks, config.workers):
+        quality_report.merge(shard_report)
 
     # Paragraph dedup runs last; duplicate paragraphs are spliced out and
     # documents emptied by the splice are dropped.
     para_report = StageReport(stage="paragraph_dedup")
     para_backend = config.make_backend()
-    for shard in shards:
-        def para_survivors(shard=shard):
-            for doc, attrs in dedupe_by_paragraph(
-                read_documents(tmp2 / shard.name), para_backend
-            ):
+    for src, dst in zip(quality_paths, final_paths):
+        def para_survivors(src=src):
+            for doc, attrs in dedupe_by_paragraph(read_documents(src), para_backend):
                 para_report.input_docs += 1
                 decision = apply_filters(doc, attrs, [PARAGRAPH_REMOVE_FILTER])
                 if isinstance(decision, Drop):
@@ -413,7 +366,7 @@ def run_pipeline_web(config: WebPipelineConfig) -> list[StageReport]:
                 para_report.kept_docs += 1
                 yield decision.doc
 
-        write_documents(para_survivors(), out_dir / shard.name)
+        write_documents(para_survivors(), dst)
 
     for tmp in (tmp1, tmp2):
         for leftover in tmp.iterdir():

@@ -1,9 +1,14 @@
-"""Newline-delimited JSON shard I/O for documents and attribute sidecars.
+"""Newline-delimited JSON shard I/O for documents and attribute sidecars,
+and the shard-task engine every per-shard job runs through.
 
 One JSON object per line. Gzip is detected on read by magic bytes (robust
 to renamed shards) and selected on write by a ``.gz`` suffix. Gzip members
 are written with mtime pinned to 0 so identical content always produces
 identical bytes.
+
+Per-shard jobs name their outputs with :func:`output_paths`, fan out with
+:func:`map_shards`, and fold their per-shard :class:`StageReport` counters
+together with ``merge``.
 """
 
 from __future__ import annotations
@@ -12,8 +17,10 @@ import gzip
 import io
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, Sequence
 
 from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
 
@@ -189,3 +196,85 @@ def write_attributes(records: Iterable[DocumentAttributes], path: str | os.PathL
         raise
     os.replace(tmp, path)
     return count
+
+
+class ShardNameError(ValueError):
+    pass
+
+
+def output_paths(inputs: Iterable[str | os.PathLike], out_dir: str | os.PathLike) -> list[Path]:
+    """Name each input shard's output ``out_dir/<basename>``.
+
+    Two inputs with one basename would write the same output, so they are
+    rejected before anything is written.
+    """
+    out_dir = Path(out_dir)
+    seen: dict[str, str] = {}
+    outputs = []
+    for path in inputs:
+        name = Path(path).name
+        if name in seen:
+            raise ShardNameError(
+                f"input shards {seen[name]} and {path} share the basename {name!r}; "
+                f"their outputs in {out_dir} would collide"
+            )
+        seen[name] = str(path)
+        outputs.append(out_dir / name)
+    return outputs
+
+
+def map_shards(fn: Callable, tasks: Sequence[tuple], workers: int = 1) -> list:
+    """Run ``fn(*task)`` for every task and return the results in task order.
+
+    With ``workers <= 1`` or a single task the calls run in this process, in
+    order; otherwise they fan out over one process pool, so ``fn`` and its
+    arguments must pickle. An exception raised by a task propagates.
+    """
+    if workers <= 1 or len(tasks) <= 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, *task) for task in tasks]
+        return [f.result() for f in futures]
+
+
+class Counters:
+    """Base of the report dataclasses that per-shard tasks return."""
+
+    def merge(self, other: "Counters") -> None:
+        """Add ``other`` field by field: numbers add, count dicts add per
+        key, any other field keeps this report's value."""
+        for f in fields(self):
+            mine = getattr(self, f.name)
+            theirs = getattr(other, f.name)
+            if isinstance(mine, dict):
+                for key, n in theirs.items():
+                    mine[key] = mine.get(key, 0) + n
+            elif isinstance(mine, (int, float)):
+                setattr(self, f.name, mine + theirs)
+
+
+@dataclass
+class StageReport(Counters):
+    """Documents in, kept, dropped (by reason) and sampled out for one stage
+    of a job, or for one source of a mix."""
+
+    stage: str
+    input_docs: int = 0
+    kept_docs: int = 0
+    dropped_docs: int = 0
+    sampled_out_docs: int = 0
+    kept_text_bytes: int = 0
+    drop_reasons: dict = field(default_factory=dict)
+
+    def drop(self, reason: str) -> None:
+        self.dropped_docs += 1
+        self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
+
+    def to_json(self) -> dict:
+        return {
+            "stage": self.stage,
+            "input_docs": self.input_docs,
+            "kept_docs": self.kept_docs,
+            "dropped_docs": self.dropped_docs,
+            "drop_reasons": dict(sorted(self.drop_reasons.items())),
+        }

@@ -2,6 +2,7 @@ import json
 import random
 
 from conftest import BENIGN_WORDS, OTHER_WORDS, ENGLISH_WORDS, sentence
+from corpuskit.bloom import BloomFilter, bloom_load
 from corpuskit.cli import main
 from corpuskit.documents import Document
 from corpuskit.shard_io import read_attributes, read_documents, write_documents
@@ -349,3 +350,111 @@ class TestPipelineWebCommand:
         stages = {s["stage"]: s for s in payload["stages"]}
         assert stages["url_dedup"]["dropped_docs"] == 1
         assert stages["paragraph_dedup"]["kept_docs"] >= 10
+
+
+class TestDuplicateBasenames:
+    """Outputs are named by input basename; two inputs sharing one would
+    overwrite each other's outputs, so every per-shard command refuses them
+    before writing anything."""
+
+    def shards(self, tmp_path):
+        paths = []
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            path = tmp_path / sub / "x.jsonl"
+            doc = Document(id=sub, text=f"Clean document {sub} stands alone.", metadata={"url": f"http://{sub}.com/"})
+            write_documents([doc], path)
+            paths.append(str(path))
+        return paths
+
+    def check_rejected(self, tmp_path, capsys, *argv):
+        a, b = self.shards(tmp_path)
+        out = tmp_path / "out"
+        assert run_cli(*argv, "--inputs", a, b, "--out-dir", str(out)) == 1
+        err = capsys.readouterr().err
+        assert a in err and b in err
+        assert not out.exists() or not [p for p in out.rglob("*") if p.is_file()]
+
+    def test_tag(self, tmp_path, capsys):
+        self.check_rejected(tmp_path, capsys, "tag", "--taggers", "c4")
+
+    def test_pipeline_web(self, tmp_path, capsys):
+        self.check_rejected(tmp_path, capsys, "pipeline-web", "--exact")
+
+    def test_dedupe(self, tmp_path, capsys):
+        self.check_rejected(tmp_path, capsys, "dedupe", "--stage", "document", "--exact")
+
+    def test_dedupe_ccnet(self, tmp_path, capsys):
+        self.check_rejected(
+            tmp_path, capsys, "dedupe", "--stage", "paragraph", "--ccnet-group-bytes", "1000"
+        )
+
+    def test_decontaminate(self, tmp_path, capsys):
+        test_set = make_shard(tmp_path, name="eval.jsonl", n=1)
+        self.check_rejected(tmp_path, capsys, "decontaminate", "--test-set", str(test_set), "--exact")
+
+
+class TestValidationBeforeOutput:
+    def test_dedupe_unknown_stage_in_config(self, tmp_path):
+        shard = make_shard(tmp_path)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"stage": "bogus"}))
+        argv = ["dedupe", "--config", str(config), "--inputs", str(shard), "--out-dir", str(tmp_path / "o")]
+        assert run_cli(*argv) == 1
+
+    def test_dedupe_negative_token_gate(self, tmp_path):
+        shard = make_shard(tmp_path)
+        argv = [
+            "dedupe", "--stage", "paragraph", "--min-paragraph-tokens", "-1",
+            "--inputs", str(shard), "--out-dir", str(tmp_path / "o"),
+        ]
+        assert run_cli(*argv) == 1
+
+    def test_dedupe_save_filter_with_exact_writes_nothing(self, tmp_path):
+        shard = make_shard(tmp_path)
+        out = tmp_path / "o"
+        argv = [
+            "dedupe", "--stage", "document", "--exact", "--save-filter", str(tmp_path / "f.bloom"),
+            "--inputs", str(shard), "--out-dir", str(out),
+        ]
+        assert run_cli(*argv) == 1
+        assert not (out / "in.jsonl").exists()
+        assert not (tmp_path / "f.bloom").exists()
+
+    def test_decontaminate_save_filter_with_exact_writes_nothing(self, tmp_path):
+        shard = make_shard(tmp_path)
+        test_set = make_shard(tmp_path, name="eval.jsonl", n=1)
+        out = tmp_path / "o"
+        argv = [
+            "decontaminate", "--test-set", str(test_set), "--exact",
+            "--save-filter", str(tmp_path / "f.bloom"), "--inputs", str(shard), "--out-dir", str(out),
+        ]
+        assert run_cli(*argv) == 1
+        assert not (out / "in.jsonl").exists()
+        assert not (tmp_path / "f.bloom").exists()
+
+    def test_reddit_quality_blocklist_points_to_banned_subreddit(self, tmp_path, capsys):
+        shard = make_shard(tmp_path, kind="comment", subreddit="x")
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"taggers": [{"name": "reddit_quality", "params": {"blocklist": "b.txt"}}]}))
+        argv = ["tag", "--config", str(config), "--inputs", str(shard), "--out-dir", str(tmp_path / "o")]
+        assert run_cli(*argv) == 1
+        assert "banned_subreddit" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "in.jsonl").exists()
+
+
+class TestDecontaminateFilterSizing:
+    def test_sized_for_every_seeded_paragraph_at_gate_zero(self, tmp_path):
+        # six paragraphs, five of them empty: the 0 gate seeds all six
+        test_set = tmp_path / "eval.jsonl"
+        write_documents([Document(id="e", text="\n\n\nshort\n\n")], test_set)
+        shard = make_shard(tmp_path)
+        filt = tmp_path / "f.bloom"
+        argv = [
+            "decontaminate", "--test-set", str(test_set), "--min-paragraph-tokens", "0",
+            "--save-filter", str(filt), "--inputs", str(shard), "--out-dir", str(tmp_path / "o"),
+        ]
+        assert run_cli(*argv) == 0
+        loaded = bloom_load(filt)
+        expected = BloomFilter.create(6, 1e-4, 0)
+        assert (loaded.m, loaded.k) == (expected.m, expected.k)

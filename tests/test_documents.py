@@ -11,6 +11,7 @@ from corpuskit.documents import (
     count_words,
     segment_paragraphs,
     segment_words,
+    whitespace_word_spans,
 )
 
 
@@ -74,6 +75,10 @@ class TestWords:
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             count_words("a", mode="bogus")
+
+    @given(st.text())
+    def test_whitespace_words_match_str_split(self, text):
+        assert [text[s:e] for s, e in whitespace_word_spans(text)] == text.split()
 
 
 class TestStats:

@@ -396,13 +396,6 @@ class TestRedditQuality:
         )
         assert {"reddit__author_deleted", "reddit__moderator_removed", "reddit__over_18"} <= set(attrs)
 
-    def test_banned_subreddit_case_insensitive(self):
-        blocklist = frozenset({"badplace"})
-        attrs = tag_reddit_quality(
-            reddit_doc("comment", 600, votes=5, subreddit="BadPlace"), blocklist
-        )
-        assert "reddit__banned_subreddit" in attrs
-
     def test_missing_kind_rejected(self):
         with pytest.raises(ValueError):
             tag_reddit_quality(Document(id="r", text="x"))

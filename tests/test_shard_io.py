@@ -6,7 +6,11 @@ from hypothesis import given, settings, strategies as st
 from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
 from corpuskit.shard_io import (
     MalformedRecordError,
+    ShardNameError,
+    StageReport,
     document_to_line,
+    map_shards,
+    output_paths,
     read_attributes,
     read_documents,
     write_attributes,
@@ -190,3 +194,42 @@ class TestAttributeIO:
         a = DocumentAttributes(id="x", attributes={"t__a": []})
         with pytest.raises(ValueError):
             a.merge(DocumentAttributes(id="x", attributes={"t__a": []}))
+
+
+class TestMapShards:
+    def test_results_in_task_order_for_any_worker_count(self):
+        tasks = [(i, 3) for i in range(12)]
+        expected = [i**3 for i in range(12)]
+        assert map_shards(pow, tasks, 1) == expected
+        assert map_shards(pow, tasks, 2) == expected
+
+    def test_no_tasks(self):
+        assert map_shards(pow, [], 2) == []
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_task_exception_propagates(self, workers):
+        with pytest.raises(ZeroDivisionError):
+            map_shards(divmod, [(4, 2), (1, 0), (9, 3)], workers)
+
+
+class TestOutputPaths:
+    def test_basename_under_out_dir(self, tmp_path):
+        got = output_paths(["a/x.jsonl", "b/y.jsonl.gz"], tmp_path)
+        assert got == [tmp_path / "x.jsonl", tmp_path / "y.jsonl.gz"]
+
+    def test_shared_basename_rejected_naming_both(self, tmp_path):
+        with pytest.raises(ShardNameError, match="a/x.jsonl.*b/x.jsonl"):
+            output_paths(["a/x.jsonl", "b/x.jsonl"], tmp_path)
+
+
+class TestStageReportMerge:
+    def test_fieldwise_sum(self):
+        a = StageReport(stage="s", input_docs=3, kept_docs=2, kept_text_bytes=10)
+        a.drop("r1")
+        b = StageReport(stage="other", input_docs=2, kept_docs=1, sampled_out_docs=1)
+        b.drop("r1")
+        b.drop("r2")
+        a.merge(b)
+        assert (a.stage, a.input_docs, a.kept_docs, a.dropped_docs) == ("s", 5, 3, 3)
+        assert (a.sampled_out_docs, a.kept_text_bytes) == (1, 10)
+        assert a.drop_reasons == {"r1": 2, "r2": 1}
