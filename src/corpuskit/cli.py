@@ -18,8 +18,8 @@ from corpuskit import reddit_threads
 from corpuskit.bloom import BloomFilter, ExactSet, bloom_load, bloom_save
 from corpuskit.correlate import filter_correlation, merge_attribute_shards
 from corpuskit.dedupe import (
+    PARAGRAPH_DUPLICATE,
     DedupeConfigError,
-    DedupeCounters,
     DedupeStageConfig,
     ccnet_group_dedupe,
     decontaminate_seed,
@@ -136,6 +136,23 @@ def _cmd_tag(args, config) -> int:
     return EXIT_OK
 
 
+def _write_counted(outputs, shards) -> dict:
+    """Write each input shard's attribute records to its output path and
+    count the records written and the documents and paragraphs they flag."""
+    counts = {"documents": 0, "flagged_documents": 0, "flagged_paragraphs": 0}
+
+    def counted(records):
+        for rec in records:
+            counts["documents"] += 1
+            counts["flagged_documents"] += bool(rec.attributes)
+            counts["flagged_paragraphs"] += len(rec.attributes.get(PARAGRAPH_DUPLICATE, []))
+            yield rec
+
+    for out_path, records in zip(outputs, shards):
+        write_attributes(counted(records), out_path)
+    return counts
+
+
 def _cmd_dedupe(args, config) -> int:
     inputs = _require(_setting(args, config, "inputs", None), "--inputs")
     out_dir = Path(_require(_setting(args, config, "out_dir", None), "--out-dir"))
@@ -145,58 +162,47 @@ def _cmd_dedupe(args, config) -> int:
         min_paragraph_tokens=int(_setting(args, config, "min_paragraph_tokens", 0)),
     )
     group_bytes = _setting(args, config, "ccnet_group_bytes", None)
+    save_path = _setting(args, config, "save_filter", None)
     if group_bytes is not None:
         if stage_config.stage != "paragraph":
             raise ValidationError("--ccnet-group-bytes applies to the paragraph stage only")
-        out_dir.mkdir(parents=True, exist_ok=True)
-        documents = 0
-        flagged = 0
+        if save_path:
+            raise ValidationError("--save-filter does not apply to --ccnet-group-bytes, which keeps no filter")
         # one (shard, records) pair per input, in input order
-        groups = ccnet_group_dedupe(list(inputs), int(group_bytes))
-        for out_path, (_, records) in zip(outputs, groups):
-            documents += len(records)
-            flagged += sum(1 for rec in records if rec.attributes)
-            write_attributes(records, out_path)
-        _emit_report(
-            {
-                "stage": "paragraph",
-                "grouping": "ccnet",
-                "max_group_bytes": int(group_bytes),
-                "documents": documents,
-                "flagged_documents": flagged,
-            },
-            args.report,
-        )
-        return EXIT_OK
-    backend = _make_backend(args, config)
-    save_path = _setting(args, config, "save_filter", None)
-    if save_path and isinstance(backend, ExactSet):
-        raise ValidationError("--save-filter requires the bloom backend")
+        shards = (records for _, records in ccnet_group_dedupe(list(inputs), int(group_bytes)))
+        report = {"stage": "paragraph", "grouping": "ccnet", "max_group_bytes": int(group_bytes)}
+    else:
+        backend = _make_backend(args, config)
+        if save_path and isinstance(backend, ExactSet):
+            raise ValidationError("--save-filter requires the bloom backend")
+        stage_fn = {
+            "url": dedupe_by_url,
+            "document": dedupe_by_document,
+            "paragraph": dedupe_by_paragraph,
+        }[stage_config.stage]
+        gate = {}
+        if stage_config.stage == "paragraph":
+            gate = {"min_paragraph_tokens": stage_config.min_paragraph_tokens}
+        missing_url = 0
+
+        def records(path):
+            nonlocal missing_url
+            for doc, attrs in stage_fn(read_documents(path), backend, **gate):
+                if stage_config.stage == "url" and doc.metadata.get("url") is None:
+                    missing_url += 1
+                yield attrs
+
+        shards = (records(path) for path in inputs)
+        report = {"stage": stage_config.stage}
     out_dir.mkdir(parents=True, exist_ok=True)
-    counters = DedupeCounters()
-    stage_fn = {
-        "url": dedupe_by_url,
-        "document": dedupe_by_document,
-        "paragraph": dedupe_by_paragraph,
-    }[stage_config.stage]
-    gate = {}
-    if stage_config.stage == "paragraph":
-        gate = {"min_paragraph_tokens": stage_config.min_paragraph_tokens}
-    for path, out_path in zip(inputs, outputs):
-        pairs = stage_fn(read_documents(path), backend, counters, **gate)
-        write_attributes((attrs for _, attrs in pairs), out_path)
-    if save_path:
-        bloom_save(backend, save_path)
-    _emit_report(
-        {
-            "stage": stage_config.stage,
-            "documents": counters.documents,
-            "flagged_documents": counters.flagged,
-            "flagged_paragraphs": counters.flagged_paragraphs,
-            "missing_url": counters.missing_url,
-        },
-        args.report,
-    )
+    counts = _write_counted(outputs, shards)
+    if group_bytes is not None:
+        report.update(documents=counts["documents"], flagged_documents=counts["flagged_documents"])
+    else:
+        if save_path:
+            bloom_save(backend, save_path)
+        report.update(counts, missing_url=missing_url)
+    _emit_report(report, args.report)
     return EXIT_OK
 
 
@@ -206,13 +212,16 @@ def _cmd_decontaminate(args, config) -> int:
     outputs = output_paths(inputs, out_dir)
     min_tokens = int(_setting(args, config, "min_paragraph_tokens", 13))
     load_path = _setting(args, config, "load_filter", None)
+    test_sets = _setting(args, config, "test_set", None)
+    save_path = _setting(args, config, "save_filter", None)
     if load_path:
+        if test_sets or save_path:
+            raise ValidationError("--load-filter takes a seeded filter; it excludes --test-set and --save-filter")
         seeded = bloom_load(load_path)
         if not seeded.read_only:
             raise ValidationError(f"filter {load_path} is not a seeded read-only filter")
     else:
-        test_sets = _require(_setting(args, config, "test_set", None), "--test-set")
-        save_path = _setting(args, config, "save_filter", None)
+        _require(test_sets, "--test-set")
 
         def test_docs():
             for path in test_sets:
@@ -233,16 +242,15 @@ def _cmd_decontaminate(args, config) -> int:
             bloom_save(seeded, save_path)
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    counters = DedupeCounters()
-    for path, out_path in zip(inputs, outputs):
-        pairs = decontaminate_tag(
-            read_documents(path), seeded, counters, min_paragraph_tokens=min_tokens
-        )
-        write_attributes((attrs for _, attrs in pairs), out_path)
+    shards = (
+        (attrs for _, attrs in decontaminate_tag(read_documents(path), seeded, min_paragraph_tokens=min_tokens))
+        for path in inputs
+    )
+    counts = _write_counted(outputs, shards)
     _emit_report(
         {
-            "documents": counters.documents,
-            "contaminated_documents": counters.flagged,
+            "documents": counts["documents"],
+            "contaminated_documents": counts["flagged_documents"],
             "min_paragraph_tokens": min_tokens,
         },
         args.report,

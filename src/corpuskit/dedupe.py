@@ -6,6 +6,10 @@ are flagged. Grouped paragraph dedup partitions consecutive shards into
 byte-capped groups and dedupes within each group independently.
 Decontamination seeds a filter with evaluation-set paragraphs and flags
 any document sharing one.
+
+Every stage only flags: it yields each document with its attribute record
+and counts nothing. Callers count what they need from those records and
+act on the flags through :func:`corpuskit.filters.apply_filters`.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Protocol
 from urllib.parse import urlsplit, urlunsplit
 
+from corpuskit.bloom import ExactSet
 from corpuskit.documents import (
     AttributeSpan,
     Document,
@@ -62,14 +67,6 @@ class DedupeStageConfig:
             raise DedupeConfigError("min_paragraph_tokens must be >= 0")
 
 
-@dataclass
-class DedupeCounters:
-    documents: int = 0
-    flagged: int = 0
-    missing_url: int = 0
-    flagged_paragraphs: int = 0
-
-
 def normalize_url(url: str) -> str:
     """Lowercase scheme and host, strip the fragment and any trailing slash."""
     parts = urlsplit(url.strip())
@@ -78,44 +75,28 @@ def normalize_url(url: str) -> str:
 
 
 def dedupe_by_url(
-    docs: Iterable[Document],
-    backend: KeyFilter,
-    counters: DedupeCounters | None = None,
+    docs: Iterable[Document], backend: KeyFilter
 ) -> Iterator[tuple[Document, DocumentAttributes]]:
     """Flag documents whose normalized URL was already seen.
 
-    Documents without a URL pass through with a warning counter.
+    Documents without a URL (absent or null) pass through unflagged.
     """
-    counters = counters if counters is not None else DedupeCounters()
     for doc in docs:
-        counters.documents += 1
         attrs = DocumentAttributes(id=doc.id)
         url = doc.metadata.get("url")
-        if url is None:
-            counters.missing_url += 1
-        else:
-            key = normalize_url(str(url)).encode("utf-8")
-            if backend.insert_check(key):
-                counters.flagged += 1
-                attrs.attributes[URL_DUPLICATE] = [
-                    AttributeSpan(0, len(doc.text_bytes), 1.0)
-                ]
+        if url is not None and backend.insert_check(normalize_url(str(url)).encode("utf-8")):
+            attrs.attributes[URL_DUPLICATE] = [AttributeSpan(0, len(doc.text_bytes), 1.0)]
         yield doc, attrs
 
 
 def dedupe_by_document(
-    docs: Iterable[Document],
-    backend: KeyFilter,
-    counters: DedupeCounters | None = None,
+    docs: Iterable[Document], backend: KeyFilter
 ) -> Iterator[tuple[Document, DocumentAttributes]]:
     """Flag exact text duplicates; the key is the raw text bytes, so empty
     documents share a key and count as duplicates of each other."""
-    counters = counters if counters is not None else DedupeCounters()
     for doc in docs:
-        counters.documents += 1
         attrs = DocumentAttributes(id=doc.id)
         if backend.insert_check(doc.text_bytes):
-            counters.flagged += 1
             attrs.attributes[DOC_DUPLICATE] = [AttributeSpan(0, len(doc.text_bytes), 1.0)]
         yield doc, attrs
 
@@ -134,23 +115,25 @@ def gated_paragraphs(doc: Document, min_tokens: int):
 def dedupe_by_paragraph(
     docs: Iterable[Document],
     backend: KeyFilter,
-    counters: DedupeCounters | None = None,
     min_paragraph_tokens: int = 0,
 ) -> Iterator[tuple[Document, DocumentAttributes]]:
     """Flag repeat paragraphs anywhere in the stream, empty ones included."""
-    counters = counters if counters is not None else DedupeCounters()
     for doc in docs:
-        counters.documents += 1
         attrs = DocumentAttributes(id=doc.id)
         spans = []
         for span, para in gated_paragraphs(doc, min_paragraph_tokens):
             if backend.insert_check(para):
                 spans.append(AttributeSpan(span.start, span.end, 1.0))
         if spans:
-            counters.flagged += 1
-            counters.flagged_paragraphs += len(spans)
             attrs.attributes[PARAGRAPH_DUPLICATE] = spans
         yield doc, attrs
+
+
+class _DigestSet(ExactSet):
+    """Exact set holding each key's 20-byte sha1 digest, not the key."""
+
+    def insert_check(self, key: bytes) -> bool:
+        return super().insert_check(hashlib.sha1(key).digest())
 
 
 def plan_shard_groups(
@@ -185,27 +168,14 @@ def ccnet_group_dedupe(
 ) -> Iterator[tuple[Path, list[DocumentAttributes]]]:
     """Exact paragraph dedup within consecutive byte-capped shard groups.
 
-    Paragraphs are compared by content digest (sha1); duplicates across
-    different groups are deliberately not flagged.
+    This is :func:`dedupe_by_paragraph` without a token gate over a fresh
+    exact set per group, keyed by each paragraph's sha1 digest; duplicates
+    across different groups are deliberately not flagged.
     """
     for group in plan_shard_groups(shard_paths, max_group_bytes):
-        seen: set[bytes] = set()
+        seen = _DigestSet()
         for path in group:
-            records: list[DocumentAttributes] = []
-            for doc in read_documents(path):
-                attrs = DocumentAttributes(id=doc.id)
-                spans = []
-                data = doc.text_bytes
-                for span in segment_paragraphs(doc.text):
-                    digest = hashlib.sha1(data[span.start : span.end]).digest()
-                    if digest in seen:
-                        spans.append(AttributeSpan(span.start, span.end, 1.0))
-                    else:
-                        seen.add(digest)
-                if spans:
-                    attrs.attributes[PARAGRAPH_DUPLICATE] = spans
-                records.append(attrs)
-            yield path, records
+            yield path, [attrs for _, attrs in dedupe_by_paragraph(read_documents(path), seen)]
 
 
 def decontaminate_seed(
@@ -226,20 +196,16 @@ def decontaminate_seed(
 def decontaminate_tag(
     docs: Iterable[Document],
     seeded: KeyFilter,
-    counters: DedupeCounters | None = None,
     min_paragraph_tokens: int = DECONTAMINATION_MIN_TOKENS,
 ) -> Iterator[tuple[Document, DocumentAttributes]]:
     """Flag documents with at least one seeded paragraph (same token gate)."""
     if not seeded.read_only:
         raise ValueError("decontamination tagging requires a read-only (seeded) filter")
-    counters = counters if counters is not None else DedupeCounters()
     for doc in docs:
-        counters.documents += 1
         attrs = DocumentAttributes(id=doc.id)
         contaminated = any(
             seeded.contains(para) for _, para in gated_paragraphs(doc, min_paragraph_tokens)
         )
         if contaminated:
-            counters.flagged += 1
             attrs.attributes[CONTAMINATED] = [AttributeSpan(0, len(doc.text_bytes), 1.0)]
         yield doc, attrs

@@ -130,10 +130,6 @@ def segment_paragraphs(text: str) -> list[AttributeSpan]:
         start = idx + 1
 
 
-def paragraph_texts(text: str) -> list[str]:
-    return text.split("\n")
-
-
 # UAX #29-style word segmentation, reduced to a documented rule set:
 # word characters are letters, decimal digits, and connector punctuation;
 # combining marks extend a started word; a single mid-letter character

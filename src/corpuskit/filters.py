@@ -9,7 +9,7 @@ span-scope expressions act on each matching span.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence, Union
 
 from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
@@ -213,13 +213,4 @@ def apply_filters(
         return Drop("emptied")
     if new_text == doc.text:
         return Keep(doc)
-    return Keep(
-        Document(
-            id=doc.id,
-            text=new_text,
-            source=doc.source,
-            created=doc.created,
-            metadata=dict(doc.metadata),
-            extra=dict(doc.extra),
-        )
-    )
+    return Keep(replace(doc, text=new_text, metadata=dict(doc.metadata), extra=dict(doc.extra)))

@@ -24,6 +24,7 @@ from corpuskit.shard_io import (
     open_shard_write,
     read_attributes,
     read_documents,
+    temp_dirs,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -258,54 +259,52 @@ def mix(config: MixConfig, out_dir: str | os.PathLike, workers: int = 1) -> MixR
     """Run the full mix: filter, sample, upsample, and reshard.
 
     Same config and seed produce byte-identical output shards regardless of
-    worker count.
+    worker count. The filtered parts live in ``.mix-parts/``, which is
+    removed whether the mix succeeds or fails.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     tmp_dir = out_dir / ".mix-parts"
-    tmp_dir.mkdir(exist_ok=True)
-
     rates = None
-    if config.proportions is not None:
-        sizes = measure_source_sizes(config)
-        rates = sample_proportions(config.proportions, sizes)
-
-    tasks = []
-    parts = []
-    for stream_idx, stream in enumerate(config.streams):
-        for file_idx, doc_path in enumerate(stream.documents):
-            part = tmp_dir / f"part-{stream_idx:03d}-{file_idx:05d}.jsonl"
-            parts.append(part)
-            tasks.append((stream, str(doc_path), str(part), config.seed, config.upsample, rates))
-
     report = MixReport()
-    for sources in map_shards(_filter_one_file, tasks, workers):
-        for name, counts in sources.items():
-            report.source(name).merge(counts)
+    with temp_dirs(tmp_dir):
+        if config.proportions is not None:
+            sizes = measure_source_sizes(config)
+            rates = sample_proportions(config.proportions, sizes)
 
-    # Phase 2: concatenate parts in config order into byte-capped shards.
-    shard_idx = 0
-    current = None
-    current_bytes = 0
+        tasks = []
+        parts = []
+        for stream_idx, stream in enumerate(config.streams):
+            for file_idx, doc_path in enumerate(stream.documents):
+                part = tmp_dir / f"part-{stream_idx:03d}-{file_idx:05d}.jsonl"
+                parts.append(part)
+                tasks.append((stream, str(doc_path), str(part), config.seed, config.upsample, rates))
 
-    def open_next():
-        nonlocal shard_idx, current, current_bytes
-        path = out_dir / f"part-{shard_idx:05d}.jsonl"
-        report.output_shards.append(str(path))
-        shard_idx += 1
-        current = open(path, "wb")
+        for sources in map_shards(_filter_one_file, tasks, workers):
+            for name, counts in sources.items():
+                report.source(name).merge(counts)
+
+        # Phase 2: concatenate parts in config order into byte-capped shards.
+        shard_idx = 0
+        current = None
         current_bytes = 0
 
-    open_next()
-    for part in parts:
-        with open(part, "rb") as f:
-            for line in f:
-                if current_bytes > 0 and current_bytes + len(line) > config.output_shard_bytes:
-                    current.close()
-                    open_next()
-                current.write(line)
-                current_bytes += len(line)
-        os.unlink(part)
-    current.close()
-    tmp_dir.rmdir()
+        def open_next():
+            nonlocal shard_idx, current, current_bytes
+            path = out_dir / f"part-{shard_idx:05d}.jsonl"
+            report.output_shards.append(str(path))
+            shard_idx += 1
+            current = open(path, "wb")
+            current_bytes = 0
+
+        open_next()
+        for part in parts:
+            with open(part, "rb") as f:
+                for line in f:
+                    if current_bytes > 0 and current_bytes + len(line) > config.output_shard_bytes:
+                        current.close()
+                        open_next()
+                    current.write(line)
+                    current_bytes += len(line)
+            os.unlink(part)
+        current.close()
     return report

@@ -15,8 +15,6 @@ from typing import NamedTuple, Protocol, Sequence
 
 import numpy as np
 
-from corpuskit.documents import paragraph_texts
-
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -318,9 +316,7 @@ def score_language_paragraph_avg(model: NgramModel, text: str) -> ParagraphScore
     Documents averaging below 0.5 are droppable; texts with no non-empty
     paragraphs score 0 with the degenerate flag set.
     """
-    scores = [
-        score_english(model, para) for para in paragraph_texts(text) if para.strip()
-    ]
+    scores = [score_english(model, para) for para in text.split("\n") if para.strip()]
     if not scores:
         return ParagraphScore(0.0, True)
     return ParagraphScore(sum(scores) / len(scores), False)

@@ -11,8 +11,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from corpuskit.documents import AttributeSpan, Document, char_spans_to_byte_spans
-from corpuskit.filters import Decision, Drop, Keep
+from corpuskit.documents import (
+    AttributeSpan,
+    Document,
+    DocumentAttributes,
+    char_spans_to_byte_spans,
+)
+from corpuskit.filters import Decision, Drop, FilterExpr, Keep, apply_filters
 
 # The source patterns miss a match at position 0 (phone wants preceding
 # whitespace) and at end-of-text (email wants a trailing whitespace), so the
@@ -35,6 +40,12 @@ PII_ATTRIBUTE_NAMES = {
     "phone": "pii__phone",
     "ip": "pii__ip",
 }
+
+# every PII span is masked, whatever its score
+PII_MASK_FILTERS = [
+    FilterExpr(PII_ATTRIBUTE_NAMES[kind], "span", ">", float("-inf"), "replace_span", token)
+    for kind, token in REPLACEMENT_TOKENS.items()
+]
 
 MAX_SPANS_FOR_MASKING = 5
 
@@ -116,26 +127,13 @@ def apply_pii_policy(
     if len(spans) > config.pii_max_spans_for_masking:
         return Drop("pii_density")
 
-    data = doc.text_bytes
-    size = len(data)
-    pieces = []
+    size = len(doc.text_bytes)
     pos = 0
     for pii in sorted(spans, key=lambda p: p.span.start):
         if pii.span.start < pos or pii.span.end > size:
             raise ValueError(
                 f"PII span [{pii.span.start}, {pii.span.end}) does not fit doc {doc.id!r}"
             )
-        pieces.append(data[pos : pii.span.start])
-        pieces.append(REPLACEMENT_TOKENS[pii.kind].encode("utf-8"))
         pos = pii.span.end
-    pieces.append(data[pos:])
-    return Keep(
-        Document(
-            id=doc.id,
-            text=b"".join(pieces).decode("utf-8"),
-            source=doc.source,
-            created=doc.created,
-            metadata=dict(doc.metadata),
-            extra=dict(doc.extra),
-        )
-    )
+    attrs = DocumentAttributes(id=doc.id, attributes=pii_attributes(doc, spans))
+    return apply_filters(doc, attrs, PII_MASK_FILTERS)

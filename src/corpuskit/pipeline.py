@@ -12,9 +12,10 @@ quality/content filtering, and paragraph dedup last.
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from corpuskit import code_rules, heuristics
 from corpuskit.bloom import BloomFilter, ExactSet
@@ -22,6 +23,7 @@ from corpuskit.dedupe import (
     DOC_DUPLICATE,
     PARAGRAPH_DUPLICATE,
     URL_DUPLICATE,
+    dedupe_by_document,
     dedupe_by_paragraph,
     dedupe_by_url,
 )
@@ -36,6 +38,7 @@ from corpuskit.shard_io import (
     map_shards,
     output_paths,
     read_documents,
+    temp_dirs,
     write_attributes,
     write_documents,
 )
@@ -246,10 +249,37 @@ QUALITY_DROP_FILTERS = [
     FilterExpr("repetition__run", "document", ">", float(heuristics.MAX_TOKEN_REPETITIONS), "drop_doc"),
 ]
 
+URL_DROP_FILTER = FilterExpr(URL_DUPLICATE, "document", ">=", 1.0, "drop_doc")
+DOC_DROP_FILTER = FilterExpr(DOC_DUPLICATE, "document", ">=", 1.0, "drop_doc")
 PARAGRAPH_REMOVE_FILTER = FilterExpr(PARAGRAPH_DUPLICATE, "span", ">=", 1.0, "remove_span")
 
 
+def _apply_counted(
+    pairs: Iterable[tuple[Document, DocumentAttributes]], expr: FilterExpr, report: StageReport
+) -> Iterator[Document]:
+    """Apply one filter to each flagged document, counting into ``report``;
+    yield the survivors."""
+    for doc, attrs in pairs:
+        report.input_docs += 1
+        decision = apply_filters(doc, attrs, [expr])
+        if isinstance(decision, Drop):
+            report.drop(decision.reason)
+            continue
+        report.kept_docs += 1
+        yield decision.doc
+
+
+@contextmanager
+def _failing_in(stage: str, shard) -> Iterator[None]:
+    """Re-raise a failure as one naming the stage and the input shard."""
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(f"stage {stage} failed on input shard {shard}: {exc}") from exc
+
+
 def _quality_content_shard(
+    shard: str,
     doc_path: str,
     out_path: str,
     language_model: str | None,
@@ -272,7 +302,6 @@ def _quality_content_shard(
         )
         exprs.append(FilterExpr("toxicity__hate", "span", ">", toxicity_threshold, "remove_span"))
         exprs.append(FilterExpr("toxicity__nsfw", "span", ">", toxicity_threshold, "remove_span"))
-    taggers = [build_tagger(name, params) for name, params in specs]
     pii_config = ContentTagConfig(toxicity_threshold=toxicity_threshold)
 
     def survivors():
@@ -296,80 +325,61 @@ def _quality_content_shard(
             report.kept_docs += 1
             yield masked.doc
 
-    write_documents(survivors(), out_path)
+    with _failing_in("quality_content", shard):
+        taggers = [build_tagger(name, params) for name, params in specs]
+        write_documents(survivors(), out_path)
     return report
 
 
 def run_pipeline_web(config: WebPipelineConfig) -> list[StageReport]:
     """URL and document dedup, then quality/content filtering, and finally
     paragraph dedup. Every stage writes one shard per input shard, named
-    like it, so inputs sharing a basename are rejected before any stage."""
+    like it, so inputs sharing a basename are rejected before any stage.
+    A failure names its stage and input shard, and the stage directories
+    are removed whether the run succeeds or fails."""
     out_dir = Path(config.out_dir)
     tmp1 = out_dir / ".stage-dedup"
     tmp2 = out_dir / ".stage-quality"
     dedup_paths = output_paths(config.inputs, tmp1)
     quality_paths = output_paths(config.inputs, tmp2)
     final_paths = output_paths(config.inputs, out_dir)
-    for tmp in (tmp1, tmp2):
-        tmp.mkdir(parents=True, exist_ok=True)
-
     url_report = StageReport(stage="url_dedup")
     doc_report = StageReport(stage="doc_dedup")
-    url_backend = config.make_backend()
-    doc_backend = config.make_backend()
-
-    # Dedup inserts are order-sensitive, so stages 1-2 stream sequentially.
-    for shard, dst in zip(config.inputs, dedup_paths):
-        def dedup_survivors(shard=shard):
-            for doc, url_attrs in dedupe_by_url(read_documents(shard), url_backend):
-                url_report.input_docs += 1
-                if URL_DUPLICATE in url_attrs.attributes:
-                    url_report.drop(URL_DUPLICATE)
-                    continue
-                url_report.kept_docs += 1
-                doc_report.input_docs += 1
-                if doc_backend.insert_check(doc.text_bytes):
-                    doc_report.drop(DOC_DUPLICATE)
-                    continue
-                doc_report.kept_docs += 1
-                yield doc
-
-        write_documents(dedup_survivors(), dst)
-
-    quality_tasks = [
-        (
-            str(src),
-            str(dst),
-            config.language_model,
-            config.hate_model,
-            config.nsfw_model,
-            config.toxicity_threshold,
-        )
-        for src, dst in zip(dedup_paths, quality_paths)
-    ]
     quality_report = StageReport(stage="quality_content")
-    for shard_report in map_shards(_quality_content_shard, quality_tasks, config.workers):
-        quality_report.merge(shard_report)
-
-    # Paragraph dedup runs last; duplicate paragraphs are spliced out and
-    # documents emptied by the splice are dropped.
     para_report = StageReport(stage="paragraph_dedup")
-    para_backend = config.make_backend()
-    for src, dst in zip(quality_paths, final_paths):
-        def para_survivors(src=src):
-            for doc, attrs in dedupe_by_paragraph(read_documents(src), para_backend):
-                para_report.input_docs += 1
-                decision = apply_filters(doc, attrs, [PARAGRAPH_REMOVE_FILTER])
-                if isinstance(decision, Drop):
-                    para_report.drop(decision.reason)
-                    continue
-                para_report.kept_docs += 1
-                yield decision.doc
 
-        write_documents(para_survivors(), dst)
+    with temp_dirs(tmp1, tmp2):
+        # Dedup inserts are order-sensitive, so stages 1-2 stream sequentially.
+        url_backend = config.make_backend()
+        doc_backend = config.make_backend()
+        for shard, dst in zip(config.inputs, dedup_paths):
+            with _failing_in("url_dedup/doc_dedup", shard):
+                by_url = dedupe_by_url(read_documents(shard), url_backend)
+                url_unique = _apply_counted(by_url, URL_DROP_FILTER, url_report)
+                by_doc = dedupe_by_document(url_unique, doc_backend)
+                write_documents(_apply_counted(by_doc, DOC_DROP_FILTER, doc_report), dst)
 
-    for tmp in (tmp1, tmp2):
-        for leftover in tmp.iterdir():
-            leftover.unlink()
-        tmp.rmdir()
+        quality_tasks = [
+            (
+                str(shard),
+                str(src),
+                str(dst),
+                config.language_model,
+                config.hate_model,
+                config.nsfw_model,
+                config.toxicity_threshold,
+            )
+            for shard, src, dst in zip(config.inputs, dedup_paths, quality_paths)
+        ]
+        for shard_report in map_shards(_quality_content_shard, quality_tasks, config.workers):
+            quality_report.merge(shard_report)
+
+        # Paragraph dedup runs last; duplicate paragraphs are spliced out and
+        # documents emptied by the splice are dropped.
+        para_backend = config.make_backend()
+        for shard, src, dst in zip(config.inputs, quality_paths, final_paths):
+            with _failing_in("paragraph_dedup", shard):
+                flagged = dedupe_by_paragraph(read_documents(src), para_backend)
+                write_documents(_apply_counted(flagged, PARAGRAPH_REMOVE_FILTER, para_report), dst)
+
     return [url_report, doc_report, quality_report, para_report]

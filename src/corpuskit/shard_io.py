@@ -7,8 +7,8 @@ are written with mtime pinned to 0 so identical content always produces
 identical bytes.
 
 Per-shard jobs name their outputs with :func:`output_paths`, fan out with
-:func:`map_shards`, and fold their per-shard :class:`StageReport` counters
-together with ``merge``.
+:func:`map_shards`, keep intermediate files in :func:`temp_dirs`, and fold
+their per-shard :class:`StageReport` counters together with ``merge``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,9 @@ import gzip
 import io
 import json
 import os
+import shutil
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
@@ -235,6 +237,19 @@ def map_shards(fn: Callable, tasks: Sequence[tuple], workers: int = 1) -> list:
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, *task) for task in tasks]
         return [f.result() for f in futures]
+
+
+@contextmanager
+def temp_dirs(*dirs: Path) -> Iterator[None]:
+    """Create directories for a job's intermediate files and remove them
+    when the job ends, whether it succeeds or fails."""
+    try:
+        for d in dirs:
+            d.mkdir(parents=True, exist_ok=True)
+        yield
+    finally:
+        for d in dirs:
+            shutil.rmtree(d, ignore_errors=True)
 
 
 class Counters:

@@ -1,5 +1,8 @@
 import json
 import random
+from pathlib import Path
+
+import pytest
 
 from conftest import BENIGN_WORDS, OTHER_WORDS, ENGLISH_WORDS, sentence
 from corpuskit.bloom import BloomFilter, bloom_load
@@ -433,6 +436,50 @@ class TestValidationBeforeOutput:
         assert not (out / "in.jsonl").exists()
         assert not (tmp_path / "f.bloom").exists()
 
+    def test_dedupe_ccnet_with_save_filter_writes_nothing(self, tmp_path):
+        shard = make_shard(tmp_path)
+        out = tmp_path / "o"
+        argv = [
+            "dedupe", "--stage", "paragraph", "--ccnet-group-bytes", "1000",
+            "--save-filter", str(tmp_path / "f.bloom"), "--inputs", str(shard), "--out-dir", str(out),
+        ]
+        assert run_cli(*argv) == 1
+        assert not out.exists()
+        assert not (tmp_path / "f.bloom").exists()
+
+    def seeded_filter(self, tmp_path):
+        test_set = make_shard(tmp_path, name="eval.jsonl", n=1)
+        filt = tmp_path / "seeded.bloom"
+        argv = [
+            "decontaminate", "--test-set", str(test_set), "--save-filter", str(filt),
+            "--inputs", str(test_set), "--out-dir", str(tmp_path / "seed-attrs"),
+        ]
+        assert run_cli(*argv) == 0
+        return filt
+
+    def test_decontaminate_load_filter_with_test_set(self, tmp_path):
+        filt = self.seeded_filter(tmp_path)
+        shard = make_shard(tmp_path)
+        out = tmp_path / "o"
+        argv = [
+            "decontaminate", "--load-filter", str(filt), "--test-set", str(tmp_path / "absent.jsonl"),
+            "--inputs", str(shard), "--out-dir", str(out),
+        ]
+        assert run_cli(*argv) == 1
+        assert not out.exists()
+
+    def test_decontaminate_load_filter_with_save_filter(self, tmp_path):
+        filt = self.seeded_filter(tmp_path)
+        shard = make_shard(tmp_path)
+        out = tmp_path / "o"
+        argv = [
+            "decontaminate", "--load-filter", str(filt), "--save-filter", str(tmp_path / "t.bloom"),
+            "--inputs", str(shard), "--out-dir", str(out),
+        ]
+        assert run_cli(*argv) == 1
+        assert not out.exists()
+        assert not (tmp_path / "t.bloom").exists()
+
     def test_reddit_quality_blocklist_points_to_banned_subreddit(self, tmp_path, capsys):
         shard = make_shard(tmp_path, kind="comment", subreddit="x")
         config = tmp_path / "c.json"
@@ -458,3 +505,84 @@ class TestDecontaminateFilterSizing:
         loaded = bloom_load(filt)
         expected = BloomFilter.create(6, 1e-4, 0)
         assert (loaded.m, loaded.k) == (expected.m, expected.k)
+
+
+class TestFailedRunsLeaveNoTempState:
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_pipeline_web_missing_language_model(self, tmp_path, capsys, workers):
+        shards = [str(make_shard(tmp_path, name=f"in{i}.jsonl", url=f"http://s{i}.com/")) for i in range(2)]
+        out = tmp_path / "out"
+        argv = [
+            "pipeline-web", "--exact", "--inputs", *shards, "--out-dir", str(out),
+            "--language-model", str(tmp_path / "missing.bin"), "--workers", workers,
+        ]
+        assert run_cli(*argv) == 2
+        assert not (out / ".stage-dedup").exists()
+        assert not (out / ".stage-quality").exists()
+        err = capsys.readouterr().err
+        assert "quality_content" in err and shards[0] in err
+
+    def test_mix_over_misaligned_sidecar(self, tmp_path, capsys):
+        shard = make_shard(tmp_path, n=3)
+        sidecar = tmp_path / "attrs.jsonl"
+        sidecar.write_text("".join(json.dumps({"id": f"x{i}", "attributes": {}}) + "\n" for i in range(3)))
+        config = tmp_path / "mix.json"
+        config.write_text(json.dumps({"streams": [{"documents": [str(shard)], "attributes": [str(sidecar)]}]}))
+        out = tmp_path / "mixed"
+        assert run_cli("mix", "--config", str(config), "--out-dir", str(out)) == 2
+        assert not (out / ".mix-parts").exists()
+        assert "misaligned" in capsys.readouterr().err
+
+
+class TestDedupeReportsMatchSidecars:
+    """Each dedupe and decontaminate report counts what its sidecars hold."""
+
+    def test_counts_equal_records_on_disk(self, tmp_path):
+        shared = "a paragraph repeated across documents"
+        eval_para = " ".join(f"evaltoken{i}" for i in range(20))
+        shards = [
+            [
+                Document(id="a0", text=f"intro one\n{shared}", metadata={"url": "http://a.com/x"}),
+                Document(id="a1", text=f"intro two\n{shared}\n{shared}", metadata={"url": "http://a.com/x/"}),
+                Document(id="a2", text="no url key here"),
+            ],
+            [
+                Document(id="b0", text=f"intro one\n{shared}", metadata={"url": None}),
+                Document(id="b1", text=f"x\n{eval_para}", metadata={"url": "http://b.com/"}),
+                Document(id="b2", text="no url key here", metadata={"url": "http://a.com/x"}),
+            ],
+        ]
+        paths = []
+        for i, docs in enumerate(shards):
+            paths.append(str(tmp_path / f"s{i}.jsonl"))
+            write_documents(docs, paths[-1])
+        test_set = tmp_path / "eval.jsonl"
+        write_documents([Document(id="e", text=eval_para)], test_set)
+
+        runs = {
+            "url": ["dedupe", "--stage", "url"],
+            "document": ["dedupe", "--stage", "document"],
+            "paragraph": ["dedupe", "--stage", "paragraph", "--min-paragraph-tokens", "2"],
+            "ccnet": ["dedupe", "--stage", "paragraph", "--ccnet-group-bytes", "100000"],
+            "decon": ["decontaminate", "--test-set", str(test_set)],
+        }
+        for name, argv in runs.items():
+            out, report_path = tmp_path / name, tmp_path / f"{name}.json"
+            argv = [*argv, "--inputs", *paths, "--out-dir", str(out), "--report", str(report_path)]
+            assert run_cli(*argv) == 0
+            report = json.loads(report_path.read_text())
+            records = [r for p in paths for r in read_attributes(out / Path(p).name)]
+            on_disk = {
+                "documents": len(records),
+                "flagged_documents": sum(1 for r in records if r.attributes),
+                "flagged_paragraphs": sum(len(r.attributes.get("dedupe__dup_paragraph", [])) for r in records),
+                "contaminated_documents": sum(
+                    1 for r in records if "decontamination__contaminated" in r.attributes
+                ),
+            }
+            assert on_disk["documents"] == 6
+            assert on_disk["flagged_documents"] > 0
+            for key, value in on_disk.items():
+                if key in report:
+                    assert report[key] == value, (name, key)
+        assert json.loads((tmp_path / "url.json").read_text())["missing_url"] == 2

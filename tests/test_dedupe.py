@@ -8,7 +8,6 @@ from corpuskit.dedupe import (
     DOC_DUPLICATE,
     PARAGRAPH_DUPLICATE,
     URL_DUPLICATE,
-    DedupeCounters,
     DedupeStageConfig,
     ccnet_group_dedupe,
     decontaminate_seed,
@@ -51,12 +50,10 @@ class TestUrlDedupe:
         results = list(dedupe_by_url(iter(docs), ExactSet()))
         assert URL_DUPLICATE in results[1][1].attributes
 
-    def test_missing_url_passes_with_counter(self):
-        counters = DedupeCounters()
+    def test_missing_url_passes_unflagged(self):
         docs = [Document(id="n", text="no url")]
-        results = list(dedupe_by_url(iter(docs), ExactSet(), counters))
+        results = list(dedupe_by_url(iter(docs), ExactSet()))
         assert results[0][1].attributes == {}
-        assert counters.missing_url == 1
 
     def test_bloom_matches_exact_oracle_on_planted_dupes(self):
         rng = random.Random(0)
