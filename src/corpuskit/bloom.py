@@ -19,6 +19,9 @@ BLOOM_VERSION = 1
 
 _MASK64 = (1 << 64) - 1
 
+DEFAULT_N_TARGET = 1_000_000
+DEFAULT_P_TARGET = 1e-4
+
 
 class ReadOnlyFilterError(RuntimeError):
     pass
@@ -26,6 +29,14 @@ class ReadOnlyFilterError(RuntimeError):
 
 class BloomFormatError(ValueError):
     pass
+
+
+def check_target(n_target: int, p_target: float) -> None:
+    """Raise ``ValueError`` unless a filter can be sized for these targets."""
+    if n_target < 1:
+        raise ValueError(f"n_target must be >= 1, got {n_target}")
+    if not 0.0 < p_target < 1.0:
+        raise ValueError(f"p_target must be in (0, 1), got {p_target}")
 
 
 class BloomFilter:
@@ -47,12 +58,11 @@ class BloomFilter:
         self._lock = threading.Lock()
 
     @classmethod
-    def create(cls, n_target: int, p_target: float, seed: int = 0) -> "BloomFilter":
+    def create(
+        cls, n_target: int = DEFAULT_N_TARGET, p_target: float = DEFAULT_P_TARGET, seed: int = 0
+    ) -> "BloomFilter":
         """Standard sizing: m = ceil(-n ln p / (ln 2)^2), k = round((m/n) ln 2)."""
-        if n_target < 1:
-            raise ValueError(f"n_target must be >= 1, got {n_target}")
-        if not 0.0 < p_target < 1.0:
-            raise ValueError(f"p_target must be in (0, 1), got {p_target}")
+        check_target(n_target, p_target)
         ln2 = math.log(2.0)
         m = math.ceil(-n_target * math.log(p_target) / (ln2 * ln2))
         k = max(1, round((m / n_target) * ln2))
@@ -154,3 +164,8 @@ class ExactSet:
 
     def __len__(self) -> int:
         return len(self._keys)
+
+
+def make_backend(exact: bool = False, **bloom) -> BloomFilter | ExactSet:
+    """The key set of a dedup pass: exact, or ``BloomFilter.create(**bloom)``."""
+    return ExactSet() if exact else BloomFilter.create(**bloom)

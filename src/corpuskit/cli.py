@@ -1,9 +1,15 @@
 """Command-line surface: tag, dedupe, decontaminate, mix, reddit-build,
 train-classifier, stats, correlate, pipeline-web.
 
-Options come from flags, optionally layered over a JSON config file given
-with --config (flags win). Reports are machine-readable JSON on stdout or
-at --report. Exit codes: 0 success, 1 validation error, 2 runtime failure.
+Options come from flags over a JSON --config file whose keys are option
+names with underscores, --config and --report aside (for mix, also the mix
+configuration's keys); flags win, any other key exits 1, and an unset option
+keeps the library's default. --seed is taken by dedupe, decontaminate, mix,
+train-classifier and pipeline-web; --workers by tag, mix and pipeline-web.
+A bad option value, or an option the chosen mode does not read (--bloom-p
+with --exact, --max-depth without --strategy partial, ...), exits 1 before
+any shard is read. Reports are JSON on stdout or at --report. Exit codes:
+0 success, 1 validation error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -12,12 +18,17 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import contextmanager
+from dataclasses import fields
+from functools import partial
 from pathlib import Path
+from typing import Iterator
 
 from corpuskit import reddit_threads
-from corpuskit.bloom import BloomFilter, ExactSet, bloom_load, bloom_save
+from corpuskit.bloom import bloom_load, bloom_save, make_backend
 from corpuskit.correlate import filter_correlation, merge_attribute_shards
 from corpuskit.dedupe import (
+    DECONTAMINATION_MIN_TOKENS,
     PARAGRAPH_DUPLICATE,
     DedupeConfigError,
     DedupeStageConfig,
@@ -59,33 +70,81 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
+_MIX_KEYS = tuple(f.name for f in fields(MixConfig))
+
 
 class ValidationError(ValueError):
     pass
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, argparse.ArgumentParser]  # subcommand name -> its parser
+
     def error(self, message: str):  # validation failures exit 1, not 2
         raise ValidationError(message)
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
-    with open(path, "r", encoding="utf-8") as f:
-        obj = json.load(f)
-    if not isinstance(obj, dict):
-        raise ValidationError(f"config file {path} must hold a JSON object")
-    return obj
+def _positive_int(text) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
-def _setting(args, config: dict, name: str, default):
-    value = getattr(args, name, None)
-    if value is not None:
-        return value
-    if name in config:
-        return config[name]
-    return default
+def _merge_config(args, command: argparse.ArgumentParser) -> None:
+    """Fill each option that no flag set from the --config key of its name,
+    converted like the flag; a key that names no option is an error."""
+    config = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    if not isinstance(config, dict):
+        raise ValidationError(f"config file {args.config} must hold a JSON object")
+    options = vars(args)
+    types = {action.dest: action.type for action in command._actions}
+    for key, value in config.items():
+        if key not in options or key in ("command", "fn", "config", "report", "log_level"):
+            raise ValidationError(f"{key!r} is not a config key of {args.command}")
+        if options[key] is None:
+            try:
+                options[key] = types[key](value) if types.get(key) else value
+            except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
+                raise ValidationError(f"config key {key!r}: {exc}") from exc
+
+
+_BLOOM = ("bloom_n", "bloom_p", "seed")  # the options that size and seed a Bloom filter
+# (mode option, whether its value selects the mode, the options that mode does not read)
+_UNREAD = (
+    ("stage", lambda v: v in ("url", "document"), ("ccnet_group_bytes", "min_paragraph_tokens")),
+    ("ccnet_group_bytes", bool, ("exact", *_BLOOM, "min_paragraph_tokens", "save_filter")),
+    ("load_filter", bool, ("test_set", "save_filter", "exact", *_BLOOM)),
+    ("exact", bool, (*_BLOOM, "save_filter")),
+    ("strategy", lambda v: v != "partial", ("max_depth",)),
+)
+
+
+def _refuse_unread(args) -> None:
+    """Reject any option given that the chosen mode of the command does not read."""
+    options = vars(args)
+    for mode, selects, unread in _UNREAD:
+        given = [name for name in unread if options.get(name) is not None]
+        if mode in options and selects(options[mode]) and given:
+            flags = ", ".join("--" + name.replace("_", "-") for name in given)
+            value = "not given" if options[mode] is None else repr(options[mode])
+            raise ValidationError(f"{flags} not read when --{mode.replace('_', '-')} is {value}")
+
+
+def _given(args, *names: str, **renamed: str) -> dict:
+    """Keyword arguments for a library call from the options that were set, the
+    library's defaults covering the rest; ``renamed`` maps parameter to option."""
+    options = {**dict(zip(names, names)), **renamed}
+    return {param: getattr(args, name) for param, name in options.items() if getattr(args, name) is not None}
+
+
+@contextmanager
+def _option_values() -> Iterator[None]:
+    """Report a ValueError from building config objects as a validation error."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
 
 
 def _emit_report(report: dict, path: str | None) -> None:
@@ -102,15 +161,6 @@ def _require(value, flag: str):
     return value
 
 
-def _make_backend(args, config) -> BloomFilter | ExactSet:
-    if _setting(args, config, "exact", False):
-        return ExactSet()
-    n = int(_setting(args, config, "bloom_n", 1_000_000))
-    p = float(_setting(args, config, "bloom_p", 1e-4))
-    seed = int(_setting(args, config, "seed", 0))
-    return BloomFilter.create(n, p, seed)
-
-
 def _parse_tagger_specs(raw) -> list[tuple[str, dict]]:
     specs = []
     for entry in raw:
@@ -123,15 +173,14 @@ def _parse_tagger_specs(raw) -> list[tuple[str, dict]]:
     return specs
 
 
-def _cmd_tag(args, config) -> int:
-    inputs = _require(_setting(args, config, "inputs", None), "--inputs")
-    out_dir = _require(_setting(args, config, "out_dir", None), "--out-dir")
-    taggers = _setting(args, config, "taggers", [])
+def _cmd_tag(args) -> int:
+    inputs = _require(args.inputs, "--inputs")
+    out_dir = _require(args.out_dir, "--out-dir")
+    taggers = args.taggers or []
     if isinstance(taggers, str):
         taggers = [t for t in taggers.split(",") if t]
     specs = _parse_tagger_specs(taggers)
-    workers = int(_setting(args, config, "workers", 1))
-    report = run_tag(list(inputs), specs, out_dir, workers=workers)
+    report = run_tag(list(inputs), specs, out_dir, **_given(args, "workers"))
     _emit_report(report.to_json(), args.report)
     return EXIT_OK
 
@@ -153,36 +202,26 @@ def _write_counted(outputs, shards) -> dict:
     return counts
 
 
-def _cmd_dedupe(args, config) -> int:
-    inputs = _require(_setting(args, config, "inputs", None), "--inputs")
-    out_dir = Path(_require(_setting(args, config, "out_dir", None), "--out-dir"))
+def _cmd_dedupe(args) -> int:
+    inputs = _require(args.inputs, "--inputs")
+    out_dir = Path(_require(args.out_dir, "--out-dir"))
     outputs = output_paths(inputs, out_dir)
-    stage_config = DedupeStageConfig(
-        stage=_require(_setting(args, config, "stage", None), "--stage"),
-        min_paragraph_tokens=int(_setting(args, config, "min_paragraph_tokens", 0)),
-    )
-    group_bytes = _setting(args, config, "ccnet_group_bytes", None)
-    save_path = _setting(args, config, "save_filter", None)
+    group_bytes = args.ccnet_group_bytes
+    with _option_values():
+        stage_config = DedupeStageConfig(_require(args.stage, "--stage"), **_given(args, "min_paragraph_tokens"))
+        if group_bytes is None:
+            backend = make_backend(**_given(args, "exact", n_target="bloom_n", p_target="bloom_p", seed="seed"))
     if group_bytes is not None:
-        if stage_config.stage != "paragraph":
-            raise ValidationError("--ccnet-group-bytes applies to the paragraph stage only")
-        if save_path:
-            raise ValidationError("--save-filter does not apply to --ccnet-group-bytes, which keeps no filter")
         # one (shard, records) pair per input, in input order
-        shards = (records for _, records in ccnet_group_dedupe(list(inputs), int(group_bytes)))
-        report = {"stage": "paragraph", "grouping": "ccnet", "max_group_bytes": int(group_bytes)}
+        shards = (records for _, records in ccnet_group_dedupe(list(inputs), group_bytes))
+        report = {"stage": "paragraph", "grouping": "ccnet", "max_group_bytes": group_bytes}
     else:
-        backend = _make_backend(args, config)
-        if save_path and isinstance(backend, ExactSet):
-            raise ValidationError("--save-filter requires the bloom backend")
         stage_fn = {
             "url": dedupe_by_url,
             "document": dedupe_by_document,
             "paragraph": dedupe_by_paragraph,
         }[stage_config.stage]
-        gate = {}
-        if stage_config.stage == "paragraph":
-            gate = {"min_paragraph_tokens": stage_config.min_paragraph_tokens}
+        gate = _given(args, "min_paragraph_tokens")  # refused unless the stage is paragraph
         missing_url = 0
 
         def records(path):
@@ -199,47 +238,36 @@ def _cmd_dedupe(args, config) -> int:
     if group_bytes is not None:
         report.update(documents=counts["documents"], flagged_documents=counts["flagged_documents"])
     else:
-        if save_path:
-            bloom_save(backend, save_path)
+        if args.save_filter:
+            bloom_save(backend, args.save_filter)
         report.update(counts, missing_url=missing_url)
     _emit_report(report, args.report)
     return EXIT_OK
 
 
-def _cmd_decontaminate(args, config) -> int:
-    inputs = _require(_setting(args, config, "inputs", None), "--inputs")
-    out_dir = Path(_require(_setting(args, config, "out_dir", None), "--out-dir"))
+def _cmd_decontaminate(args) -> int:
+    inputs = _require(args.inputs, "--inputs")
+    out_dir = Path(_require(args.out_dir, "--out-dir"))
     outputs = output_paths(inputs, out_dir)
-    min_tokens = int(_setting(args, config, "min_paragraph_tokens", 13))
-    load_path = _setting(args, config, "load_filter", None)
-    test_sets = _setting(args, config, "test_set", None)
-    save_path = _setting(args, config, "save_filter", None)
-    if load_path:
-        if test_sets or save_path:
-            raise ValidationError("--load-filter takes a seeded filter; it excludes --test-set and --save-filter")
-        seeded = bloom_load(load_path)
+    min_tokens = DECONTAMINATION_MIN_TOKENS if args.min_paragraph_tokens is None else args.min_paragraph_tokens
+    if args.load_filter:
+        seeded = bloom_load(args.load_filter)
         if not seeded.read_only:
-            raise ValidationError(f"filter {load_path} is not a seeded read-only filter")
+            raise ValidationError(f"filter {args.load_filter} is not a seeded read-only filter")
     else:
-        _require(test_sets, "--test-set")
+        test_sets = _require(args.test_set, "--test-set")
 
         def test_docs():
             for path in test_sets:
                 yield from read_documents(path)
 
-        if _setting(args, config, "exact", False):
-            if save_path:
-                raise ValidationError("--save-filter requires the bloom backend")
-            filt = ExactSet()
-        else:
-            # size the filter to the paragraphs the seeding gate admits
-            n_keys = sum(1 for doc in test_docs() for _ in gated_paragraphs(doc, min_tokens))
-            p = float(_setting(args, config, "bloom_p", 1e-4))
-            seed = int(_setting(args, config, "seed", 0))
-            filt = BloomFilter.create(max(n_keys, 1), p, seed)
+        # a Bloom filter is sized to the paragraphs the seeding gate admits
+        n_keys = 1 if args.exact else sum(1 for doc in test_docs() for _ in gated_paragraphs(doc, min_tokens))
+        with _option_values():
+            filt = make_backend(n_target=max(n_keys, 1), **_given(args, "exact", p_target="bloom_p", seed="seed"))
         seeded = decontaminate_seed(filt, test_docs(), min_paragraph_tokens=min_tokens)
-        if save_path:
-            bloom_save(seeded, save_path)
+        if args.save_filter:
+            bloom_save(seeded, args.save_filter)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     shards = (
@@ -258,44 +286,48 @@ def _cmd_decontaminate(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_mix(args, config) -> int:
-    if not config:
-        raise ValidationError("mix requires --config with a mix configuration")
-    out_dir = _require(_setting(args, config, "out_dir", None), "--out-dir")
-    workers = int(_setting(args, config, "workers", 1))
-    mix_config = MixConfig.from_json(config)
-    if args.seed is not None:
-        mix_config.seed = int(args.seed)
-    report = mix(mix_config, out_dir, workers=workers)
+def _cmd_mix(args) -> int:
+    _require(args.streams, "streams (mix needs --config with a mix configuration)")
+    out_dir = _require(args.out_dir, "--out-dir")
+    with _option_values():
+        mix_config = MixConfig.from_json(_given(args, *_MIX_KEYS))
+    report = mix(mix_config, out_dir, **_given(args, "workers"))
     _emit_report(report.to_json(), args.report)
     return EXIT_OK
 
 
-def _cmd_reddit_build(args, config) -> int:
-    inputs = _require(_setting(args, config, "inputs", None), "--inputs")
-    out = _require(_setting(args, config, "out", None), "--out")
-    strategy = _setting(args, config, "strategy", "atomic")
-    max_depth = int(_setting(args, config, "max_depth", reddit_threads.DEFAULT_MAX_PARENT_DEPTH))
+def _cmd_reddit_build(args) -> int:
+    inputs = _require(args.inputs, "--inputs")
+    out = _require(args.out, "--out")
+    strategy = args.strategy or "atomic"
+    builders = {
+        "atomic": reddit_threads.build_atomic,
+        "partial": partial(reddit_threads.build_partial_threads, **_given(args, "max_depth")),
+        "full": reddit_threads.build_full_threads,
+    }
+    if strategy not in builders:
+        raise ValidationError(f"unknown strategy {strategy!r} (atomic|partial|full)")
     items = []
     for path in inputs:
         for doc in read_documents(path):
             items.append(reddit_threads.RedditItem.from_document(doc))
-    if strategy == "atomic":
-        docs = reddit_threads.build_atomic(items)
-    elif strategy == "partial":
-        docs = reddit_threads.build_partial_threads(items, max_depth=max_depth)
-    elif strategy == "full":
-        docs = reddit_threads.build_full_threads(items)
-    else:
-        raise ValidationError(f"unknown strategy {strategy!r} (atomic|partial|full)")
-    count = write_documents(docs, out)
+    count = write_documents(builders[strategy](items), out)
     _emit_report({"strategy": strategy, "items": len(items), "documents": count}, args.report)
     return EXIT_OK
 
 
-def _cmd_train_classifier(args, config) -> int:
-    inputs = _require(_setting(args, config, "inputs", None), "--inputs")
-    model_out = _require(_setting(args, config, "model_out", None), "--model-out")
+def _cmd_train_classifier(args) -> int:
+    inputs = _require(args.inputs, "--inputs")
+    model_out = _require(args.model_out, "--model-out")
+    with _option_values():
+        if isinstance(args.orders, str):
+            args.orders = tuple(int(x) for x in args.orders.split(","))
+        features = NgramConfig(
+            **_given(args, "feature_kind", hash_buckets="buckets", hash_seed="seed", ngram_orders="orders")
+        )
+        train_config = TrainConfig(**_given(args, "epochs", "learning_rate", "l2", "seed", "batch_size"))
+        if args.eval_split is not None and not 0 <= args.eval_split < 1:
+            raise ValueError(f"--eval-split must be in [0, 1), got {args.eval_split}")
     examples = []
     for path in inputs:
         for doc in read_documents(path):
@@ -303,34 +335,14 @@ def _cmd_train_classifier(args, config) -> int:
             if label is None:
                 raise ValidationError(f"document {doc.id!r} in {path} has no 'label' metadata")
             examples.append((doc.text, str(label)))
-    orders = _setting(args, config, "orders", None)
-    feature_kind = _setting(args, config, "feature_kind", "word")
-    if orders is None:
-        orders = (2, 3, 4, 5) if feature_kind == "char" else (1, 2)
-    elif isinstance(orders, str):
-        orders = tuple(int(x) for x in orders.split(","))
-    features = NgramConfig(
-        hash_buckets=int(_setting(args, config, "buckets", 1 << 18)),
-        hash_seed=int(_setting(args, config, "seed", 0)),
-        ngram_orders=tuple(orders),
-        feature_kind=feature_kind,
-    )
-    train_config = TrainConfig(
-        epochs=int(_setting(args, config, "epochs", 10)),
-        learning_rate=float(_setting(args, config, "learning_rate", 0.5)),
-        l2=float(_setting(args, config, "l2", 0.0)),
-        seed=int(_setting(args, config, "seed", 0)),
-        batch_size=int(_setting(args, config, "batch_size", 1)),
-    )
-    eval_split = float(_setting(args, config, "eval_split", 0.0))
     held_out: list[tuple[str, str]] = []
-    if eval_split > 0:
+    if args.eval_split:
         import random
 
         rng = random.Random(train_config.seed)
         shuffled = examples[:]
         rng.shuffle(shuffled)
-        cut = max(1, int(len(shuffled) * eval_split))
+        cut = max(1, int(len(shuffled) * args.eval_split))
         held_out, examples = shuffled[:cut], shuffled[cut:]
     model = train(examples, train_config, features)
     save_model(model, model_out)
@@ -352,8 +364,8 @@ def _cmd_train_classifier(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_stats(args, config) -> int:
-    inputs = _require(_setting(args, config, "inputs", None), "--inputs")
+def _cmd_stats(args) -> int:
+    inputs = _require(args.inputs, "--inputs")
 
     def docs():
         for path in inputs:
@@ -371,9 +383,9 @@ def _cmd_stats(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_correlate(args, config) -> int:
-    attr_dirs = _require(_setting(args, config, "attributes", None), "--attributes")
-    names = _setting(args, config, "filters", None)
+def _cmd_correlate(args) -> int:
+    attr_dirs = _require(args.attributes, "--attributes")
+    names = args.filters
     if isinstance(names, str):
         names = [n for n in names.split(",") if n]
     _require(names, "--filters")
@@ -388,22 +400,13 @@ def _cmd_correlate(args, config) -> int:
     return EXIT_OK
 
 
-def _cmd_pipeline_web(args, config) -> int:
-    inputs = _require(_setting(args, config, "inputs", None), "--inputs")
-    out_dir = _require(_setting(args, config, "out_dir", None), "--out-dir")
-    pipeline_config = WebPipelineConfig(
-        inputs=list(inputs),
-        out_dir=out_dir,
-        bloom_n=int(_setting(args, config, "bloom_n", 1_000_000)),
-        bloom_p=float(_setting(args, config, "bloom_p", 1e-4)),
-        seed=int(_setting(args, config, "seed", 0)),
-        exact_backend=bool(_setting(args, config, "exact", False)),
-        language_model=_setting(args, config, "language_model", None),
-        hate_model=_setting(args, config, "hate_model", None),
-        nsfw_model=_setting(args, config, "nsfw_model", None),
-        toxicity_threshold=float(_setting(args, config, "toxicity_threshold", 0.4)),
-        workers=int(_setting(args, config, "workers", 1)),
-    )
+def _cmd_pipeline_web(args) -> int:
+    inputs = _require(args.inputs, "--inputs")
+    out_dir = _require(args.out_dir, "--out-dir")
+    options = _given(args, "bloom_n", "bloom_p", "seed", "toxicity_threshold", "workers", exact_backend="exact")
+    models = _given(args, "language_model", "hate_model", "nsfw_model")
+    with _option_values():
+        pipeline_config = WebPipelineConfig(inputs=list(inputs), out_dir=out_dir, **options, **models)
     reports = run_pipeline_web(pipeline_config)
     _emit_report({"stages": [r.to_json() for r in reports]}, args.report)
     return EXIT_OK
@@ -414,22 +417,24 @@ def build_parser() -> _Parser:
     parser.add_argument("--log-level", default="WARNING")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, inputs: bool = True) -> None:
+    def command(name, fn, help, inputs=True, seed=False, workers=False) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(fn=fn)
         p.add_argument("--config", help="JSON config file; flags override its keys")
         p.add_argument("--report", help="write the JSON report here instead of stdout")
-        p.add_argument("--seed", type=int)
-        p.add_argument("--workers", type=int)
         if inputs:
             p.add_argument("--inputs", nargs="+", help="document shard files")
+        if seed:
+            p.add_argument("--seed", type=int)
+        if workers:
+            p.add_argument("--workers", type=_positive_int)
+        return p
 
-    p = sub.add_parser("tag", help="run taggers over shards, writing attribute sidecars")
-    common(p)
+    p = command("tag", _cmd_tag, "run taggers over shards, writing attribute sidecars", workers=True)
     p.add_argument("--taggers", help="comma-separated tagger names")
     p.add_argument("--out-dir", dest="out_dir")
-    p.set_defaults(fn=_cmd_tag)
 
-    p = sub.add_parser("dedupe", help="flag URL/document/paragraph duplicates")
-    common(p)
+    p = command("dedupe", _cmd_dedupe, "flag URL/document/paragraph duplicates", seed=True)
     p.add_argument("--stage", choices=["url", "document", "paragraph"])
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--exact", action="store_const", const=True, default=None)
@@ -440,13 +445,13 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--ccnet-group-bytes",
         dest="ccnet_group_bytes",
-        type=int,
+        type=_positive_int,
         help="grouped paragraph dedup: dedupe within consecutive shard groups of at most this many bytes",
     )
-    p.set_defaults(fn=_cmd_dedupe)
 
-    p = sub.add_parser("decontaminate", help="seed a filter with test paragraphs and flag hits")
-    common(p)
+    p = command(
+        "decontaminate", _cmd_decontaminate, "seed a filter with test paragraphs and flag hits", seed=True
+    )
     p.add_argument("--test-set", dest="test_set", nargs="+")
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--exact", action="store_const", const=True, default=None)
@@ -454,22 +459,21 @@ def build_parser() -> _Parser:
     p.add_argument("--min-paragraph-tokens", dest="min_paragraph_tokens", type=int)
     p.add_argument("--save-filter", dest="save_filter")
     p.add_argument("--load-filter", dest="load_filter")
-    p.set_defaults(fn=_cmd_decontaminate)
 
-    p = sub.add_parser("mix", help="filter, sample, and reshard per the mix config")
-    common(p, inputs=False)
+    p = command(
+        "mix", _cmd_mix, "filter, sample, and reshard per the mix config", inputs=False, seed=True, workers=True
+    )
     p.add_argument("--out-dir", dest="out_dir")
-    p.set_defaults(fn=_cmd_mix)
+    p.set_defaults(**dict.fromkeys(_MIX_KEYS))  # the mix configuration's keys, set by --config only
 
-    p = sub.add_parser("reddit-build", help="linearize submission/comment trees")
-    common(p)
+    p = command("reddit-build", _cmd_reddit_build, "linearize submission/comment trees")
     p.add_argument("--strategy", choices=["atomic", "partial", "full"])
-    p.add_argument("--max-depth", dest="max_depth", type=int)
+    p.add_argument("--max-depth", dest="max_depth", type=_positive_int)
     p.add_argument("--out")
-    p.set_defaults(fn=_cmd_reddit_build)
 
-    p = sub.add_parser("train-classifier", help="train the n-gram classifier on labeled shards")
-    common(p)
+    p = command(
+        "train-classifier", _cmd_train_classifier, "train the n-gram classifier on labeled shards", seed=True
+    )
     p.add_argument("--model-out", dest="model_out")
     p.add_argument("--feature-kind", dest="feature_kind", choices=["word", "char"])
     p.add_argument("--orders")
@@ -479,20 +483,16 @@ def build_parser() -> _Parser:
     p.add_argument("--l2", type=float)
     p.add_argument("--batch-size", dest="batch_size", type=int)
     p.add_argument("--eval-split", dest="eval_split", type=float)
-    p.set_defaults(fn=_cmd_train_classifier)
 
-    p = sub.add_parser("stats", help="corpus size statistics")
-    common(p)
-    p.set_defaults(fn=_cmd_stats)
+    command("stats", _cmd_stats, "corpus size statistics")
 
-    p = sub.add_parser("correlate", help="document-level filter correlation matrix")
-    common(p, inputs=False)
+    p = command("correlate", _cmd_correlate, "document-level filter correlation matrix", inputs=False)
     p.add_argument("--attributes", nargs="+", help="attribute sidecar dirs (or files)")
     p.add_argument("--filters", help="comma-separated attribute names")
-    p.set_defaults(fn=_cmd_correlate)
 
-    p = sub.add_parser("pipeline-web", help="full web pipeline in the fixed stage order")
-    common(p)
+    p = command(
+        "pipeline-web", _cmd_pipeline_web, "full web pipeline in the fixed stage order", seed=True, workers=True
+    )
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--exact", action="store_const", const=True, default=None)
     p.add_argument("--bloom-n", dest="bloom_n", type=int)
@@ -501,8 +501,8 @@ def build_parser() -> _Parser:
     p.add_argument("--hate-model", dest="hate_model")
     p.add_argument("--nsfw-model", dest="nsfw_model")
     p.add_argument("--toxicity-threshold", dest="toxicity_threshold", type=float)
-    p.set_defaults(fn=_cmd_pipeline_web)
 
+    parser.commands = sub.choices
     return parser
 
 
@@ -521,8 +521,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         logging.basicConfig(level=getattr(logging, args.log_level.upper(), logging.WARNING))
-        config = _load_config(getattr(args, "config", None))
-        return args.fn(args, config)
+        if args.config:
+            _merge_config(args, parser.commands[args.command])
+        _refuse_unread(args)
+        return args.fn(args)
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -19,6 +19,7 @@ from corpuskit.documents import Document, DocumentAttributes
 from corpuskit.filters import Drop, FilterExpr, apply_filters
 from corpuskit.shard_io import (
     StageReport,
+    atomic_output,
     document_to_line,
     map_shards,
     open_shard_write,
@@ -283,28 +284,26 @@ def mix(config: MixConfig, out_dir: str | os.PathLike, workers: int = 1) -> MixR
             for name, counts in sources.items():
                 report.source(name).merge(counts)
 
-        # Phase 2: concatenate parts in config order into byte-capped shards.
-        shard_idx = 0
-        current = None
-        current_bytes = 0
-
-        def open_next():
-            nonlocal shard_idx, current, current_bytes
-            path = out_dir / f"part-{shard_idx:05d}.jsonl"
+        # Phase 2: concatenate parts in config order into byte-capped shards,
+        # each written atomically. A shard takes at least one line, and an
+        # empty mix writes one empty shard.
+        lines = _part_lines(parts)
+        line = next(lines, None)
+        while line is not None or not report.output_shards:
+            path = out_dir / f"part-{len(report.output_shards):05d}.jsonl"
             report.output_shards.append(str(path))
-            shard_idx += 1
-            current = open(path, "wb")
-            current_bytes = 0
-
-        open_next()
-        for part in parts:
-            with open(part, "rb") as f:
-                for line in f:
-                    if current_bytes > 0 and current_bytes + len(line) > config.output_shard_bytes:
-                        current.close()
-                        open_next()
-                    current.write(line)
-                    current_bytes += len(line)
-            os.unlink(part)
-        current.close()
+            with atomic_output(path) as tmp, open(tmp, "wb") as out:
+                size = 0
+                while line is not None and (size == 0 or size + len(line) <= config.output_shard_bytes):
+                    out.write(line)
+                    size += len(line)
+                    line = next(lines, None)
     return report
+
+
+def _part_lines(parts: list[Path]) -> Iterator[bytes]:
+    """Yield the lines of the part files in order, deleting each once read."""
+    for part in parts:
+        with open(part, "rb") as f:
+            yield from f
+        os.unlink(part)

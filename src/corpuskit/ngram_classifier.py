@@ -36,30 +36,31 @@ class TrainingError(RuntimeError):
     pass
 
 
+# Default shapes mirror the replaced tools: char 2..5-grams for language ID,
+# word unigrams+bigrams for toxicity.
+DEFAULT_NGRAM_ORDERS = {"word": (1, 2), "char": (2, 3, 4, 5)}
+
+
 @dataclass(frozen=True)
 class NgramConfig:
     """Feature extraction parameters; hashed n-gram counts over buckets."""
 
     hash_buckets: int = 1 << 18
     hash_seed: int = 0
-    ngram_orders: tuple[int, ...] = (1, 2)
+    ngram_orders: tuple[int, ...] | None = None  # None: the default orders of the feature kind
     feature_kind: str = "word"  # "word" or "char"
 
     def __post_init__(self) -> None:
         if self.hash_buckets <= 0 or self.hash_buckets & (self.hash_buckets - 1):
             raise ValueError("hash_buckets must be a positive power of two")
-        if self.feature_kind not in ("word", "char"):
+        if self.feature_kind not in DEFAULT_NGRAM_ORDERS:
             raise ValueError(f"feature_kind must be 'word' or 'char', got {self.feature_kind!r}")
+        if self.ngram_orders is None:
+            object.__setattr__(self, "ngram_orders", DEFAULT_NGRAM_ORDERS[self.feature_kind])
         if not self.ngram_orders or any(n < 1 for n in self.ngram_orders):
             raise ValueError("ngram_orders must be non-empty positive integers")
         object.__setattr__(self, "ngram_orders", tuple(sorted(set(self.ngram_orders))))
         object.__setattr__(self, "hash_seed", self.hash_seed & _MASK64)
-
-
-# Default shapes mirror the replaced tools: char 2..5-grams for language ID,
-# word unigrams+bigrams for toxicity.
-LANGUAGE_ID_FEATURES = NgramConfig(ngram_orders=(2, 3, 4, 5), feature_kind="char")
-TOXICITY_FEATURES = NgramConfig(ngram_orders=(1, 2), feature_kind="word")
 
 
 @dataclass

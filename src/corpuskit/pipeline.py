@@ -14,11 +14,12 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
 
 from corpuskit import code_rules, heuristics
-from corpuskit.bloom import BloomFilter, ExactSet
+from corpuskit.bloom import DEFAULT_N_TARGET, DEFAULT_P_TARGET, check_target, make_backend
 from corpuskit.dedupe import (
     DOC_DUPLICATE,
     PARAGRAPH_DUPLICATE,
@@ -30,8 +31,8 @@ from corpuskit.dedupe import (
 from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
 from corpuskit.filters import Drop, FilterExpr, apply_filters, merge_spans
 from corpuskit.gopher import tag_gopher
-from corpuskit.ngram_classifier import load_model, score_english, score_language_paragraph_avg
-from corpuskit.pii import ContentTagConfig, apply_pii_policy, pii_attributes, tag_pii
+from corpuskit.ngram_classifier import ENGLISH_KEEP_THRESHOLD, load_model, score_english, score_language_paragraph_avg
+from corpuskit.pii import TOXICITY_HIGH_THRESHOLD, ContentTagConfig, apply_pii_policy, pii_attributes, tag_pii
 from corpuskit.shard_io import (
     Counters,
     StageReport,
@@ -227,20 +228,21 @@ def run_tag(
 class WebPipelineConfig:
     inputs: list[str]
     out_dir: str
-    bloom_n: int = 1_000_000
-    bloom_p: float = 1e-4
+    bloom_n: int = DEFAULT_N_TARGET
+    bloom_p: float = DEFAULT_P_TARGET
     seed: int = 0
     exact_backend: bool = False
     language_model: str | None = None
     hate_model: str | None = None
     nsfw_model: str | None = None
-    toxicity_threshold: float = 0.4
+    toxicity_threshold: float = TOXICITY_HIGH_THRESHOLD
     workers: int = 1
 
-    def make_backend(self):
-        if self.exact_backend:
-            return ExactSet()
-        return BloomFilter.create(self.bloom_n, self.bloom_p, self.seed)
+    def __post_init__(self) -> None:
+        # a bad value fails here, before any stage has run
+        ContentTagConfig(toxicity_threshold=self.toxicity_threshold)
+        if not self.exact_backend:
+            check_target(self.bloom_n, self.bloom_p)
 
 
 QUALITY_DROP_FILTERS = [
@@ -278,31 +280,20 @@ def _failing_in(stage: str, shard) -> Iterator[None]:
         raise RuntimeError(f"stage {stage} failed on input shard {shard}: {exc}") from exc
 
 
-def _quality_content_shard(
-    shard: str,
-    doc_path: str,
-    out_path: str,
-    language_model: str | None,
-    hate_model: str | None,
-    nsfw_model: str | None,
-    toxicity_threshold: float,
-) -> StageReport:
+def _quality_content_shard(shard: str, doc_path: str, out_path: str, config: WebPipelineConfig) -> StageReport:
     report = StageReport(stage="quality_content")
     specs: list[tuple[str, dict]] = [("gopher", {}), ("c4", {}), ("repetition", {})]
     exprs = list(QUALITY_DROP_FILTERS)
-    if language_model:
-        specs.append(("language", {"model": language_model}))
-        exprs.append(FilterExpr("lang__en", "document", "<", 0.5, "drop_doc"))
-    if hate_model or nsfw_model:
-        specs.append(
-            (
-                "toxicity",
-                {"hate_model": hate_model, "nsfw_model": nsfw_model, "threshold": toxicity_threshold},
-            )
-        )
-        exprs.append(FilterExpr("toxicity__hate", "span", ">", toxicity_threshold, "remove_span"))
-        exprs.append(FilterExpr("toxicity__nsfw", "span", ">", toxicity_threshold, "remove_span"))
-    pii_config = ContentTagConfig(toxicity_threshold=toxicity_threshold)
+    tau = config.toxicity_threshold
+    if config.language_model:
+        specs.append(("language", {"model": config.language_model}))
+        exprs.append(FilterExpr("lang__en", "document", "<", ENGLISH_KEEP_THRESHOLD, "drop_doc"))
+    if config.hate_model or config.nsfw_model:
+        params = {"hate_model": config.hate_model, "nsfw_model": config.nsfw_model, "threshold": tau}
+        specs.append(("toxicity", params))
+        exprs.append(FilterExpr("toxicity__hate", "span", ">", tau, "remove_span"))
+        exprs.append(FilterExpr("toxicity__nsfw", "span", ">", tau, "remove_span"))
+    pii_config = ContentTagConfig(toxicity_threshold=tau)
 
     def survivors():
         for doc in read_documents(doc_path):
@@ -348,10 +339,14 @@ def run_pipeline_web(config: WebPipelineConfig) -> list[StageReport]:
     quality_report = StageReport(stage="quality_content")
     para_report = StageReport(stage="paragraph_dedup")
 
+    new_backend = partial(
+        make_backend, config.exact_backend, n_target=config.bloom_n, p_target=config.bloom_p, seed=config.seed
+    )
+
     with temp_dirs(tmp1, tmp2):
         # Dedup inserts are order-sensitive, so stages 1-2 stream sequentially.
-        url_backend = config.make_backend()
-        doc_backend = config.make_backend()
+        url_backend = new_backend()
+        doc_backend = new_backend()
         for shard, dst in zip(config.inputs, dedup_paths):
             with _failing_in("url_dedup/doc_dedup", shard):
                 by_url = dedupe_by_url(read_documents(shard), url_backend)
@@ -360,15 +355,7 @@ def run_pipeline_web(config: WebPipelineConfig) -> list[StageReport]:
                 write_documents(_apply_counted(by_doc, DOC_DROP_FILTER, doc_report), dst)
 
         quality_tasks = [
-            (
-                str(shard),
-                str(src),
-                str(dst),
-                config.language_model,
-                config.hate_model,
-                config.nsfw_model,
-                config.toxicity_threshold,
-            )
+            (str(shard), str(src), str(dst), config)
             for shard, src, dst in zip(config.inputs, dedup_paths, quality_paths)
         ]
         for shard_report in map_shards(_quality_content_shard, quality_tasks, config.workers):
@@ -376,7 +363,7 @@ def run_pipeline_web(config: WebPipelineConfig) -> list[StageReport]:
 
         # Paragraph dedup runs last; duplicate paragraphs are spliced out and
         # documents emptied by the splice are dropped.
-        para_backend = config.make_backend()
+        para_backend = new_backend()
         for shard, src, dst in zip(config.inputs, quality_paths, final_paths):
             with _failing_in("paragraph_dedup", shard):
                 flagged = dedupe_by_paragraph(read_documents(src), para_backend)

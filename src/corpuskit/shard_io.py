@@ -118,26 +118,34 @@ def read_documents(
             yield doc
 
 
-def write_documents(docs: Iterable[Document], path: str | os.PathLike) -> int:
-    """Write documents as one JSON object per line; returns the count.
-
-    Writes go to a temporary sibling first and are renamed into place, so an
-    I/O failure never leaves a partial shard behind.
-    """
+@contextmanager
+def atomic_output(path: str | os.PathLike) -> Iterator[Path]:
+    """Yield a temporary sibling of ``path`` to write to; it replaces ``path``
+    if the block succeeds and is removed if it fails, leaving no partial file."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    count = 0
     try:
-        with open_shard_write(tmp) as f:
-            for doc in docs:
-                f.write(json.dumps(_doc_to_obj(doc), ensure_ascii=False))
-                f.write("\n")
-                count += 1
+        yield tmp
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
     os.replace(tmp, path)
+
+
+def _write_records(objs: Iterable[dict], path: str | os.PathLike) -> int:
+    """Write one JSON object per line, atomically; returns the count."""
+    count = 0
+    with atomic_output(path) as tmp, open_shard_write(tmp) as f:
+        for obj in objs:
+            f.write(json.dumps(obj, ensure_ascii=False))
+            f.write("\n")
+            count += 1
     return count
+
+
+def write_documents(docs: Iterable[Document], path: str | os.PathLike) -> int:
+    """Write documents as one JSON object per line; returns the count."""
+    return _write_records(map(_doc_to_obj, docs), path)
 
 
 def _attrs_from_obj(obj: dict) -> DocumentAttributes:
@@ -184,20 +192,7 @@ def read_attributes(
 
 def write_attributes(records: Iterable[DocumentAttributes], path: str | os.PathLike) -> int:
     """Write attribute records aligned with their document shard order."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    count = 0
-    try:
-        with open_shard_write(tmp) as f:
-            for rec in records:
-                f.write(json.dumps(_attrs_to_obj(rec), ensure_ascii=False))
-                f.write("\n")
-                count += 1
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    os.replace(tmp, path)
-    return count
+    return _write_records(map(_attrs_to_obj, records), path)
 
 
 class ShardNameError(ValueError):

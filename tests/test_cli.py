@@ -586,3 +586,131 @@ class TestDedupeReportsMatchSidecars:
                 if key in report:
                     assert report[key] == value, (name, key)
         assert json.loads((tmp_path / "url.json").read_text())["missing_url"] == 2
+
+
+# the flags a command used to accept without reading them
+NO_WORKERS = ("dedupe", "decontaminate", "reddit-build", "train-classifier", "stats", "correlate")
+NO_SEED = ("tag", "reddit-build", "stats", "correlate")
+REMOVED_FLAGS = [*[(cmd, "--workers") for cmd in NO_WORKERS], *[(cmd, "--seed") for cmd in NO_SEED]]
+
+
+class TestOptionSurface:
+    @pytest.mark.parametrize("command,flag", REMOVED_FLAGS)
+    def test_unread_flag_not_accepted(self, capsys, command, flag):
+        assert run_cli(command, flag, "1") == 1
+        assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,config,key",
+        [
+            ("dedupe", {"stage": "document", "bloom-p": 1e-9}, "bloom-p"),
+            ("dedupe", {"stage": "document", "workers": 2}, "workers"),  # an option of other commands
+            ("dedupe", {"stage": "document", "report": "r.json"}, "report"),  # a per-run flag only
+            ("mix", {"proportions": {"s": 1.0}, "shard_bytes": 100}, "shard_bytes"),
+            ("tag", {"taggers": ["c4"], "workers": 0}, "workers"),  # checked like the flag
+        ],
+    )
+    def test_bad_config_key_names_it(self, tmp_path, capsys, command, config, key):
+        shard = make_shard(tmp_path)
+        if command == "mix":
+            config["streams"] = [{"documents": [str(shard)]}]
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        argv = [command, "--config", str(path), "--out-dir", str(out)]
+        if command != "mix":
+            argv += ["--inputs", str(shard)]
+        assert run_cli(*argv) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_flag_beats_config_key_and_config_only_key_is_read(self, tmp_path):
+        long_para = " ".join(f"token{i}" for i in range(20))
+        test_set = tmp_path / "eval.jsonl"
+        write_documents([Document(id="e", text=long_para)], test_set)
+        shard = tmp_path / "c.jsonl"
+        write_documents([Document(id="x", text=long_para)], shard)
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"min_paragraph_tokens": 5, "exact": True, "test_set": [str(test_set)]}))
+        common = ["decontaminate", "--config", str(config), "--inputs", str(shard)]
+        for flags, gate in (([], 5), (["--min-paragraph-tokens", "30"], 30)):
+            report = tmp_path / f"r{gate}.json"
+            argv = [*common, *flags, "--out-dir", str(tmp_path / f"o{gate}"), "--report", str(report)]
+            assert run_cli(*argv) == 0
+            payload = json.loads(report.read_text())
+            assert payload["min_paragraph_tokens"] == gate
+            # the 20-token eval paragraph is seeded at gate 5, not at gate 30
+            assert payload["contaminated_documents"] == (1 if gate == 5 else 0)
+
+
+def run_refused(tmp_path, monkeypatch, command, options):
+    """Run ``command`` on an input shard that does not exist, with every
+    path relative to ``tmp_path``; return the exit code and whether any
+    file appeared. Reading the absent shard would exit 2, so exit 1 means
+    the command stopped before reading it."""
+    monkeypatch.chdir(tmp_path)
+    write_documents([Document(id="e", text=" ".join(f"evaltoken{i}" for i in range(20)))], "eval.jsonl")
+    target = {"reddit-build": ["--out", "out/docs.jsonl"], "train-classifier": ["--model-out", "m.bin"]}
+    argv = [command, "--inputs", "absent.jsonl", *target.get(command, ["--out-dir", "out"]), *options.split()]
+    before = sorted(tmp_path.rglob("*"))
+    code = run_cli(*argv)
+    return code, sorted(tmp_path.rglob("*")) != before
+
+
+def with_mode(command, mode, extras):
+    return [(command, f"{mode} {extra}") for extra in extras]
+
+
+BLOOM_OPTIONS = ["--bloom-n 10", "--bloom-p 0.5", "--seed 3"]
+REFUSED = [
+    # --ccnet-group-bytes keeps an exact, ungated set per group and saves no filter
+    *with_mode("dedupe", "--stage paragraph --ccnet-group-bytes 1000", [
+        "--exact", *BLOOM_OPTIONS, "--min-paragraph-tokens 5", "--save-filter f.bloom",
+        "--min-paragraph-tokens 5 --exact --bloom-p 0.5",
+    ]),
+    # --load-filter reads a filter that is sized and seeded already
+    *with_mode("decontaminate", "--load-filter absent.bloom", [
+        "--test-set eval.jsonl", "--save-filter f.bloom", "--exact", "--bloom-p 0.5", "--seed 3",
+        "--exact --bloom-p 0.5",
+    ]),
+    # --exact sizes and seeds nothing, and has no filter to save
+    *with_mode("dedupe", "--stage document --exact", [*BLOOM_OPTIONS, "--save-filter f.bloom"]),
+    *with_mode("decontaminate", "--test-set eval.jsonl --exact", [*BLOOM_OPTIONS[1:], "--save-filter f.bloom"]),
+    *with_mode("pipeline-web", "--exact", BLOOM_OPTIONS),
+    # only the paragraph stage groups shards or gates paragraphs
+    ("dedupe", "--stage url --ccnet-group-bytes 1000"),
+    ("dedupe", "--stage document --min-paragraph-tokens 5"),
+    # only partial threads have a depth
+    *with_mode("reddit-build", "--max-depth 2", ["", "--strategy atomic", "--strategy full"]),
+]
+
+BAD_VALUES = [
+    ("dedupe", "--stage document --bloom-n 0"),
+    ("dedupe", "--stage document --bloom-p 2"),
+    ("dedupe", "--stage paragraph --ccnet-group-bytes 0"),
+    ("decontaminate", "--test-set eval.jsonl --bloom-p 2"),
+    ("train-classifier", "--epochs 0"),
+    ("train-classifier", "--buckets 1000"),
+    ("train-classifier", "--eval-split -1"),
+    ("train-classifier", "--eval-split 1"),
+    ("pipeline-web", "--toxicity-threshold 5"),
+    ("pipeline-web", "--workers -3"),
+    ("tag", "--taggers c4 --workers 0"),
+    ("reddit-build", "--strategy partial --max-depth 0"),
+]
+
+
+class TestRefusedBeforeReading:
+    @pytest.mark.parametrize("command,options", REFUSED)
+    def test_option_the_mode_does_not_read(self, tmp_path, monkeypatch, capsys, command, options):
+        assert run_refused(tmp_path, monkeypatch, command, options) == (1, False)
+        assert "not read when" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command,options", BAD_VALUES)
+    def test_bad_option_value(self, tmp_path, monkeypatch, command, options):
+        assert run_refused(tmp_path, monkeypatch, command, options) == (1, False)
+
+    def test_refused_option_from_config(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "c.json").write_text(json.dumps({"exact": True, "seed": 3}))
+        assert run_refused(tmp_path, monkeypatch, "dedupe", "--stage url --config c.json") == (1, False)
+        assert "--seed not read when --exact is True" in capsys.readouterr().err

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from corpuskit import mixer
 from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
 from corpuskit.filters import FilterExpr
 from corpuskit.mixer import (
@@ -190,6 +191,51 @@ class TestMixBasics:
         )
         report = mix(config, tmp_path / "out")
         assert report.sources["s"].kept_docs == 1  # rate 1.0 keeps everything
+
+    def test_failed_resharding_leaves_no_partial_shard(self, tmp_path, monkeypatch):
+        docs = [Document(id=f"d{i}", text="x" * 100, source="s") for i in range(12)]
+        shard = write_corpus(tmp_path / "in.jsonl", docs)
+        config = MixConfig(streams=[StreamConfig(documents=[shard])], seed=0, output_shard_bytes=300)
+        mix(config, tmp_path / "ok")
+
+        real_open = open
+        writes = 0
+
+        class FailingFile:
+            """A file opened for writing; the sixth write fails."""
+
+            def __init__(self, f):
+                self.f = f
+
+            def write(self, data):
+                nonlocal writes
+                writes += 1
+                if writes == 6:
+                    raise OSError("disk full")
+                return self.f.write(data)
+
+            def close(self):
+                self.f.close()
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.f.close()
+
+        def failing_open(path, mode="r", *args, **kwargs):
+            f = real_open(path, mode, *args, **kwargs)
+            return FailingFile(f) if "w" in mode else f
+
+        monkeypatch.setattr(mixer, "open", failing_open, raising=False)
+        out = tmp_path / "failed"
+        with pytest.raises(OSError, match="disk full"):
+            mix(config, out)
+        assert not list(out.rglob("*.tmp")) and not (out / ".mix-parts").exists()
+        left = sorted(out.glob("part-*.jsonl"))
+        assert len(left) == 2  # two lines per shard: the third failed after one
+        for part in left:
+            assert part.read_bytes() == (tmp_path / "ok" / part.name).read_bytes()
 
 
 class TestAlignment:
