@@ -60,6 +60,7 @@ from corpuskit.shard_io import (
     ShardNameError,
     output_paths,
     read_documents,
+    sidecar_paths,
     write_attributes,
     write_documents,
 )
@@ -91,6 +92,15 @@ def _positive_int(text) -> int:
     return value
 
 
+def _as_list(value) -> list:
+    """A list option's config value: a list, or a string as its one element."""
+    if isinstance(value, str):
+        return [value]
+    if not isinstance(value, list):
+        raise TypeError(f"must be a list or a string, got {value!r}")
+    return value
+
+
 def _merge_config(args, command: argparse.ArgumentParser) -> None:
     """Fill each option that no flag set from the --config key of its name,
     converted like the flag; a key that names no option is an error."""
@@ -98,7 +108,7 @@ def _merge_config(args, command: argparse.ArgumentParser) -> None:
     if not isinstance(config, dict):
         raise ValidationError(f"config file {args.config} must hold a JSON object")
     options = vars(args)
-    types = {action.dest: action.type for action in command._actions}
+    types = {action.dest: _as_list if action.nargs == "+" else action.type for action in command._actions}
     for key, value in config.items():
         if key not in options or key in ("command", "fn", "config", "report", "log_level"):
             raise ValidationError(f"{key!r} is not a config key of {args.command}")
@@ -389,12 +399,9 @@ def _cmd_correlate(args) -> int:
     if isinstance(names, str):
         names = [n for n in names.split(",") if n]
     _require(names, "--filters")
-    dirs = [Path(d) for d in attr_dirs]
-    if all(d.is_dir() for d in dirs):
-        shard_names = sorted(p.name for p in dirs[0].iterdir() if p.is_file())
-        groups = [[str(d / name) for d in dirs] for name in shard_names]
-    else:
-        groups = [[str(d) for d in dirs]]
+    first = Path(attr_dirs[0])  # a directory: one group per file in it
+    shard_names = sorted(p.name for p in first.iterdir() if p.is_file()) if first.is_dir() else [first.name]
+    groups = [sidecar_paths(name, attr_dirs) for name in shard_names]
     matrix = filter_correlation(merge_attribute_shards(groups), names)
     _emit_report(matrix.to_json(), args.report)
     return EXIT_OK

@@ -43,9 +43,6 @@ class CodeQualityReport:
     avg_line_len: float
     alnum_char_fraction: float
     alpha_to_token_ratio: float
-    html_text_ratio: float | None = None
-    comment_to_code_ratio: float | None = None
-    has_xml_template: bool = False
 
 
 def document_extension(doc: Document) -> str | None:
@@ -74,6 +71,21 @@ def rpj_report(text: str) -> CodeQualityReport:
     )
 
 
+def _whole_document(
+    doc: Document, family: str, scores: dict[str, float], rules: dict[str, bool]
+) -> dict[str, list[AttributeSpan]]:
+    """Whole-document spans: one per score, one per tripped rule, and
+    ``<family>__matches_any`` when any rule tripped."""
+    end = len(doc.text_bytes)
+    attrs = {name: [AttributeSpan(0, end, float(score))] for name, score in scores.items()}
+    tripped = [name for name, hit in rules.items() if hit]
+    if tripped:
+        tripped.append(f"{family}__matches_any")
+    for name in tripped:
+        attrs[name] = [AttributeSpan(0, end, 1.0)]
+    return attrs
+
+
 def tag_code_rpj(doc: Document) -> dict[str, list[AttributeSpan]]:
     """Line-length and character-mix statistics with rule flags.
 
@@ -82,29 +94,19 @@ def tag_code_rpj(doc: Document) -> dict[str, list[AttributeSpan]]:
     per whitespace token < 1.5.
     """
     report = rpj_report(doc.text)
-    end = len(doc.text_bytes)
-
-    def whole(score: float) -> list[AttributeSpan]:
-        return [AttributeSpan(0, end, float(score))]
-
+    scores = {
+        "rpj_code__max_line_length": report.max_line_len,
+        "rpj_code__avg_line_length": report.avg_line_len,
+        "rpj_code__alnum_fraction": report.alnum_char_fraction,
+        "rpj_code__alpha_token_ratio": report.alpha_to_token_ratio,
+    }
     rules = {
         "rpj_code__rule_max_line_length": report.max_line_len > MAX_LINE_LENGTH,
         "rpj_code__rule_avg_line_length": report.avg_line_len > MAX_AVG_LINE_LENGTH,
         "rpj_code__rule_alnum_fraction": report.alnum_char_fraction < MIN_ALNUM_FRACTION,
         "rpj_code__rule_alpha_token_ratio": report.alpha_to_token_ratio < MIN_ALPHA_TOKEN_RATIO,
     }
-    attrs = {
-        "rpj_code__max_line_length": whole(report.max_line_len),
-        "rpj_code__avg_line_length": whole(report.avg_line_len),
-        "rpj_code__alnum_fraction": whole(report.alnum_char_fraction),
-        "rpj_code__alpha_token_ratio": whole(report.alpha_to_token_ratio),
-    }
-    for name, tripped in rules.items():
-        if tripped:
-            attrs[name] = whole(1.0)
-    if any(rules.values()):
-        attrs["rpj_code__matches_any"] = whole(1.0)
-    return attrs
+    return _whole_document(doc, "rpj_code", scores, rules)
 
 
 def html_text_ratio(text: str) -> float:
@@ -149,16 +151,6 @@ def comment_ratio(text: str, extension: str) -> float:
     return comment / non_blank if non_blank else 0.0
 
 
-def starcoder_report(text: str, extension: str | None) -> CodeQualityReport:
-    report = rpj_report(text)
-    report.has_xml_template = XML_TEMPLATE_MARKER in text[:XML_SNIFF_CHARS]
-    if extension in HTML_EXTENSIONS:
-        report.html_text_ratio = html_text_ratio(text)
-    if extension in HASH_COMMENT_EXTENSIONS or extension in SLASH_COMMENT_EXTENSIONS:
-        report.comment_to_code_ratio = comment_ratio(text, extension)
-    return report
-
-
 def tag_code_starcoder(
     doc: Document, extension: str | None = None
 ) -> dict[str, list[AttributeSpan]]:
@@ -171,33 +163,16 @@ def tag_code_starcoder(
     """
     if extension is None:
         extension = document_extension(doc)
-    report = starcoder_report(doc.text, extension)
-    end = len(doc.text_bytes)
-
-    def whole(score: float) -> list[AttributeSpan]:
-        return [AttributeSpan(0, end, float(score))]
-
-    attrs: dict[str, list[AttributeSpan]] = {}
-    tripped = []
-    if report.has_xml_template:
-        attrs["starcoder__has_xml_template"] = whole(1.0)
-        tripped.append(True)
-    if report.html_text_ratio is not None:
-        attrs["starcoder__html_text_ratio"] = whole(report.html_text_ratio)
-        if report.html_text_ratio <= MAX_HTML_TEXT_RATIO:
-            attrs["starcoder__rule_html_text_ratio"] = whole(1.0)
-            tripped.append(True)
-    if report.comment_to_code_ratio is not None:
-        attrs["starcoder__comment_ratio"] = whole(report.comment_to_code_ratio)
-        if (
-            report.comment_to_code_ratio <= MIN_COMMENT_RATIO
-            or report.comment_to_code_ratio > MAX_COMMENT_RATIO
-        ):
-            attrs["starcoder__rule_comment_ratio"] = whole(1.0)
-            tripped.append(True)
-    if tripped:
-        attrs["starcoder__matches_any"] = whole(1.0)
-    return attrs
+    text = doc.text
+    scores: dict[str, float] = {}
+    rules = {"starcoder__has_xml_template": XML_TEMPLATE_MARKER in text[:XML_SNIFF_CHARS]}
+    if extension in HTML_EXTENSIONS:
+        ratio = scores["starcoder__html_text_ratio"] = html_text_ratio(text)
+        rules["starcoder__rule_html_text_ratio"] = ratio <= MAX_HTML_TEXT_RATIO
+    if extension in HASH_COMMENT_EXTENSIONS or extension in SLASH_COMMENT_EXTENSIONS:
+        ratio = scores["starcoder__comment_ratio"] = comment_ratio(text, extension)
+        rules["starcoder__rule_comment_ratio"] = ratio <= MIN_COMMENT_RATIO or ratio > MAX_COMMENT_RATIO
+    return _whole_document(doc, "starcoder", scores, rules)
 
 
 def tag_extension_filter(

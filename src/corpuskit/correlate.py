@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from corpuskit.documents import DocumentAttributes
-from corpuskit.shard_io import read_attributes
+from corpuskit.shard_io import read_attributes, zip_sidecars
 
 
 @dataclass
@@ -36,21 +36,13 @@ class CorrelationMatrix:
 def merge_attribute_shards(shard_groups: Sequence[Sequence[str]]) -> Iterator[DocumentAttributes]:
     """Merge parallel attribute sidecars record-by-record, shard by shard.
 
-    Each group holds sidecars for the same document shard; records must
-    align by id or the merge fails.
+    Each group holds sidecars for the same document shard; the first one's
+    records must line up by id with each of the others, or the merge fails.
     """
-    for group in shard_groups:
-        iters = [read_attributes(p) for p in group]
-        while True:
-            records = [next(it, None) for it in iters]
-            if all(r is None for r in records):
-                break
-            if any(r is None for r in records):
-                raise ValueError(f"attribute shards in group {list(group)} have unequal lengths")
-            merged = records[0]
-            for rec in records[1:]:
-                merged.merge(rec)
-            yield merged
+    for first, *rest in shard_groups:
+        for record, attrs in zip_sidecars(read_attributes(first), first, rest):
+            record.merge(attrs)
+            yield record
 
 
 def filter_correlation(

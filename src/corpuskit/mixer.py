@@ -23,9 +23,10 @@ from corpuskit.shard_io import (
     document_to_line,
     map_shards,
     open_shard_write,
-    read_attributes,
     read_documents,
+    sidecar_paths,
     temp_dirs,
+    zip_sidecars,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -168,45 +169,11 @@ class MixReport:
         }
 
 
-def resolve_attribute_paths(doc_path: str | os.PathLike, attribute_entries: list[str]) -> list[Path]:
-    """Mirror-tree convention: a directory entry holds a sidecar named like
-    the document shard; a file entry is used directly."""
-    doc_path = Path(doc_path)
-    resolved = []
-    for entry in attribute_entries:
-        p = Path(entry)
-        if p.is_dir():
-            candidate = p / doc_path.name
-            if not candidate.exists():
-                raise FileNotFoundError(f"no attribute sidecar {candidate} for {doc_path}")
-            resolved.append(candidate)
-        else:
-            resolved.append(p)
-    return resolved
-
-
 def iter_doc_attrs(
     doc_path: str | os.PathLike, attribute_entries: list[str]
 ) -> Iterator[tuple[Document, DocumentAttributes]]:
     """Zip a document shard with its attribute sidecars, checking alignment."""
-    attr_paths = resolve_attribute_paths(doc_path, attribute_entries)
-    doc_iter = read_documents(doc_path)
-    attr_iters = [read_attributes(p) for p in attr_paths]
-    for doc in doc_iter:
-        merged = DocumentAttributes(id=doc.id)
-        for it, path in zip(attr_iters, attr_paths):
-            rec = next(it, None)
-            if rec is None:
-                raise ValueError(f"attribute shard {path} shorter than {doc_path}")
-            if rec.id != doc.id:
-                raise ValueError(
-                    f"attribute shard {path} misaligned: got {rec.id!r}, expected {doc.id!r}"
-                )
-            merged.merge(rec)
-        yield doc, merged
-    for it, path in zip(attr_iters, attr_paths):
-        if next(it, None) is not None:
-            raise ValueError(f"attribute shard {path} longer than {doc_path}")
+    yield from zip_sidecars(read_documents(doc_path), doc_path, sidecar_paths(doc_path, attribute_entries))
 
 
 def measure_source_sizes(config: MixConfig) -> dict[str, int]:
@@ -261,7 +228,8 @@ def mix(config: MixConfig, out_dir: str | os.PathLike, workers: int = 1) -> MixR
 
     Same config and seed produce byte-identical output shards regardless of
     worker count. The filtered parts live in ``.mix-parts/``, which is
-    removed whether the mix succeeds or fails.
+    removed whether the mix succeeds or fails; a failed mix also removes
+    the output shards it wrote.
     """
     out_dir = Path(out_dir)
     tmp_dir = out_dir / ".mix-parts"
@@ -286,18 +254,24 @@ def mix(config: MixConfig, out_dir: str | os.PathLike, workers: int = 1) -> MixR
 
         # Phase 2: concatenate parts in config order into byte-capped shards,
         # each written atomically. A shard takes at least one line, and an
-        # empty mix writes one empty shard.
-        lines = _part_lines(parts)
-        line = next(lines, None)
-        while line is not None or not report.output_shards:
-            path = out_dir / f"part-{len(report.output_shards):05d}.jsonl"
-            report.output_shards.append(str(path))
-            with atomic_output(path) as tmp, open(tmp, "wb") as out:
-                size = 0
-                while line is not None and (size == 0 or size + len(line) <= config.output_shard_bytes):
-                    out.write(line)
-                    size += len(line)
-                    line = next(lines, None)
+        # empty mix writes one empty shard. On failure the shards already
+        # written are removed, so no partial set is left.
+        try:
+            lines = _part_lines(parts)
+            line = next(lines, None)
+            while line is not None or not report.output_shards:
+                path = out_dir / f"part-{len(report.output_shards):05d}.jsonl"
+                with atomic_output(path) as tmp, open(tmp, "wb") as out:
+                    size = 0
+                    while line is not None and (size == 0 or size + len(line) <= config.output_shard_bytes):
+                        out.write(line)
+                        size += len(line)
+                        line = next(lines, None)
+                report.output_shards.append(str(path))
+        except BaseException:
+            for path in report.output_shards:
+                os.unlink(path)
+            raise
     return report
 
 

@@ -10,7 +10,7 @@ order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from corpuskit.documents import Document
@@ -92,8 +92,7 @@ class _Forest:
     children: dict[str, list[str]]  # parent id -> sorted child comment ids
     comment_roots: list[str]  # top-level and orphan comments
     orphan_groups: dict[str, list[str]]  # missing parent id -> orphan ids
-    orphans: int = 0
-    submissions: list[str] = field(default_factory=list)
+    submissions: list[str]
 
 
 def _build_forest(items: Sequence[RedditItem]) -> _Forest:
@@ -109,14 +108,12 @@ def _build_forest(items: Sequence[RedditItem]) -> _Forest:
     comment_roots: list[str] = []
     orphan_groups: dict[str, list[str]] = {}
     submissions: list[str] = []
-    orphans = 0
     for item in items:
         if item.kind == "submission":
             submissions.append(item.id)
             continue
         parent = by_id.get(item.parent_id)
         if parent is None:  # orphan comment: treated as a chain root
-            orphans += 1
             comment_roots.append(item.id)
             orphan_groups.setdefault(item.parent_id, []).append(item.id)
         elif parent.kind == "submission":
@@ -152,7 +149,6 @@ def _build_forest(items: Sequence[RedditItem]) -> _Forest:
         children=children,
         comment_roots=comment_roots,
         orphan_groups=orphan_groups,
-        orphans=orphans,
         submissions=submissions,
     )
 
@@ -220,10 +216,6 @@ def build_full_threads(items: Sequence[RedditItem]) -> list[Document]:
     parent id.
     """
     forest = _build_forest(items)
-    order = {item_id: idx for idx, item_id in enumerate(forest.items)}
-
-    def sort_key(item_id: str) -> tuple:
-        return (forest.items[item_id].created, order[item_id])
 
     def blocks(node: str, depth: int, out: list[str]) -> None:
         body = forest.items[node].body
@@ -233,16 +225,10 @@ def build_full_threads(items: Sequence[RedditItem]) -> list[Document]:
             blocks(kid, depth + 1, out)
 
     docs = []
-    top_level: dict[str, list[str]] = {}
-    for root in forest.comment_roots:
-        parent = forest.items[root].parent_id
-        top_level.setdefault(parent, []).append(root)
-
     for sid in forest.submissions:
         submission = forest.items[sid]
-        parts = [submission.body]
-        for root in sorted(top_level.get(sid, []), key=sort_key):
-            blocks(root, 1, parts)
+        parts: list[str] = []
+        blocks(sid, 0, parts)  # the submission unindented, its comments below
         docs.append(
             Document(
                 id=sid,
@@ -255,7 +241,7 @@ def build_full_threads(items: Sequence[RedditItem]) -> list[Document]:
 
     for missing_parent, roots in sorted(forest.orphan_groups.items()):
         first = forest.items[roots[0]]
-        parts: list[str] = []
+        parts = []
         for root in roots:
             blocks(root, 1, parts)
         docs.append(

@@ -6,9 +6,12 @@ to renamed shards) and selected on write by a ``.gz`` suffix. Gzip members
 are written with mtime pinned to 0 so identical content always produces
 identical bytes.
 
-Per-shard jobs name their outputs with :func:`output_paths`, fan out with
-:func:`map_shards`, keep intermediate files in :func:`temp_dirs`, and fold
-their per-shard :class:`StageReport` counters together with ``merge``.
+An attribute sidecar lines up with its document shard record for record:
+:func:`sidecar_paths` finds a shard's sidecars and :func:`zip_sidecars`
+walks them alongside it. Per-shard jobs name their outputs with
+:func:`output_paths`, fan out with :func:`map_shards`, keep intermediate
+files in :func:`temp_dirs`, and fold their per-shard :class:`StageReport`
+counters together with ``merge``.
 """
 
 from __future__ import annotations
@@ -86,17 +89,11 @@ def document_to_line(doc: Document) -> str:
     return json.dumps(_doc_to_obj(doc), ensure_ascii=False)
 
 
-def read_documents(
-    path: str | os.PathLike,
-    malformed: str = "error",
-    errors: list | None = None,
-) -> Iterator[Document]:
-    """Yield documents in file order.
-
-    ``malformed="error"`` raises :class:`MalformedRecordError` with the line
-    number; ``malformed="skip"`` skips bad lines, appending
-    ``(line_no, reason)`` to ``errors`` when a sink list is given.
-    """
+def _read_records(
+    path: str | os.PathLike, decode: Callable[[dict], object], malformed: str, errors: list | None
+) -> Iterator:
+    """The JSONL line loop of both readers: decode each non-empty line's
+    object, raising or skipping a bad line as ``malformed`` says."""
     if malformed not in ("error", "skip"):
         raise ValueError(f"malformed must be 'error' or 'skip', got {malformed!r}")
     with open_shard_read(path) as f:
@@ -108,14 +105,28 @@ def read_documents(
                 obj = json.loads(line)
                 if not isinstance(obj, dict):
                     raise ValueError("record is not an object")
-                doc = _doc_from_obj(obj)
+                record = decode(obj)
             except (ValueError, KeyError, TypeError) as exc:
                 if malformed == "error":
                     raise MalformedRecordError(path, line_no, str(exc)) from exc
                 if errors is not None:
                     errors.append((line_no, str(exc)))
                 continue
-            yield doc
+            yield record
+
+
+def read_documents(
+    path: str | os.PathLike,
+    malformed: str = "error",
+    errors: list | None = None,
+) -> Iterator[Document]:
+    """Yield documents in file order.
+
+    ``malformed="error"`` raises :class:`MalformedRecordError` with the line
+    number; ``malformed="skip"`` skips bad lines, appending
+    ``(line_no, reason)`` to ``errors`` when a sink list is given.
+    """
+    yield from _read_records(path, _doc_from_obj, malformed, errors)
 
 
 @contextmanager
@@ -169,25 +180,7 @@ def read_attributes(
     errors: list | None = None,
 ) -> Iterator[DocumentAttributes]:
     """Yield attribute records in file order (mirrors ``read_documents``)."""
-    if malformed not in ("error", "skip"):
-        raise ValueError(f"malformed must be 'error' or 'skip', got {malformed!r}")
-    with open_shard_read(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("record is not an object")
-                rec = _attrs_from_obj(obj)
-            except (ValueError, KeyError, TypeError) as exc:
-                if malformed == "error":
-                    raise MalformedRecordError(path, line_no, str(exc)) from exc
-                if errors is not None:
-                    errors.append((line_no, str(exc)))
-                continue
-            yield rec
+    yield from _read_records(path, _attrs_from_obj, malformed, errors)
 
 
 def write_attributes(records: Iterable[DocumentAttributes], path: str | os.PathLike) -> int:
@@ -218,6 +211,48 @@ def output_paths(inputs: Iterable[str | os.PathLike], out_dir: str | os.PathLike
         seen[name] = str(path)
         outputs.append(out_dir / name)
     return outputs
+
+
+def sidecar_paths(doc_path: str | os.PathLike, entries: Iterable[str | os.PathLike]) -> list[Path]:
+    """The attribute sidecars of the document shard ``doc_path``, one per
+    entry: a directory entry holds the sidecar named like the shard,
+    ``<dir>/<shard basename>`` (the name :func:`output_paths` gives it), and
+    a file entry is used as given."""
+    resolved = []
+    for entry in map(Path, entries):
+        if entry.is_dir():
+            entry = entry / Path(doc_path).name
+            if not entry.exists():
+                raise FileNotFoundError(f"no attribute sidecar {entry} for {doc_path}")
+        resolved.append(entry)
+    return resolved
+
+
+def zip_sidecars(
+    records: Iterable, path: str | os.PathLike, sidecars: Sequence[str | os.PathLike]
+) -> Iterator[tuple]:
+    """Pair each record read from the shard ``path`` with its sidecars'
+    attribute records, merged into one :class:`DocumentAttributes`.
+
+    Sidecars line up with their shard record for record, by id; a sidecar
+    that is shorter, longer or misaligned raises ``ValueError`` naming it.
+    """
+    streams = [read_attributes(p) for p in sidecars]
+    for record in records:
+        merged = DocumentAttributes(id=record.id)
+        for stream, sidecar in zip(streams, sidecars):
+            attrs = next(stream, None)
+            if attrs is None:
+                raise ValueError(f"attribute shard {sidecar} shorter than {path}")
+            if attrs.id != record.id:
+                raise ValueError(
+                    f"attribute shard {sidecar} misaligned: got {attrs.id!r}, expected {record.id!r}"
+                )
+            merged.merge(attrs)
+        yield record, merged
+    for stream, sidecar in zip(streams, sidecars):
+        if next(stream, None) is not None:
+            raise ValueError(f"attribute shard {sidecar} longer than {path}")
 
 
 def map_shards(fn: Callable, tasks: Sequence[tuple], workers: int = 1) -> list:

@@ -325,6 +325,15 @@ class TestCorrelateCommand:
         assert payload["documents"] == 10
         assert payload["names"] == ["gopher__matches_any", "c4__no_punc_line"]
 
+    def test_file_entry_then_directory_entry(self, tmp_path, capsys):
+        shard = make_shard(tmp_path)
+        for tagger in ("gopher", "c4"):
+            run_cli("tag", "--inputs", str(shard), "--taggers", tagger, "--out-dir", str(tmp_path / tagger),
+                    "--report", str(tmp_path / f"{tagger}.json"))
+        argv = ["correlate", "--filters", "gopher__matches_any,c4__no_punc_line", "--attributes"]
+        assert run_cli(*argv, str(tmp_path / "gopher" / shard.name), str(tmp_path / "c4")) == 0
+        assert json.loads(capsys.readouterr().out)["documents"] == 10
+
 
 class TestPipelineWebCommand:
     def test_end_to_end(self, tmp_path, capsys):
@@ -623,6 +632,19 @@ class TestOptionSurface:
         assert run_cli(*argv) == 1
         assert repr(key) in capsys.readouterr().err
         assert not out.exists()
+
+    def test_config_string_for_list_option_is_one_element_list(self, tmp_path, capsys):
+        shard = make_shard(tmp_path)
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"inputs": str(shard)}))
+        assert run_cli("stats", "--config", str(path)) == 0
+        assert json.loads(capsys.readouterr().out)["documents"] == 10
+
+    def test_config_non_list_for_list_option_names_key(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"inputs": 5}))
+        assert run_cli("stats", "--config", str(path)) == 1
+        assert "'inputs'" in capsys.readouterr().err
 
     def test_flag_beats_config_key_and_config_only_key_is_read(self, tmp_path):
         long_para = " ".join(f"token{i}" for i in range(20))

@@ -95,11 +95,11 @@ class TestShardMerging:
     def test_id_misalignment_rejected(self, tmp_path):
         write_attributes([DocumentAttributes(id="d0")], tmp_path / "a.jsonl")
         write_attributes([DocumentAttributes(id="OTHER")], tmp_path / "b.jsonl")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="b.jsonl misaligned"):
             list(merge_attribute_shards([[tmp_path / "a.jsonl", tmp_path / "b.jsonl"]]))
 
     def test_unequal_lengths_rejected(self, tmp_path):
         write_attributes([DocumentAttributes(id="d0"), DocumentAttributes(id="d1")], tmp_path / "a.jsonl")
         write_attributes([DocumentAttributes(id="d0")], tmp_path / "b.jsonl")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="b.jsonl shorter"):
             list(merge_attribute_shards([[tmp_path / "a.jsonl", tmp_path / "b.jsonl"]]))

@@ -13,8 +13,10 @@ from corpuskit.shard_io import (
     output_paths,
     read_attributes,
     read_documents,
+    sidecar_paths,
     write_attributes,
     write_documents,
+    zip_sidecars,
 )
 
 
@@ -46,14 +48,22 @@ class TestDocumentIO:
         gz.rename(renamed)
         assert [d.id for d in read_documents(renamed)] == ["a", "b", "c"]
 
-    def test_malformed_line_skip_mode(self, tmp_path):
+    @pytest.mark.parametrize(
+        "read,to_line",
+        [
+            (read_documents, document_to_line),
+            (read_attributes, lambda d: json.dumps({"id": d.id, "attributes": {}})),
+        ],
+        ids=["read_documents", "read_attributes"],
+    )
+    def test_malformed_line_skip_mode(self, tmp_path, read, to_line):
         path = tmp_path / "bad.jsonl"
-        lines = [document_to_line(d) for d in docs3()]
+        lines = [to_line(d) for d in docs3()]
         lines.insert(1, "{not json")
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         errors = []
-        docs = list(read_documents(path, malformed="skip", errors=errors))
-        assert [d.id for d in docs] == ["a", "b", "c"]
+        records = list(read(path, malformed="skip", errors=errors))
+        assert [r.id for r in records] == ["a", "b", "c"]
         assert len(errors) == 1 and errors[0][0] == 2
 
     def test_malformed_line_error_mode_reports_line_number(self, tmp_path):
@@ -194,6 +204,19 @@ class TestAttributeIO:
         a = DocumentAttributes(id="x", attributes={"t__a": []})
         with pytest.raises(ValueError):
             a.merge(DocumentAttributes(id="x", attributes={"t__a": []}))
+
+
+class TestSidecars:
+    def test_directory_entry_names_sidecar_like_shard_file_entry_as_given(self, tmp_path):
+        (tmp_path / "attrs").mkdir()
+        (tmp_path / "attrs" / "in.jsonl").touch()
+        got = sidecar_paths(tmp_path / "data" / "in.jsonl", [tmp_path / "attrs", tmp_path / "other.jsonl"])
+        assert got == [tmp_path / "attrs" / "in.jsonl", tmp_path / "other.jsonl"]
+
+    def test_longer_sidecar_named(self, tmp_path):
+        write_attributes([DocumentAttributes(id="a"), DocumentAttributes(id="b")], tmp_path / "side.jsonl")
+        with pytest.raises(ValueError, match="side.jsonl longer than in.jsonl"):
+            list(zip_sidecars(docs3()[:1], "in.jsonl", [tmp_path / "side.jsonl"]))
 
 
 class TestMapShards:
