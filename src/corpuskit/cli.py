@@ -46,7 +46,7 @@ from corpuskit.mixer import MixConfig, MixConfigError, mix
 from corpuskit.ngram_classifier import (
     NgramConfig,
     TrainConfig,
-    predict,
+    featurize_many,
     save_model,
     train,
 )
@@ -92,13 +92,40 @@ def _positive_int(text) -> int:
     return value
 
 
-def _as_list(value) -> list:
-    """A list option's config value: a list, or a string as its one element."""
+def _as_list(value) -> list[str]:
+    """A list option's config value: a list of strings, or a string as its one element."""
     if isinstance(value, str):
         return [value]
-    if not isinstance(value, list):
-        raise TypeError(f"must be a list or a string, got {value!r}")
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise TypeError(f"must be a list of strings or a string, got {value!r}")
     return value
+
+
+def _names(value) -> list[str]:
+    """Comma-separated names, or (from a config) a list of names."""
+    return [name for name in value.split(",") if name] if isinstance(value, str) else _as_list(value)
+
+
+def _tagger_specs(value) -> list[tuple[str, dict]]:
+    """Comma-separated tagger names, or (from a config) a list whose entries
+    are names or ``{"name": ..., "params": {...}}`` objects."""
+    if isinstance(value, str):
+        return [(name, {}) for name in _names(value)]
+    if not isinstance(value, list):
+        raise TypeError(f"must be a list of tagger specs or a string, got {value!r}")
+    specs = []
+    for entry in value:
+        if isinstance(entry, str):
+            specs.append((entry, {}))
+        elif (
+            isinstance(entry, dict)
+            and isinstance(entry.get("name"), str)
+            and isinstance(entry.get("params", {}), dict)
+        ):
+            specs.append((entry["name"], entry.get("params", {})))
+        else:
+            raise TypeError(f"bad tagger spec {entry!r}")
+    return specs
 
 
 def _merge_config(args, command: argparse.ArgumentParser) -> None:
@@ -171,26 +198,10 @@ def _require(value, flag: str):
     return value
 
 
-def _parse_tagger_specs(raw) -> list[tuple[str, dict]]:
-    specs = []
-    for entry in raw:
-        if isinstance(entry, str):
-            specs.append((entry, {}))
-        elif isinstance(entry, dict):
-            specs.append((entry["name"], entry.get("params", {})))
-        else:
-            raise ValidationError(f"bad tagger spec {entry!r}")
-    return specs
-
-
 def _cmd_tag(args) -> int:
     inputs = _require(args.inputs, "--inputs")
     out_dir = _require(args.out_dir, "--out-dir")
-    taggers = args.taggers or []
-    if isinstance(taggers, str):
-        taggers = [t for t in taggers.split(",") if t]
-    specs = _parse_tagger_specs(taggers)
-    report = run_tag(list(inputs), specs, out_dir, **_given(args, "workers"))
+    report = run_tag(list(inputs), args.taggers or [], out_dir, **_given(args, "workers"))
     _emit_report(report.to_json(), args.report)
     return EXIT_OK
 
@@ -363,10 +374,11 @@ def _cmd_train_classifier(args) -> int:
         "model": str(model_out),
     }
     if held_out:
+        feats = featurize_many(model.config, [text for text, _ in held_out])
         correct = sum(
             1
-            for text, label in held_out
-            if max(predict(model, text).items(), key=lambda kv: kv[1])[0] == label
+            for f, (_, label) in zip(feats, held_out)
+            if max(model.predict_features(f).items(), key=lambda kv: kv[1])[0] == label
         )
         report["held_out_examples"] = len(held_out)
         report["held_out_accuracy"] = correct / len(held_out)
@@ -395,10 +407,7 @@ def _cmd_stats(args) -> int:
 
 def _cmd_correlate(args) -> int:
     attr_dirs = _require(args.attributes, "--attributes")
-    names = args.filters
-    if isinstance(names, str):
-        names = [n for n in names.split(",") if n]
-    _require(names, "--filters")
+    names = _require(args.filters, "--filters")
     first = Path(attr_dirs[0])  # a directory: one group per file in it
     shard_names = sorted(p.name for p in first.iterdir() if p.is_file()) if first.is_dir() else [first.name]
     groups = [sidecar_paths(name, attr_dirs) for name in shard_names]
@@ -438,7 +447,7 @@ def build_parser() -> _Parser:
         return p
 
     p = command("tag", _cmd_tag, "run taggers over shards, writing attribute sidecars", workers=True)
-    p.add_argument("--taggers", help="comma-separated tagger names")
+    p.add_argument("--taggers", type=_tagger_specs, help="comma-separated tagger names")
     p.add_argument("--out-dir", dest="out_dir")
 
     p = command("dedupe", _cmd_dedupe, "flag URL/document/paragraph duplicates", seed=True)
@@ -495,7 +504,7 @@ def build_parser() -> _Parser:
 
     p = command("correlate", _cmd_correlate, "document-level filter correlation matrix", inputs=False)
     p.add_argument("--attributes", nargs="+", help="attribute sidecar dirs (or files)")
-    p.add_argument("--filters", help="comma-separated attribute names")
+    p.add_argument("--filters", type=_names, help="comma-separated attribute names")
 
     p = command(
         "pipeline-web", _cmd_pipeline_web, "full web pipeline in the fixed stage order", seed=True, workers=True

@@ -19,7 +19,6 @@ from corpuskit.documents import Document, DocumentAttributes
 from corpuskit.filters import Drop, FilterExpr, apply_filters
 from corpuskit.shard_io import (
     StageReport,
-    atomic_output,
     document_to_line,
     map_shards,
     open_shard_write,
@@ -229,7 +228,9 @@ def mix(config: MixConfig, out_dir: str | os.PathLike, workers: int = 1) -> MixR
     Same config and seed produce byte-identical output shards regardless of
     worker count. The filtered parts live in ``.mix-parts/``, which is
     removed whether the mix succeeds or fails; a failed mix also removes
-    the output shards it wrote.
+    the output shards it wrote. An ``out_dir`` holding a ``part-*.jsonl``
+    this mix would not overwrite raises :class:`MixConfigError`, and no
+    shard of this mix is moved into it.
     """
     out_dir = Path(out_dir)
     tmp_dir = out_dir / ".mix-parts"
@@ -252,21 +253,32 @@ def mix(config: MixConfig, out_dir: str | os.PathLike, workers: int = 1) -> MixR
             for name, counts in sources.items():
                 report.source(name).merge(counts)
 
-        # Phase 2: concatenate parts in config order into byte-capped shards,
-        # each written atomically. A shard takes at least one line, and an
-        # empty mix writes one empty shard. On failure the shards already
-        # written are removed, so no partial set is left.
+        # Phase 2: concatenate parts in config order into byte-capped shards.
+        # A shard takes at least one line, and an empty mix writes one empty
+        # shard. The shards are written beside the parts and moved into
+        # out_dir only once all are whole, so a failed mix leaves none.
+        shards: list[Path] = []
+        lines = _part_lines(parts)
+        line = next(lines, None)
+        while line is not None or not shards:
+            shards.append(tmp_dir / f"shard-{len(shards):05d}.jsonl")
+            with open(shards[-1], "wb") as out:
+                size = 0
+                while line is not None and (size == 0 or size + len(line) <= config.output_shard_bytes):
+                    out.write(line)
+                    size += len(line)
+                    line = next(lines, None)
+        # Shards of an earlier mix that this one would not overwrite are
+        # refused: a reader globbing part-*.jsonl would mix them in.
+        paths = [out_dir / f"part-{i:05d}.jsonl" for i in range(len(shards))]
+        stale = sorted(set(out_dir.glob("part-*.jsonl")) - set(paths))
+        if stale:
+            raise MixConfigError(
+                f"{stale[0]} is a shard this mix would not write; remove the earlier mix's shards first"
+            )
         try:
-            lines = _part_lines(parts)
-            line = next(lines, None)
-            while line is not None or not report.output_shards:
-                path = out_dir / f"part-{len(report.output_shards):05d}.jsonl"
-                with atomic_output(path) as tmp, open(tmp, "wb") as out:
-                    size = 0
-                    while line is not None and (size == 0 or size + len(line) <= config.output_shard_bytes):
-                        out.write(line)
-                        size += len(line)
-                        line = next(lines, None)
+            for shard, path in zip(shards, paths):
+                os.replace(shard, path)
                 report.output_shards.append(str(path))
         except BaseException:
             for path in report.output_shards:

@@ -1,35 +1,30 @@
 """Trainable hashed bag-of-n-grams linear classifier.
 
 Stands in for external language-ID and toxicity models: a multinomial
-logistic regression over n-gram counts hashed into a fixed bucket space.
-Deterministic given a seed, trainable at desk scale, no binary model
-dependencies. Any object implementing :class:`Scorer` can be plugged into
-the taggers instead.
+logistic regression over n-gram counts hashed into a fixed bucket space
+(the fastText hashing trick). Deterministic given a seed, trainable at desk
+scale, no binary model dependencies. Featurization is one numpy kernel,
+:func:`featurize_many`, which hashes the n-grams of many texts at once;
+callers holding several texts (a document's paragraphs or sentences, a
+training set) pass them together.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import NamedTuple, Protocol, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
-_FNV_PRIME = 0x100000001B3
+_FNV_PRIME = np.uint64(0x100000001B3)
 _MIX = 0x9E3779B97F4A7C15
+_MIX64 = np.uint64(_MIX)
 
 MODEL_MAGIC = b"CKNGRAM1"
 MODEL_VERSION = 1
-
-
-class Scorer(Protocol):
-    """Anything that maps text to per-label probabilities."""
-
-    labels: list[str]
-
-    def predict_proba(self, text: str) -> dict[str, float]: ...
 
 
 class TrainingError(RuntimeError):
@@ -82,38 +77,135 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 0 (0 = full batch)")
 
 
-def bucket_hash(data: bytes, seed: int, buckets: int) -> int:
-    """Seeded FNV-1a accumulation followed by a multiply-shift to a bucket.
+def _segments(config: NgramConfig, texts: Sequence[str]):
+    """The UTF-8 bytes of the texts that hold an n-gram, the byte range of
+    each of their units (code points or tokens), and their unit counts.
 
-    ``buckets`` must be a power of two; the mapping is pinned here so model
-    files are portable across platforms.
+    Tokens are joined by ``0x1f``: ``str.split`` never leaves it in a token
+    and UTF-8 never uses it inside another character, so it marks token
+    boundaries and is the byte before every token but a text's first. A text
+    with fewer units than the smallest order is left out; it has no n-gram,
+    so none of its bytes is ever encoded.
     """
-    h = (_FNV_OFFSET ^ (seed * _MIX)) & _MASK64
-    for b in data:
-        h = ((h ^ b) * _FNV_PRIME) & _MASK64
-    shift = 64 - (buckets.bit_length() - 1)
-    return ((h * _MIX) & _MASK64) >> shift
-
-
-def _ngram_keys(config: NgramConfig, text: str):
+    shortest = config.ngram_orders[0]
     if config.feature_kind == "word":
-        tokens = text.split()
-        for n in config.ngram_orders:
-            for i in range(len(tokens) - n + 1):
-                yield "\x1f".join(tokens[i : i + n]).encode("utf-8")
+        units = [text.split() for text in texts]
+        kept = [i for i, tokens in enumerate(units) if len(tokens) >= shortest]
+        sizes = [len(units[i]) for i in kept]
+        data = "\x1f".join(token for i in kept for token in units[i]).encode("utf-8")
+        buf = np.frombuffer(data, dtype=np.uint8)
+        seps = np.flatnonzero(buf == 0x1F)
+        starts = np.concatenate(([0], seps + 1))
+        ends = np.append(seps, len(buf))
     else:
-        for n in config.ngram_orders:
-            for i in range(len(text) - n + 1):
-                yield text[i : i + n].encode("utf-8")
+        kept = [i for i, text in enumerate(texts) if len(text) >= shortest]
+        sizes = [len(texts[i]) for i in kept]
+        buf = np.frombuffer("".join(texts[i] for i in kept).encode("utf-8"), dtype=np.uint8)
+        # a code point starts at every byte that is not a continuation byte
+        starts = np.flatnonzero((buf & 0xC0) != 0x80)
+        ends = np.append(starts[1:], len(buf))
+    return kept, buf, starts, ends, np.array(sizes, dtype=np.int64)
+
+
+def _fnv_continue(h: np.ndarray, buf: np.ndarray, lo: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """Continue each FNV-1a state ``h[i]`` through ``buf[lo[i] : lo[i] + length[i]]``
+    (every length at least 1), one byte position at a time over the states
+    that still have bytes left."""
+    h = (h ^ buf[lo]) * _FNV_PRIME
+    rest = np.flatnonzero(length > 1)
+    k = 1
+    while rest.size:
+        h[rest] = (h[rest] ^ buf[lo[rest] + k]) * _FNV_PRIME
+        k += 1
+        rest = rest[length[rest] > k]
+    return h
+
+
+def _hash_ngrams(config: NgramConfig, texts: Sequence[str]):
+    """The texts that hold an n-gram, their n-gram counts, and the bucket of
+    every n-gram, ranked text by text, then order by order, then by position.
+
+    All texts are hashed at once over every n-gram start. FNV-1a is a
+    streaming hash, so the state of an n-gram continues into the (n+1)-gram
+    through the next unit's bytes (for words, ``0x1f`` and the next token).
+    """
+    kept, buf, starts, ends, sizes = _segments(config, texts)
+    if not kept:
+        return kept, sizes, np.empty(0, dtype=np.uint64)
+    first_unit = np.cumsum(sizes) - sizes
+    text_of_unit = np.repeat(np.arange(len(kept)), sizes)
+    units_left = (first_unit + sizes)[text_of_unit] - np.arange(len(starts))
+    # the n-gram of the k-th order starting at unit i of text t has rank offset[t] + i
+    per_order = [np.maximum(sizes - n + 1, 0) for n in config.ngram_orders]
+    per_text = sum(per_order)
+    offset = np.cumsum(per_text) - per_text - first_unit
+    bucket_of_rank = np.empty(int(per_text.sum()), dtype=np.uint64)
+
+    shift = np.uint64(64 - (config.hash_buckets.bit_length() - 1))
+    seeded = (_FNV_OFFSET ^ (config.hash_seed * _MIX)) & _MASK64
+    h = np.full(len(starts), seeded, dtype=np.uint64)
+    pos = np.arange(len(starts))  # the start unit of each n-gram still growing
+    lead = 1 if config.feature_kind == "word" else 0
+    emitted = 0
+    for n in range(1, config.ngram_orders[-1] + 1):
+        growing = units_left[pos] >= n
+        pos, h = pos[growing], h[growing]
+        unit = pos + (n - 1)
+        lo = starts[unit] - (lead if n > 1 else 0)
+        h = _fnv_continue(h, buf, lo, ends[unit] - lo)
+        if n in config.ngram_orders:
+            bucket_of_rank[offset[text_of_unit[pos]] + pos] = (h * _MIX64) >> shift
+            offset = offset + per_order[emitted]
+            emitted += 1
+    return kept, per_text, bucket_of_rank
+
+
+def featurize_many(config: NgramConfig, texts: Sequence[str]) -> list[dict[int, float]]:
+    """Hash the configured n-grams of each text into sparse bucket counts.
+
+    An n-gram's key is its UTF-8 bytes (a word n-gram's tokens joined by
+    ``0x1f``), hashed with FNV-1a from a seeded offset and mapped to a bucket
+    by a multiply-shift; the mapping is pinned so model files are portable.
+    Each dict lists its buckets in the order they first occur, orders
+    ascending and positions ascending within an order: model scores add the
+    terms in that order. No n-gram crosses from one text into the next.
+    """
+    out: list[dict[int, float]] = [{} for _ in texts]
+    kept, per_text, bucket_of_rank = _hash_ngrams(config, texts)
+    if not kept:
+        return out
+    # group equal (text, bucket) pairs; a group is counted at its first rank
+    total = len(bucket_of_rank)
+    if config.hash_buckets <= 1 << 32 and total <= 1 << 32:  # sort (bucket, rank) packed in one word
+        packed = bucket_of_rank << np.uint64(32)
+        packed |= np.arange(total, dtype=np.uint64)
+        packed.sort()
+        buckets = packed >> np.uint64(32)
+        packed &= np.uint64(0xFFFFFFFF)
+        ranks = packed.view(np.int64)
+    else:
+        ranks = np.argsort(bucket_of_rank, kind="stable")
+        buckets = bucket_of_rank[ranks]
+    text_of_rank = np.repeat(np.arange(len(kept), dtype=np.int32), per_text)
+    text_of = text_of_rank[ranks]
+    first = np.ones(total, dtype=bool)
+    first[1:] = (buckets[1:] != buckets[:-1]) | (text_of[1:] != text_of[:-1])
+    first = np.flatnonzero(first)
+    count_at = np.zeros(total)
+    count_at[ranks[first]] = np.diff(np.append(first, total))
+    is_first = count_at > 0
+    keys = bucket_of_rank[is_first].tolist()
+    values = count_at[is_first].tolist()
+    end = 0
+    for i, n_keys in zip(kept, np.bincount(text_of_rank[is_first], minlength=len(kept)).tolist()):
+        out[i] = dict(zip(keys[end : end + n_keys], values[end : end + n_keys]))
+        end += n_keys
+    return out
 
 
 def featurize(config: NgramConfig, text: str) -> dict[int, float]:
-    """Hash the configured n-grams into sparse bucket counts."""
-    counts: dict[int, float] = {}
-    for key in _ngram_keys(config, text):
-        bucket = bucket_hash(key, config.hash_seed, config.hash_buckets)
-        counts[bucket] = counts.get(bucket, 0.0) + 1.0
-    return counts
+    """Hash the configured n-grams of one text into sparse bucket counts."""
+    return featurize_many(config, [text])[0]
 
 
 @dataclass
@@ -135,16 +227,21 @@ class NgramModel:
             raise ValueError("weights and bias must be finite")
 
     def predict_proba(self, text: str) -> dict[str, float]:
-        feats = featurize(self.config, text)
-        return {label: p for label, p in zip(self.labels, self._probs(feats))}
+        return self.predict_features(featurize(self.config, text))
 
-    def _probs(self, feats: dict[int, float]) -> np.ndarray:
-        z = self.bias.copy()
-        if feats:
-            idx = np.fromiter(feats.keys(), dtype=np.int64, count=len(feats))
-            vals = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
-            z += self.weights[:, idx] @ vals
-        return _softmax(z)
+    def predict_features(self, feats: dict[int, float]) -> dict[str, float]:
+        """Label probabilities of a text featurized with this model's config."""
+        return dict(zip(self.labels, _probs(self.weights, self.bias, feats)))
+
+
+def _probs(weights: np.ndarray, bias: np.ndarray, feats: dict[int, float]) -> np.ndarray:
+    """Softmax of the logits; the terms are added in the order of ``feats``."""
+    z = bias.copy()
+    if feats:
+        idx = np.fromiter(feats.keys(), dtype=np.int64, count=len(feats))
+        vals = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
+        z += weights[:, idx] @ vals
+    return _softmax(z)
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -191,6 +288,23 @@ def batch_loss_and_grad(
     return loss, grad_w, grad_b
 
 
+def batch_loss(
+    weights: np.ndarray,
+    bias: np.ndarray,
+    features: Sequence[dict[int, float]],
+    label_indices: Sequence[int],
+    l2: float,
+) -> float:
+    """The loss of :func:`batch_loss_and_grad`, without the gradient."""
+    loss = 0.0
+    for feats, y in zip(features, label_indices):
+        loss -= float(np.log(max(_probs(weights, bias, feats)[y], 1e-300)))
+    loss /= len(features)
+    if l2 > 0:
+        loss += 0.5 * l2 * float((weights * weights).sum())
+    return loss
+
+
 def train(
     examples: Sequence[tuple[str, str]],
     config: TrainConfig | None = None,
@@ -208,7 +322,7 @@ def train(
     if len(labels) < 2:
         raise ValueError(f"need at least 2 distinct labels, got {labels}")
     label_index = {label: i for i, label in enumerate(labels)}
-    feats = [featurize(features, text) for text, _ in examples]
+    feats = featurize_many(features, [text for text, _ in examples])
     ys = [label_index[label] for _, label in examples]
 
     n_labels = len(labels)
@@ -268,12 +382,11 @@ def _train_sgd(weights, bias, feats, ys, config: TrainConfig, history: list[floa
                 p = _softmax(z)
                 g = p
                 g[ys[j]] -= 1.0
-                if f:
-                    for col, v in f.items():
-                        acc = grad_w_cols.get(col)
-                        if acc is None:
-                            acc = np.zeros_like(bias)
-                            grad_w_cols[col] = acc
+                for col, v in f.items():
+                    acc = grad_w_cols.get(col)
+                    if acc is None:
+                        grad_w_cols[col] = g * v
+                    else:
                         acc += g * v
                 grad_b += g
             lr = config.learning_rate / len(batch)
@@ -286,16 +399,19 @@ def _train_sgd(weights, bias, feats, ys, config: TrainConfig, history: list[floa
                 weights[:, col] -= (lr / scale) * g_col
             bias -= lr * grad_b
         true_w = weights if scale == 1.0 else scale * weights
-        loss, _, _ = batch_loss_and_grad(true_w, bias, feats, ys, config.l2)
-        history.append(loss)
+        history.append(batch_loss(true_w, bias, feats, ys, config.l2))
     if scale != 1.0:
         weights *= scale
 
 
-def score_english(model: NgramModel, text: str) -> float:
-    """P(english); the pipeline keeps documents scoring >= 0.5."""
+def _check_english(model: NgramModel) -> None:
     if "en" not in model.labels:
         raise ValueError(f"model labels {model.labels} do not include 'en'")
+
+
+def score_english(model: NgramModel, text: str) -> float:
+    """P(english); the pipeline keeps documents scoring >= 0.5."""
+    _check_english(model)
     return model.predict_proba(text)["en"]
 
 
@@ -317,9 +433,11 @@ def score_language_paragraph_avg(model: NgramModel, text: str) -> ParagraphScore
     Documents averaging below 0.5 are droppable; texts with no non-empty
     paragraphs score 0 with the degenerate flag set.
     """
-    scores = [score_english(model, para) for para in text.split("\n") if para.strip()]
-    if not scores:
+    paragraphs = [para for para in text.split("\n") if para.strip()]
+    if not paragraphs:
         return ParagraphScore(0.0, True)
+    _check_english(model)
+    scores = [model.predict_features(feats)["en"] for feats in featurize_many(model.config, paragraphs)]
     return ParagraphScore(sum(scores) / len(scores), False)
 
 

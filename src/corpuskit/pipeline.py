@@ -301,15 +301,17 @@ def _quality_content_shard(shard: str, doc_path: str, out_path: str, config: Web
             attrs = _tag_document(doc, taggers)
             # PII density is judged on the original text; sparse spans are
             # masked in the same splice pass as toxic sentence removal.
-            if len(tag_pii(doc)) > pii_config.pii_max_spans_for_masking:
+            pii = tag_pii(doc)
+            if len(pii) > pii_config.pii_max_spans_for_masking:
                 report.drop("pii_density")
                 continue
             decision = apply_filters(doc, attrs, exprs)
             if isinstance(decision, Drop):
                 report.drop(decision.reason)
                 continue
-            # re-tag after span removal so PII offsets match the edited text
-            masked = apply_pii_policy(decision.doc, tag_pii(decision.doc), pii_config)
+            # re-tag after a splice so PII offsets match the edited text
+            edited = decision.doc
+            masked = apply_pii_policy(edited, pii if edited is doc else tag_pii(edited), pii_config)
             if isinstance(masked, Drop):
                 report.drop(masked.reason)
                 continue

@@ -3,22 +3,22 @@
 from __future__ import annotations
 
 from corpuskit.documents import AttributeSpan, Document
-from corpuskit.ngram_classifier import Scorer
+from corpuskit.ngram_classifier import NgramModel, featurize_many
 from corpuskit.pii import ContentTagConfig
 from corpuskit.sentences import SentenceSplitter, split_sentences
 
 TOXIC_LABEL = "toxic"
 
 
-def _check_model(model: Scorer, name: str) -> None:
+def _check_model(model: NgramModel, name: str) -> None:
     if TOXIC_LABEL not in model.labels:
         raise ValueError(f"{name} model labels {model.labels} do not include {TOXIC_LABEL!r}")
 
 
 def tag_toxicity(
     doc: Document,
-    hate_model: Scorer | None,
-    nsfw_model: Scorer | None,
+    hate_model: NgramModel | None,
+    nsfw_model: NgramModel | None,
     config: ContentTagConfig | None = None,
     splitter: SentenceSplitter = split_sentences,
 ) -> dict[str, list[AttributeSpan]]:
@@ -27,7 +27,8 @@ def tag_toxicity(
 
     The span carries the model's score and covers the sentence, so the
     mixer can delete it. Thresholds default to the shared tau with optional
-    per-model overrides.
+    per-model overrides. The sentences are featurized together, once per
+    distinct feature config, so two models with equal configs share it.
     """
     config = config or ContentTagConfig()
     models = []
@@ -43,13 +44,20 @@ def tag_toxicity(
         return {}
 
     data = doc.text_bytes
-    attrs: dict[str, list[AttributeSpan]] = {}
+    spans, sentences = [], []
     for span in splitter(doc.text):
         sentence = data[span.start : span.end].decode("utf-8").strip()
-        if not sentence:
-            continue
+        if sentence:
+            spans.append(span)
+            sentences.append(sentence)
+    features = {}
+    for _, model, _ in models:
+        if model.config not in features:
+            features[model.config] = featurize_many(model.config, sentences)
+    attrs: dict[str, list[AttributeSpan]] = {}
+    for i, span in enumerate(spans):
         for name, model, tau in models:
-            score = model.predict_proba(sentence)[TOXIC_LABEL]
+            score = model.predict_features(features[model.config][i])[TOXIC_LABEL]
             if score > tau:
                 attrs.setdefault(name, []).append(AttributeSpan(span.start, span.end, score))
     return attrs

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import string
 
@@ -11,9 +12,10 @@ from corpuskit.ngram_classifier import (
     NgramConfig,
     NgramModel,
     TrainConfig,
+    batch_loss,
     batch_loss_and_grad,
-    bucket_hash,
     featurize,
+    featurize_many,
     keeps_english,
     load_model,
     predict,
@@ -25,6 +27,38 @@ from corpuskit.ngram_classifier import (
 from corpuskit.sentences import split_sentences
 
 WORD_CFG = NgramConfig(hash_buckets=1 << 10, ngram_orders=(1,), feature_kind="word")
+
+_MASK64 = (1 << 64) - 1
+
+
+def bucket_hash(data: bytes, seed: int, buckets: int) -> int:
+    """Reference hash, one byte at a time: seeded FNV-1a, then a multiply-shift."""
+    h = (0xCBF29CE484222325 ^ (seed * 0x9E3779B97F4A7C15)) & _MASK64
+    for b in data:
+        h = ((h ^ b) * 0x100000001B3) & _MASK64
+    shift = 64 - (buckets.bit_length() - 1)
+    return ((h * 0x9E3779B97F4A7C15) & _MASK64) >> shift
+
+
+def _ngram_keys(config: NgramConfig, text: str):
+    if config.feature_kind == "word":
+        tokens = text.split()
+        for n in config.ngram_orders:
+            for i in range(len(tokens) - n + 1):
+                yield "\x1f".join(tokens[i : i + n]).encode("utf-8")
+    else:
+        for n in config.ngram_orders:
+            for i in range(len(text) - n + 1):
+                yield text[i : i + n].encode("utf-8")
+
+
+def reference_featurize(config: NgramConfig, text: str) -> dict[int, float]:
+    """The scalar oracle: every n-gram hashed on its own, counted in order."""
+    counts: dict[int, float] = {}
+    for key in _ngram_keys(config, text):
+        bucket = bucket_hash(key, config.hash_seed, config.hash_buckets)
+        counts[bucket] = counts.get(bucket, 0.0) + 1.0
+    return counts
 
 
 def zero_model(labels=("en", "xx"), config=WORD_CFG) -> NgramModel:
@@ -77,6 +111,108 @@ class TestFeaturize:
         shuffled = tokens[:]
         rng.shuffle(shuffled)
         assert featurize(WORD_CFG, " ".join(tokens)) == featurize(WORD_CFG, " ".join(shuffled))
+
+
+# any code point but a lone surrogate (astral ones included), with the
+# separators the two feature kinds split or join on drawn often
+_TEXTS = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(" \t\n\x1f\x0b\u3000ab"), st.characters(exclude_categories=("Cs",))
+    ),
+    max_size=40,
+)
+_CONFIGS = st.builds(
+    NgramConfig,
+    hash_buckets=st.sampled_from([1, 1 << 10, 1 << 18, 1 << 40]),
+    hash_seed=st.sampled_from([0, 12345, (1 << 64) - 1]),
+    ngram_orders=st.sampled_from([(1,), (1, 2), (2, 3, 4, 5), (1, 3, 7)]),
+    feature_kind=st.sampled_from(["word", "char"]),
+)
+
+
+class TestKernelMatchesScalarOracle:
+    """The vectorized kernel against the per-n-gram reference, key order
+    included: model scores add their terms in dict order."""
+
+    @settings(max_examples=400)
+    @given(_CONFIGS, _TEXTS)
+    def test_featurize_equals_oracle_in_order(self, config, text):
+        assert list(featurize(config, text).items()) == list(reference_featurize(config, text).items())
+
+    @settings(max_examples=200)
+    @given(_CONFIGS, st.lists(_TEXTS, max_size=8))
+    def test_featurize_many_equals_per_text_oracle(self, config, texts):
+        got = [list(feats.items()) for feats in featurize_many(config, texts)]
+        assert got == [list(reference_featurize(config, text).items()) for text in texts]
+
+    @pytest.mark.parametrize("kind, texts", [("char", ["a", "b"]), ("word", ["a", "b"])])
+    def test_no_ngram_crosses_texts(self, kind, texts):
+        config = NgramConfig(hash_buckets=1 << 10, ngram_orders=(2,), feature_kind=kind)
+        assert featurize_many(config, texts) == [{}, {}]
+
+    @pytest.mark.parametrize(
+        "kind, orders, text",
+        [
+            ("char", (2,), "\ud800"),  # shorter than the smallest order
+            ("char", (2,), "a\ud800"),
+            ("char", (1, 3), "ab\udfff"),
+            ("word", (2,), "x\ud800"),  # one token
+            ("word", (1,), "x \ud800y"),
+            ("word", (2, 3), "a b \ud800"),
+        ],
+    )
+    def test_lone_surrogates_fail_where_the_oracle_does(self, kind, orders, text):
+        config = NgramConfig(hash_buckets=1 << 10, ngram_orders=orders, feature_kind=kind)
+        try:
+            expected = reference_featurize(config, text)
+        except UnicodeEncodeError:
+            with pytest.raises(UnicodeEncodeError):
+                featurize(config, text)
+        else:
+            assert expected == {}
+            assert featurize(config, text) == {}
+            assert featurize_many(config, [text, "a b c"])[0] == {}
+
+
+def pinned_corpus():
+    rng = random.Random(2024)
+    vocab = {
+        "en": ["the", "river", "light", "garden", "quiet", "morning", "over", "stone"],
+        "xx": ["zxqv", "qqzt", "vxkw", "смех", "日本語", "naïve", "😀", "straße"],
+    }
+    return [
+        (" ".join(rng.choice(vocab[label]) for _ in range(rng.randint(1, 12))), label)
+        for _ in range(40)
+        for label in ("en", "xx")
+    ]
+
+
+class TestPinnedModels:
+    """Model files and losses trained on a fixed corpus, pinned bit for bit
+    (digests and losses computed with the scalar per-n-gram featurization)."""
+
+    CASES = {
+        "char": (
+            NgramConfig(hash_buckets=1 << 12, feature_kind="char", hash_seed=7),
+            TrainConfig(epochs=3, seed=1, l2=1e-3),
+            "0e48799459abd6f7849a90fbb0b26d479fba546d5e89414d3ae1477ece3d4492",
+            ["0x1.daaa0ab310e05p-4", "0x1.b36399b0a1e75p-4", "0x1.90e0de9db588ap-4"],
+        ),
+        "word": (
+            NgramConfig(hash_buckets=1 << 12, feature_kind="word", ngram_orders=(1, 2, 3)),
+            TrainConfig(epochs=3, seed=2, batch_size=3),
+            "089753c65e66a61cb9c08a518bd42285b18dd0a19a2b52645b41560ed40bebd1",
+            ["0x1.90d6902664faep-5", "0x1.0522a0c95fcbcp-5", "0x1.890f8af8911f5p-6"],
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(CASES))
+    def test_model_file_and_losses_pinned(self, tmp_path, kind):
+        features, config, digest, losses = self.CASES[kind]
+        model = train(pinned_corpus(), config, features)
+        save_model(model, tmp_path / "model.bin")
+        assert hashlib.sha256((tmp_path / "model.bin").read_bytes()).hexdigest() == digest
+        assert [loss.hex() for loss in model.loss_history] == losses
 
 
 class TestTraining:
@@ -145,6 +281,16 @@ class TestTraining:
         rel_w = np.linalg.norm(fd_w - grad_w) / np.linalg.norm(fd_w + grad_w)
         rel_b = np.linalg.norm(fd_b - grad_b) / np.linalg.norm(fd_b + grad_b)
         assert rel_w < 1e-5 and rel_b < 1e-5
+
+    @pytest.mark.parametrize("l2", [0.0, 0.01])
+    def test_batch_loss_equals_loss_of_batch_loss_and_grad(self, l2):
+        cfg = NgramConfig(hash_buckets=64, ngram_orders=(1, 2), feature_kind="word")
+        examples = separable_examples(5)
+        feats = featurize_many(cfg, [text for text, _ in examples] + [""])
+        ys = [0, 1] * 5 + [1]
+        rng = np.random.default_rng(3)
+        weights, bias = rng.normal(size=(2, 64)), rng.normal(size=2)
+        assert batch_loss(weights, bias, feats, ys, l2) == batch_loss_and_grad(weights, bias, feats, ys, l2)[0]
 
     def test_full_batch_loss_non_increasing(self):
         examples = separable_examples(30)

@@ -230,6 +230,27 @@ class TestMixCommand:
     def test_mix_without_config_is_validation_error(self):
         assert run_cli("mix", "--out-dir", "/tmp/nope") == 1
 
+    def test_stale_shards_of_a_larger_mix_refused(self, tmp_path, capsys):
+        docs = [Document(id=f"d{i}", text="x" * 100, source="s") for i in range(12)]
+        write_documents(docs, tmp_path / "in.jsonl")
+        out = tmp_path / "mixed"
+
+        def run_mix(shard_bytes):
+            config = tmp_path / "mix.json"
+            streams = [{"documents": [str(tmp_path / "in.jsonl")]}]
+            config.write_text(json.dumps({"streams": streams, "seed": 0, "output_shard_bytes": shard_bytes}))
+            return run_cli("mix", "--config", str(config), "--out-dir", str(out))
+
+        assert run_mix(300) == 0  # two documents per shard
+        before = {p.name: p.read_bytes() for p in out.glob("part-*.jsonl")}
+        assert len(before) == 6
+        assert run_mix(300) == 0  # the same mix again overwrites all six
+        capsys.readouterr()
+        assert run_mix(1 << 20) == 1  # one shard; part-00001 to part-00005 would stay
+        assert "part-00001.jsonl" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in out.glob("part-*.jsonl")} == before
+        assert not (out / ".mix-parts").exists()
+
 
 class TestRedditBuildCommand:
     def test_atomic_strategy(self, tmp_path, capsys):
@@ -645,6 +666,28 @@ class TestOptionSurface:
         path.write_text(json.dumps({"inputs": 5}))
         assert run_cli("stats", "--config", str(path)) == 1
         assert "'inputs'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command,config,key",
+        [
+            ("stats", {"inputs": [5]}, "inputs"),  # would open file descriptor 5
+            ("tag", {"taggers": 5}, "taggers"),
+            ("tag", {"taggers": ["c4", {"params": {}}]}, "taggers"),  # a spec without a name
+            ("tag", {"taggers": [{"name": "c4", "params": [1]}]}, "taggers"),
+            ("correlate", {"filters": ["a", 1]}, "filters"),
+        ],
+    )
+    def test_config_value_of_wrong_shape_names_key(self, tmp_path, capsys, command, config, key):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        extra = {
+            "stats": [],
+            "tag": ["--inputs", str(make_shard(tmp_path)), "--out-dir", str(tmp_path / "out")],
+            "correlate": ["--attributes", str(tmp_path)],
+        }
+        assert run_cli(command, "--config", str(path), *extra[command]) == 1
+        assert repr(key) in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_flag_beats_config_key_and_config_only_key_is_read(self, tmp_path):
         long_para = " ".join(f"token{i}" for i in range(20))
