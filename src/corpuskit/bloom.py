@@ -14,6 +14,8 @@ import struct
 import threading
 from pathlib import Path
 
+from corpuskit.shard_io import atomic_output
+
 BLOOM_MAGIC = b"CKBLOOM1"
 BLOOM_VERSION = 1
 
@@ -110,7 +112,7 @@ class BloomFilter:
 
 def bloom_save(bloom: BloomFilter, path) -> None:
     """Header (magic, version, m, k, seed, read_only) then the raw bits."""
-    with open(path, "wb") as f:
+    with atomic_output(path) as tmp, open(tmp, "wb") as f:
         f.write(BLOOM_MAGIC)
         f.write(struct.pack("<IQIQB", BLOOM_VERSION, bloom.m, bloom.k, bloom.seed, int(bloom.read_only)))
         f.write(bytes(bloom.bits))

@@ -92,6 +92,14 @@ def _positive_int(text) -> int:
     return value
 
 
+def _orders(value) -> tuple[int, ...]:
+    """Comma-separated n-gram orders, or (from a config) a list of integers."""
+    orders = [int(order) for order in value.split(",")] if isinstance(value, str) else value
+    if not isinstance(orders, list) or not all(type(order) is int for order in orders):
+        raise TypeError(f"must be a list of integers or a comma-separated string, got {value!r}")
+    return tuple(orders)
+
+
 def _as_list(value) -> list[str]:
     """A list option's config value: a list of strings, or a string as its one element."""
     if isinstance(value, str):
@@ -271,6 +279,8 @@ def _cmd_decontaminate(args) -> int:
     out_dir = Path(_require(args.out_dir, "--out-dir"))
     outputs = output_paths(inputs, out_dir)
     min_tokens = DECONTAMINATION_MIN_TOKENS if args.min_paragraph_tokens is None else args.min_paragraph_tokens
+    if min_tokens < 0:
+        raise ValidationError(f"--min-paragraph-tokens must be >= 0, got {min_tokens}")
     if args.load_filter:
         seeded = bloom_load(args.load_filter)
         if not seeded.read_only:
@@ -341,8 +351,6 @@ def _cmd_train_classifier(args) -> int:
     inputs = _require(args.inputs, "--inputs")
     model_out = _require(args.model_out, "--model-out")
     with _option_values():
-        if isinstance(args.orders, str):
-            args.orders = tuple(int(x) for x in args.orders.split(","))
         features = NgramConfig(
             **_given(args, "feature_kind", hash_buckets="buckets", hash_seed="seed", ngram_orders="orders")
         )
@@ -492,7 +500,7 @@ def build_parser() -> _Parser:
     )
     p.add_argument("--model-out", dest="model_out")
     p.add_argument("--feature-kind", dest="feature_kind", choices=["word", "char"])
-    p.add_argument("--orders")
+    p.add_argument("--orders", type=_orders)
     p.add_argument("--buckets", type=int)
     p.add_argument("--epochs", type=int)
     p.add_argument("--learning-rate", dest="learning_rate", type=float)

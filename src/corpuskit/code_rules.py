@@ -151,18 +151,15 @@ def comment_ratio(text: str, extension: str) -> float:
     return comment / non_blank if non_blank else 0.0
 
 
-def tag_code_starcoder(
-    doc: Document, extension: str | None = None
-) -> dict[str, list[AttributeSpan]]:
+def tag_code_starcoder(doc: Document) -> dict[str, list[AttributeSpan]]:
     """XML template, HTML code-to-text, and comment-density rules.
 
     Trip conditions: document contains XML template code; HTML text ratio
     <= 0.2 (HTML files); comment ratio <= 0.01 or > 0.8 (Python, Java,
-    Javascript). Rules for other extensions are inapplicable and emit
-    nothing.
+    Javascript), the extension read from metadata. Rules for other
+    extensions are inapplicable and emit nothing.
     """
-    if extension is None:
-        extension = document_extension(doc)
+    extension = document_extension(doc)
     text = doc.text
     scores: dict[str, float] = {}
     rules = {"starcoder__has_xml_template": XML_TEMPLATE_MARKER in text[:XML_SNIFF_CHARS]}

@@ -107,7 +107,7 @@ def gated_paragraphs(doc: Document, min_tokens: int):
     data = doc.text_bytes
     for span in segment_paragraphs(doc.text):
         para = data[span.start : span.end]
-        if min_tokens > 0 and count_words(para.decode("utf-8"), "unicode") <= min_tokens:
+        if min_tokens > 0 and count_words(para.decode("utf-8")) <= min_tokens:
             continue
         yield span, para
 

@@ -83,7 +83,7 @@ class CorpusStats:
     def add(self, doc: Document) -> None:
         self.utf8_bytes += len(doc.text_bytes)
         self.documents += 1
-        self.unicode_words += count_words(doc.text, mode="unicode")
+        self.unicode_words += count_words(doc.text)
 
 
 def char_spans_to_byte_spans(
@@ -199,27 +199,15 @@ def whitespace_word_spans(text: str) -> list[tuple[int, int]]:
     return [m.span() for m in _NON_SPACE_RUN.finditer(text)]
 
 
-def segment_words(text: str, mode: str = "unicode") -> list[AttributeSpan]:
-    """Return word spans (byte offsets, score 1.0).
-
-    ``unicode`` mode counts word-like segments per the rule set documented
-    above; ``whitespace`` mode splits on runs of whitespace.
-    """
-    if mode == "unicode":
-        char_spans = _unicode_word_char_spans(text)
-    elif mode == "whitespace":
-        char_spans = whitespace_word_spans(text)
-    else:
-        raise ValueError(f"unknown segmentation mode {mode!r}")
-    return char_spans_to_byte_spans(text, ((s, e, 1.0) for s, e in char_spans))
+def segment_words(text: str) -> list[AttributeSpan]:
+    """Return word spans (byte offsets, score 1.0) per the rule set
+    documented above; :func:`whitespace_word_spans` splits on whitespace."""
+    return char_spans_to_byte_spans(text, ((s, e, 1.0) for s, e in _unicode_word_char_spans(text)))
 
 
-def count_words(text: str, mode: str = "unicode") -> int:
-    if mode == "unicode":
-        return sum(1 for _ in _unicode_word_char_spans(text))
-    if mode == "whitespace":
-        return len(whitespace_word_spans(text))
-    raise ValueError(f"unknown segmentation mode {mode!r}")
+def count_words(text: str) -> int:
+    """The number of words :func:`segment_words` finds."""
+    return sum(1 for _ in _unicode_word_char_spans(text))
 
 
 def count_stats(docs: Iterable[Document]) -> CorpusStats:

@@ -3,7 +3,9 @@
 A :class:`FilterExpr` compares a named attribute against a threshold and
 either drops the whole document or removes/replaces the matching spans.
 Document-scope comparisons use the maximum span score for the attribute;
-span-scope expressions act on each matching span.
+span-scope expressions act on each matching span. An attribute a record
+does not carry matches nothing, because sparse taggers leave attributes
+absent on clean documents.
 """
 
 from __future__ import annotations
@@ -72,18 +74,6 @@ class FilterExpr:
             replacement=obj.get("replacement"),
         )
 
-    def to_json(self) -> dict:
-        obj = {
-            "attribute": self.attribute,
-            "scope": self.scope,
-            "op": self.op,
-            "threshold": self.threshold,
-            "action": self.action,
-        }
-        if self.replacement is not None:
-            obj["replacement"] = self.replacement
-        return obj
-
 
 @dataclass(frozen=True)
 class Keep:
@@ -146,7 +136,6 @@ def apply_filters(
     doc: Document,
     attrs: DocumentAttributes,
     exprs: Sequence[FilterExpr],
-    unknown: str = "absent",
 ) -> Decision:
     """Evaluate filter expressions against one document.
 
@@ -155,9 +144,6 @@ def apply_filters(
     a replacement whose span falls inside a removed region is subsumed by
     the removal. A document whose text ends up empty is dropped with reason
     "emptied".
-
-    ``unknown="fail"`` raises when an expression names an attribute the
-    record does not carry; the default treats it as matching nothing.
     """
     if attrs.id != doc.id:
         raise ValueError(f"attributes for {attrs.id!r} applied to doc {doc.id!r}")
@@ -168,10 +154,6 @@ def apply_filters(
     replacements: list[tuple[AttributeSpan, bytes]] = []
     for expr in exprs:
         spans = attrs.attributes.get(expr.attribute)
-        if spans is None:
-            if unknown == "fail":
-                raise KeyError(f"doc {doc.id!r} has no attribute {expr.attribute!r}")
-            continue
         if not spans:
             continue
         if expr.scope == "document":

@@ -109,7 +109,7 @@ def tag_repetition(doc: Document) -> dict[str, list[AttributeSpan]]:
 
 def tag_wiki_min_words(doc: Document) -> dict[str, list[AttributeSpan]]:
     """Flag pages with 25 or fewer unicode-segmented words."""
-    if count_words(doc.text, mode="unicode") <= WIKI_MAX_SHORT_WORDS:
+    if count_words(doc.text) <= WIKI_MAX_SHORT_WORDS:
         return {"wiki__short": [AttributeSpan(0, len(doc.text_bytes), 1.0)]}
     return {}
 

@@ -19,12 +19,11 @@ from corpuskit.documents import Document, DocumentAttributes
 from corpuskit.filters import Drop, FilterExpr, apply_filters
 from corpuskit.shard_io import (
     StageReport,
-    document_to_line,
     map_shards,
-    open_shard_write,
     read_documents,
     sidecar_paths,
     temp_dirs,
+    write_documents,
     zip_sidecars,
 )
 
@@ -49,13 +48,6 @@ class StreamConfig:
             attributes=list(obj.get("attributes", [])),
             filters=[FilterExpr.from_json(e) for e in obj.get("filters", [])],
         )
-
-    def to_json(self) -> dict:
-        return {
-            "documents": self.documents,
-            "attributes": self.attributes,
-            "filters": [e.to_json() for e in self.filters],
-        }
 
 
 @dataclass
@@ -89,18 +81,6 @@ class MixConfig:
             seed=int(obj.get("seed", 0)),
             output_shard_bytes=int(obj.get("output_shard_bytes", DEFAULT_SHARD_BYTES)),
         )
-
-    def to_json(self) -> dict:
-        obj = {
-            "streams": [s.to_json() for s in self.streams],
-            "seed": self.seed,
-            "output_shard_bytes": self.output_shard_bytes,
-        }
-        if self.proportions is not None:
-            obj["proportions"] = self.proportions
-        if self.upsample:
-            obj["upsample"] = self.upsample
-        return obj
 
 
 def sample_proportions(weights: dict[str, float], sizes: dict[str, float]) -> dict[str, float]:
@@ -201,7 +181,8 @@ def _filter_one_file(
 ) -> dict[str, StageReport]:
     """Phase 1 worker: filter + sample one input file into one part file."""
     report = MixReport()
-    with open_shard_write(part_path) as out:
+
+    def kept() -> Iterator[Document]:
         for doc, attrs in iter_doc_attrs(doc_path, stream.attributes):
             rep = report.source(doc.source)
             rep.input_docs += 1
@@ -217,8 +198,9 @@ def _filter_one_file(
                     continue
                 rep.kept_docs += 1
                 rep.kept_text_bytes += len(kept_doc.text_bytes)
-                out.write(document_to_line(kept_doc))
-                out.write("\n")
+                yield kept_doc
+
+    write_documents(kept(), part_path)
     return report.sources
 
 

@@ -17,6 +17,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from corpuskit.shard_io import atomic_output
+
 _MASK64 = (1 << 64) - 1
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = np.uint64(0x100000001B3)
@@ -52,8 +54,8 @@ class NgramConfig:
             raise ValueError(f"feature_kind must be 'word' or 'char', got {self.feature_kind!r}")
         if self.ngram_orders is None:
             object.__setattr__(self, "ngram_orders", DEFAULT_NGRAM_ORDERS[self.feature_kind])
-        if not self.ngram_orders or any(n < 1 for n in self.ngram_orders):
-            raise ValueError("ngram_orders must be non-empty positive integers")
+        if not self.ngram_orders or any(not 1 <= n <= 255 for n in self.ngram_orders):
+            raise ValueError(f"ngram_orders must be non-empty and fit a byte, in [1, 255]; got {self.ngram_orders}")
         object.__setattr__(self, "ngram_orders", tuple(sorted(set(self.ngram_orders))))
         object.__setattr__(self, "hash_seed", self.hash_seed & _MASK64)
 
@@ -447,7 +449,7 @@ def save_model(model: NgramModel, path) -> None:
     All integers little-endian; weights row-major float64. Round-trips are
     bit-exact.
     """
-    with open(path, "wb") as f:
+    with atomic_output(path) as tmp, open(tmp, "wb") as f:
         f.write(MODEL_MAGIC)
         f.write(struct.pack("<I", MODEL_VERSION))
         kind = 0 if model.config.feature_kind == "word" else 1

@@ -1,9 +1,10 @@
 """PII detection and masking policy: email addresses, phone numbers, IPv4.
 
 Regex-only detection; model-based detectors are out of scope. Documents
-with five or fewer PII spans get each span replaced by a special token;
-denser documents are removed outright. Reddit-style short documents are
-removed on any PII hit instead of masked.
+with five or fewer PII spans (``MAX_SPANS_FOR_MASKING``, a constant of the
+policy) get each span replaced by a special token; denser documents are
+removed outright. Reddit-style short documents are removed on any PII hit
+instead of masked (``ContentTagConfig.reddit_mode``).
 """
 
 from __future__ import annotations
@@ -57,7 +58,6 @@ class ContentTagConfig:
     toxicity_threshold: float = TOXICITY_HIGH_THRESHOLD
     hate_threshold: float | None = None  # per-model overrides of the shared tau
     nsfw_threshold: float | None = None
-    pii_max_spans_for_masking: int = MAX_SPANS_FOR_MASKING
     reddit_mode: bool = False  # remove the document instead of masking
 
     def __post_init__(self) -> None:
@@ -124,7 +124,7 @@ def apply_pii_policy(
         return Keep(doc)
     if config.reddit_mode:
         return Drop("pii_present")
-    if len(spans) > config.pii_max_spans_for_masking:
+    if len(spans) > MAX_SPANS_FOR_MASKING:
         return Drop("pii_density")
 
     size = len(doc.text_bytes)

@@ -32,7 +32,14 @@ from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
 from corpuskit.filters import Drop, FilterExpr, apply_filters, merge_spans
 from corpuskit.gopher import tag_gopher
 from corpuskit.ngram_classifier import ENGLISH_KEEP_THRESHOLD, load_model, score_english, score_language_paragraph_avg
-from corpuskit.pii import TOXICITY_HIGH_THRESHOLD, ContentTagConfig, apply_pii_policy, pii_attributes, tag_pii
+from corpuskit.pii import (
+    MAX_SPANS_FOR_MASKING,
+    TOXICITY_HIGH_THRESHOLD,
+    ContentTagConfig,
+    apply_pii_policy,
+    pii_attributes,
+    tag_pii,
+)
 from corpuskit.shard_io import (
     Counters,
     StageReport,
@@ -293,7 +300,6 @@ def _quality_content_shard(shard: str, doc_path: str, out_path: str, config: Web
         specs.append(("toxicity", params))
         exprs.append(FilterExpr("toxicity__hate", "span", ">", tau, "remove_span"))
         exprs.append(FilterExpr("toxicity__nsfw", "span", ">", tau, "remove_span"))
-    pii_config = ContentTagConfig(toxicity_threshold=tau)
 
     def survivors():
         for doc in read_documents(doc_path):
@@ -302,7 +308,7 @@ def _quality_content_shard(shard: str, doc_path: str, out_path: str, config: Web
             # PII density is judged on the original text; sparse spans are
             # masked in the same splice pass as toxic sentence removal.
             pii = tag_pii(doc)
-            if len(pii) > pii_config.pii_max_spans_for_masking:
+            if len(pii) > MAX_SPANS_FOR_MASKING:
                 report.drop("pii_density")
                 continue
             decision = apply_filters(doc, attrs, exprs)
@@ -311,7 +317,7 @@ def _quality_content_shard(shard: str, doc_path: str, out_path: str, config: Web
                 continue
             # re-tag after a splice so PII offsets match the edited text
             edited = decision.doc
-            masked = apply_pii_policy(edited, pii if edited is doc else tag_pii(edited), pii_config)
+            masked = apply_pii_policy(edited, pii if edited is doc else tag_pii(edited))
             if isinstance(masked, Drop):
                 report.drop(masked.reason)
                 continue

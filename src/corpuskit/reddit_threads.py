@@ -136,8 +136,6 @@ def _build_forest(items: Sequence[RedditItem]) -> _Forest:
     stack = list(comment_roots)
     while stack:
         node = stack.pop()
-        if node in visited:
-            raise ThreadStructureError(f"parent links form a cycle through {node!r}")
         visited.add(node)
         stack.extend(children.get(node, []))
     unreached = [i.id for i in items if i.kind == "comment" and i.id not in visited]

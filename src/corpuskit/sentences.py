@@ -9,11 +9,9 @@ whitespace stays attached to the preceding sentence.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable
+from typing import Iterable
 
 from corpuskit.documents import AttributeSpan, char_spans_to_byte_spans
-
-SentenceSplitter = Callable[[str], list[AttributeSpan]]
 
 _TERMINALS = frozenset(".!?")
 _OPENERS = frozenset("\"'([{“‘")

@@ -1,10 +1,12 @@
 """Newline-delimited JSON shard I/O for documents and attribute sidecars,
 and the shard-task engine every per-shard job runs through.
 
-One JSON object per line. Gzip is detected on read by magic bytes (robust
-to renamed shards) and selected on write by a ``.gz`` suffix. Gzip members
-are written with mtime pinned to 0 so identical content always produces
-identical bytes.
+One JSON object per line; a malformed line raises
+:class:`MalformedRecordError` with its path and line number, and
+:func:`write_documents` is the one writer of document lines. Gzip is
+detected on read by magic bytes (robust to renamed shards) and selected on
+write by a ``.gz`` suffix. Gzip members are written with mtime pinned to 0
+so identical content always produces identical bytes.
 
 An attribute sidecar lines up with its document shard record for record:
 :func:`sidecar_paths` finds a shard's sidecars and :func:`zip_sidecars`
@@ -84,18 +86,8 @@ def _doc_to_obj(doc: Document) -> dict:
     return obj
 
 
-def document_to_line(doc: Document) -> str:
-    """Serialize one document to its canonical JSON line (no newline)."""
-    return json.dumps(_doc_to_obj(doc), ensure_ascii=False)
-
-
-def _read_records(
-    path: str | os.PathLike, decode: Callable[[dict], object], malformed: str, errors: list | None
-) -> Iterator:
-    """The JSONL line loop of both readers: decode each non-empty line's
-    object, raising or skipping a bad line as ``malformed`` says."""
-    if malformed not in ("error", "skip"):
-        raise ValueError(f"malformed must be 'error' or 'skip', got {malformed!r}")
+def _read_records(path: str | os.PathLike, decode: Callable[[dict], object]) -> Iterator:
+    """The JSONL line loop of both readers: decode each non-empty line's object."""
     with open_shard_read(path) as f:
         for line_no, line in enumerate(f, start=1):
             line = line.rstrip("\n")
@@ -107,26 +99,14 @@ def _read_records(
                     raise ValueError("record is not an object")
                 record = decode(obj)
             except (ValueError, KeyError, TypeError) as exc:
-                if malformed == "error":
-                    raise MalformedRecordError(path, line_no, str(exc)) from exc
-                if errors is not None:
-                    errors.append((line_no, str(exc)))
-                continue
+                raise MalformedRecordError(path, line_no, str(exc)) from exc
             yield record
 
 
-def read_documents(
-    path: str | os.PathLike,
-    malformed: str = "error",
-    errors: list | None = None,
-) -> Iterator[Document]:
-    """Yield documents in file order.
-
-    ``malformed="error"`` raises :class:`MalformedRecordError` with the line
-    number; ``malformed="skip"`` skips bad lines, appending
-    ``(line_no, reason)`` to ``errors`` when a sink list is given.
-    """
-    yield from _read_records(path, _doc_from_obj, malformed, errors)
+def read_documents(path: str | os.PathLike) -> Iterator[Document]:
+    """Yield documents in file order; a malformed line raises
+    :class:`MalformedRecordError` naming its line."""
+    yield from _read_records(path, _doc_from_obj)
 
 
 @contextmanager
@@ -174,13 +154,9 @@ def _attrs_to_obj(attrs: DocumentAttributes) -> dict:
     return {"id": attrs.id, "attributes": encoded}
 
 
-def read_attributes(
-    path: str | os.PathLike,
-    malformed: str = "error",
-    errors: list | None = None,
-) -> Iterator[DocumentAttributes]:
+def read_attributes(path: str | os.PathLike) -> Iterator[DocumentAttributes]:
     """Yield attribute records in file order (mirrors ``read_documents``)."""
-    yield from _read_records(path, _attrs_from_obj, malformed, errors)
+    yield from _read_records(path, _attrs_from_obj)
 
 
 def write_attributes(records: Iterable[DocumentAttributes], path: str | os.PathLike) -> int:

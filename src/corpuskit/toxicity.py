@@ -5,7 +5,7 @@ from __future__ import annotations
 from corpuskit.documents import AttributeSpan, Document
 from corpuskit.ngram_classifier import NgramModel, featurize_many
 from corpuskit.pii import ContentTagConfig
-from corpuskit.sentences import SentenceSplitter, split_sentences
+from corpuskit.sentences import split_sentences
 
 TOXIC_LABEL = "toxic"
 
@@ -20,7 +20,6 @@ def tag_toxicity(
     hate_model: NgramModel | None,
     nsfw_model: NgramModel | None,
     config: ContentTagConfig | None = None,
-    splitter: SentenceSplitter = split_sentences,
 ) -> dict[str, list[AttributeSpan]]:
     """Score every sentence with both models; tag sentences scoring strictly
     above the threshold.
@@ -45,7 +44,7 @@ def tag_toxicity(
 
     data = doc.text_bytes
     spans, sentences = [], []
-    for span in splitter(doc.text):
+    for span in split_sentences(doc.text):
         sentence = data[span.start : span.end].decode("utf-8").strip()
         if sentence:
             spans.append(span)

@@ -1,5 +1,6 @@
 import math
 import random
+import struct
 
 import pytest
 
@@ -148,6 +149,17 @@ class TestPersistence:
         path = tmp_path / "ro.bloom"
         bloom_save(bloom, path)
         assert bloom_load(path).read_only is True
+
+    def test_failed_save_leaves_previous_file(self, tmp_path):
+        bloom = BloomFilter.create(10, 0.5, 0)
+        path = tmp_path / "f.bloom"
+        bloom_save(bloom, path)
+        before = path.read_bytes()
+        bloom.k = 1 << 32  # does not fit the header's 4-byte field
+        with pytest.raises(struct.error):
+            bloom_save(bloom, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["f.bloom"]
 
     def test_corrupted_magic_rejected(self, tmp_path):
         bloom = BloomFilter.create(10, 0.5, 0)

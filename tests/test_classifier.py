@@ -1,6 +1,9 @@
+import copy
+import dataclasses
 import hashlib
 import random
 import string
+import struct
 
 import numpy as np
 import pytest
@@ -417,6 +420,22 @@ class TestPersistence:
         path.write_bytes(path.read_bytes()[:-9])
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    def test_orders_must_fit_one_byte(self):
+        assert NgramConfig(ngram_orders=(1, 255)).ngram_orders == (1, 255)
+        with pytest.raises(ValueError, match="ngram_orders"):
+            NgramConfig(ngram_orders=(2, 256))
+
+    def test_failed_save_leaves_previous_file(self, tmp_path, lang_model):
+        path = tmp_path / "model.bin"
+        save_model(lang_model, path)
+        before = path.read_bytes()
+        config = copy.copy(lang_model.config)
+        object.__setattr__(config, "ngram_orders", (1, 256))  # past the check, as a corrupt model would be
+        with pytest.raises(struct.error):
+            save_model(dataclasses.replace(lang_model, config=config), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["model.bin"]
 
     def test_predictions_identical_after_roundtrip(self, tmp_path, lang_model):
         path = tmp_path / "model.bin"

@@ -8,6 +8,7 @@ from conftest import BENIGN_WORDS, OTHER_WORDS, ENGLISH_WORDS, sentence
 from corpuskit.bloom import BloomFilter, bloom_load
 from corpuskit.cli import main
 from corpuskit.documents import Document
+from corpuskit.ngram_classifier import load_model
 from corpuskit.shard_io import read_attributes, read_documents, write_documents
 
 
@@ -689,6 +690,26 @@ class TestOptionSurface:
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("orders", [5, ["a"], "2,x"])
+    def test_bad_orders_in_config_names_key(self, tmp_path, capsys, orders):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"orders": orders}))
+        model = tmp_path / "m.bin"
+        argv = ["train-classifier", "--config", str(path), "--inputs", str(make_shard(tmp_path, label="x"))]
+        assert run_cli(*argv, "--model-out", str(model)) == 1
+        assert "'orders'" in capsys.readouterr().err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("orders", [[2, 3], "2,3"])
+    def test_orders_in_config_read(self, tmp_path, orders):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"orders": orders, "buckets": 1024, "epochs": 1}))
+        shard, model = tmp_path / "labeled.jsonl", tmp_path / "m.bin"
+        write_documents([Document(id=label, text=f"text {label}", metadata={"label": label}) for label in "xy"], shard)
+        argv = ["train-classifier", "--config", str(path), "--inputs", str(shard), "--model-out", str(model)]
+        assert run_cli(*argv, "--report", str(tmp_path / "r.json")) == 0
+        assert load_model(model).config.ngram_orders == (2, 3)
+
     def test_flag_beats_config_key_and_config_only_key_is_read(self, tmp_path):
         long_para = " ".join(f"token{i}" for i in range(20))
         test_set = tmp_path / "eval.jsonl"
@@ -754,8 +775,10 @@ BAD_VALUES = [
     ("dedupe", "--stage document --bloom-p 2"),
     ("dedupe", "--stage paragraph --ccnet-group-bytes 0"),
     ("decontaminate", "--test-set eval.jsonl --bloom-p 2"),
+    ("decontaminate", "--test-set eval.jsonl --min-paragraph-tokens -1"),
     ("train-classifier", "--epochs 0"),
     ("train-classifier", "--buckets 1000"),
+    ("train-classifier", "--orders 256"),  # the model file stores an order in one byte
     ("train-classifier", "--eval-split -1"),
     ("train-classifier", "--eval-split 1"),
     ("pipeline-web", "--toxicity-threshold 5"),

@@ -47,34 +47,26 @@ class TestParagraphs:
 
 class TestWords:
     def test_hello_world_unicode(self):
-        assert count_words("Hello, world!", "unicode") == 2
+        assert count_words("Hello, world!") == 2
 
     def test_empty(self):
-        assert count_words("", "unicode") == 0
-        assert count_words("", "whitespace") == 0
-
-    def test_whitespace_runs(self):
-        assert count_words("a  b", "whitespace") == 2
+        assert count_words("") == 0
 
     def test_contraction_is_one_word(self):
-        assert count_words("don't stop", "unicode") == 2
+        assert count_words("don't stop") == 2
 
     def test_decimal_and_grouped_numbers(self):
-        assert count_words("3.14 and 1,000", "unicode") == 3
+        assert count_words("3.14 and 1,000") == 3
 
     def test_punctuation_only_has_no_words(self):
-        assert count_words("... !!! --", "unicode") == 0
-        assert count_words("___", "unicode") == 0  # connectors alone are not words
+        assert count_words("... !!! --") == 0
+        assert count_words("___") == 0  # connectors alone are not words
 
     def test_word_spans_cover_words(self):
         text = "naïve café"
         data = text.encode("utf-8")
-        got = [data[sp.start : sp.end].decode("utf-8") for sp in segment_words(text, "unicode")]
+        got = [data[sp.start : sp.end].decode("utf-8") for sp in segment_words(text)]
         assert got == ["naïve", "café"]
-
-    def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError):
-            count_words("a", mode="bogus")
 
     @given(st.text())
     def test_whitespace_words_match_str_split(self, text):
@@ -98,7 +90,7 @@ class TestStats:
         stats = count_stats(docs)
         assert stats.documents == 100
         assert stats.utf8_bytes == sum(len(d.text.encode("utf-8")) for d in docs)
-        assert stats.unicode_words == sum(count_words(d.text, "unicode") for d in docs)
+        assert stats.unicode_words == sum(count_words(d.text) for d in docs)
 
 
 class TestInvariants:

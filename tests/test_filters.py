@@ -79,12 +79,6 @@ class TestFilterExprValidation:
         with pytest.raises(FilterConfigError):
             FilterExpr("a", "document", "!=", 0.5, "drop_doc")
 
-    def test_json_roundtrip(self):
-        expr = FilterExpr("gopher__matches_any", "document", ">=", 1.0, "drop_doc")
-        assert FilterExpr.from_json(expr.to_json()) == expr
-        expr2 = FilterExpr("pii__email", "span", ">=", 1.0, "replace_span", "X")
-        assert FilterExpr.from_json(expr2.to_json()) == expr2
-
     def test_equals_alias(self):
         expr = FilterExpr("a", "document", "=", 1.0, "drop_doc")
         assert expr.matches(1.0) and not expr.matches(0.5)
@@ -123,8 +117,6 @@ class TestApplyFilters:
         doc, attrs = doc_with("text")
         expr = FilterExpr("missing__attr", "document", ">=", 1.0, "drop_doc")
         assert isinstance(apply_filters(doc, attrs, [expr]), Keep)
-        with pytest.raises(KeyError):
-            apply_filters(doc, attrs, [expr], unknown="fail")
 
     def test_emptied_document_dropped(self):
         text = "only line"

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -308,7 +307,6 @@ class TestConfig:
         assert config.streams[0].filters[0].attribute == "gopher__matches_any"
         assert config.upsample == {"books": 2}
         assert config.seed == 3
-        assert MixConfig.from_json(json.loads(json.dumps(config.to_json()))).to_json() == config.to_json()
 
     def test_validation(self):
         with pytest.raises(MixConfigError):

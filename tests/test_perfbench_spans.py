@@ -1,6 +1,7 @@
 """The benchmark's span tracer (perfbench/spans.py) wraps corpuskit
 functions by name, so a rename or a generator turned into a list function
-would silently drop or distort a per-layer metric. These checks load the
+would silently drop or distort a per-layer metric, and a moved text
+parameter would zero a per-layer ``mb_per_s``. These checks load the
 tracer by path, as the benchmark does, without installing it."""
 
 import importlib
@@ -23,16 +24,19 @@ GENERATOR_LAYERS = [
     "dedupe.ccnet_group_dedupe",
     "dedupe.decontaminate_tag",
 ]
+# the parameter at each of the tracer's text-argument positions
+TEXT_PARAMS = {"gopher.tag_gopher": "doc", "ngram_classifier.featurize": "text"}
 
 
-def load_layers() -> dict:
+def load_spans():
     spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS_PATH)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.LAYERS
+    return module
 
 
-LAYERS = load_layers()
+SPANS = load_spans()
+LAYERS = SPANS.LAYERS
 
 
 def resolve(layer: str):
@@ -51,3 +55,9 @@ def test_layer_resolves(layer):
 @pytest.mark.parametrize("layer", GENERATOR_LAYERS)
 def test_layer_is_generator_function(layer):
     assert inspect.isgeneratorfunction(resolve(layer))
+
+
+@pytest.mark.parametrize("layer", sorted(SPANS._TEXT_ARG))
+def test_text_arg_position_names_the_text(layer):
+    params = list(inspect.signature(resolve(layer)).parameters)
+    assert params[SPANS._TEXT_ARG[layer]] == TEXT_PARAMS[layer]

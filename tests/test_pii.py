@@ -149,5 +149,4 @@ class TestConfig:
     def test_defaults(self):
         config = ContentTagConfig()
         assert config.toxicity_threshold == 0.4
-        assert config.pii_max_spans_for_masking == 5
         assert not config.reddit_mode

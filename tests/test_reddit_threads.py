@@ -172,6 +172,20 @@ class TestFullThreads:
         with pytest.raises(ThreadStructureError):
             build_full_threads(items)
 
+    @pytest.mark.parametrize("build", [build_partial_threads, build_full_threads])
+    @pytest.mark.parametrize(
+        "items",
+        [
+            [comment("a", "a")],  # its own parent
+            # a two-comment cycle beside a valid thread
+            [submission("s"), comment("c1", "s"), comment("c2", "c1"), comment("a", "b"), comment("b", "a")],
+        ],
+        ids=["self_parent", "beside_valid_thread"],
+    )
+    def test_cycle_named(self, build, items):
+        with pytest.raises(ThreadStructureError, match="cycle through 'a'"):
+            build(items)
+
     def test_duplicate_ids_rejected(self):
         items = [submission("x"), submission("x")]
         with pytest.raises(ThreadStructureError):

@@ -8,7 +8,6 @@ from corpuskit.shard_io import (
     MalformedRecordError,
     ShardNameError,
     StageReport,
-    document_to_line,
     map_shards,
     output_paths,
     read_attributes,
@@ -47,24 +46,6 @@ class TestDocumentIO:
         renamed = tmp_path / "renamed-shard"  # no .gz suffix
         gz.rename(renamed)
         assert [d.id for d in read_documents(renamed)] == ["a", "b", "c"]
-
-    @pytest.mark.parametrize(
-        "read,to_line",
-        [
-            (read_documents, document_to_line),
-            (read_attributes, lambda d: json.dumps({"id": d.id, "attributes": {}})),
-        ],
-        ids=["read_documents", "read_attributes"],
-    )
-    def test_malformed_line_skip_mode(self, tmp_path, read, to_line):
-        path = tmp_path / "bad.jsonl"
-        lines = [to_line(d) for d in docs3()]
-        lines.insert(1, "{not json")
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        errors = []
-        records = list(read(path, malformed="skip", errors=errors))
-        assert [r.id for r in records] == ["a", "b", "c"]
-        assert len(errors) == 1 and errors[0][0] == 2
 
     def test_malformed_line_error_mode_reports_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"
