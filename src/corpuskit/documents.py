@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -130,64 +130,61 @@ def segment_paragraphs(text: str) -> list[AttributeSpan]:
         start = idx + 1
 
 
-# UAX #29-style word segmentation, reduced to a documented rule set:
-# word characters are letters, decimal digits, and connector punctuation;
-# combining marks extend a started word; a single mid-letter character
-# between two letters (or mid-number character between two digits) does
-# not break the word. Only segments containing a letter or digit count.
-_MID_LETTER = {"'", "’", "·", "."}
-_MID_NUM = {".", ","}
+# UAX #29-style word segmentation, reduced to a documented rule set. Each
+# code point maps to a one-letter class code:
+#   L letter (L*)   D decimal digit (Nd)   C connector punctuation (Pc)
+#   M combining mark (M*)   q mid-letter only (' ’ ·)   b mid-letter and
+#   mid-number (.)   n mid-number only (,)   space: anything else
+# A word is a match of ``[LDC](?:[LDCM]|(?<=L)[qb](?=L)|(?<=D)[bn](?=D))*``
+# over the text's code string: it starts at a letter, digit or connector;
+# letters, digits, connectors and marks extend it; one mid-letter code
+# between two letters, or one mid-number code between two digits, does not
+# break it. Only matches holding a letter or digit count: one without is all
+# ``C`` and ``M`` codes, which ``strip("CM")`` empties, so a run of
+# connectors alone is not a word. ``_WORD`` is that pattern with its loop
+# unrolled, so a run of word codes matches in one repeat instead of one
+# alternation per character.
+_WORD = re.compile(r"[LDC][LDCM]*(?:(?:(?<=L)[qb](?=L)|(?<=D)[bn](?=D))[LDCM]*)*")
+_MID_CODES = {"'": "q", "’": "q", "·": "q", ".": "b", ",": "n"}
+# the most code points the class table memoises; rarer ones past it are
+# classified on every sight, so the table cannot grow without bound
+_CLASS_TABLE_CAP = 1 << 16
 
 
-def _char_class(ch: str) -> str:
+def _class_code(cp: int) -> str:
+    ch = chr(cp)
     cat = unicodedata.category(ch)
     if cat[0] == "L":
-        return "letter"
+        return "L"
     if cat == "Nd":
-        return "digit"
+        return "D"
     if cat == "Pc":
-        return "connector"
+        return "C"
     if cat[0] == "M":
-        return "mark"
-    return "other"
+        return "M"
+    return _MID_CODES.get(ch, " ")
 
 
-def _unicode_word_char_spans(text: str) -> Iterator[tuple[int, int]]:
-    n = len(text)
-    i = 0
-    while i < n:
-        cls = _char_class(text[i])
-        if cls not in ("letter", "digit", "connector"):
-            i += 1
-            continue
-        start = i
-        has_alnum = cls in ("letter", "digit")
-        i += 1
-        while i < n:
-            cls = _char_class(text[i])
-            if cls in ("letter", "digit"):
-                has_alnum = True
-                i += 1
-            elif cls in ("connector", "mark"):
-                i += 1
-            elif (
-                i + 1 < n
-                and text[i] in _MID_LETTER
-                and _char_class(text[i - 1]) == "letter"
-                and _char_class(text[i + 1]) == "letter"
-            ):
-                i += 1
-            elif (
-                i + 1 < n
-                and text[i] in _MID_NUM
-                and _char_class(text[i - 1]) == "digit"
-                and _char_class(text[i + 1]) == "digit"
-            ):
-                i += 1
-            else:
-                break
-        if has_alnum:
-            yield start, i
+class _ClassTable(dict):
+    """Code point -> class code, for ``str.translate``; each code point is
+    classified once, on first sight, while the table is under its cap."""
+
+    def __missing__(self, cp: int) -> str:
+        code = _class_code(cp)
+        if len(self) < _CLASS_TABLE_CAP:
+            self[cp] = code
+        return code
+
+
+_CLASS_TABLE = _ClassTable()
+_ASCII_CODES = bytes(ord(_class_code(b)) for b in range(256))
+
+
+def _class_codes(text: str) -> str:
+    """One class code per character of ``text``."""
+    if text.isascii():
+        return text.encode("ascii").translate(_ASCII_CODES).decode("ascii")
+    return text.translate(_CLASS_TABLE)
 
 
 # ``\s`` in a str pattern is exactly ``str.isspace``
@@ -202,12 +199,13 @@ def whitespace_word_spans(text: str) -> list[tuple[int, int]]:
 def segment_words(text: str) -> list[AttributeSpan]:
     """Return word spans (byte offsets, score 1.0) per the rule set
     documented above; :func:`whitespace_word_spans` splits on whitespace."""
-    return char_spans_to_byte_spans(text, ((s, e, 1.0) for s, e in _unicode_word_char_spans(text)))
+    words = (m.span() for m in _WORD.finditer(_class_codes(text)) if m.group().strip("CM"))
+    return char_spans_to_byte_spans(text, ((s, e, 1.0) for s, e in words))
 
 
 def count_words(text: str) -> int:
     """The number of words :func:`segment_words` finds."""
-    return sum(1 for _ in _unicode_word_char_spans(text))
+    return sum(1 for codes in _WORD.findall(_class_codes(text)) if codes.strip("CM"))
 
 
 def count_stats(docs: Iterable[Document]) -> CorpusStats:

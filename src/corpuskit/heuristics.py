@@ -64,13 +64,17 @@ def find_repetition_runs(text: str) -> list[tuple[int, int, int]]:
     tokens = [intern.setdefault(text[s:e], len(intern)) for s, e in spans]
     n = len(tokens)
     runs: list[tuple[int, int, int]] = []  # token index ranges + count
-    covered: list[tuple[int, int]] = []
     for period in range(1, REPETITION_MAX_PERIOD + 1):
+        # i skips the tokens of runs found at smaller periods; runs found at
+        # this period lie behind i. covered[:k] all end at or before i.
+        covered = sorted(runs)
+        k = 0
         i = 0
         while i + period <= n:
-            inside = next((c for c in covered if c[0] <= i < c[1]), None)
-            if inside:
-                i = inside[1]
+            while k < len(covered) and covered[k][1] <= i:
+                k += 1
+            if k < len(covered) and covered[k][0] <= i:
+                i = covered[k][1]
                 continue
             repeats = 1
             while (
@@ -81,7 +85,6 @@ def find_repetition_runs(text: str) -> list[tuple[int, int, int]]:
                 repeats += 1
             if repeats > MAX_TOKEN_REPETITIONS:
                 runs.append((i, i + repeats * period, repeats))
-                covered.append((i, i + repeats * period))
                 i += repeats * period
             else:
                 i += max(1, (repeats - 1) * period)

@@ -5,8 +5,9 @@ One JSON object per line; a malformed line raises
 :class:`MalformedRecordError` with its path and line number, and
 :func:`write_documents` is the one writer of document lines. Gzip is
 detected on read by magic bytes (robust to renamed shards) and selected on
-write by a ``.gz`` suffix. Gzip members are written with mtime pinned to 0
-so identical content always produces identical bytes.
+write by the ``.gz`` suffix of the output path. Gzip members are written
+with mtime pinned to 0 so identical content always produces identical
+bytes.
 
 An attribute sidecar lines up with its document shard record for record:
 :func:`sidecar_paths` finds a shard's sidecars and :func:`zip_sidecars`
@@ -51,16 +52,6 @@ def open_shard_read(path: str | os.PathLike) -> io.TextIOBase:
     if magic == _GZIP_MAGIC:
         return io.TextIOWrapper(gzip.GzipFile(fileobj=f, mode="rb"), encoding="utf-8")
     return io.TextIOWrapper(f, encoding="utf-8")
-
-
-def open_shard_write(path: str | os.PathLike) -> io.TextIOBase:
-    raw = open(path, "wb")
-    if str(path).endswith(".gz"):
-        return io.TextIOWrapper(
-            gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0),
-            encoding="utf-8",
-        )
-    return io.TextIOWrapper(raw, encoding="utf-8")
 
 
 def _doc_from_obj(obj: dict) -> Document:
@@ -124,13 +115,18 @@ def atomic_output(path: str | os.PathLike) -> Iterator[Path]:
 
 
 def _write_records(objs: Iterable[dict], path: str | os.PathLike) -> int:
-    """Write one JSON object per line, atomically; returns the count."""
+    """Write one JSON object per line, atomically, as one gzip member if
+    ``path`` ends in ``.gz``; returns the count."""
     count = 0
-    with atomic_output(path) as tmp, open_shard_write(tmp) as f:
-        for obj in objs:
-            f.write(json.dumps(obj, ensure_ascii=False))
-            f.write("\n")
-            count += 1
+    with atomic_output(path) as tmp, open(tmp, "wb") as raw:
+        binary = raw
+        if str(path).endswith(".gz"):
+            binary = gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0)
+        with io.TextIOWrapper(binary, encoding="utf-8") as f:
+            for obj in objs:
+                f.write(json.dumps(obj, ensure_ascii=False))
+                f.write("\n")
+                count += 1
     return count
 
 

@@ -1,8 +1,11 @@
 import random
+import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, strategies as st
 
+from corpuskit import documents
 from corpuskit.documents import (
     AttributeSpan,
     CorpusStats,
@@ -17,6 +20,77 @@ from corpuskit.documents import (
 
 def spans_as_tuples(spans):
     return [(sp.start, sp.end) for sp in spans]
+
+
+# The per-character scanner that the class-code table and ``_WORD`` replaced,
+# kept as the oracle for the rule set documented in ``corpuskit.documents``.
+_MID_LETTER = {"'", "’", "·", "."}
+_MID_NUM = {".", ","}
+
+
+def _char_class(ch):
+    cat = unicodedata.category(ch)
+    if cat[0] == "L":
+        return "letter"
+    if cat == "Nd":
+        return "digit"
+    if cat == "Pc":
+        return "connector"
+    if cat[0] == "M":
+        return "mark"
+    return "other"
+
+
+def oracle_word_char_spans(text):
+    n = len(text)
+    i = 0
+    while i < n:
+        cls = _char_class(text[i])
+        if cls not in ("letter", "digit", "connector"):
+            i += 1
+            continue
+        start = i
+        has_alnum = cls in ("letter", "digit")
+        i += 1
+        while i < n:
+            cls = _char_class(text[i])
+            if cls in ("letter", "digit"):
+                has_alnum = True
+                i += 1
+            elif cls in ("connector", "mark"):
+                i += 1
+            elif (
+                i + 1 < n
+                and text[i] in _MID_LETTER
+                and _char_class(text[i - 1]) == "letter"
+                and _char_class(text[i + 1]) == "letter"
+            ):
+                i += 1
+            elif (
+                i + 1 < n
+                and text[i] in _MID_NUM
+                and _char_class(text[i - 1]) == "digit"
+                and _char_class(text[i + 1]) == "digit"
+            ):
+                i += 1
+            else:
+                break
+        if has_alnum:
+            yield start, i
+
+
+def oracle_byte_spans(text):
+    return [
+        (len(text[:s].encode("utf-8")), len(text[:e].encode("utf-8")))
+        for s, e in oracle_word_char_spans(text)
+    ]
+
+
+# one or more characters of every class code: letters (Latin, accented, CJK),
+# decimal digits (ASCII and Arabic-Indic), connectors (``_``, U+203F), a
+# combining mark, the mid-letter and mid-number characters, a letter-like
+# number that is not Nd (U+216B), other punctuation and whitespace
+WORD_RULE_ALPHABET = "aZé中09\u0663_\u203f\u0301'’·.,\u216b-! \n\t"
 
 
 class TestParagraphs:
@@ -67,6 +141,39 @@ class TestWords:
         data = text.encode("utf-8")
         got = [data[sp.start : sp.end].decode("utf-8") for sp in segment_words(text)]
         assert got == ["naïve", "café"]
+
+    @given(st.text(alphabet=WORD_RULE_ALPHABET, max_size=60))
+    def test_spans_and_count_match_oracle_on_rule_alphabet(self, text):
+        assert spans_as_tuples(segment_words(text)) == oracle_byte_spans(text)
+        assert count_words(text) == len(oracle_byte_spans(text))
+
+    @given(st.text())
+    def test_spans_and_count_match_oracle_on_any_text(self, text):
+        assert spans_as_tuples(segment_words(text)) == oracle_byte_spans(text)
+        assert count_words(text) == len(oracle_byte_spans(text))
+
+    def test_class_table_bounded_over_every_code_point(self):
+        text = "".join(chr(cp) for cp in range(sys.maxunicode + 1) if not 0xD800 <= cp <= 0xDFFF)
+        assert count_words(text) == sum(1 for _ in oracle_word_char_spans(text))
+        assert len(documents._CLASS_TABLE) <= documents._CLASS_TABLE_CAP
+
+    def test_category_looked_up_once_per_code_point(self, monkeypatch):
+        calls = []
+        category = unicodedata.category
+
+        def counting(ch):
+            calls.append(ch)
+            return category(ch)
+
+        monkeypatch.setattr(unicodedata, "category", counting)
+        monkeypatch.setattr(documents, "_CLASS_TABLE", documents._ClassTable())
+        text = "ſtraße ⅻ ٣٤٥ \U0001d7d8 " * 3
+        count_words(text)
+        assert sorted(calls) == sorted(set(text))
+        calls.clear()
+        segment_words(text)
+        count_words(text)
+        assert calls == []
 
     @given(st.text())
     def test_whitespace_words_match_str_split(self, text):

@@ -9,8 +9,9 @@ import statistics
 from collections import Counter
 
 import pytest
+from hypothesis import given, strategies as st
 
-from corpuskit.documents import Document
+from corpuskit.documents import Document, whitespace_word_spans
 from corpuskit.gopher import (
     DUP_NGRAM_THRESHOLDS,
     REQUIRED_WORDS,
@@ -19,6 +20,8 @@ from corpuskit.gopher import (
     tag_gopher,
 )
 from corpuskit.heuristics import (
+    MAX_TOKEN_REPETITIONS,
+    REPETITION_MAX_PERIOD,
     find_repetition_runs,
     tag_banned_subreddit,
     tag_c4_nopunc,
@@ -299,6 +302,47 @@ def naive_repetition_coverage(text, threshold=100, max_period=5):
     return covered
 
 
+def reference_repetition_runs(text):
+    """``find_repetition_runs`` as it was before it kept a pointer into the
+    covered runs: every position rescans the whole covered list."""
+    spans = whitespace_word_spans(text)
+    intern = {}
+    tokens = [intern.setdefault(text[s:e], len(intern)) for s, e in spans]
+    n = len(tokens)
+    runs = []
+    covered = []
+    for period in range(1, REPETITION_MAX_PERIOD + 1):
+        i = 0
+        while i + period <= n:
+            inside = next((c for c in covered if c[0] <= i < c[1]), None)
+            if inside:
+                i = inside[1]
+                continue
+            repeats = 1
+            while (
+                i + (repeats + 1) * period <= n
+                and tokens[i + repeats * period : i + (repeats + 1) * period]
+                == tokens[i : i + period]
+            ):
+                repeats += 1
+            if repeats > MAX_TOKEN_REPETITIONS:
+                runs.append((i, i + repeats * period, repeats))
+                covered.append((i, i + repeats * period))
+                i += repeats * period
+            else:
+                i += max(1, (repeats - 1) * period)
+    runs.sort()
+    return [(spans[a][0], spans[b - 1][1], count) for a, b, count in runs]
+
+
+# texts made of a few segments, each a short token pattern repeated up to
+# 130 times, so runs of several periods abut, overlap and nest
+_repeated_segments = st.lists(
+    st.tuples(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, max_size=6), st.integers(1, 130)),
+    max_size=6,
+).map(lambda segments: " ".join(" ".join(pattern * count) for pattern, count in segments))
+
+
 class TestRepetition:
     def test_101_repeats_detected_100_not(self):
         doc101 = Document(id="a", text="spam " * 101)
@@ -346,6 +390,10 @@ class TestRepetition:
                 if s >= start_char and e <= end_char:
                     spans_by_token.add(idx)
         assert spans_by_token == naive_repetition_coverage(text)
+
+    @given(_repeated_segments)
+    def test_matches_reference_scan(self, text):
+        assert find_repetition_runs(text) == reference_repetition_runs(text)
 
 
 class TestWikiShort:

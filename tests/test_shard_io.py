@@ -40,6 +40,13 @@ class TestDocumentIO:
         write_documents(docs3(), gz)
         assert list(read_documents(plain)) == list(read_documents(gz))
 
+    def test_gz_output_is_gzip(self, tmp_path):
+        gz = tmp_path / "x.jsonl.gz"
+        write_documents(docs3(), gz)
+        assert gz.read_bytes()[:2] == b"\x1f\x8b"
+        assert list(read_documents(gz)) == docs3()
+        assert list(tmp_path.iterdir()) == [gz]
+
     def test_gzip_sniffed_by_magic_not_extension(self, tmp_path):
         gz = tmp_path / "shard.jsonl.gz"
         write_documents(docs3(), gz)
