@@ -196,6 +196,14 @@ def whitespace_word_spans(text: str) -> list[tuple[int, int]]:
     return [m.span() for m in _NON_SPACE_RUN.finditer(text)]
 
 
+def whitespace_word_ids(text: str) -> list[int]:
+    """One int id per word of :func:`whitespace_word_spans`: equal words get
+    equal ids, numbered from 0 in order of first appearance."""
+    intern: dict[str, int] = {}
+    # str.split() yields exactly the words those spans delimit
+    return [intern.setdefault(w, len(intern)) for w in text.split()]
+
+
 def segment_words(text: str) -> list[AttributeSpan]:
     """Return word spans (byte offsets, score 1.0) per the rule set
     documented above; :func:`whitespace_word_spans` splits on whitespace."""

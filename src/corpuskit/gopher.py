@@ -18,15 +18,24 @@ test suite):
 * line statistics ignore the empty artifact line produced by a trailing
   newline; duplicate-line statistics consider only lines that are non-blank
   after trimming, and count occurrences beyond the first.
+
+The n-gram statistics take one numpy pass per document. Words are interned
+to int ids, and the ids of the n+1-grams are rolled forward from those of
+the n-grams by ranking (n-gram id, next word) pairs, so equal ids mean equal
+n-grams: no hashing, no collisions. The greedy cover walks the occurrences
+of the modal n-gram only, and the duplicate coverage is the length of the
+union of the repeated n-grams' character intervals. Both are integer
+character counts over ``len(text)``, as the conventions above define them.
 """
 
 from __future__ import annotations
 
 import statistics
-from collections import Counter
 from dataclasses import dataclass
 
-from corpuskit.documents import AttributeSpan, Document, whitespace_word_spans
+import numpy as np
+
+from corpuskit.documents import AttributeSpan, Document, whitespace_word_ids, whitespace_word_spans
 
 TOP_NGRAM_THRESHOLDS = {2: 0.20, 3: 0.18, 4: 0.16}
 DUP_NGRAM_THRESHOLDS = {5: 0.15, 6: 0.14, 7: 0.13, 8: 0.12, 9: 0.11, 10: 0.10}
@@ -102,51 +111,57 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
-def _top_ngram_fraction(token_ids: list[int], spans: list[tuple[int, int]], n: int, text_len: int) -> float:
-    if len(token_ids) < n or text_len == 0:
-        return 0.0
-    counts: Counter[tuple[int, ...]] = Counter()
-    first_pos: dict[tuple[int, ...], int] = {}
-    for i in range(len(token_ids) - n + 1):
-        gram = tuple(token_ids[i : i + n])
-        counts[gram] += 1
-        if gram not in first_pos:
-            first_pos[gram] = i
-    best = max(counts.items(), key=lambda kv: (kv[1], -first_pos[kv[0]]))[0]
-    covered = 0
-    i = 0
-    while i <= len(token_ids) - n:
-        if tuple(token_ids[i : i + n]) == best:
-            covered += spans[i + n - 1][1] - spans[i][0]
-            i += n
-        else:
-            i += 1
-    return covered / text_len
+def _ngram_fractions(
+    token_ids: list[int], spans: list[tuple[int, int]], text_len: int
+) -> tuple[dict[int, float], dict[int, float]]:
+    """The most-common and duplicate n-gram character fractions.
 
-
-def _dup_ngram_fraction(token_ids: list[int], spans: list[tuple[int, int]], n: int, text_len: int) -> float:
-    if len(token_ids) < n or text_len == 0:
-        return 0.0
-    counts: Counter[tuple[int, ...]] = Counter(
-        tuple(token_ids[i : i + n]) for i in range(len(token_ids) - n + 1)
-    )
-    mask = bytearray(text_len)
-    for i in range(len(token_ids) - n + 1):
-        if counts[tuple(token_ids[i : i + n])] >= 2:
-            start, end = spans[i][0], spans[i + n - 1][1]
-            for j in range(start, end):
-                mask[j] = 1
-    return sum(mask) / text_len
+    Each n-gram gets an exact id: the id at n+1 is the rank of the pair
+    (id of the n-gram at i, word i+n) among all such pairs, so equal ids
+    mean equal n-grams and nothing is hashed. A repeated (n+1)-gram starts
+    with a repeated n-gram, so each step ranks only the positions whose
+    n-gram repeats.
+    """
+    top = dict.fromkeys(TOP_NGRAM_THRESHOLDS, 0.0)
+    dup = dict.fromkeys(DUP_NGRAM_THRESHOLDS, 0.0)
+    words = np.array(token_ids, dtype=np.int64)
+    starts, ends = np.array(spans, dtype=np.int64).reshape(-1, 2).T
+    base = max(token_ids, default=-1) + 1  # word ids run 0..base-1
+    pos, ids = np.arange(len(words)), words  # positions of repeated n-grams, their ids
+    for n in range(2, max(DUP_NGRAM_THRESHOLDS) + 1):
+        if len(words) < n:
+            break
+        if len(pos):
+            fits = pos <= len(words) - n
+            pos = pos[fits]
+            # packed pairs stay below len(words) * base, far from overflow
+            keys = ids[fits] * base + words[pos + n - 1]
+            _, ids, counts = np.unique(keys, return_inverse=True, return_counts=True)
+            counts = counts[ids]
+            repeated = counts >= 2
+            pos, ids, counts = pos[repeated], ids[repeated], counts[repeated]
+        if n in top:
+            # modal n-gram: highest count, earliest first occurrence on ties;
+            # when none repeats, each occurs once and the first is modal
+            occurrences = pos[ids == ids[np.argmax(counts)]].tolist() if len(pos) else [0]
+            covered = 0
+            free = 0
+            for i in occurrences:
+                if i >= free:  # greedy left-to-right non-overlapping cover
+                    covered += spans[i + n - 1][1] - spans[i][0]
+                    free = i + n
+            top[n] = covered / text_len
+        if n in dup and len(pos):
+            # union of [start_i, end_(i+n-1)) over repeated n-grams; both
+            # ends rise with i, so each interval adds what passes the last
+            s, e = starts[pos], ends[pos + n - 1]
+            dup[n] = int((e - np.maximum(s, np.concatenate(([0], e[:-1])))).sum()) / text_len
+    return top, dup
 
 
 def gopher_report(text: str) -> GopherReport:
-    word_spans = whitespace_word_spans(text)
-    words = [text[s:e] for s, e in word_spans]
+    words = text.split()
     word_count = len(words)
-
-    # intern tokens so n-gram keys are small int tuples
-    intern: dict[str, int] = {}
-    token_ids = [intern.setdefault(w, len(intern)) for w in words]
 
     median_len = float(statistics.median([len(w) for w in words])) if words else 0.0
     symbol_count = sum(text.count(sym) for sym in SYMBOLS)
@@ -188,13 +203,9 @@ def gopher_report(text: str) -> GopherReport:
     dup_line_frac = dup_lines / non_blank if non_blank else 0.0
     dup_char_frac = dup_chars / total_chars if total_chars else 0.0
 
-    text_len = len(text)
-    top_fracs = {
-        n: _top_ngram_fraction(token_ids, word_spans, n, text_len) for n in TOP_NGRAM_THRESHOLDS
-    }
-    dup_fracs = {
-        n: _dup_ngram_fraction(token_ids, word_spans, n, text_len) for n in DUP_NGRAM_THRESHOLDS
-    }
+    top_fracs, dup_fracs = _ngram_fractions(
+        whitespace_word_ids(text), whitespace_word_spans(text), len(text)
+    )
 
     return GopherReport(
         word_count=word_count,

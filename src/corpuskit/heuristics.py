@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from corpuskit.documents import (
     AttributeSpan,
     Document,
     char_spans_to_byte_spans,
     count_words,
+    whitespace_word_ids,
     whitespace_word_spans,
 )
 from corpuskit.gopher import split_lines
@@ -53,18 +56,31 @@ def tag_c4_nopunc(doc: Document) -> dict[str, list[AttributeSpan]]:
     return attrs
 
 
+def _has_repeat_stretch(tokens: np.ndarray, period: int) -> bool:
+    """Whether ``tokens[j] == tokens[j + period]`` holds at 100·period
+    consecutive positions j, which any run of more than 100 repeats at
+    this period needs."""
+    unequal = np.flatnonzero(tokens[:-period] != tokens[period:])
+    bounds = np.concatenate(([-1], unequal, [len(tokens) - period]))
+    return bool(np.diff(bounds).max() > MAX_TOKEN_REPETITIONS * period)
+
+
 def find_repetition_runs(text: str) -> list[tuple[int, int, int]]:
     """Find maximal runs where a 1..5-token sequence repeats consecutively
     more than 100 times; returns (char_start, char_end, repeat_count).
 
-    Each run is reported once, at the smallest period that detects it.
+    Each run is reported once, at the smallest period that detects it. An
+    exact numpy screen runs first: a period whose token sequence lacks a
+    long enough stretch of ``tokens[j] == tokens[j + period]`` (see
+    :func:`_has_repeat_stretch`) holds no run, so its greedy scan is skipped.
     """
-    spans = whitespace_word_spans(text)
-    intern: dict[str, int] = {}
-    tokens = [intern.setdefault(text[s:e], len(intern)) for s, e in spans]
+    tokens = whitespace_word_ids(text)
     n = len(tokens)
+    token_array = np.array(tokens, dtype=np.int64)
     runs: list[tuple[int, int, int]] = []  # token index ranges + count
     for period in range(1, REPETITION_MAX_PERIOD + 1):
+        if not _has_repeat_stretch(token_array, period):
+            continue
         # i skips the tokens of runs found at smaller periods; runs found at
         # this period lie behind i. covered[:k] all end at or before i.
         covered = sorted(runs)
@@ -88,7 +104,10 @@ def find_repetition_runs(text: str) -> list[tuple[int, int, int]]:
                 i += repeats * period
             else:
                 i += max(1, (repeats - 1) * period)
+    if not runs:
+        return []
     runs.sort()
+    spans = whitespace_word_spans(text)
     return [(spans[a][0], spans[b - 1][1], count) for a, b, count in runs]
 
 

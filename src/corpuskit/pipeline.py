@@ -332,16 +332,18 @@ def _quality_content_shard(shard: str, doc_path: str, out_path: str, config: Web
 
 def run_pipeline_web(config: WebPipelineConfig) -> list[StageReport]:
     """URL and document dedup, then quality/content filtering, and finally
-    paragraph dedup. Every stage writes one shard per input shard, named
-    like it, so inputs sharing a basename are rejected before any stage.
-    A failure names its stage and input shard, and the stage directories
-    are removed whether the run succeeds or fails."""
+    paragraph dedup. Every stage writes one shard per input shard. The
+    final shards are named like their inputs, so inputs sharing a basename
+    are rejected before any stage; the stage files in between are plain
+    ``<index>.jsonl``, never compressed, since the run deletes them. A
+    failure names its stage and input shard, and the stage directories are
+    removed whether the run succeeds or fails."""
     out_dir = Path(config.out_dir)
     tmp1 = out_dir / ".stage-dedup"
     tmp2 = out_dir / ".stage-quality"
-    dedup_paths = output_paths(config.inputs, tmp1)
-    quality_paths = output_paths(config.inputs, tmp2)
     final_paths = output_paths(config.inputs, out_dir)
+    dedup_paths = [tmp1 / f"{i}.jsonl" for i in range(len(final_paths))]
+    quality_paths = [tmp2 / f"{i}.jsonl" for i in range(len(final_paths))]
     url_report = StageReport(stage="url_dedup")
     doc_report = StageReport(stage="doc_dedup")
     quality_report = StageReport(stage="quality_content")

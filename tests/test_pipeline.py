@@ -1,4 +1,5 @@
 import random
+from pathlib import Path
 
 import pytest
 
@@ -258,6 +259,29 @@ class TestWebPipeline:
                 p.read_bytes() for p in sorted(out_dir.glob("shard-*.jsonl"))
             )
         assert outputs[1] == outputs[4]
+
+    def test_only_final_shard_keeps_gz_name(self, tmp_path, monkeypatch):
+        import corpuskit.pipeline as pipeline
+
+        written = []
+
+        def recording_write(docs, path):
+            written.append(Path(path))
+            return write_documents(docs, path)
+
+        monkeypatch.setattr(pipeline, "write_documents", recording_write)
+        rng = random.Random(6)
+        docs = [
+            Document(id=f"d{i}", text=clean_text(rng, 10), metadata={"url": f"http://g{i}.org/"})
+            for i in range(3)
+        ]
+        shard = tmp_path / "web-00.jsonl.gz"
+        write_documents(docs, shard)
+        out = tmp_path / "out"
+        run_pipeline_web(WebPipelineConfig(inputs=[str(shard)], out_dir=str(out), exact_backend=True))
+        assert len(written) == 3
+        assert [p for p in written if p.suffix == ".gz"] == [out / "web-00.jsonl.gz"]
+        assert [d.id for d in read_documents(out / "web-00.jsonl.gz")] == ["d0", "d1", "d2"]
 
     def test_bloom_backend_smoke(self, tmp_path):
         rng = random.Random(8)

@@ -8,6 +8,7 @@ import random
 import statistics
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -127,6 +128,68 @@ def _naive_dup_fraction(text, words, spans, n):
     return sum(mask) / len(text)
 
 
+def reference_top_ngram_fraction(token_ids, spans, n, text_len):
+    """``gopher``'s most-common-n-gram fraction as it was before n-gram ids
+    were rolled from n to n+1: a tuple per n-gram and a full greedy scan."""
+    if len(token_ids) < n or text_len == 0:
+        return 0.0
+    counts = Counter()
+    first_pos = {}
+    for i in range(len(token_ids) - n + 1):
+        gram = tuple(token_ids[i : i + n])
+        counts[gram] += 1
+        if gram not in first_pos:
+            first_pos[gram] = i
+    best = max(counts.items(), key=lambda kv: (kv[1], -first_pos[kv[0]]))[0]
+    covered = 0
+    i = 0
+    while i <= len(token_ids) - n:
+        if tuple(token_ids[i : i + n]) == best:
+            covered += spans[i + n - 1][1] - spans[i][0]
+            i += n
+        else:
+            i += 1
+    return covered / text_len
+
+
+def reference_dup_ngram_fraction(token_ids, spans, n, text_len):
+    """``gopher``'s duplicate-n-gram fraction as it was before the interval
+    union: one mask byte per character."""
+    if len(token_ids) < n or text_len == 0:
+        return 0.0
+    counts = Counter(tuple(token_ids[i : i + n]) for i in range(len(token_ids) - n + 1))
+    mask = bytearray(text_len)
+    for i in range(len(token_ids) - n + 1):
+        if counts[tuple(token_ids[i : i + n])] >= 2:
+            start, end = spans[i][0], spans[i + n - 1][1]
+            for j in range(start, end):
+                mask[j] = 1
+    return sum(mask) / text_len
+
+
+def reference_ngram_fractions(text):
+    spans = whitespace_word_spans(text)
+    intern = {}
+    token_ids = [intern.setdefault(text[s:e], len(intern)) for s, e in spans]
+    return (
+        {n: reference_top_ngram_fraction(token_ids, spans, n, len(text)) for n in TOP_NGRAM_THRESHOLDS},
+        {n: reference_dup_ngram_fraction(token_ids, spans, n, len(text)) for n in DUP_NGRAM_THRESHOLDS},
+    )
+
+
+# texts over a 2-4 word vocabulary, so n-grams tie and overlap often,
+# separated by runs of ASCII and unicode whitespace (\x1c-\x1f and the
+# ideographic space are str.isspace too), over one or several lines
+_SEPARATORS = [" ", "  ", "\n", "\t", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f", "\x0b", " \n "]
+_few_word_texts = st.lists(
+    st.sampled_from(["a", "bb", "é", "c#d", "the"]), min_size=2, max_size=4, unique=True
+).flatmap(
+    lambda vocab: st.lists(
+        st.tuples(st.sampled_from(vocab), st.sampled_from(_SEPARATORS)), max_size=40
+    ).map(lambda pairs: "".join(word + sep for word, sep in pairs))
+) | st.sampled_from(["", " ", "\u3000a\x1cbb\x0b", "a", "a\x1fa"])
+
+
 def random_text(rng, vocab, n_words, n_lines=1):
     lines = []
     for _ in range(n_lines):
@@ -153,14 +216,18 @@ class TestGopherOracle:
         assert report.duplicate_line_char_fraction == pytest.approx(
             oracle["duplicate_line_char_fraction"]
         )
-        for n in (2, 3, 4):
-            assert report.top_ngram_char_fraction[n] == pytest.approx(
-                oracle["top_ngram_char_fraction"][n]
-            ), f"top {n}-gram"
-        for n in (5, 6, 7, 8, 9, 10):
-            assert report.dup_ngram_char_fraction[n] == pytest.approx(
-                oracle["dup_ngram_char_fraction"][n]
-            ), f"dup {n}-gram"
+        # integer character counts over len(text) on both sides: exact
+        assert report.top_ngram_char_fraction == oracle["top_ngram_char_fraction"]
+        assert report.dup_ngram_char_fraction == oracle["dup_ngram_char_fraction"]
+
+    @given(_few_word_texts, st.booleans())
+    def test_ngram_fractions_match_reference_and_naive(self, body, lead):
+        text = (" " if lead else "") + body
+        report = gopher_report(text)
+        top, dup = reference_ngram_fractions(text)
+        oracle = naive_gopher(text)
+        assert report.top_ngram_char_fraction == top == oracle["top_ngram_char_fraction"]
+        assert report.dup_ngram_char_fraction == dup == oracle["dup_ngram_char_fraction"]
 
     def test_matches_any_equals_external_disjunction(self):
         rng = random.Random(99)
@@ -390,6 +457,36 @@ class TestRepetition:
                 if s >= start_char and e <= end_char:
                     spans_by_token.add(idx)
         assert spans_by_token == naive_repetition_coverage(text)
+
+    @pytest.mark.parametrize("period", range(1, REPETITION_MAX_PERIOD + 1))
+    def test_threshold_at_each_period_between_other_words(self, period):
+        # a pattern with no shorter period, between words that extend no
+        # stretch of tokens[j] == tokens[j + period]
+        pattern = " ".join(f"t{k}" for k in range(period)) + " "
+        prefix = "alpha beta gamma "
+        for repeats in (100, 101):
+            text = prefix + pattern * repeats + "delta epsilon"
+            runs = find_repetition_runs(text)
+            assert runs == reference_repetition_runs(text)
+            if repeats == 100:
+                assert runs == []
+            else:
+                assert runs == [(len(prefix), len(prefix) + len(pattern) * repeats - 1, repeats)]
+
+    def test_stretch_inside_smaller_period_run_is_skipped(self):
+        # 250 equal tokens also give 248 positions with tokens[j] == tokens[j + 2],
+        # enough for the period-2 screen, so the period-2 scan runs and must
+        # skip the tokens the period-1 run covers
+        text = "lead " + "x " * 250 + "y x " * 30 + "tail"
+        tokens = np.array(text.split())
+        assert (tokens[:-2] == tokens[2:])[1:249].all()
+        runs = find_repetition_runs(text)
+        assert runs == reference_repetition_runs(text)
+        assert runs == [(5, 5 + len("x " * 250) - 1, 250)]
+        covered = set()
+        for start, end, _ in runs:
+            covered |= {i for i, (s, e) in enumerate(whitespace_word_spans(text)) if start <= s and e <= end}
+        assert covered == naive_repetition_coverage(text)
 
     @given(_repeated_segments)
     def test_matches_reference_scan(self, text):
