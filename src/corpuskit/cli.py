@@ -30,8 +30,6 @@ from corpuskit.correlate import filter_correlation, merge_attribute_shards
 from corpuskit.dedupe import (
     DECONTAMINATION_MIN_TOKENS,
     PARAGRAPH_DUPLICATE,
-    DedupeConfigError,
-    DedupeStageConfig,
     ccnet_group_dedupe,
     decontaminate_seed,
     decontaminate_tag,
@@ -92,6 +90,13 @@ def _positive_int(text) -> int:
     return value
 
 
+def _non_negative_int(text) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def _orders(value) -> tuple[int, ...]:
     """Comma-separated n-gram orders, or (from a config) a list of integers."""
     orders = [int(order) for order in value.split(",")] if isinstance(value, str) else value
@@ -136,6 +141,25 @@ def _tagger_specs(value) -> list[tuple[str, dict]]:
     return specs
 
 
+def _from_config(action: argparse.Action, value):
+    """A config value checked and converted like the argument of its flag; a
+    flag that takes no value (``--exact``) takes a JSON boolean, and one
+    without a type (a path, a name) a string."""
+    if action.nargs == "+":
+        return _as_list(value)
+    if action.nargs == 0:
+        if not isinstance(value, bool):
+            raise TypeError(f"must be true or false, got {value!r}")
+        return value
+    if action.type:
+        value = action.type(value)
+    elif not isinstance(value, str):
+        raise TypeError(f"must be a string, got {value!r}")
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"must be one of {', '.join(map(repr, action.choices))}, got {value!r}")
+    return value
+
+
 def _merge_config(args, command: argparse.ArgumentParser) -> None:
     """Fill each option that no flag set from the --config key of its name,
     converted like the flag; a key that names no option is an error."""
@@ -143,13 +167,13 @@ def _merge_config(args, command: argparse.ArgumentParser) -> None:
     if not isinstance(config, dict):
         raise ValidationError(f"config file {args.config} must hold a JSON object")
     options = vars(args)
-    types = {action.dest: _as_list if action.nargs == "+" else action.type for action in command._actions}
+    actions = {action.dest: action for action in command._actions}
     for key, value in config.items():
         if key not in options or key in ("command", "fn", "config", "report", "log_level"):
             raise ValidationError(f"{key!r} is not a config key of {args.command}")
         if options[key] is None:
             try:
-                options[key] = types[key](value) if types.get(key) else value
+                options[key] = _from_config(actions[key], value) if key in actions else value
             except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValidationError(f"config key {key!r}: {exc}") from exc
 
@@ -235,33 +259,32 @@ def _cmd_dedupe(args) -> int:
     inputs = _require(args.inputs, "--inputs")
     out_dir = Path(_require(args.out_dir, "--out-dir"))
     outputs = output_paths(inputs, out_dir)
+    stage = _require(args.stage, "--stage")
     group_bytes = args.ccnet_group_bytes
-    with _option_values():
-        stage_config = DedupeStageConfig(_require(args.stage, "--stage"), **_given(args, "min_paragraph_tokens"))
-        if group_bytes is None:
-            backend = make_backend(**_given(args, "exact", n_target="bloom_n", p_target="bloom_p", seed="seed"))
     if group_bytes is not None:
         # one (shard, records) pair per input, in input order
         shards = (records for _, records in ccnet_group_dedupe(list(inputs), group_bytes))
         report = {"stage": "paragraph", "grouping": "ccnet", "max_group_bytes": group_bytes}
     else:
+        with _option_values():
+            backend = make_backend(**_given(args, "exact", n_target="bloom_n", p_target="bloom_p", seed="seed"))
         stage_fn = {
             "url": dedupe_by_url,
             "document": dedupe_by_document,
             "paragraph": dedupe_by_paragraph,
-        }[stage_config.stage]
+        }[stage]
         gate = _given(args, "min_paragraph_tokens")  # refused unless the stage is paragraph
         missing_url = 0
 
         def records(path):
             nonlocal missing_url
             for doc, attrs in stage_fn(read_documents(path), backend, **gate):
-                if stage_config.stage == "url" and doc.metadata.get("url") is None:
+                if stage == "url" and doc.metadata.get("url") is None:
                     missing_url += 1
                 yield attrs
 
         shards = (records(path) for path in inputs)
-        report = {"stage": stage_config.stage}
+        report = {"stage": stage}
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = _write_counted(outputs, shards)
     if group_bytes is not None:
@@ -279,8 +302,6 @@ def _cmd_decontaminate(args) -> int:
     out_dir = Path(_require(args.out_dir, "--out-dir"))
     outputs = output_paths(inputs, out_dir)
     min_tokens = DECONTAMINATION_MIN_TOKENS if args.min_paragraph_tokens is None else args.min_paragraph_tokens
-    if min_tokens < 0:
-        raise ValidationError(f"--min-paragraph-tokens must be >= 0, got {min_tokens}")
     if args.load_filter:
         seeded = bloom_load(args.load_filter)
         if not seeded.read_only:
@@ -336,8 +357,6 @@ def _cmd_reddit_build(args) -> int:
         "partial": partial(reddit_threads.build_partial_threads, **_given(args, "max_depth")),
         "full": reddit_threads.build_full_threads,
     }
-    if strategy not in builders:
-        raise ValidationError(f"unknown strategy {strategy!r} (atomic|partial|full)")
     items = []
     for path in inputs:
         for doc in read_documents(path):
@@ -464,7 +483,7 @@ def build_parser() -> _Parser:
     p.add_argument("--exact", action="store_const", const=True, default=None)
     p.add_argument("--bloom-n", dest="bloom_n", type=int)
     p.add_argument("--bloom-p", dest="bloom_p", type=float)
-    p.add_argument("--min-paragraph-tokens", dest="min_paragraph_tokens", type=int)
+    p.add_argument("--min-paragraph-tokens", dest="min_paragraph_tokens", type=_non_negative_int)
     p.add_argument("--save-filter", dest="save_filter")
     p.add_argument(
         "--ccnet-group-bytes",
@@ -480,7 +499,7 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", dest="out_dir")
     p.add_argument("--exact", action="store_const", const=True, default=None)
     p.add_argument("--bloom-p", dest="bloom_p", type=float)
-    p.add_argument("--min-paragraph-tokens", dest="min_paragraph_tokens", type=int)
+    p.add_argument("--min-paragraph-tokens", dest="min_paragraph_tokens", type=_non_negative_int)
     p.add_argument("--save-filter", dest="save_filter")
     p.add_argument("--load-filter", dest="load_filter")
 
@@ -535,7 +554,6 @@ _VALIDATION_ERRORS = (
     MixConfigError,
     FilterConfigError,
     TaggerConfigError,
-    DedupeConfigError,
     ShardNameError,
 )
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Protocol
 from urllib.parse import urlsplit, urlunsplit
@@ -43,28 +42,12 @@ DECONTAMINATION_MIN_TOKENS = 13
 CCNET_MAX_GROUP_BYTES = 20 * 2**30
 
 
-class DedupeConfigError(ValueError):
-    pass
-
-
 class KeyFilter(Protocol):
     read_only: bool
 
     def insert_check(self, key: bytes) -> bool: ...
 
     def contains(self, key: bytes) -> bool: ...
-
-
-@dataclass
-class DedupeStageConfig:
-    stage: str  # url | document | paragraph
-    min_paragraph_tokens: int = 0  # 0 disables the gate (empty paragraphs included)
-
-    def __post_init__(self) -> None:
-        if self.stage not in ("url", "document", "paragraph"):
-            raise DedupeConfigError(f"unknown dedupe stage {self.stage!r}")
-        if self.min_paragraph_tokens < 0:
-            raise DedupeConfigError("min_paragraph_tokens must be >= 0")
 
 
 def normalize_url(url: str) -> str:

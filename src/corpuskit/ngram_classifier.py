@@ -6,11 +6,14 @@ logistic regression over n-gram counts hashed into a fixed bucket space
 scale, no binary model dependencies. Featurization is one numpy kernel,
 :func:`featurize_many`, which hashes the n-grams of many texts at once;
 callers holding several texts (a document's paragraphs or sentences, a
-training set) pass them together.
+training set) pass them together. Scoring, the loss and its gradient, and
+SGD training share one logits-and-softmax routine, :func:`_probs`, over a
+sparse row of bucket indices and counts.
 """
 
 from __future__ import annotations
 
+import random
 import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -233,22 +236,24 @@ class NgramModel:
 
     def predict_features(self, feats: dict[int, float]) -> dict[str, float]:
         """Label probabilities of a text featurized with this model's config."""
-        return dict(zip(self.labels, _probs(self.weights, self.bias, feats)))
+        return dict(zip(self.labels, _probs(self.weights, self.bias, _sparse(feats), 1.0)))
 
 
-def _probs(weights: np.ndarray, bias: np.ndarray, feats: dict[int, float]) -> np.ndarray:
-    """Softmax of the logits; the terms are added in the order of ``feats``."""
+def _sparse(feats: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    """The bucket indices and counts of ``feats``, in its order."""
+    idx = np.fromiter(feats.keys(), dtype=np.int64, count=len(feats))
+    vals = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
+    return idx, vals
+
+
+def _probs(weights: np.ndarray, bias: np.ndarray, row: tuple[np.ndarray, np.ndarray], scale: float) -> np.ndarray:
+    """Softmax of the logits of one sparse row under the weights
+    ``scale * weights``; the terms are added in the order of the row."""
     z = bias.copy()
-    if feats:
-        idx = np.fromiter(feats.keys(), dtype=np.int64, count=len(feats))
-        vals = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
-        z += weights[:, idx] @ vals
-    return _softmax(z)
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max()
-    e = np.exp(shifted)
+    idx, vals = row
+    if idx.size:
+        z += scale * (weights[:, idx] @ vals)
+    e = np.exp(z - z.max())
     return e / e.sum()
 
 
@@ -269,16 +274,11 @@ def batch_loss_and_grad(
     grad_b = np.zeros_like(bias)
     loss = 0.0
     for feats, y in zip(features, label_indices):
-        z = bias.copy()
-        if feats:
-            idx = np.fromiter(feats.keys(), dtype=np.int64, count=len(feats))
-            vals = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
-            z += weights[:, idx] @ vals
-        p = _softmax(z)
-        loss -= float(np.log(max(p[y], 1e-300)))
-        g = p.copy()
+        idx, vals = row = _sparse(feats)
+        g = _probs(weights, bias, row, 1.0)
+        loss -= float(np.log(max(g[y], 1e-300)))
         g[y] -= 1.0
-        if feats:
+        if idx.size:
             grad_w[:, idx] += np.outer(g, vals)
         grad_b += g
     loss /= n
@@ -300,7 +300,7 @@ def batch_loss(
     """The loss of :func:`batch_loss_and_grad`, without the gradient."""
     loss = 0.0
     for feats, y in zip(features, label_indices):
-        loss -= float(np.log(max(_probs(weights, bias, feats)[y], 1e-300)))
+        loss -= float(np.log(max(_probs(weights, bias, _sparse(feats), 1.0)[y], 1e-300)))
     loss /= len(features)
     if l2 > 0:
         loss += 0.5 * l2 * float((weights * weights).sum())
@@ -363,42 +363,34 @@ def _train_full_batch(weights, bias, feats, ys, config: TrainConfig, history: li
 
 
 def _train_sgd(weights, bias, feats, ys, config: TrainConfig, history: list[float]) -> None:
-    import random
-
+    """Minibatch SGD with lazy L2 decay. Each batch's gradient is one
+    scatter over the columns its examples touch; a column shared by several
+    examples adds their terms in batch order."""
+    rows = [_sparse(f) for f in feats]
     rng = random.Random(config.seed)
-    order = list(range(len(feats)))
+    order = list(range(len(rows)))
     scale = 1.0  # lazy L2: true weights = scale * stored weights
     for _ in range(config.epochs):
         rng.shuffle(order)
         for start in range(0, len(order), config.batch_size):
             batch = order[start : start + config.batch_size]
-            grad_w_cols: dict[int, np.ndarray] = {}
+            terms = []
             grad_b = np.zeros_like(bias)
             for j in batch:
-                f = feats[j]
-                z = bias.copy()
-                if f:
-                    idx = np.fromiter(f.keys(), dtype=np.int64, count=len(f))
-                    vals = np.fromiter(f.values(), dtype=np.float64, count=len(f))
-                    z += scale * (weights[:, idx] @ vals)
-                p = _softmax(z)
-                g = p
+                g = _probs(weights, bias, rows[j], scale)
                 g[ys[j]] -= 1.0
-                for col, v in f.items():
-                    acc = grad_w_cols.get(col)
-                    if acc is None:
-                        grad_w_cols[col] = g * v
-                    else:
-                        acc += g * v
+                terms.append(np.outer(rows[j][1], g))
                 grad_b += g
+            cols, inverse = np.unique(np.concatenate([rows[j][0] for j in batch]), return_inverse=True)
+            grad_w = np.zeros((len(cols), len(bias)))
+            np.add.at(grad_w, inverse, np.concatenate(terms))
             lr = config.learning_rate / len(batch)
             if config.l2 > 0:
                 scale *= 1.0 - config.learning_rate * config.l2
                 if scale < 1e-100:
                     weights *= scale
                     scale = 1.0
-            for col, g_col in grad_w_cols.items():
-                weights[:, col] -= (lr / scale) * g_col
+            weights[:, cols] -= (lr / scale) * grad_w.T
             bias -= lr * grad_b
         true_w = weights if scale == 1.0 else scale * weights
         history.append(batch_loss(true_w, bias, feats, ys, config.l2))

@@ -305,8 +305,9 @@ def _quality_content_shard(shard: str, doc_path: str, out_path: str, config: Web
         for doc in read_documents(doc_path):
             report.input_docs += 1
             attrs = _tag_document(doc, taggers)
-            # PII density is judged on the original text; sparse spans are
-            # masked in the same splice pass as toxic sentence removal.
+            # PII density is judged on the original text. Sparse spans are
+            # masked after the toxic sentence splice, in a second
+            # apply_filters pass (apply_pii_policy).
             pii = tag_pii(doc)
             if len(pii) > MAX_SPANS_FOR_MASKING:
                 report.drop("pii_density")
@@ -315,7 +316,8 @@ def _quality_content_shard(shard: str, doc_path: str, out_path: str, config: Web
             if isinstance(decision, Drop):
                 report.drop(decision.reason)
                 continue
-            # re-tag after a splice so PII offsets match the edited text
+            # PII is tagged again only when the splice changed the document,
+            # so that its offsets match the edited text
             edited = decision.doc
             masked = apply_pii_policy(edited, pii if edited is doc else tag_pii(edited))
             if isinstance(masked, Drop):

@@ -177,6 +177,69 @@ class TestKernelMatchesScalarOracle:
             assert featurize_many(config, [text, "a b c"])[0] == {}
 
 
+def reference_train_sgd(weights, bias, feats, ys, config: TrainConfig, history: list[float]) -> None:
+    """The SGD loop before ``_probs`` served training: logits and softmax
+    inline, and the gradient added up one column at a time in a dict."""
+    rng = random.Random(config.seed)
+    order = list(range(len(feats)))
+    scale = 1.0  # lazy L2: true weights = scale * stored weights
+    for _ in range(config.epochs):
+        rng.shuffle(order)
+        for start in range(0, len(order), config.batch_size):
+            batch = order[start : start + config.batch_size]
+            grad_w_cols: dict[int, np.ndarray] = {}
+            grad_b = np.zeros_like(bias)
+            for j in batch:
+                f = feats[j]
+                z = bias.copy()
+                if f:
+                    idx = np.fromiter(f.keys(), dtype=np.int64, count=len(f))
+                    vals = np.fromiter(f.values(), dtype=np.float64, count=len(f))
+                    z += scale * (weights[:, idx] @ vals)
+                e = np.exp(z - z.max())
+                g = e / e.sum()
+                g[ys[j]] -= 1.0
+                for col, v in f.items():
+                    acc = grad_w_cols.get(col)
+                    if acc is None:
+                        grad_w_cols[col] = g * v
+                    else:
+                        acc += g * v
+                grad_b += g
+            lr = config.learning_rate / len(batch)
+            if config.l2 > 0:
+                scale *= 1.0 - config.learning_rate * config.l2
+                if scale < 1e-100:
+                    weights *= scale
+                    scale = 1.0
+            for col, g_col in grad_w_cols.items():
+                weights[:, col] -= (lr / scale) * g_col
+            bias -= lr * grad_b
+        true_w = weights if scale == 1.0 else scale * weights
+        history.append(batch_loss(true_w, bias, feats, ys, config.l2))
+    if scale != 1.0:
+        weights *= scale
+
+
+@st.composite
+def sgd_runs(draw):
+    """A small labelled corpus whose texts repeat (so batches share columns)
+    and may be empty, with a feature kind and an SGD config."""
+    vocab = ["the", "river", "zxqv", "смех", "日本語", "a"]
+    pool = draw(st.lists(st.lists(st.sampled_from(vocab), max_size=6).map(" ".join), min_size=1, max_size=6))
+    examples = draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from(["en", "xx"])), max_size=14))
+    examples += [(draw(st.sampled_from(pool)), "en"), (draw(st.sampled_from(pool)), "xx")]
+    features = NgramConfig(hash_buckets=1 << 6, feature_kind=draw(st.sampled_from(["word", "char"])))
+    config = TrainConfig(
+        epochs=draw(st.integers(1, 3)),
+        learning_rate=draw(st.sampled_from([0.5, 1.0])),
+        l2=draw(st.sampled_from([0.0, 1e-3, 0.5])),
+        seed=draw(st.integers(0, 2**16)),
+        batch_size=draw(st.sampled_from([1, 2, 3, 100])),  # 100: one batch holds the whole corpus
+    )
+    return examples, config, features
+
+
 def pinned_corpus():
     rng = random.Random(2024)
     vocab = {
@@ -192,7 +255,9 @@ def pinned_corpus():
 
 class TestPinnedModels:
     """Model files and losses trained on a fixed corpus, pinned bit for bit
-    (digests and losses computed with the scalar per-n-gram featurization)."""
+    (digests and losses computed with the scalar per-n-gram featurization,
+    and for the last two cases with :func:`reference_train_sgd`; the last
+    reaches the ``scale < 1e-100`` renormalisation of lazy L2)."""
 
     CASES = {
         "char": (
@@ -206,6 +271,24 @@ class TestPinnedModels:
             TrainConfig(epochs=3, seed=2, batch_size=3),
             "089753c65e66a61cb9c08a518bd42285b18dd0a19a2b52645b41560ed40bebd1",
             ["0x1.90d6902664faep-5", "0x1.0522a0c95fcbcp-5", "0x1.890f8af8911f5p-6"],
+        ),
+        "word-batch4-l2": (
+            NgramConfig(hash_buckets=1 << 12, feature_kind="word"),
+            TrainConfig(epochs=3, seed=3, batch_size=4, l2=1e-2),
+            "cc5ad1b27fc8b6aa22fbe95b5e8a0c753484079981be8e2a26a8426a8df3df70",
+            ["0x1.56f8542b545cdp-4", "0x1.1e44495809839p-4", "0x1.0cc67eba475fbp-4"],
+        ),
+        "word-renormalised": (
+            NgramConfig(hash_buckets=1 << 12, feature_kind="word"),
+            TrainConfig(epochs=5, seed=4, batch_size=1, learning_rate=1.0, l2=0.5),
+            "e4cde5a8e3f83c01c96254418202fcd048d9d724a980d8623522a36a69ec997f",
+            [
+                "0x1.084f2c60f0db2p-1",
+                "0x1.841035312467dp-1",
+                "0x1.2d7bad407f0f8p-1",
+                "0x1.a6075c397f8e2p-1",
+                "0x1.1ccabb91f0d7bp-1",
+            ],
         ),
     }
 
@@ -322,6 +405,19 @@ class TestTraining:
         examples = separable_examples(10)
         with np.errstate(all="ignore"), pytest.raises(TrainingError, match="epoch 0"):
             train(examples, TrainConfig(epochs=2, learning_rate=1e308, seed=0), WORD_CFG)
+
+    @given(sgd_runs())
+    @settings(max_examples=80, deadline=None)
+    def test_sgd_matches_reference_bit_for_bit(self, run):
+        examples, config, features = run
+        model = train(examples, config, features)
+        labels = sorted({label for _, label in examples})
+        feats = featurize_many(features, [text for text, _ in examples])
+        weights, bias, history = np.zeros((len(labels), features.hash_buckets)), np.zeros(len(labels)), []
+        reference_train_sgd(weights, bias, feats, [labels.index(label) for _, label in examples], config, history)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias.tobytes() == bias.tobytes()
+        assert [loss.hex() for loss in model.loss_history] == [loss.hex() for loss in history]
 
     def test_sgd_records_per_epoch_loss(self):
         examples = separable_examples(20)

@@ -676,19 +676,41 @@ class TestOptionSurface:
             ("tag", {"taggers": ["c4", {"params": {}}]}, "taggers"),  # a spec without a name
             ("tag", {"taggers": [{"name": "c4", "params": [1]}]}, "taggers"),
             ("correlate", {"filters": ["a", 1]}, "filters"),
+            # a flag that takes no value takes a JSON boolean, not a truthy string
+            ("dedupe", {"stage": "url", "exact": "no"}, "exact"),
+            ("dedupe", {"stage": "url", "exact": "no", "bloom_p": 0.01}, "exact"),
+            ("reddit-build", {"strategy": "sideways"}, "strategy"),  # not one of the flag's choices
+            ("dedupe", {"stage": "document", "save_filter": 5}, "save_filter"),  # a path is a string
+            ("dedupe", {"stage": "paragraph", "min_paragraph_tokens": -1}, "min_paragraph_tokens"),
+            ("decontaminate", {"exact": True, "min_paragraph_tokens": -1}, "min_paragraph_tokens"),
         ],
     )
     def test_config_value_of_wrong_shape_names_key(self, tmp_path, capsys, command, config, key):
         path = tmp_path / "c.json"
         path.write_text(json.dumps(config))
+        shard = make_shard(tmp_path)
         extra = {
             "stats": [],
-            "tag": ["--inputs", str(make_shard(tmp_path)), "--out-dir", str(tmp_path / "out")],
+            "tag": ["--inputs", str(shard), "--out-dir", str(tmp_path / "out")],
             "correlate": ["--attributes", str(tmp_path)],
+            "dedupe": ["--inputs", str(shard), "--out-dir", str(tmp_path / "out")],
+            "decontaminate": ["--inputs", str(shard), "--test-set", str(shard), "--out-dir", str(tmp_path / "out")],
+            "reddit-build": ["--inputs", str(shard), "--out", str(tmp_path / "out" / "docs.jsonl")],
         }
         assert run_cli(command, "--config", str(path), *extra[command]) == 1
         assert repr(key) in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_config_boolean_for_flag_without_value_is_read(self, tmp_path, capsys, exact):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"stage": "document", "exact": exact}))
+        bloom = tmp_path / "f.bloom"
+        argv = ["dedupe", "--config", str(path), "--inputs", str(make_shard(tmp_path)), "--out-dir", str(tmp_path / "o")]
+        # an exact set has no filter to save
+        assert run_cli(*argv, "--save-filter", str(bloom)) == (1 if exact else 0)
+        assert bloom.exists() is not exact
+        assert ("--save-filter not read when --exact is True" in capsys.readouterr().err) is exact
 
     @pytest.mark.parametrize("orders", [5, ["a"], "2,x"])
     def test_bad_orders_in_config_names_key(self, tmp_path, capsys, orders):

@@ -8,7 +8,6 @@ from corpuskit.dedupe import (
     DOC_DUPLICATE,
     PARAGRAPH_DUPLICATE,
     URL_DUPLICATE,
-    DedupeStageConfig,
     ccnet_group_dedupe,
     decontaminate_seed,
     decontaminate_tag,
@@ -267,9 +266,3 @@ class TestDecontamination:
         filt = ExactSet(read_only=True)
         with pytest.raises(ValueError):
             decontaminate_seed(filt, [])
-
-    def test_stage_config_validation(self):
-        with pytest.raises(ValueError):
-            DedupeStageConfig(stage="bogus")
-        with pytest.raises(ValueError):
-            DedupeStageConfig(stage="url", min_paragraph_tokens=-1)
