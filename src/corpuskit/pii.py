@@ -1,10 +1,18 @@
 """PII detection and masking policy: email addresses, phone numbers, IPv4.
 
-Regex-only detection; model-based detectors are out of scope. Documents
-with five or fewer PII spans (``MAX_SPANS_FOR_MASKING``, a constant of the
-policy) get each span replaced by a special token; denser documents are
-removed outright. Reddit-style short documents are removed on any PII hit
-instead of masked (``ContentTagConfig.reddit_mode``).
+Regex-only detection; model-based detectors are out of scope. Detection is
+linear in the text length. Each detector first screens the text for a
+character sequence its pattern needs (an ``@`` for email, three digits in
+a row for phone, a digit, a ``.`` and a digit for IPv4) and skips texts
+without one. Emails are matched from each ``@`` outwards by
+``_email_spans``, which gives the spans of the source email regex (kept in
+the tests as the oracle) on the text plus a virtual trailing newline,
+without its quadratic retries.
+
+Documents with five or fewer PII spans (``MAX_SPANS_FOR_MASKING``, a
+constant of the policy) get each span replaced by a special token; denser
+documents are removed outright. Reddit-style short documents are removed
+on any PII hit instead of masked (``ContentTagConfig.reddit_mode``).
 """
 
 from __future__ import annotations
@@ -22,13 +30,32 @@ from corpuskit.filters import Decision, Drop, FilterExpr, Keep, apply_filters
 
 # The source patterns miss a match at position 0 (phone wants preceding
 # whitespace) and at end-of-text (email wants a trailing whitespace), so the
-# phone pattern accepts start-of-text as its boundary and email matching
-# runs with a virtual trailing newline.
-EMAIL_PATTERN = re.compile(r"[.\s@,?!;:)(]*([^\s@]+@[^\s@,?!;:)(]+?)[.\s@,?!;:)(]?[\s\n\r]")
+# phone pattern accepts start-of-text as its boundary and _email_spans
+# matches on the text plus a virtual trailing newline; no email span can
+# reach that newline, since the domain stops at whitespace. The source email
+# pattern,
+#   [.\s@,?!;:)(]*([^\s@]+@[^\s@,?!;:)(]+?)[.\s@,?!;:)(]?[\s\n\r]
+# retries its left part from every start in a whitespace-free run, which is
+# quadratic in the run's length; _email_spans splits it at the "@" instead.
+# The phone pattern (tried only at the start of the text or after
+# whitespace) and the IP pattern (at most 15 characters) are linear as is.
 PHONE_PATTERN = re.compile(r"(?:^|(?<=\s))\(?(\d{3})\)?[-\. ]*(\d{3})[-. ]?(\d{4})")
 IP_PATTERN = re.compile(
     r"(?:(?:25[0-5]|2[0-4][0-9]|[01]?[0-9]{1,2})\.){3}(?:25[0-5]|2[0-4][0-9]|[01]?[0-9]{1,2})"
 )
+
+# Screens: a phone number has three digits in a row and an IPv4 address a
+# digit, a "." and a digit. \d matches every Unicode digit, so each screen
+# passes every text its pattern can match in.
+_PHONE_SCREEN = re.compile(r"\d\d\d")
+_IP_SCREEN = re.compile(r"\d\.\d")
+
+# The pieces of the email pattern: the right part after the "@" (the lazy
+# domain, then an optional trailer character and a whitespace), the leading
+# punctuation-or-space run, and the last whitespace before a position.
+_EMAIL_RIGHT = re.compile(r"([^\s@,?!;:)(]+?)[.\s@,?!;:)(]?\s")
+_EMAIL_PREFIX_RUN = re.compile(r"[.\s@,?!;:)(]*")
+_LAST_SPACE = re.compile(r".*\s", re.DOTALL)
 
 REPLACEMENT_TOKENS = {
     "email": "|||EMAIL_ADDRESS|||",
@@ -72,14 +99,57 @@ class PiiSpan:
     span: AttributeSpan
 
 
+def _email_spans(text: str) -> list[tuple[int, int]]:
+    """The (start(1), end(1)) spans ``finditer`` of the source email pattern
+    gives on ``text + "\n"``, found in time linear in the text length.
+
+    The local part of a match is a run of non-space, non-"@" characters that
+    ends at an "@" whose right part matches, so the valid group starts are
+    the union of ``[first, at)`` over those "@"s, where ``first`` follows
+    the last whitespace or "@" before ``at``. A match ends in whitespace,
+    and no "@" after its own has a right part that matches (the domain holds
+    no "@", and an "@" in the trailer is followed by whitespace), so the
+    search after it starts at or before the next ``first``. From there the
+    regex's greedy prefix runs over punctuation and space, then backtracks
+    to the largest valid group start no further right than the run's end.
+    """
+    padded = text + "\n"
+    anchors: list[tuple[int, int, int]] = []  # first, at, group end
+    prev = -1
+    at = padded.find("@")
+    while at != -1:
+        right = _EMAIL_RIGHT.match(padded, at + 1)
+        if right:
+            space = _LAST_SPACE.match(padded, prev + 1, at)
+            first = space.end() if space else prev + 1
+            if first < at:
+                anchors.append((first, at, right.end(1)))
+        prev = at
+        at = padded.find("@", at + 1)
+
+    spans: list[tuple[int, int]] = []
+    run_end = -1  # end of the prefix run holding the last first looked at
+    k = 0
+    while k < len(anchors):
+        first = anchors[k][0]
+        if first > run_end:
+            run_end = _EMAIL_PREFIX_RUN.match(padded, first).end()
+        k += 1
+        while k < len(anchors) and anchors[k][0] <= run_end:
+            k += 1
+        _, at, group_end = anchors[k - 1]
+        spans.append((min(run_end, at - 1), group_end))
+    return spans
+
+
 def _char_matches(text: str) -> list[tuple[int, int, str]]:
     found: list[tuple[int, int, str]] = []
-    for match in EMAIL_PATTERN.finditer(text + "\n"):
-        found.append((match.start(1), match.end(1), "email"))
-    for match in PHONE_PATTERN.finditer(text):
-        found.append((match.start(), match.end(), "phone"))
-    for match in IP_PATTERN.finditer(text):
-        found.append((match.start(), match.end(), "ip"))
+    if "@" in text:
+        found.extend((start, end, "email") for start, end in _email_spans(text))
+    if _PHONE_SCREEN.search(text):
+        found.extend((m.start(), m.end(), "phone") for m in PHONE_PATTERN.finditer(text))
+    if _IP_SCREEN.search(text):
+        found.extend((m.start(), m.end(), "ip") for m in IP_PATTERN.finditer(text))
     return found
 
 
@@ -89,7 +159,10 @@ def tag_pii(doc: Document) -> list[PiiSpan]:
     Matches from different detectors that overlap are resolved by earliest
     start (longer match winning a tie), so a span never nests in another.
     """
-    candidates = sorted(_char_matches(doc.text), key=lambda m: (m[0], -m[1]))
+    found = _char_matches(doc.text)
+    if not found:
+        return []
+    candidates = sorted(found, key=lambda m: (m[0], -m[1]))
     kept: list[tuple[int, int, str]] = []
     last_end = 0
     for start, end, kind in candidates:
