@@ -8,8 +8,11 @@ keeps the library's default. --seed is taken by dedupe, decontaminate, mix,
 train-classifier and pipeline-web; --workers by tag, mix and pipeline-web.
 A bad option value, or an option the chosen mode does not read (--bloom-p
 with --exact, --max-depth without --strategy partial, ...), exits 1 before
-any shard is read. Reports are JSON on stdout or at --report. Exit codes:
-0 success, 1 validation error, 2 runtime failure.
+any shard is read. So do a --log-level other than DEBUG, INFO, WARNING,
+ERROR or CRITICAL (in any case), a NaN or infinite number where a finite one
+is needed (--l2, --learning-rate, a mix weight; a NaN filter threshold) and
+a tagger param its tagger does not read. Reports are JSON on stdout or at
+--report. Exit codes: 0 success, 1 validation error, 2 runtime failure.
 """
 
 from __future__ import annotations
@@ -17,10 +20,12 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import random
 import sys
 from contextlib import contextmanager
 from dataclasses import fields
 from functools import partial
+from itertools import chain
 from pathlib import Path
 from typing import Iterator
 
@@ -70,6 +75,7 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 _MIX_KEYS = tuple(f.name for f in fields(MixConfig))
+_LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
 
 
 class ValidationError(ValueError):
@@ -81,6 +87,10 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message: str):  # validation failures exit 1, not 2
         raise ValidationError(message)
+
+
+def _flag(option: str) -> str:
+    return "--" + option.replace("_", "-")
 
 
 def _positive_int(text) -> int:
@@ -169,7 +179,7 @@ def _merge_config(args, command: argparse.ArgumentParser) -> None:
     options = vars(args)
     actions = {action.dest: action for action in command._actions}
     for key, value in config.items():
-        if key not in options or key in ("command", "fn", "config", "report", "log_level"):
+        if key not in options or key in ("command", "config", "report", "log_level"):
             raise ValidationError(f"{key!r} is not a config key of {args.command}")
         if options[key] is None:
             try:
@@ -195,9 +205,21 @@ def _refuse_unread(args) -> None:
     for mode, selects, unread in _UNREAD:
         given = [name for name in unread if options.get(name) is not None]
         if mode in options and selects(options[mode]) and given:
-            flags = ", ".join("--" + name.replace("_", "-") for name in given)
             value = "not given" if options[mode] is None else repr(options[mode])
-            raise ValidationError(f"{flags} not read when --{mode.replace('_', '-')} is {value}")
+            raise ValidationError(f"{', '.join(map(_flag, given))} not read when {_flag(mode)} is {value}")
+
+
+# the options a command cannot run without, checked in this order
+_REQUIRED = ("inputs", "streams", "attributes", "filters", "out_dir", "out", "model_out", "stage")
+
+
+def _refuse_missing(args) -> None:
+    """Reject a command run without an option it cannot run without."""
+    options = vars(args)
+    for name in _REQUIRED:
+        if name in options and options[name] in (None, [], ""):
+            flag = "streams (mix needs --config with a mix configuration)" if name == "streams" else _flag(name)
+            raise ValidationError(f"missing required option {flag}")
 
 
 def _given(args, *names: str, **renamed: str) -> dict:
@@ -216,26 +238,8 @@ def _option_values() -> Iterator[None]:
         raise ValidationError(str(exc)) from exc
 
 
-def _emit_report(report: dict, path: str | None) -> None:
-    payload = json.dumps(report, indent=2, sort_keys=False)
-    if path:
-        Path(path).write_text(payload + "\n", encoding="utf-8")
-    else:
-        print(payload)
-
-
-def _require(value, flag: str):
-    if value in (None, [], ""):
-        raise ValidationError(f"missing required option {flag}")
-    return value
-
-
-def _cmd_tag(args) -> int:
-    inputs = _require(args.inputs, "--inputs")
-    out_dir = _require(args.out_dir, "--out-dir")
-    report = run_tag(list(inputs), args.taggers or [], out_dir, **_given(args, "workers"))
-    _emit_report(report.to_json(), args.report)
-    return EXIT_OK
+def _cmd_tag(args) -> dict:
+    return run_tag(list(args.inputs), args.taggers or [], args.out_dir, **_given(args, "workers")).to_json()
 
 
 def _write_counted(outputs, shards) -> dict:
@@ -255,11 +259,9 @@ def _write_counted(outputs, shards) -> dict:
     return counts
 
 
-def _cmd_dedupe(args) -> int:
-    inputs = _require(args.inputs, "--inputs")
-    out_dir = Path(_require(args.out_dir, "--out-dir"))
+def _cmd_dedupe(args) -> dict:
+    inputs, out_dir, stage = args.inputs, Path(args.out_dir), args.stage
     outputs = output_paths(inputs, out_dir)
-    stage = _require(args.stage, "--stage")
     group_bytes = args.ccnet_group_bytes
     if group_bytes is not None:
         # one (shard, records) pair per input, in input order
@@ -293,82 +295,63 @@ def _cmd_dedupe(args) -> int:
         if args.save_filter:
             bloom_save(backend, args.save_filter)
         report.update(counts, missing_url=missing_url)
-    _emit_report(report, args.report)
-    return EXIT_OK
+    return report
 
 
-def _cmd_decontaminate(args) -> int:
-    inputs = _require(args.inputs, "--inputs")
-    out_dir = Path(_require(args.out_dir, "--out-dir"))
-    outputs = output_paths(inputs, out_dir)
+def _cmd_decontaminate(args) -> dict:
+    out_dir = Path(args.out_dir)
+    outputs = output_paths(args.inputs, out_dir)
     min_tokens = DECONTAMINATION_MIN_TOKENS if args.min_paragraph_tokens is None else args.min_paragraph_tokens
     if args.load_filter:
         seeded = bloom_load(args.load_filter)
         if not seeded.read_only:
             raise ValidationError(f"filter {args.load_filter} is not a seeded read-only filter")
+    elif not args.test_set:
+        raise ValidationError("missing required option --test-set")
     else:
-        test_sets = _require(args.test_set, "--test-set")
-
-        def test_docs():
-            for path in test_sets:
-                yield from read_documents(path)
-
         # a Bloom filter is sized to the paragraphs the seeding gate admits
-        n_keys = 1 if args.exact else sum(1 for doc in test_docs() for _ in gated_paragraphs(doc, min_tokens))
+        test_docs = chain.from_iterable(map(read_documents, args.test_set))
+        n_keys = 1 if args.exact else sum(1 for doc in test_docs for _ in gated_paragraphs(doc, min_tokens))
         with _option_values():
             filt = make_backend(n_target=max(n_keys, 1), **_given(args, "exact", p_target="bloom_p", seed="seed"))
-        seeded = decontaminate_seed(filt, test_docs(), min_paragraph_tokens=min_tokens)
+        test_docs = chain.from_iterable(map(read_documents, args.test_set))  # seeding reads it again
+        seeded = decontaminate_seed(filt, test_docs, min_paragraph_tokens=min_tokens)
         if args.save_filter:
             bloom_save(seeded, args.save_filter)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     shards = (
         (attrs for _, attrs in decontaminate_tag(read_documents(path), seeded, min_paragraph_tokens=min_tokens))
-        for path in inputs
+        for path in args.inputs
     )
     counts = _write_counted(outputs, shards)
-    _emit_report(
-        {
-            "documents": counts["documents"],
-            "contaminated_documents": counts["flagged_documents"],
-            "min_paragraph_tokens": min_tokens,
-        },
-        args.report,
-    )
-    return EXIT_OK
+    return {
+        "documents": counts["documents"],
+        "contaminated_documents": counts["flagged_documents"],
+        "min_paragraph_tokens": min_tokens,
+    }
 
 
-def _cmd_mix(args) -> int:
-    _require(args.streams, "streams (mix needs --config with a mix configuration)")
-    out_dir = _require(args.out_dir, "--out-dir")
+def _cmd_mix(args) -> dict:
     with _option_values():
         mix_config = MixConfig.from_json(_given(args, *_MIX_KEYS))
-    report = mix(mix_config, out_dir, **_given(args, "workers"))
-    _emit_report(report.to_json(), args.report)
-    return EXIT_OK
+    return mix(mix_config, args.out_dir, **_given(args, "workers")).to_json()
 
 
-def _cmd_reddit_build(args) -> int:
-    inputs = _require(args.inputs, "--inputs")
-    out = _require(args.out, "--out")
+def _cmd_reddit_build(args) -> dict:
     strategy = args.strategy or "atomic"
     builders = {
         "atomic": reddit_threads.build_atomic,
         "partial": partial(reddit_threads.build_partial_threads, **_given(args, "max_depth")),
         "full": reddit_threads.build_full_threads,
     }
-    items = []
-    for path in inputs:
-        for doc in read_documents(path):
-            items.append(reddit_threads.RedditItem.from_document(doc))
-    count = write_documents(builders[strategy](items), out)
-    _emit_report({"strategy": strategy, "items": len(items), "documents": count}, args.report)
-    return EXIT_OK
+    docs = chain.from_iterable(map(read_documents, args.inputs))
+    items = [reddit_threads.RedditItem.from_document(doc) for doc in docs]
+    count = write_documents(builders[strategy](items), args.out)
+    return {"strategy": strategy, "items": len(items), "documents": count}
 
 
-def _cmd_train_classifier(args) -> int:
-    inputs = _require(args.inputs, "--inputs")
-    model_out = _require(args.model_out, "--model-out")
+def _cmd_train_classifier(args) -> dict:
     with _option_values():
         features = NgramConfig(
             **_given(args, "feature_kind", hash_buckets="buckets", hash_seed="seed", ngram_orders="orders")
@@ -377,7 +360,7 @@ def _cmd_train_classifier(args) -> int:
         if args.eval_split is not None and not 0 <= args.eval_split < 1:
             raise ValueError(f"--eval-split must be in [0, 1), got {args.eval_split}")
     examples = []
-    for path in inputs:
+    for path in args.inputs:
         for doc in read_documents(path):
             label = doc.metadata.get("label")
             if label is None:
@@ -385,20 +368,18 @@ def _cmd_train_classifier(args) -> int:
             examples.append((doc.text, str(label)))
     held_out: list[tuple[str, str]] = []
     if args.eval_split:
-        import random
-
         rng = random.Random(train_config.seed)
         shuffled = examples[:]
         rng.shuffle(shuffled)
         cut = max(1, int(len(shuffled) * args.eval_split))
         held_out, examples = shuffled[:cut], shuffled[cut:]
     model = train(examples, train_config, features)
-    save_model(model, model_out)
+    save_model(model, args.model_out)
     report = {
         "examples": len(examples),
         "labels": model.labels,
         "final_loss": model.loss_history[-1] if model.loss_history else None,
-        "model": str(model_out),
+        "model": str(args.model_out),
     }
     if held_out:
         feats = featurize_many(model.config, [text for text, _ in held_out])
@@ -409,142 +390,108 @@ def _cmd_train_classifier(args) -> int:
         )
         report["held_out_examples"] = len(held_out)
         report["held_out_accuracy"] = correct / len(held_out)
-    _emit_report(report, args.report)
-    return EXIT_OK
+    return report
 
 
-def _cmd_stats(args) -> int:
-    inputs = _require(args.inputs, "--inputs")
-
-    def docs():
-        for path in inputs:
-            yield from read_documents(path)
-
-    stats = count_stats(docs())
-    _emit_report(
-        {
-            "utf8_bytes": stats.utf8_bytes,
-            "documents": stats.documents,
-            "unicode_words": stats.unicode_words,
-        },
-        args.report,
-    )
-    return EXIT_OK
+def _cmd_stats(args) -> dict:
+    stats = count_stats(chain.from_iterable(map(read_documents, args.inputs)))
+    return {"utf8_bytes": stats.utf8_bytes, "documents": stats.documents, "unicode_words": stats.unicode_words}
 
 
-def _cmd_correlate(args) -> int:
-    attr_dirs = _require(args.attributes, "--attributes")
-    names = _require(args.filters, "--filters")
-    first = Path(attr_dirs[0])  # a directory: one group per file in it
+def _cmd_correlate(args) -> dict:
+    first = Path(args.attributes[0])  # a directory: one group per file in it
     shard_names = sorted(p.name for p in first.iterdir() if p.is_file()) if first.is_dir() else [first.name]
-    groups = [sidecar_paths(name, attr_dirs) for name in shard_names]
-    matrix = filter_correlation(merge_attribute_shards(groups), names)
-    _emit_report(matrix.to_json(), args.report)
-    return EXIT_OK
+    groups = [sidecar_paths(name, args.attributes) for name in shard_names]
+    return filter_correlation(merge_attribute_shards(groups), args.filters).to_json()
 
 
-def _cmd_pipeline_web(args) -> int:
-    inputs = _require(args.inputs, "--inputs")
-    out_dir = _require(args.out_dir, "--out-dir")
+def _cmd_pipeline_web(args) -> dict:
     options = _given(args, "bloom_n", "bloom_p", "seed", "toxicity_threshold", "workers", exact_backend="exact")
     models = _given(args, "language_model", "hate_model", "nsfw_model")
     with _option_values():
-        pipeline_config = WebPipelineConfig(inputs=list(inputs), out_dir=out_dir, **options, **models)
-    reports = run_pipeline_web(pipeline_config)
-    _emit_report({"stages": [r.to_json() for r in reports]}, args.report)
-    return EXIT_OK
+        pipeline_config = WebPipelineConfig(inputs=list(args.inputs), out_dir=args.out_dir, **options, **models)
+    return {"stages": [r.to_json() for r in run_pipeline_web(pipeline_config)]}
 
+
+# each option's argparse keywords; its flag is --<name with dashes> and its dest <name>
+_OPTIONS: dict[str, dict] = {
+    "config": dict(help="JSON config file; flags override its keys"),
+    "report": dict(help="write the JSON report here instead of stdout"),
+    "inputs": dict(nargs="+", help="document shard files"),
+    "seed": dict(type=int),
+    "workers": dict(type=_positive_int),
+    "taggers": dict(type=_tagger_specs, help="comma-separated tagger names"),
+    "out_dir": {},
+    "stage": dict(choices=["url", "document", "paragraph"]),
+    "exact": dict(action="store_const", const=True),
+    "bloom_n": dict(type=int),
+    "bloom_p": dict(type=float),
+    "min_paragraph_tokens": dict(type=_non_negative_int),
+    "save_filter": {},
+    "ccnet_group_bytes": dict(
+        type=_positive_int,
+        help="grouped paragraph dedup: dedupe within consecutive shard groups of at most this many bytes",
+    ),
+    "test_set": dict(nargs="+"),
+    "load_filter": {},
+    "strategy": dict(choices=["atomic", "partial", "full"]),
+    "max_depth": dict(type=_positive_int),
+    "out": {},
+    "model_out": {},
+    "feature_kind": dict(choices=["word", "char"]),
+    "orders": dict(type=_orders),
+    "buckets": dict(type=int),
+    "epochs": dict(type=int),
+    "learning_rate": dict(type=float),
+    "l2": dict(type=float),
+    "batch_size": dict(type=int),
+    "eval_split": dict(type=float),
+    "attributes": dict(nargs="+", help="attribute sidecar dirs (or files)"),
+    "filters": dict(type=_names, help="comma-separated attribute names"),
+    "language_model": {},
+    "hate_model": {},
+    "nsfw_model": {},
+    "toxicity_threshold": dict(type=float),
+}
+
+# command -> (function, help, its options after --config and --report, in flag order)
+_COMMANDS = {
+    "tag": (_cmd_tag, "run taggers over shards, writing attribute sidecars", "inputs workers taggers out_dir"),
+    "dedupe": (
+        _cmd_dedupe,
+        "flag URL/document/paragraph duplicates",
+        "inputs seed stage out_dir exact bloom_n bloom_p min_paragraph_tokens save_filter ccnet_group_bytes",
+    ),
+    "decontaminate": (
+        _cmd_decontaminate,
+        "seed a filter with test paragraphs and flag hits",
+        "inputs seed test_set out_dir exact bloom_p min_paragraph_tokens save_filter load_filter",
+    ),
+    "mix": (_cmd_mix, "filter, sample, and reshard per the mix config", "seed workers out_dir"),
+    "reddit-build": (_cmd_reddit_build, "linearize submission/comment trees", "inputs strategy max_depth out"),
+    "train-classifier": (
+        _cmd_train_classifier,
+        "train the n-gram classifier on labeled shards",
+        "inputs seed model_out feature_kind orders buckets epochs learning_rate l2 batch_size eval_split",
+    ),
+    "stats": (_cmd_stats, "corpus size statistics", "inputs"),
+    "correlate": (_cmd_correlate, "document-level filter correlation matrix", "attributes filters"),
+    "pipeline-web": (
+        _cmd_pipeline_web,
+        "full web pipeline in the fixed stage order",
+        "inputs seed workers out_dir exact bloom_n bloom_p language_model hate_model nsfw_model toxicity_threshold",
+    ),
+}
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="corpuskit", description=__doc__)
-    parser.add_argument("--log-level", default="WARNING")
+    parser.add_argument("--log-level", default="WARNING", type=str.upper, choices=_LOG_LEVELS)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name, fn, help, inputs=True, seed=False, workers=False) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help)
-        p.set_defaults(fn=fn)
-        p.add_argument("--config", help="JSON config file; flags override its keys")
-        p.add_argument("--report", help="write the JSON report here instead of stdout")
-        if inputs:
-            p.add_argument("--inputs", nargs="+", help="document shard files")
-        if seed:
-            p.add_argument("--seed", type=int)
-        if workers:
-            p.add_argument("--workers", type=_positive_int)
-        return p
-
-    p = command("tag", _cmd_tag, "run taggers over shards, writing attribute sidecars", workers=True)
-    p.add_argument("--taggers", type=_tagger_specs, help="comma-separated tagger names")
-    p.add_argument("--out-dir", dest="out_dir")
-
-    p = command("dedupe", _cmd_dedupe, "flag URL/document/paragraph duplicates", seed=True)
-    p.add_argument("--stage", choices=["url", "document", "paragraph"])
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--exact", action="store_const", const=True, default=None)
-    p.add_argument("--bloom-n", dest="bloom_n", type=int)
-    p.add_argument("--bloom-p", dest="bloom_p", type=float)
-    p.add_argument("--min-paragraph-tokens", dest="min_paragraph_tokens", type=_non_negative_int)
-    p.add_argument("--save-filter", dest="save_filter")
-    p.add_argument(
-        "--ccnet-group-bytes",
-        dest="ccnet_group_bytes",
-        type=_positive_int,
-        help="grouped paragraph dedup: dedupe within consecutive shard groups of at most this many bytes",
-    )
-
-    p = command(
-        "decontaminate", _cmd_decontaminate, "seed a filter with test paragraphs and flag hits", seed=True
-    )
-    p.add_argument("--test-set", dest="test_set", nargs="+")
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--exact", action="store_const", const=True, default=None)
-    p.add_argument("--bloom-p", dest="bloom_p", type=float)
-    p.add_argument("--min-paragraph-tokens", dest="min_paragraph_tokens", type=_non_negative_int)
-    p.add_argument("--save-filter", dest="save_filter")
-    p.add_argument("--load-filter", dest="load_filter")
-
-    p = command(
-        "mix", _cmd_mix, "filter, sample, and reshard per the mix config", inputs=False, seed=True, workers=True
-    )
-    p.add_argument("--out-dir", dest="out_dir")
-    p.set_defaults(**dict.fromkeys(_MIX_KEYS))  # the mix configuration's keys, set by --config only
-
-    p = command("reddit-build", _cmd_reddit_build, "linearize submission/comment trees")
-    p.add_argument("--strategy", choices=["atomic", "partial", "full"])
-    p.add_argument("--max-depth", dest="max_depth", type=_positive_int)
-    p.add_argument("--out")
-
-    p = command(
-        "train-classifier", _cmd_train_classifier, "train the n-gram classifier on labeled shards", seed=True
-    )
-    p.add_argument("--model-out", dest="model_out")
-    p.add_argument("--feature-kind", dest="feature_kind", choices=["word", "char"])
-    p.add_argument("--orders", type=_orders)
-    p.add_argument("--buckets", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--eval-split", dest="eval_split", type=float)
-
-    command("stats", _cmd_stats, "corpus size statistics")
-
-    p = command("correlate", _cmd_correlate, "document-level filter correlation matrix", inputs=False)
-    p.add_argument("--attributes", nargs="+", help="attribute sidecar dirs (or files)")
-    p.add_argument("--filters", type=_names, help="comma-separated attribute names")
-
-    p = command(
-        "pipeline-web", _cmd_pipeline_web, "full web pipeline in the fixed stage order", seed=True, workers=True
-    )
-    p.add_argument("--out-dir", dest="out_dir")
-    p.add_argument("--exact", action="store_const", const=True, default=None)
-    p.add_argument("--bloom-n", dest="bloom_n", type=int)
-    p.add_argument("--bloom-p", dest="bloom_p", type=float)
-    p.add_argument("--language-model", dest="language_model")
-    p.add_argument("--hate-model", dest="hate_model")
-    p.add_argument("--nsfw-model", dest="nsfw_model")
-    p.add_argument("--toxicity-threshold", dest="toxicity_threshold", type=float)
-
+    for name, (_, help, options) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help)
+        for option in ("config", "report", *options.split()):
+            command.add_argument(_flag(option), dest=option, **_OPTIONS[option])
+    sub.choices["mix"].set_defaults(**dict.fromkeys(_MIX_KEYS))  # the mix configuration's keys, set by --config only
     parser.commands = sub.choices
     return parser
 
@@ -562,11 +509,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        logging.basicConfig(level=getattr(logging, args.log_level.upper(), logging.WARNING))
+        logging.basicConfig(level=args.log_level)
         if args.config:
             _merge_config(args, parser.commands[args.command])
         _refuse_unread(args)
-        return args.fn(args)
+        _refuse_missing(args)
+        payload = json.dumps(_COMMANDS[args.command][0](args), indent=2)
+        if args.report:
+            Path(args.report).write_text(payload + "\n", encoding="utf-8")
+        else:
+            print(payload)
+        return EXIT_OK
     except _VALIDATION_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -10,6 +10,7 @@ absent on clean documents.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, replace
 from typing import Sequence, Union
@@ -51,6 +52,8 @@ class FilterExpr:
             raise FilterConfigError(f"scope must be one of {_SCOPES}, got {self.scope!r}")
         if self.op not in _OPS:
             raise FilterConfigError(f"unknown comparator {self.op!r}")
+        if math.isnan(self.threshold):  # it matches no score; -inf and inf are kept (PII_MASK_FILTERS uses -inf)
+            raise FilterConfigError(f"filter threshold for {self.attribute!r} must not be NaN")
         if self.action not in _ACTIONS:
             raise FilterConfigError(f"unknown action {self.action!r}")
         if self.action == "drop_doc" and self.scope != "document":

@@ -10,6 +10,7 @@ parts in config order, so output bytes do not depend on worker count.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -62,8 +63,8 @@ class MixConfig:
         if not self.streams:
             raise MixConfigError("mix config needs at least one stream")
         if self.proportions is not None:
-            if any(w < 0 for w in self.proportions.values()):
-                raise MixConfigError("proportion weights must be >= 0")
+            if not all(0 <= w < math.inf for w in self.proportions.values()):
+                raise MixConfigError("proportion weights must be finite and >= 0")
             if not any(w > 0 for w in self.proportions.values()):
                 raise MixConfigError("proportion weights must not all be zero")
         for source, factor in self.upsample.items():

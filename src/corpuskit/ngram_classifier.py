@@ -13,6 +13,7 @@ sparse row of bucket indices and counts.
 
 from __future__ import annotations
 
+import math
 import random
 import struct
 from dataclasses import dataclass, field
@@ -74,10 +75,10 @@ class TrainConfig:
     def __post_init__(self) -> None:
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be > 0")
-        if self.l2 < 0:
-            raise ValueError("l2 must be >= 0")
+        if not 0 < self.learning_rate < math.inf:
+            raise ValueError(f"learning_rate must be finite and > 0, got {self.learning_rate}")
+        if not 0 <= self.l2 < math.inf:
+            raise ValueError(f"l2 must be finite and >= 0, got {self.l2}")
         if self.batch_size < 0:
             raise ValueError("batch_size must be >= 0 (0 = full batch)")
 

@@ -141,10 +141,32 @@ def register_tagger(name: str, factory: Callable[[dict], TaggerFn]) -> None:
     _REGISTRY[name] = factory
 
 
+class _ReadParams(dict):
+    """Tagger params that note each key a tagger factory reads."""
+
+    def __init__(self, params: dict) -> None:
+        super().__init__(params)
+        self.read: set[str] = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+
 def build_tagger(name: str, params: dict | None = None) -> TaggerFn:
+    """Build a registered tagger; a param its factory does not read is an error."""
     if name not in _REGISTRY:
         raise UnknownTaggerError(f"unknown tagger {name!r}; known: {sorted(_REGISTRY)}")
-    return _REGISTRY[name](params or {})
+    params = _ReadParams(params or {})
+    tagger = _REGISTRY[name](params)
+    unread = sorted(params.keys() - params.read)
+    if unread:
+        raise TaggerConfigError(f"tagger {name!r} does not read params {', '.join(map(repr, unread))}")
+    return tagger
 
 
 @dataclass

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import BENIGN_WORDS, OTHER_WORDS, ENGLISH_WORDS, sentence
 from corpuskit.bloom import BloomFilter, bloom_load
-from corpuskit.cli import main
+from corpuskit.cli import build_parser, main
 from corpuskit.documents import Document
 from corpuskit.ngram_classifier import load_model
 from corpuskit.shard_io import read_attributes, read_documents, write_documents
@@ -751,6 +751,131 @@ class TestOptionSurface:
             assert payload["contaminated_documents"] == (1 if gate == 5 else 0)
 
 
+# every subcommand's options, in flag order: (option strings, dest, type name,
+# nargs, const, default, choices, help); the three every command shares come first
+COMMON_OPTIONS = [
+    (("-h", "--help"), "help", None, 0, None, "==SUPPRESS==", None, "show this help message and exit"),
+    (("--config",), "config", None, None, None, None, None, "JSON config file; flags override its keys"),
+    (("--report",), "report", None, None, None, None, None, "write the JSON report here instead of stdout"),
+]
+OPTION_SURFACE = {
+    "tag": [
+        *COMMON_OPTIONS,
+        (("--inputs",), "inputs", None, "+", None, None, None, "document shard files"),
+        (("--workers",), "workers", "_positive_int", None, None, None, None, None),
+        (("--taggers",), "taggers", "_tagger_specs", None, None, None, None, "comma-separated tagger names"),
+        (("--out-dir",), "out_dir", None, None, None, None, None, None),
+    ],
+    "dedupe": [
+        *COMMON_OPTIONS,
+        (("--inputs",), "inputs", None, "+", None, None, None, "document shard files"),
+        (("--seed",), "seed", "int", None, None, None, None, None),
+        (("--stage",), "stage", None, None, None, None, ["url", "document", "paragraph"], None),
+        (("--out-dir",), "out_dir", None, None, None, None, None, None),
+        (("--exact",), "exact", None, 0, True, None, None, None),
+        (("--bloom-n",), "bloom_n", "int", None, None, None, None, None),
+        (("--bloom-p",), "bloom_p", "float", None, None, None, None, None),
+        (("--min-paragraph-tokens",), "min_paragraph_tokens", "_non_negative_int", None, None, None, None, None),
+        (("--save-filter",), "save_filter", None, None, None, None, None, None),
+        (
+            ("--ccnet-group-bytes",), "ccnet_group_bytes", "_positive_int", None, None, None, None,
+            "grouped paragraph dedup: dedupe within consecutive shard groups of at most this many bytes",
+        ),
+    ],
+    "decontaminate": [
+        *COMMON_OPTIONS,
+        (("--inputs",), "inputs", None, "+", None, None, None, "document shard files"),
+        (("--seed",), "seed", "int", None, None, None, None, None),
+        (("--test-set",), "test_set", None, "+", None, None, None, None),
+        (("--out-dir",), "out_dir", None, None, None, None, None, None),
+        (("--exact",), "exact", None, 0, True, None, None, None),
+        (("--bloom-p",), "bloom_p", "float", None, None, None, None, None),
+        (("--min-paragraph-tokens",), "min_paragraph_tokens", "_non_negative_int", None, None, None, None, None),
+        (("--save-filter",), "save_filter", None, None, None, None, None, None),
+        (("--load-filter",), "load_filter", None, None, None, None, None, None),
+    ],
+    "mix": [
+        *COMMON_OPTIONS,
+        (("--seed",), "seed", "int", None, None, None, None, None),
+        (("--workers",), "workers", "_positive_int", None, None, None, None, None),
+        (("--out-dir",), "out_dir", None, None, None, None, None, None),
+    ],
+    "reddit-build": [
+        *COMMON_OPTIONS,
+        (("--inputs",), "inputs", None, "+", None, None, None, "document shard files"),
+        (("--strategy",), "strategy", None, None, None, None, ["atomic", "partial", "full"], None),
+        (("--max-depth",), "max_depth", "_positive_int", None, None, None, None, None),
+        (("--out",), "out", None, None, None, None, None, None),
+    ],
+    "train-classifier": [
+        *COMMON_OPTIONS,
+        (("--inputs",), "inputs", None, "+", None, None, None, "document shard files"),
+        (("--seed",), "seed", "int", None, None, None, None, None),
+        (("--model-out",), "model_out", None, None, None, None, None, None),
+        (("--feature-kind",), "feature_kind", None, None, None, None, ["word", "char"], None),
+        (("--orders",), "orders", "_orders", None, None, None, None, None),
+        (("--buckets",), "buckets", "int", None, None, None, None, None),
+        (("--epochs",), "epochs", "int", None, None, None, None, None),
+        (("--learning-rate",), "learning_rate", "float", None, None, None, None, None),
+        (("--l2",), "l2", "float", None, None, None, None, None),
+        (("--batch-size",), "batch_size", "int", None, None, None, None, None),
+        (("--eval-split",), "eval_split", "float", None, None, None, None, None),
+    ],
+    "stats": [
+        *COMMON_OPTIONS,
+        (("--inputs",), "inputs", None, "+", None, None, None, "document shard files"),
+    ],
+    "correlate": [
+        *COMMON_OPTIONS,
+        (("--attributes",), "attributes", None, "+", None, None, None, "attribute sidecar dirs (or files)"),
+        (("--filters",), "filters", "_names", None, None, None, None, "comma-separated attribute names"),
+    ],
+    "pipeline-web": [
+        *COMMON_OPTIONS,
+        (("--inputs",), "inputs", None, "+", None, None, None, "document shard files"),
+        (("--seed",), "seed", "int", None, None, None, None, None),
+        (("--workers",), "workers", "_positive_int", None, None, None, None, None),
+        (("--out-dir",), "out_dir", None, None, None, None, None, None),
+        (("--exact",), "exact", None, 0, True, None, None, None),
+        (("--bloom-n",), "bloom_n", "int", None, None, None, None, None),
+        (("--bloom-p",), "bloom_p", "float", None, None, None, None, None),
+        (("--language-model",), "language_model", None, None, None, None, None, None),
+        (("--hate-model",), "hate_model", None, None, None, None, None, None),
+        (("--nsfw-model",), "nsfw_model", None, None, None, None, None, None),
+        (("--toxicity-threshold",), "toxicity_threshold", "float", None, None, None, None, None),
+    ],
+}
+# the mix configuration's keys, set by --config only
+MIX_DEFAULTS = {"streams": None, "proportions": None, "upsample": None, "seed": None, "output_shard_bytes": None}
+
+def option_surface(parser):
+    return {
+        name: [
+            (
+                tuple(action.option_strings), action.dest, getattr(action.type, "__name__", None),
+                action.nargs, action.const, action.default, action.choices, action.help,
+            )
+            for action in command._actions
+        ]
+        for name, command in parser.commands.items()
+    }
+
+
+class TestPinnedSurface:
+    def test_options_unchanged(self):
+        parser = build_parser()
+        assert option_surface(parser) == OPTION_SURFACE
+        assert list(parser.commands) == list(OPTION_SURFACE)
+        assert {key: value for key, value in parser.commands["mix"]._defaults.items() if key != "fn"} == MIX_DEFAULTS
+
+    @pytest.mark.parametrize("command", list(OPTION_SURFACE))
+    def test_help_exits_zero(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: corpuskit {command}")
+
+
 def run_refused(tmp_path, monkeypatch, command, options):
     """Run ``command`` on an input shard that does not exist, with every
     path relative to ``tmp_path``; return the exit code and whether any
@@ -807,7 +932,14 @@ BAD_VALUES = [
     ("pipeline-web", "--workers -3"),
     ("tag", "--taggers c4 --workers 0"),
     ("reddit-build", "--strategy partial --max-depth 0"),
+    # a NaN step trains to the end and fails; a NaN l2 trains as 0
+    ("train-classifier", "--learning-rate nan"),
+    ("train-classifier", "--learning-rate inf"),
+    ("train-classifier", "--l2 nan"),
+    ("train-classifier", "--l2 inf"),
 ]
+
+NAN_FILTER = {"attribute": "a", "scope": "document", "op": ">", "threshold": float("nan"), "action": "drop_doc"}
 
 
 class TestRefusedBeforeReading:
@@ -824,3 +956,32 @@ class TestRefusedBeforeReading:
         (tmp_path / "c.json").write_text(json.dumps({"exact": True, "seed": 3}))
         assert run_refused(tmp_path, monkeypatch, "dedupe", "--stage url --config c.json") == (1, False)
         assert "--seed not read when --exact is True" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "stream,config,message",
+        [
+            ({"filters": [NAN_FILTER]}, {}, "must not be NaN"),  # it would match nothing
+            ({}, {"proportions": {"s": float("nan"), "t": 1.0}}, "finite"),  # it would keep every document
+            ({}, {"proportions": {"s": float("inf")}}, "finite"),
+        ],
+    )
+    def test_mix_non_finite_value(self, tmp_path, monkeypatch, capsys, stream, config, message):
+        monkeypatch.chdir(tmp_path)
+        # json writes NaN and Infinity and reads them back
+        Path("mix.json").write_text(json.dumps({"streams": [{"documents": ["absent.jsonl"], **stream}], **config}))
+        assert run_cli("mix", "--config", "mix.json", "--out-dir", "out") == 1
+        assert message in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "mix.json"]
+
+    @pytest.mark.parametrize("tagger", ["gopher", "toxicity"])
+    def test_tagger_param_the_tagger_does_not_read(self, tmp_path, monkeypatch, capsys, tagger):
+        (tmp_path / "c.json").write_text(json.dumps({"taggers": [{"name": tagger, "params": {"treshold": 0.9}}]}))
+        code, _ = run_refused(tmp_path, monkeypatch, "tag", "--config c.json")
+        assert code == 1  # reading the absent shard would exit 2
+        assert f"tagger {tagger!r} does not read params 'treshold'" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "absent.jsonl").exists()
+
+    @pytest.mark.parametrize("level,code", [("bogus", 1), ("info", 0), ("DEBUG", 0)])
+    def test_log_level(self, tmp_path, capsys, level, code):
+        assert run_cli("--log-level", level, "stats", "--inputs", str(make_shard(tmp_path))) == code
+        assert ("invalid choice: 'BOGUS'" in capsys.readouterr().err) is (code == 1)

@@ -83,6 +83,15 @@ class TestFilterExprValidation:
         expr = FilterExpr("a", "document", "=", 1.0, "drop_doc")
         assert expr.matches(1.0) and not expr.matches(0.5)
 
+    def test_nan_threshold_refused_infinite_kept(self):
+        # a NaN threshold matches no score; the PII mask filters use -inf
+        with pytest.raises(FilterConfigError, match="NaN"):
+            FilterExpr.from_json(
+                {"attribute": "a", "scope": "document", "op": ">", "threshold": float("nan"), "action": "drop_doc"}
+            )
+        assert FilterExpr("a", "document", ">", float("-inf"), "drop_doc").matches(0.0)
+        assert not FilterExpr("a", "document", ">=", float("inf"), "drop_doc").matches(1e308)
+
 
 class TestApplyFilters:
     def test_document_drop(self):

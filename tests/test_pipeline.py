@@ -7,6 +7,7 @@ from conftest import BENIGN_WORDS
 from corpuskit.documents import AttributeSpan, Document
 from corpuskit.ngram_classifier import save_model
 from corpuskit.pipeline import (
+    TaggerConfigError,
     UnknownTaggerError,
     WebPipelineConfig,
     build_tagger,
@@ -130,6 +131,24 @@ class TestRunTag:
         (shard,) = write_shards(tmp_path, [[Document(id="a", text="has KEY")]])
         report = run_tag([shard], [("secret_scanner", {"needle": "KEY"})], tmp_path / "attrs")
         assert report.attribute_documents["secrets__match"] == 1
+
+
+    def test_param_the_tagger_does_not_read_refused(self):
+        with pytest.raises(TaggerConfigError, match="'gopher' does not read params 'treshold'"):
+            build_tagger("gopher", {"treshold": 0.9})
+        # a misspelt threshold would otherwise run at the default
+        with pytest.raises(TaggerConfigError, match="'toxicity' does not read params 'treshold'"):
+            build_tagger("toxicity", {"treshold": 0.9})
+        build_tagger("toxicity", {"threshold": 0.9})
+
+        def needle_factory(params):
+            needle = params["needle"]
+            return lambda doc: {"needle__match": [AttributeSpan(0, 1, 1.0)]} if needle in doc.text else {}
+
+        register_tagger("needle_scanner", needle_factory)
+        build_tagger("needle_scanner", {"needle": "x"})
+        with pytest.raises(TaggerConfigError, match="'needle_scanner' does not read params 'a', 'nedle'"):
+            build_tagger("needle_scanner", {"needle": "x", "nedle": "y", "a": 1})
 
 
 class TestWebPipeline:
