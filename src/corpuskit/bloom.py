@@ -2,8 +2,12 @@
 
 Sized from a target insertion count and false-positive rate; keys are
 hashed with seeded BLAKE2b double hashing so filters are portable across
-platforms. Bits only ever transition 0 -> 1. A hash-set backend with the
-same interface exists for desk-scale oracle testing.
+platforms. Bits only ever transition 0 -> 1. Keys go in and are looked up a
+batch at a time, ``insert_check_many`` and ``contains_many``, in numpy; the
+answers are those of inserting or probing the keys one by one in order with
+``insert_check``/``contains``, which compute the same positions in Python
+integers, cheaper for a single key. A hash-set backend with the same
+interface exists for desk-scale oracle testing.
 """
 
 from __future__ import annotations
@@ -13,6 +17,9 @@ import math
 import struct
 import threading
 from pathlib import Path
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from corpuskit.shard_io import atomic_output
 
@@ -23,6 +30,10 @@ _MASK64 = (1 << 64) - 1
 
 DEFAULT_N_TARGET = 1_000_000
 DEFAULT_P_TARGET = 1e-4
+
+_BIT = np.array([1 << i for i in range(8)], np.uint8)  # bit i of a byte
+_DIGEST = np.dtype(("<u8", 2))  # a key's 16-byte digest read as (h1, h2)
+_H2_LOW_BIT = np.array([0, 1], np.uint64)
 
 
 class ReadOnlyFilterError(RuntimeError):
@@ -41,12 +52,56 @@ def check_target(n_target: int, p_target: float) -> None:
         raise ValueError(f"p_target must be in (0, 1), got {p_target}")
 
 
+def probe_positions(keys: Sequence[bytes], m: int, k: int, seed: int) -> np.ndarray:
+    """The k bit positions of each key as a (len(keys), k) uint64 array.
+
+    Position i is ``(h1 + i*h2) mod m``, where h1 and h2 are the
+    little-endian halves of the key's 16-byte BLAKE2b digest salted with the
+    seed, and h2 has its low bit set. It is computed as ``(h1 mod m) + i*(h2
+    mod m)`` reduced mod m, with every operand uint64 (numpy 1.x would turn
+    uint64 mixed with int64 into float64); the sum is at most k*(m-1), so it
+    fits in 64 bits for every filter ``BloomFilter`` accepts, k*m < 2^64.
+    """
+    salt = seed.to_bytes(8, "little")
+    digests = b"".join(hashlib.blake2b(key, digest_size=16, salt=salt).digest() for key in keys)
+    h = (np.frombuffer(digests, _DIGEST) | _H2_LOW_BIT) % np.uint64(m)
+    return (h[:, :1] + np.arange(k, dtype=np.uint64) * h[:, 1:]) % np.uint64(m)
+
+
+def _first_probes(pos: np.ndarray, index: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct positions < m of a non-empty ``pos``, ascending, each with
+    the smallest entry of ``index`` (ascending, non-negative) that probes it.
+
+    One sort of ``position << b | index`` packed in uint64, or a stable
+    argsort of the positions when the two fields need more than 64 bits.
+    """
+    shift = int(index[-1]).bit_length()
+    if (m - 1).bit_length() + shift <= 64:
+        packed = np.sort(pos << np.uint64(shift) | index.astype(np.uint64))
+        pos, index = packed >> np.uint64(shift), packed & np.uint64((1 << shift) - 1)
+    else:
+        order = np.argsort(pos, kind="stable")
+        pos, index = pos[order], index[order]
+    first = _run_starts(pos)
+    return pos[first], index[first]
+
+
+def _run_starts(values: np.ndarray) -> np.ndarray:
+    """Indices where a run of equal values starts in a non-empty array."""
+    change = np.empty(len(values), bool)
+    change[0] = True
+    np.not_equal(values[1:], values[:-1], out=change[1:])
+    return np.flatnonzero(change)
+
+
 class BloomFilter:
     """m-bit array with k hash functions; no false negatives."""
 
     def __init__(self, m: int, k: int, seed: int = 0, read_only: bool = False, bits: bytearray | None = None):
         if m < 1 or k < 1:
             raise ValueError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
+        if k * m >= 1 << 64:  # probe_positions works in uint64
+            raise ValueError(f"need k * m < 2**64, got m={m}, k={k}")
         self.m = m
         self.k = k
         self.seed = seed & _MASK64
@@ -57,6 +112,7 @@ class BloomFilter:
         elif len(bits) != n_bytes:
             raise ValueError(f"bit array holds {len(bits)} bytes, expected {n_bytes}")
         self.bits = bits
+        self.added = 0  # keys an insert on this object reported absent
         self._lock = threading.Lock()
 
     @classmethod
@@ -73,37 +129,84 @@ class BloomFilter:
         bloom.p_target = p_target
         return bloom
 
-    def _positions(self, key: bytes):
-        digest = hashlib.blake2b(
-            key, digest_size=16, salt=self.seed.to_bytes(8, "little")
-        ).digest()
-        h1 = int.from_bytes(digest[:8], "little")
-        h2 = int.from_bytes(digest[8:], "little") | 1
+    def insert_check_many(self, keys: Sequence[bytes]) -> list[bool]:
+        """Set each key's bits, in order; return for each key whether all its
+        bits were set already, before the batch or by an earlier key of it.
+
+        Thread-safe: the lock is held across the batch's probe and set, so
+        concurrent inserts never lose bits and an inserted key always reports
+        present afterward.
+        """
+        if self.read_only:
+            raise ReadOnlyFilterError("insertion attempted on read-only filter")
+        if not keys:
+            return []
+        k = self.k
+        pos = probe_positions(keys, self.m, k, self.seed).ravel()
+        with self._lock:
+            bits = np.frombuffer(self.bits, np.uint8)
+            unset = np.flatnonzero((bits[pos >> 3] & _BIT[pos & 7]) == 0)
+            if not unset.size:
+                return [True] * len(keys)
+            # a key is absent exactly when it is the first in the batch to
+            # probe some position that was unset before the batch
+            new, setters = _first_probes(pos[unset], unset, self.m)
+            # set the new bits once, OR-ing the masks that share a byte
+            byte = new >> 3
+            starts = _run_starts(byte)
+            bits[byte[starts]] |= np.bitwise_or.reduceat(_BIT[new & 7], starts)
+            present = np.ones(len(keys), bool)
+            present[setters // k] = False
+            self.added += len(keys) - int(np.count_nonzero(present))
+        return present.tolist()
+
+    def contains_many(self, keys: Sequence[bytes]) -> list[bool]:
+        """For each key, whether all its bits are set."""
+        if not keys:
+            return []
+        pos = probe_positions(keys, self.m, self.k, self.seed)
+        bits = np.frombuffer(self.bits, np.uint8)
+        return ((bits[pos >> 3] & _BIT[pos & 7]) != 0).all(axis=1).tolist()
+
+    def _positions(self, key: bytes) -> Iterator[int]:
+        """``probe_positions`` of one key, in Python integers, lazily."""
+        digest = hashlib.blake2b(key, digest_size=16, salt=self.seed.to_bytes(8, "little")).digest()
+        h1, h2 = struct.unpack("<QQ", digest)
+        h2 |= 1
         for i in range(self.k):
             yield (h1 + i * h2) % self.m
 
     def insert_check(self, key: bytes) -> bool:
         """Set the key's bits; return whether all were already set.
-
-        Thread-safe: concurrent inserts never lose bits, so an inserted key
-        always reports present afterward.
-        """
+        Thread-safe as ``insert_check_many`` is."""
         if self.read_only:
             raise ReadOnlyFilterError("insertion attempted on read-only filter")
         was_present = True
         with self._lock:
+            bits = self.bits
             for pos in self._positions(key):
                 byte, mask = pos >> 3, 1 << (pos & 7)
-                if not self.bits[byte] & mask:
+                if not bits[byte] & mask:
                     was_present = False
-                    self.bits[byte] |= mask
+                    bits[byte] |= mask
+            self.added += not was_present
         return was_present
 
     def contains(self, key: bytes) -> bool:
-        return all(self.bits[pos >> 3] & (1 << (pos & 7)) for pos in self._positions(key))
+        bits = self.bits
+        return all(bits[pos >> 3] & (1 << (pos & 7)) for pos in self._positions(key))
 
     def popcount(self) -> int:
-        return int.from_bytes(self.bits, "little").bit_count()
+        """Set bits, counted a 64 KiB slice at a time so that no copy of the
+        whole array is made."""
+        view = memoryview(self.bits)
+        return sum(int.from_bytes(view[i : i + 65536], "little").bit_count() for i in range(0, len(view), 65536))
+
+    def health(self) -> dict:
+        """Size, fill ratio (set bits over m) and the false-positive rate that
+        fill implies for a key never inserted, ``fill ** k``."""
+        fill = self.popcount() / self.m
+        return {"m": self.m, "k": self.k, "fill": fill, "estimated_fpr": fill**self.k}
 
     def freeze(self) -> "BloomFilter":
         self.read_only = True
@@ -148,17 +251,25 @@ class ExactSet:
         self._keys: set[bytes] = set()
         self._lock = threading.Lock()
 
-    def insert_check(self, key: bytes) -> bool:
+    def insert_check_many(self, keys: Sequence[bytes]) -> list[bool]:
+        """Add each key, in order; return for each whether it was in the set."""
         if self.read_only:
             raise ReadOnlyFilterError("insertion attempted on read-only set")
+        flags = []
         with self._lock:
-            if key in self._keys:
-                return True
-            self._keys.add(key)
-            return False
+            for key in keys:
+                flags.append(key in self._keys)
+                self._keys.add(key)
+        return flags
+
+    def contains_many(self, keys: Sequence[bytes]) -> list[bool]:
+        return [key in self._keys for key in keys]
+
+    def insert_check(self, key: bytes) -> bool:
+        return self.insert_check_many([key])[0]
 
     def contains(self, key: bytes) -> bool:
-        return key in self._keys
+        return self.contains_many([key])[0]
 
     def freeze(self) -> "ExactSet":
         self.read_only = True

@@ -10,9 +10,13 @@ A bad option value, or an option the chosen mode does not read (--bloom-p
 with --exact, --max-depth without --strategy partial, ...), exits 1 before
 any shard is read. So do a --log-level other than DEBUG, INFO, WARNING,
 ERROR or CRITICAL (in any case), a NaN or infinite number where a finite one
-is needed (--l2, --learning-rate, a mix weight; a NaN filter threshold) and
-a tagger param its tagger does not read. Reports are JSON on stdout or at
---report. Exit codes: 0 success, 1 validation error, 2 runtime failure.
+is needed (--l2, --learning-rate, a mix weight; a NaN filter threshold), a
+tagger param its tagger does not read, and a --save-filter, --report, --out
+or --model-out file in a directory that neither exists nor is the command's
+--out-dir or above it. Reports are JSON on stdout or at --report; with a
+Bloom filter, dedupe and decontaminate reports end in its size, fill and
+estimated false-positive rate. Exit codes: 0 success, 1 validation error, 2
+runtime failure.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from pathlib import Path
 from typing import Iterator
 
 from corpuskit import reddit_threads
-from corpuskit.bloom import bloom_load, bloom_save, make_backend
+from corpuskit.bloom import BloomFilter, bloom_load, bloom_save, make_backend
 from corpuskit.correlate import filter_correlation, merge_attribute_shards
 from corpuskit.dedupe import (
     DECONTAMINATION_MIN_TOKENS,
@@ -61,6 +65,7 @@ from corpuskit.pipeline import (
 )
 from corpuskit.shard_io import (
     ShardNameError,
+    atomic_output,
     output_paths,
     read_documents,
     sidecar_paths,
@@ -222,6 +227,22 @@ def _refuse_missing(args) -> None:
             raise ValidationError(f"missing required option {flag}")
 
 
+_OUTPUT_FILES = ("save_filter", "report", "out", "model_out")  # options naming a file to write
+
+
+def _refuse_missing_parent(args) -> None:
+    """Reject an output file whose directory neither exists nor is made by
+    the command, which makes its --out-dir and the directories above it."""
+    options = vars(args)
+    made = Path(options["out_dir"]).resolve() if options.get("out_dir") else None
+    for name in _OUTPUT_FILES:
+        if not options.get(name):
+            continue
+        parent = Path(options[name]).resolve().parent
+        if not (parent.is_dir() or made is not None and (parent == made or parent in made.parents)):
+            raise ValidationError(f"{_flag(name)} {options[name]}: no directory {Path(options[name]).parent}")
+
+
 def _given(args, *names: str, **renamed: str) -> dict:
     """Keyword arguments for a library call from the options that were set, the
     library's defaults covering the rest; ``renamed`` maps parameter to option."""
@@ -257,6 +278,22 @@ def _write_counted(outputs, shards) -> dict:
     for out_path, records in zip(outputs, shards):
         write_attributes(counted(records), out_path)
     return counts
+
+
+def _bloom_health(bloom: BloomFilter) -> dict:
+    """A report's ``bloom`` entry; warns when a filter sized in this run took
+    more new keys than it was sized for. (Its estimated false-positive rate
+    alone would not do: at exactly the sized key count it lands on the target
+    up to noise, above it about half the time.)"""
+    health = bloom.health()
+    n_target = getattr(bloom, "n_target", None)  # set by BloomFilter.create, not by bloom_load
+    if n_target is not None and bloom.added > n_target:
+        logger.warning(
+            "Bloom filter took %d new keys, sized for %d: fill %.4f, estimated false-positive rate %.3g "
+            "against a target of %.3g",
+            bloom.added, n_target, health["fill"], health["estimated_fpr"], bloom.p_target,
+        )
+    return health
 
 
 def _cmd_dedupe(args) -> dict:
@@ -295,6 +332,8 @@ def _cmd_dedupe(args) -> dict:
         if args.save_filter:
             bloom_save(backend, args.save_filter)
         report.update(counts, missing_url=missing_url)
+        if isinstance(backend, BloomFilter):
+            report["bloom"] = _bloom_health(backend)
     return report
 
 
@@ -325,11 +364,14 @@ def _cmd_decontaminate(args) -> dict:
         for path in args.inputs
     )
     counts = _write_counted(outputs, shards)
-    return {
+    report = {
         "documents": counts["documents"],
         "contaminated_documents": counts["flagged_documents"],
         "min_paragraph_tokens": min_tokens,
     }
+    if isinstance(seeded, BloomFilter):
+        report["bloom"] = _bloom_health(seeded)
+    return report
 
 
 def _cmd_mix(args) -> dict:
@@ -514,9 +556,11 @@ def main(argv: list[str] | None = None) -> int:
             _merge_config(args, parser.commands[args.command])
         _refuse_unread(args)
         _refuse_missing(args)
+        _refuse_missing_parent(args)
         payload = json.dumps(_COMMANDS[args.command][0](args), indent=2)
         if args.report:
-            Path(args.report).write_text(payload + "\n", encoding="utf-8")
+            with atomic_output(args.report) as tmp:
+                tmp.write_text(payload + "\n", encoding="utf-8")
         else:
             print(payload)
         return EXIT_OK

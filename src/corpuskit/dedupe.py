@@ -7,8 +7,10 @@ byte-capped groups and dedupes within each group independently.
 Decontamination seeds a filter with evaluation-set paragraphs and flags
 any document sharing one.
 
-Every stage only flags: it yields each document with its attribute record
-and counts nothing. Callers count what they need from those records and
+Every stage hands its filter the keys of a chunk of consecutive documents
+in one batch call, which answers as checking them one by one in stream
+order would. Every stage only flags: it yields each document with its
+attribute record, one document at a time, and counts nothing. Callers count what they need from those records and
 act on the flags through :func:`corpuskit.filters.apply_filters`.
 """
 
@@ -17,8 +19,9 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+from functools import partial
 from pathlib import Path
-from typing import Iterable, Iterator, Protocol
+from typing import Callable, Iterable, Iterator, Protocol, Sequence
 from urllib.parse import urlsplit, urlunsplit
 
 from corpuskit.bloom import ExactSet
@@ -42,12 +45,72 @@ DECONTAMINATION_MIN_TOKENS = 13
 CCNET_MAX_GROUP_BYTES = 20 * 2**30
 
 
+# the keys handed to a filter in one call: a chunk of consecutive documents
+# closes once it holds this many keys, or this many documents, so documents
+# without keys are not held back either
+KEY_CHUNK = 256
+
+
 class KeyFilter(Protocol):
     read_only: bool
+
+    def insert_check_many(self, keys: Sequence[bytes]) -> list[bool]: ...
+
+    def contains_many(self, keys: Sequence[bytes]) -> list[bool]: ...
 
     def insert_check(self, key: bytes) -> bool: ...
 
     def contains(self, key: bytes) -> bool: ...
+
+
+Keyed = list[tuple[AttributeSpan, bytes]]  # a document's keys, each with the span it flags
+
+
+def _checked(
+    docs: Iterable[Document],
+    keys_of: Callable[[Document], Iterable[tuple[AttributeSpan, bytes]]],
+    check_many: Callable[[list[bytes]], list[bool]],
+) -> Iterator[tuple[Document, Keyed, list[bool]]]:
+    """Yield ``(doc, keyed, flags)`` for each document, in order, where
+    ``keyed = list(keys_of(doc))`` and ``flags[i]`` is ``check_many``'s answer
+    for the i-th key. The keys of consecutive documents go to one
+    ``check_many`` call in stream order, a chunk closing once it holds
+    ``KEY_CHUNK`` keys or ``KEY_CHUNK`` documents."""
+    docs = iter(docs)
+    while True:
+        chunk, keys = [], []
+        for doc in docs:
+            keyed = list(keys_of(doc))
+            chunk.append((doc, keyed))
+            keys += [key for _, key in keyed]
+            if len(keys) >= KEY_CHUNK or len(chunk) >= KEY_CHUNK:
+                break
+        if not chunk:
+            return
+        flags = check_many(keys) if keys else []
+        start = 0
+        for doc, keyed in chunk:
+            yield doc, keyed, flags[start : start + len(keyed)]
+            start += len(keyed)
+
+
+def _flag_duplicates(
+    docs: Iterable[Document],
+    backend: KeyFilter,
+    name: str,
+    keys_of: Callable[[Document], Iterable[tuple[AttributeSpan, bytes]]],
+) -> Iterator[tuple[Document, DocumentAttributes]]:
+    """Insert each document's keys; flag the span of every key already present."""
+    for doc, keyed, flags in _checked(docs, keys_of, backend.insert_check_many):
+        attrs = DocumentAttributes(id=doc.id)
+        spans = [span for (span, _), dup in zip(keyed, flags) if dup]
+        if spans:
+            attrs.attributes[name] = spans
+        yield doc, attrs
+
+
+def _whole(doc: Document) -> AttributeSpan:
+    return AttributeSpan(0, len(doc.text_bytes), 1.0)
 
 
 def normalize_url(url: str) -> str:
@@ -64,12 +127,12 @@ def dedupe_by_url(
 
     Documents without a URL (absent or null) pass through unflagged.
     """
-    for doc in docs:
-        attrs = DocumentAttributes(id=doc.id)
+
+    def keys_of(doc: Document) -> Keyed:
         url = doc.metadata.get("url")
-        if url is not None and backend.insert_check(normalize_url(str(url)).encode("utf-8")):
-            attrs.attributes[URL_DUPLICATE] = [AttributeSpan(0, len(doc.text_bytes), 1.0)]
-        yield doc, attrs
+        return [] if url is None else [(_whole(doc), normalize_url(str(url)).encode("utf-8"))]
+
+    yield from _flag_duplicates(docs, backend, URL_DUPLICATE, keys_of)
 
 
 def dedupe_by_document(
@@ -77,11 +140,7 @@ def dedupe_by_document(
 ) -> Iterator[tuple[Document, DocumentAttributes]]:
     """Flag exact text duplicates; the key is the raw text bytes, so empty
     documents share a key and count as duplicates of each other."""
-    for doc in docs:
-        attrs = DocumentAttributes(id=doc.id)
-        if backend.insert_check(doc.text_bytes):
-            attrs.attributes[DOC_DUPLICATE] = [AttributeSpan(0, len(doc.text_bytes), 1.0)]
-        yield doc, attrs
+    yield from _flag_duplicates(docs, backend, DOC_DUPLICATE, lambda doc: [(_whole(doc), doc.text_bytes)])
 
 
 def gated_paragraphs(doc: Document, min_tokens: int):
@@ -101,22 +160,15 @@ def dedupe_by_paragraph(
     min_paragraph_tokens: int = 0,
 ) -> Iterator[tuple[Document, DocumentAttributes]]:
     """Flag repeat paragraphs anywhere in the stream, empty ones included."""
-    for doc in docs:
-        attrs = DocumentAttributes(id=doc.id)
-        spans = []
-        for span, para in gated_paragraphs(doc, min_paragraph_tokens):
-            if backend.insert_check(para):
-                spans.append(AttributeSpan(span.start, span.end, 1.0))
-        if spans:
-            attrs.attributes[PARAGRAPH_DUPLICATE] = spans
-        yield doc, attrs
+    keys_of = partial(gated_paragraphs, min_tokens=min_paragraph_tokens)
+    yield from _flag_duplicates(docs, backend, PARAGRAPH_DUPLICATE, keys_of)
 
 
 class _DigestSet(ExactSet):
     """Exact set holding each key's 20-byte sha1 digest, not the key."""
 
-    def insert_check(self, key: bytes) -> bool:
-        return super().insert_check(hashlib.sha1(key).digest())
+    def insert_check_many(self, keys: Sequence[bytes]) -> list[bool]:
+        return super().insert_check_many([hashlib.sha1(key).digest() for key in keys])
 
 
 def plan_shard_groups(
@@ -170,9 +222,9 @@ def decontaminate_seed(
     freeze the filter read-only."""
     if filt.read_only:
         raise ValueError("decontamination seeding needs a mutable filter")
-    for doc in test_docs:
-        for _, para in gated_paragraphs(doc, min_paragraph_tokens):
-            filt.insert_check(para)
+    keys_of = partial(gated_paragraphs, min_tokens=min_paragraph_tokens)
+    for _ in _checked(test_docs, keys_of, filt.insert_check_many):
+        pass
     return filt.freeze()
 
 
@@ -184,11 +236,9 @@ def decontaminate_tag(
     """Flag documents with at least one seeded paragraph (same token gate)."""
     if not seeded.read_only:
         raise ValueError("decontamination tagging requires a read-only (seeded) filter")
-    for doc in docs:
+    keys_of = partial(gated_paragraphs, min_tokens=min_paragraph_tokens)
+    for doc, _, flags in _checked(docs, keys_of, seeded.contains_many):
         attrs = DocumentAttributes(id=doc.id)
-        contaminated = any(
-            seeded.contains(para) for _, para in gated_paragraphs(doc, min_paragraph_tokens)
-        )
-        if contaminated:
-            attrs.attributes[CONTAMINATED] = [AttributeSpan(0, len(doc.text_bytes), 1.0)]
+        if any(flags):
+            attrs.attributes[CONTAMINATED] = [_whole(doc)]
         yield doc, attrs

@@ -212,6 +212,8 @@ def _tag_document(doc: Document, taggers: list[TaggerFn]) -> DocumentAttributes:
 
 def _tag_one_shard(doc_path: str, out_path: str, specs: list[tuple[str, dict]]) -> TagReport:
     taggers = [build_tagger(name, params) for name, params in specs]
+    # the output directory appears only once the taggers could be built
+    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     counts = TagReport()
 
     def records():
@@ -243,7 +245,6 @@ def run_tag(
 ) -> TagReport:
     """Tag every shard, writing one sidecar per input shard (same name)."""
     outputs = output_paths(doc_paths, out_dir)
-    Path(out_dir).mkdir(parents=True, exist_ok=True)
     started = time.monotonic()
     tasks = [(str(p), str(o), tagger_specs) for p, o in zip(doc_paths, outputs)]
     report = TagReport()

@@ -1,17 +1,52 @@
+import hashlib
 import math
 import random
 import struct
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpuskit.bloom import (
     BloomFilter,
     BloomFormatError,
     ExactSet,
     ReadOnlyFilterError,
+    _first_probes,
     bloom_load,
     bloom_save,
+    probe_positions,
 )
+
+
+def reference_positions(key: bytes, m: int, k: int, seed: int):
+    """The per-key probe loop the batch methods replaced: Python integers, no
+    numpy, so it is the oracle for the positions and the bits."""
+    digest = hashlib.blake2b(key, digest_size=16, salt=seed.to_bytes(8, "little")).digest()
+    h1 = int.from_bytes(digest[:8], "little")
+    h2 = int.from_bytes(digest[8:], "little") | 1
+    for i in range(k):
+        yield (h1 + i * h2) % m
+
+
+def reference_insert_check(bits: bytearray, m: int, k: int, seed: int, key: bytes) -> bool:
+    was_present = True
+    for pos in reference_positions(key, m, k, seed):
+        byte, mask = pos >> 3, 1 << (pos & 7)
+        if not bits[byte] & mask:
+            was_present = False
+            bits[byte] |= mask
+    return was_present
+
+
+def reference_contains(bits: bytearray, m: int, k: int, seed: int, key: bytes) -> bool:
+    return all(bits[pos >> 3] & (1 << (pos & 7)) for pos in reference_positions(key, m, k, seed))
+
+
+# few distinct keys, so batches repeat keys and share positions
+KEYS = st.lists(st.sampled_from([b"", b"a", b"b", b"ab", b"\x00", b"key"]) | st.binary(max_size=4), max_size=20)
 
 
 class TestSizing:
@@ -70,6 +105,12 @@ class TestInsertCheck:
             current = bloom.popcount()
             assert current >= last
             last = current
+
+    def test_popcount_counts_across_slices(self):
+        rng = random.Random(0)
+        for m in (1, 9, 2 * 65536 * 8 + 13):  # the last spans three 64 KiB slices
+            bloom = BloomFilter(m, 1, bits=bytearray(rng.randbytes((m + 7) // 8)))
+            assert bloom.popcount() == sum(bin(byte).count("1") for byte in bloom.bits)
 
     def test_read_only_rejects_insert_allows_query(self):
         bloom = BloomFilter.create(100, 0.01, 0)
@@ -201,3 +242,137 @@ class TestExactSet:
         with pytest.raises(ReadOnlyFilterError):
             exact.insert_check(b"b")
         assert exact.contains(b"a")
+
+
+class TestBatchOracle:
+    """``insert_check_many``/``contains_many`` against the per-key loop."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        m=st.integers(1, 64),
+        k=st.integers(1, 40),
+        seed=st.integers(0, 2**64 - 1),
+        before=KEYS,
+        batch=KEYS,
+    )
+    def test_flags_and_bits_match_per_key_loop(self, m, k, seed, before, batch):
+        bits = bytearray((m + 7) // 8)
+        for key in before:  # bits already set before the batch
+            reference_insert_check(bits, m, k, seed, key)
+        contained = [reference_contains(bits, m, k, seed, key) for key in batch]
+        expected_bits = bytearray(bits)
+        expected = [reference_insert_check(expected_bits, m, k, seed, key) for key in batch]
+        assert BloomFilter(m, k, seed, bits=bytearray(bits)).contains_many(batch) == contained
+        # the batch split at every point, an empty half included
+        for cut in range(len(batch) + 1):
+            bloom = BloomFilter(m, k, seed, bits=bytearray(bits))
+            flags = bloom.insert_check_many(batch[:cut]) + bloom.insert_check_many(batch[cut:])
+            assert flags == expected
+            assert bytes(bloom.bits) == bytes(expected_bits)
+            assert bloom.added == expected.count(False)
+        # the one-key methods compute the positions their own way
+        one = BloomFilter(m, k, seed, bits=bytearray(bits))
+        assert [one.contains(key) for key in batch] == contained
+        assert [one.insert_check(key) for key in batch] == expected
+        assert bytes(one.bits) == bytes(expected_bits)
+        assert one.added == expected.count(False)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        k=st.integers(1, 40),
+        below=st.integers(0, 2**20),
+        seed=st.integers(0, 2**64 - 1),
+        keys=st.lists(st.binary(max_size=8), min_size=1, max_size=8),
+    )
+    def test_positions_up_to_the_largest_m_match_big_integers(self, k, below, seed, keys):
+        # the largest m a filter of k probes accepts, and just below it; m is
+        # near 2**62 for k = 4, and probe_positions needs no bit array
+        m = (2**64 - 1) // k - below
+        got = probe_positions(keys, m, k, seed)
+        assert got.dtype == np.uint64 and got.shape == (len(keys), k)
+        assert got.tolist() == [list(reference_positions(key, m, k, seed)) for key in keys]
+
+    @pytest.mark.parametrize("k", [1, 13, 2**32 - 1])
+    def test_filters_past_64_bit_positions_refused(self, k):
+        largest = (2**64 - 1) // k
+        # refused before any bit array is made: the largest accepted m gets as
+        # far as checking the (empty) bit array it is given, one more does not
+        with pytest.raises(ValueError, match="bit array holds 0 bytes"):
+            BloomFilter(largest, k, bits=bytearray())
+        with pytest.raises(ValueError, match="k \\* m < 2\\*\\*64"):
+            BloomFilter(largest + 1, k)
+
+    @settings(max_examples=200, deadline=None)
+    @given(offsets=st.lists(st.integers(0, 40), min_size=1, max_size=60))
+    def test_first_probes_packed_and_argsort_agree(self, offsets):
+        index = np.arange(len(offsets)) * 3  # ascending, with gaps
+        # m = 41 packs position and index in one uint64; at m = 2**64 - 1 the
+        # two fields need more than 64 bits and the stable argsort runs
+        for m in (41, 2**64 - 1):
+            pos = [m - 41 + offset for offset in offsets]
+            first: dict[int, int] = {}
+            for p, i in zip(pos, index.tolist()):
+                first.setdefault(p, i)
+            new, setters = _first_probes(np.array(pos, np.uint64), index, m)
+            assert list(zip(new.tolist(), setters.tolist())) == sorted(first.items())
+
+    def test_read_only_refuses_batches_and_keeps_bits(self):
+        bloom = BloomFilter.create(100, 0.01, 0)
+        bloom.insert_check_many([b"x"])
+        bloom.freeze()
+        before = bytes(bloom.bits)
+        for batch in ([b"y", b"z"], []):
+            with pytest.raises(ReadOnlyFilterError):
+                bloom.insert_check_many(batch)
+        assert bytes(bloom.bits) == before
+        assert bloom.contains_many([b"x", b"y"]) == [True, False]
+        exact = ExactSet()
+        exact.insert_check_many([b"x"])
+        exact.freeze()
+        with pytest.raises(ReadOnlyFilterError):
+            exact.insert_check_many([b"y"])
+        assert exact.contains_many([b"x", b"y"]) == [True, False]
+
+    def test_exact_set_batches_match_one_by_one(self):
+        keys = [b"a", b"b", b"a", b"", b"", b"c", b"b"]
+        one_by_one = ExactSet()
+        expected = [one_by_one.insert_check(key) for key in keys]
+        batched = ExactSet()
+        assert batched.insert_check_many(keys[:3]) + batched.insert_check_many(keys[3:]) == expected
+        assert expected == [False, False, True, False, True, False, True]
+
+    def test_concurrent_batches_lose_no_bits(self):
+        # 16 threads on 2 cores insert batches into one small filter, so they
+        # set bits in the same bytes; a lost update would leave the bits short
+        # of the sequential result (without the lock, most rounds do)
+        keys = [f"shared-{i}".encode() for i in range(300)]
+        expected = BloomFilter.create(300, 0.01, 3)
+        for key in keys:
+            reference_insert_check(expected.bits, expected.m, expected.k, expected.seed, key)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(30):
+                bloom, one, exact = BloomFilter.create(300, 0.01, 3), BloomFilter.create(300, 0.01, 3), ExactSet()
+                with ThreadPoolExecutor(max_workers=16) as pool:
+                    bloom_runs = [pool.submit(bloom.insert_check_many, keys[i::16]) for i in range(16)]
+                    # and the same keys one at a time into another filter
+                    one_runs = [
+                        pool.submit(lambda ks: [one.insert_check(k) for k in ks], keys[i::16]) for i in range(16)
+                    ]
+                    # overlapping batches: most keys go in from three threads
+                    exact_runs = [pool.submit(exact.insert_check_many, keys[i::5]) for i in range(15)]
+                    for future in bloom_runs:
+                        future.result(timeout=60)
+                    absent = [
+                        key for i, f in enumerate(exact_runs) for key, seen in zip(keys[i::5], f.result(timeout=60))
+                        if not seen
+                    ]
+                assert bytes(bloom.bits) == bytes(expected.bits)
+                assert all(bloom.contains_many(keys))
+                assert bytes(one.bits) == bytes(expected.bits)
+                assert one.added == sum(not seen for f in one_runs for seen in f.result(timeout=60))
+                # the exact set reports each key absent exactly once
+                assert sorted(absent) == sorted(keys)
+        finally:
+            sys.setswitchinterval(interval)

@@ -6,7 +6,7 @@ import pytest
 
 from conftest import BENIGN_WORDS, OTHER_WORDS, ENGLISH_WORDS, sentence
 from corpuskit.bloom import BloomFilter, bloom_load
-from corpuskit.cli import build_parser, main
+from corpuskit.cli import _bloom_health, build_parser, main
 from corpuskit.documents import Document
 from corpuskit.ngram_classifier import load_model
 from corpuskit.shard_io import read_attributes, read_documents, write_documents
@@ -208,6 +208,100 @@ class TestDecontaminateCommand:
         r1 = list(read_attributes(tmp_path / "a1" / "c.jsonl"))
         r2 = list(read_attributes(tmp_path / "a2" / "c.jsonl"))
         assert r1 == r2
+
+
+def health(bloom: BloomFilter) -> dict:
+    fill = int.from_bytes(bloom.bits, "little").bit_count() / bloom.m
+    return {"m": bloom.m, "k": bloom.k, "fill": fill, "estimated_fpr": fill**bloom.k}
+
+
+class TestFilterHealth:
+    """Reports with a Bloom filter end in its size, fill and estimated FPR."""
+
+    def run_json(self, tmp_path, name, *argv):
+        report = tmp_path / f"{name}.json"
+        assert run_cli(*argv, "--out-dir", str(tmp_path / name), "--report", str(report)) == 0
+        return json.loads(report.read_text())
+
+    def test_reported_fill_equals_saved_filter_popcount(self, tmp_path):
+        shard = tmp_path / "in.jsonl"
+        long_para = " ".join(f"tok{i}" for i in range(20))
+        write_documents([Document(id=f"d{i}", text=f"{long_para}\nline {i % 3}") for i in range(30)], shard)
+        dedupe_report = self.run_json(
+            tmp_path, "dedupe", "dedupe", "--stage", "paragraph", "--inputs", str(shard),
+            "--bloom-n", "50", "--save-filter", str(tmp_path / "d.bloom"),
+        )
+        seed_report = self.run_json(
+            tmp_path, "seed", "decontaminate", "--test-set", str(shard), "--inputs", str(shard),
+            "--min-paragraph-tokens", "0", "--save-filter", str(tmp_path / "s.bloom"),
+        )
+        loaded_report = self.run_json(
+            tmp_path, "loaded", "decontaminate", "--load-filter", str(tmp_path / "s.bloom"), "--inputs", str(shard),
+        )
+        for report, path in [(dedupe_report, "d.bloom"), (seed_report, "s.bloom"), (loaded_report, "s.bloom")]:
+            saved = bloom_load(tmp_path / path)
+            assert 0 < saved.popcount() < saved.m
+            assert report["bloom"] == health(saved)
+            assert list(report)[-1] == "bloom"  # the key is added last
+        assert list(dedupe_report) == [
+            "stage", "documents", "flagged_documents", "flagged_paragraphs", "missing_url", "bloom",
+        ]
+        assert list(seed_report) == ["documents", "contaminated_documents", "min_paragraph_tokens", "bloom"]
+
+    def test_exact_and_grouped_reports_unchanged(self, tmp_path):
+        shard = make_shard(tmp_path)
+        exact = self.run_json(tmp_path, "exact", "dedupe", "--stage", "document", "--inputs", str(shard), "--exact")
+        grouped = self.run_json(
+            tmp_path, "ccnet", "dedupe", "--stage", "paragraph", "--inputs", str(shard), "--ccnet-group-bytes", "1000",
+        )
+        decon = self.run_json(
+            tmp_path, "decon", "decontaminate", "--test-set", str(shard), "--inputs", str(shard), "--exact",
+        )
+        assert list(exact) == ["stage", "documents", "flagged_documents", "flagged_paragraphs", "missing_url"]
+        assert list(grouped) == ["stage", "grouping", "max_group_bytes", "documents", "flagged_documents"]
+        assert list(decon) == ["documents", "contaminated_documents", "min_paragraph_tokens"]
+
+    def test_warning_when_filter_passes_its_target(self, tmp_path, caplog):
+        shard = make_shard(tmp_path, n=40)
+        argv = ["dedupe", "--stage", "document", "--inputs", str(shard), "--bloom-p", "0.01"]
+        with caplog.at_level("WARNING", logger="corpuskit"):
+            roomy = self.run_json(tmp_path, "roomy", *argv, "--bloom-n", "1000")
+        assert roomy["bloom"]["estimated_fpr"] <= 0.01 and not caplog.records
+        with caplog.at_level("WARNING", logger="corpuskit"):
+            full = self.run_json(tmp_path, "full", *argv, "--bloom-n", "2")
+        assert full["bloom"]["estimated_fpr"] > 0.01
+        (record,) = caplog.records
+        assert "sized for 2" in record.getMessage() and "target of 0.01" in record.getMessage()
+
+    def test_warning_once_past_the_sized_key_count(self, caplog):
+        bloom = BloomFilter.create(5, 0.01)
+        for i in range(12):
+            before = bloom.added
+            if i % 2:
+                bloom.insert_check(b"key %d" % i)
+            else:
+                bloom.insert_check_many([b"key %d" % i, b"key %d" % i])
+            assert bloom.added - before in (0, 1)  # 0 only for a false positive
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="corpuskit"):
+                assert _bloom_health(bloom) == health(bloom)
+            assert bool(caplog.records) is (bloom.added > 5)
+        assert bloom.added > 5
+
+    @pytest.mark.parametrize("n_paragraphs", [1, 10, 25])
+    def test_no_warning_for_a_filter_seeded_at_its_sized_count(self, tmp_path, caplog, n_paragraphs):
+        # decontaminate sizes its filter to the seeded paragraphs; at these
+        # counts the fill puts the estimated rate above the target by chance
+        test_set = tmp_path / "test.jsonl"
+        docs = [Document(id=f"t{i}", text=" ".join(f"word{i} tok{j}" for j in range(20))) for i in range(n_paragraphs)]
+        write_documents(docs, test_set)
+        with caplog.at_level("WARNING", logger="corpuskit"):
+            report = self.run_json(
+                tmp_path, "decon", "decontaminate", "--test-set", str(test_set), "--inputs", str(test_set),
+            )
+        assert report["contaminated_documents"] == n_paragraphs
+        assert report["bloom"]["estimated_fpr"] > 1e-4
+        assert not caplog.records
 
 
 class TestMixCommand:
@@ -937,6 +1031,17 @@ BAD_VALUES = [
     ("train-classifier", "--learning-rate inf"),
     ("train-classifier", "--l2 nan"),
     ("train-classifier", "--l2 inf"),
+    ("tag", "--taggers bogus"),  # refused before the output directory is made
+]
+
+# an output file in a directory that does not exist, and the option naming it
+MISSING_PARENT = [
+    ("dedupe", "--stage document --save-filter nodir/x.bloom", "--save-filter"),
+    ("dedupe", "--stage paragraph --report nodir/r.json", "--report"),
+    ("decontaminate", "--test-set eval.jsonl --save-filter nodir/x.bloom", "--save-filter"),
+    ("tag", "--taggers c4 --report nodir/r.json", "--report"),
+    ("reddit-build", "--out nodir/docs.jsonl", "--out"),
+    ("train-classifier", "--model-out nodir/m.bin", "--model-out"),
 ]
 
 NAN_FILTER = {"attribute": "a", "scope": "document", "op": ">", "threshold": float("nan"), "action": "drop_doc"}
@@ -951,6 +1056,23 @@ class TestRefusedBeforeReading:
     @pytest.mark.parametrize("command,options", BAD_VALUES)
     def test_bad_option_value(self, tmp_path, monkeypatch, command, options):
         assert run_refused(tmp_path, monkeypatch, command, options) == (1, False)
+
+    @pytest.mark.parametrize("command,options,flag", MISSING_PARENT)
+    def test_output_file_in_missing_directory(self, tmp_path, monkeypatch, capsys, command, options, flag):
+        assert run_refused(tmp_path, monkeypatch, command, options) == (1, False)
+        assert f"error: {flag} nodir/" in capsys.readouterr().err
+
+    def test_output_files_in_the_out_dir_it_makes(self, tmp_path, monkeypatch):
+        # --out-dir and the directories above it are made before any file is written
+        monkeypatch.chdir(tmp_path)
+        write_documents([Document(id="a", text="same"), Document(id="b", text="same")], "in.jsonl")
+        argv = ["dedupe", "--stage", "document", "--inputs", "in.jsonl", "--out-dir", "a/b"]
+        assert run_cli(*argv, "--save-filter", "a/b/f.bloom", "--report", "a/r.json") == 0
+        assert bloom_load("a/b/f.bloom").popcount() > 0
+        assert json.loads(Path("a/r.json").read_text())["flagged_documents"] == 1
+        assert sorted(str(p.relative_to(tmp_path)) for p in tmp_path.rglob("*")) == [
+            "a", "a/b", "a/b/f.bloom", "a/b/in.jsonl", "a/r.json", "in.jsonl",
+        ]
 
     def test_refused_option_from_config(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "c.json").write_text(json.dumps({"exact": True, "seed": 3}))
@@ -976,10 +1098,9 @@ class TestRefusedBeforeReading:
     @pytest.mark.parametrize("tagger", ["gopher", "toxicity"])
     def test_tagger_param_the_tagger_does_not_read(self, tmp_path, monkeypatch, capsys, tagger):
         (tmp_path / "c.json").write_text(json.dumps({"taggers": [{"name": tagger, "params": {"treshold": 0.9}}]}))
-        code, _ = run_refused(tmp_path, monkeypatch, "tag", "--config c.json")
-        assert code == 1  # reading the absent shard would exit 2
+        # reading the absent shard would exit 2; no output directory is made
+        assert run_refused(tmp_path, monkeypatch, "tag", "--config c.json") == (1, False)
         assert f"tagger {tagger!r} does not read params 'treshold'" in capsys.readouterr().err
-        assert not (tmp_path / "out" / "absent.jsonl").exists()
 
     @pytest.mark.parametrize("level,code", [("bogus", 1), ("info", 0), ("DEBUG", 0)])
     def test_log_level(self, tmp_path, capsys, level, code):

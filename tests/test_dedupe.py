@@ -1,7 +1,9 @@
+import itertools
 import random
 
 import pytest
 
+from corpuskit import dedupe
 from corpuskit.bloom import BloomFilter, ExactSet
 from corpuskit.dedupe import (
     CONTAMINATED,
@@ -14,10 +16,11 @@ from corpuskit.dedupe import (
     dedupe_by_document,
     dedupe_by_paragraph,
     dedupe_by_url,
+    gated_paragraphs,
     normalize_url,
     plan_shard_groups,
 )
-from corpuskit.documents import Document
+from corpuskit.documents import AttributeSpan, Document
 from corpuskit.shard_io import write_documents
 
 
@@ -266,3 +269,106 @@ class TestDecontamination:
         filt = ExactSet(read_only=True)
         with pytest.raises(ValueError):
             decontaminate_seed(filt, [])
+
+
+def reference_stage(stage, docs, backend, gate=0):
+    """The per-document, one-key-at-a-time loops that the chunked stages
+    replaced; ``decontaminate`` tags with a seeded ``backend``."""
+    out = []
+    for doc in docs:
+        whole = [AttributeSpan(0, len(doc.text_bytes), 1.0)]
+        attrs = {}
+        if stage == "url":
+            url = doc.metadata.get("url")
+            if url is not None and backend.insert_check(normalize_url(str(url)).encode("utf-8")):
+                attrs[URL_DUPLICATE] = whole
+        elif stage == "document":
+            if backend.insert_check(doc.text_bytes):
+                attrs[DOC_DUPLICATE] = whole
+        elif stage == "paragraph":
+            spans = [span for span, para in gated_paragraphs(doc, gate) if backend.insert_check(para)]
+            if spans:
+                attrs[PARAGRAPH_DUPLICATE] = spans
+        elif any(backend.contains(para) for _, para in gated_paragraphs(doc, gate)):
+            attrs[CONTAMINATED] = whole
+        out.append((doc.id, attrs))
+    return out
+
+
+class TestKeyChunks:
+    """Stages hand a filter the keys of several documents in one call; the
+    flags must be those of checking each key in stream order."""
+
+    PARAGRAPHS = ["alpha beta gamma", "delta", "", "epsilon zeta eta theta", "iota kappa", "lambda"]
+
+    def docs(self, rng, n):
+        docs = []
+        for i in range(n):
+            text = "\n".join(rng.choice(self.PARAGRAPHS) for _ in range(rng.choice([1, 1, 2, 4, 9])))
+            metadata = {"url": f"http://a.com/{rng.randrange(12)}/"} if rng.random() < 0.7 else {}
+            docs.append(Document(id=f"d{i}", text=text, metadata=metadata))
+        return docs
+
+    @pytest.mark.parametrize("chunk", [1, 2, 5, 256])
+    @pytest.mark.parametrize("make", [ExactSet, lambda: BloomFilter.create(12, 0.3, seed=5)], ids=["exact", "bloom"])
+    def test_every_stage_matches_one_key_at_a_time(self, monkeypatch, chunk, make):
+        # the small Bloom filter fills up, so its answers depend on key order
+        monkeypatch.setattr(dedupe, "KEY_CHUNK", chunk)
+        rng = random.Random(chunk)
+        docs, test_docs = self.docs(rng, 50), self.docs(rng, 6)
+        stages = {"url": dedupe_by_url, "document": dedupe_by_document, "paragraph": dedupe_by_paragraph}
+        for stage, run in stages.items():
+            got = [(doc.id, attrs.attributes) for doc, attrs in run(iter(docs), make())]
+            assert got == reference_stage(stage, docs, make()), stage
+        for gate in (0, 2):
+            got = [(doc.id, attrs.attributes) for doc, attrs in dedupe_by_paragraph(iter(docs), make(), gate)]
+            assert got == reference_stage("paragraph", docs, make(), gate)
+            seeded = decontaminate_seed(make(), iter(test_docs), min_paragraph_tokens=gate)
+            reference = make()
+            for doc in test_docs:
+                for _, para in gated_paragraphs(doc, gate):
+                    reference.insert_check(para)
+            reference.freeze()
+            if isinstance(seeded, BloomFilter):
+                assert bytes(seeded.bits) == bytes(reference.bits)
+            got = [(doc.id, attrs.attributes) for doc, attrs in decontaminate_tag(iter(docs), seeded, gate)]
+            assert got == reference_stage("decontaminate", docs, reference, gate)
+            assert any(attrs for _, attrs in got)
+
+    def test_chunks_close_at_the_key_count_and_stream(self, monkeypatch):
+        monkeypatch.setattr(dedupe, "KEY_CHUNK", 10)
+        batches = []
+
+        class Recording(ExactSet):
+            def insert_check_many(self, keys):
+                batches.append(len(keys))
+                return super().insert_check_many(keys)
+
+        docs = [Document(id=f"d{i}", text=f"a{i}\nb{i}\nc{i}") for i in range(9)]  # 3 keys each
+        assert [doc.id for doc, _ in dedupe_by_paragraph(iter(docs), Recording())] == [d.id for d in docs]
+        assert batches == [12, 12, 3]
+        # a document comes out before the stream ends
+        endless = (Document(id=str(i), text="x") for i in itertools.count())
+        doc, _ = next(dedupe_by_document(endless, Recording()))
+        assert doc.id == "0"
+
+    def test_documents_without_keys_close_chunks_too(self, monkeypatch):
+        monkeypatch.setattr(dedupe, "KEY_CHUNK", 10)
+        # endless streams whose documents give no key: no url, or only
+        # paragraphs below the gate; a chunk closes at ten documents
+        pulled = []
+
+        def endless(text):
+            pulled.clear()
+            for i in itertools.count():
+                pulled.append(i)
+                yield Document(id=str(i), text=text)
+
+        runs = [
+            lambda: dedupe_by_url(endless("x"), ExactSet()),
+            lambda: dedupe_by_paragraph(endless("a b\nc"), ExactSet(), 5),
+            lambda: decontaminate_tag(endless("a b\nc"), ExactSet().freeze()),
+        ]
+        for run in runs:
+            doc, attrs = next(run())
+            assert (doc.id, attrs.attributes, len(pulled)) == ("0", {}, 10)

@@ -82,6 +82,16 @@ class TestRunTag:
         with pytest.raises(UnknownTaggerError):
             run_tag([shard], [("nope", {})], tmp_path / "attrs")
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "spec,error", [(("nope", {}), UnknownTaggerError), (("gopher", {"treshold": 0.9}), TaggerConfigError)]
+    )
+    def test_refused_tagger_makes_no_output_directory(self, tmp_path, workers, spec, error):
+        shards = write_shards(tmp_path, [[Document(id="d", text="x")], [Document(id="e", text="y")]])
+        with pytest.raises(error):
+            run_tag(shards, [("c4", {}), spec], tmp_path / "attrs", workers=workers)
+        assert not (tmp_path / "attrs").exists()
+
     def test_characters_tagged_bounded_by_corpus(self, tmp_path):
         docs = [Document(id=f"d{i}", text="short doc") for i in range(8)]
         (shard,) = write_shards(tmp_path, [docs])
