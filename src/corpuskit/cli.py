@@ -53,7 +53,7 @@ from corpuskit.mixer import MixConfig, MixConfigError, mix
 from corpuskit.ngram_classifier import (
     NgramConfig,
     TrainConfig,
-    featurize_many,
+    featurize_rows,
     save_model,
     train,
 )
@@ -424,12 +424,9 @@ def _cmd_train_classifier(args) -> dict:
         "model": str(args.model_out),
     }
     if held_out:
-        feats = featurize_many(model.config, [text for text, _ in held_out])
-        correct = sum(
-            1
-            for f, (_, label) in zip(feats, held_out)
-            if max(model.predict_features(f).items(), key=lambda kv: kv[1])[0] == label
-        )
+        # argmax takes the first of tied labels, in the model's label order
+        predicted = model.predict_rows(featurize_rows(model.config, [text for text, _ in held_out])).argmax(axis=0)
+        correct = sum(1 for p, (_, label) in zip(predicted.tolist(), held_out) if model.labels[p] == label)
         report["held_out_examples"] = len(held_out)
         report["held_out_accuracy"] = correct / len(held_out)
     return report

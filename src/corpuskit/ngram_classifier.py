@@ -4,11 +4,11 @@ Stands in for external language-ID and toxicity models: a multinomial
 logistic regression over n-gram counts hashed into a fixed bucket space
 (the fastText hashing trick). Deterministic given a seed, trainable at desk
 scale, no binary model dependencies. Featurization is one numpy kernel,
-:func:`featurize_many`, which hashes the n-grams of many texts at once;
-callers holding several texts (a document's paragraphs or sentences, a
-training set) pass them together. Scoring, the loss and its gradient, and
-SGD training share one logits-and-softmax routine, :func:`_probs`, over a
-sparse row of bucket indices and counts.
+:func:`featurize_rows`, which hashes the n-grams of many texts at once into
+sparse rows of bucket indices and counts; callers holding several texts (a
+document's paragraphs or sentences, a training set) pass them together.
+Scoring, the loss and its gradient, and SGD training share one
+logits-and-softmax routine over a batch of sparse rows, :func:`_probs`.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import math
 import random
 import struct
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -166,20 +167,27 @@ def _hash_ngrams(config: NgramConfig, texts: Sequence[str]):
     return kept, per_text, bucket_of_rank
 
 
-def featurize_many(config: NgramConfig, texts: Sequence[str]) -> list[dict[int, float]]:
-    """Hash the configured n-grams of each text into sparse bucket counts.
+Rows = tuple[np.ndarray, np.ndarray, np.ndarray]  # (indices, counts, offsets); see featurize_rows
+
+
+def featurize_rows(config: NgramConfig, texts: Sequence[str]) -> Rows:
+    """Hash the configured n-grams of each text into sparse bucket counts,
+    as rows ``(indices, counts, offsets)``: the buckets of text ``i`` are
+    ``indices[offsets[i] : offsets[i + 1]]`` (int64) and their counts the
+    same slice of ``counts`` (float64). A text without an n-gram has an
+    empty row.
 
     An n-gram's key is its UTF-8 bytes (a word n-gram's tokens joined by
     ``0x1f``), hashed with FNV-1a from a seeded offset and mapped to a bucket
     by a multiply-shift; the mapping is pinned so model files are portable.
-    Each dict lists its buckets in the order they first occur, orders
+    Each row lists its buckets in the order they first occur, orders
     ascending and positions ascending within an order: model scores add the
     terms in that order. No n-gram crosses from one text into the next.
     """
-    out: list[dict[int, float]] = [{} for _ in texts]
+    offsets = np.zeros(len(texts) + 1, dtype=np.int64)
     kept, per_text, bucket_of_rank = _hash_ngrams(config, texts)
     if not kept:
-        return out
+        return np.empty(0, dtype=np.int64), np.empty(0), offsets
     # group equal (text, bucket) pairs; a group is counted at its first rank
     total = len(bucket_of_rank)
     if config.hash_buckets <= 1 << 32 and total <= 1 << 32:  # sort (bucket, rank) packed in one word
@@ -200,13 +208,16 @@ def featurize_many(config: NgramConfig, texts: Sequence[str]) -> list[dict[int, 
     count_at = np.zeros(total)
     count_at[ranks[first]] = np.diff(np.append(first, total))
     is_first = count_at > 0
-    keys = bucket_of_rank[is_first].tolist()
-    values = count_at[is_first].tolist()
-    end = 0
-    for i, n_keys in zip(kept, np.bincount(text_of_rank[is_first], minlength=len(kept)).tolist()):
-        out[i] = dict(zip(keys[end : end + n_keys], values[end : end + n_keys]))
-        end += n_keys
-    return out
+    offsets[np.array(kept) + 1] = np.bincount(text_of_rank[is_first], minlength=len(kept))
+    np.cumsum(offsets, out=offsets)
+    return bucket_of_rank[is_first].astype(np.int64), count_at[is_first], offsets
+
+
+def featurize_many(config: NgramConfig, texts: Sequence[str]) -> list[dict[int, float]]:
+    """The rows of :func:`featurize_rows` as one ordered dict per text."""
+    indices, counts, offsets = featurize_rows(config, texts)
+    keys, values, bounds = indices.tolist(), counts.tolist(), offsets.tolist()
+    return [dict(zip(keys[lo:hi], values[lo:hi])) for lo, hi in zip(bounds, bounds[1:])]
 
 
 def featurize(config: NgramConfig, text: str) -> dict[int, float]:
@@ -233,29 +244,50 @@ class NgramModel:
             raise ValueError("weights and bias must be finite")
 
     def predict_proba(self, text: str) -> dict[str, float]:
-        return self.predict_features(featurize(self.config, text))
+        return dict(zip(self.labels, self.predict_rows(featurize_rows(self.config, [text]))[:, 0].tolist()))
 
     def predict_features(self, feats: dict[int, float]) -> dict[str, float]:
         """Label probabilities of a text featurized with this model's config."""
-        return dict(zip(self.labels, _probs(self.weights, self.bias, _sparse(feats), 1.0)))
+        return dict(zip(self.labels, self.predict_rows(_rows([feats]))[:, 0].tolist()))
+
+    def predict_rows(self, rows: Rows) -> np.ndarray:
+        """Label probabilities of rows featurized with this model's config
+        (:func:`featurize_rows`), as a (labels x rows) matrix."""
+        return _probs(self.weights, self.bias, rows, 1.0)
 
 
-def _sparse(feats: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    """The bucket indices and counts of ``feats``, in its order."""
-    idx = np.fromiter(feats.keys(), dtype=np.int64, count=len(feats))
-    vals = np.fromiter(feats.values(), dtype=np.float64, count=len(feats))
-    return idx, vals
+def _rows(features: Sequence[dict[int, float]]) -> Rows:
+    """Featurized dicts as the rows of :func:`featurize_rows`, each in its dict's order."""
+    offsets = np.fromiter(accumulate(map(len, features), initial=0), dtype=np.int64, count=len(features) + 1)
+    total = int(offsets[-1])
+    indices = np.fromiter(chain.from_iterable(features), dtype=np.int64, count=total)
+    counts = np.fromiter(chain.from_iterable(f.values() for f in features), dtype=np.float64, count=total)
+    return indices, counts, offsets
 
 
-def _probs(weights: np.ndarray, bias: np.ndarray, row: tuple[np.ndarray, np.ndarray], scale: float) -> np.ndarray:
-    """Softmax of the logits of one sparse row under the weights
-    ``scale * weights``; the terms are added in the order of the row."""
-    z = bias.copy()
-    idx, vals = row
-    if idx.size:
-        z += scale * (weights[:, idx] @ vals)
-    e = np.exp(z - z.max())
-    return e / e.sum()
+def _probs(weights: np.ndarray, bias: np.ndarray, rows: Rows, scale: float) -> np.ndarray:
+    """Softmax of the logits of sparse rows under the weights ``scale * weights``,
+    as a (labels x rows) matrix.
+
+    Row ``j`` is ``indices[offsets[j] : offsets[j + 1]]`` with its counts;
+    ``offsets`` may start past 0. A row's logits are one dot product, adding
+    its terms in the row's order, times ``scale``, plus the bias; one exp and
+    one division then cover every row. The logits are laid out one row of
+    memory per text so that each softmax reduces over contiguous values, as
+    it would over one text's vector: numpy adds a contiguous run of nine or
+    more values pairwise, but down a column one after another.
+    """
+    indices, counts, offsets = rows
+    bounds = offsets.tolist()
+    first = bounds[0]
+    columns = weights[:, indices[first : bounds[-1]]]  # one gather: a gather per row costs more than its dot
+    dots = np.zeros((len(bounds) - 1, len(bias)))
+    for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        if lo < hi:
+            dots[j] = columns[:, lo - first : hi - first] @ counts[lo:hi]
+    z = bias + scale * dots
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return (e / e.sum(axis=1, keepdims=True)).T
 
 
 def predict(model: NgramModel, text: str) -> dict[str, float]:
@@ -270,18 +302,26 @@ def batch_loss_and_grad(
     l2: float,
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Mean cross-entropy plus (l2/2)*||W||^2, with its exact gradient."""
-    n = len(features)
+    return _loss_and_grad(weights, bias, _rows(features), label_indices, l2)
+
+
+def _loss_and_grad(weights, bias, rows: Rows, ys: Sequence[int], l2: float) -> tuple[float, np.ndarray, np.ndarray]:
+    """:func:`batch_loss_and_grad` over rows; the examples are added in order."""
+    probs = _probs(weights, bias, rows, 1.0)
+    indices, counts, offsets = rows
+    bounds = offsets.tolist()
     grad_w = np.zeros_like(weights)
     grad_b = np.zeros_like(bias)
     loss = 0.0
-    for feats, y in zip(features, label_indices):
-        idx, vals = row = _sparse(feats)
-        g = _probs(weights, bias, row, 1.0)
+    for j, y in enumerate(ys):
+        g = probs[:, j]
         loss -= float(np.log(max(g[y], 1e-300)))
         g[y] -= 1.0
-        if idx.size:
-            grad_w[:, idx] += np.outer(g, vals)
+        lo, hi = bounds[j], bounds[j + 1]
+        if lo < hi:
+            grad_w[:, indices[lo:hi]] += np.outer(g, counts[lo:hi])
         grad_b += g
+    n = len(ys)
     loss /= n
     grad_w /= n
     grad_b /= n
@@ -299,10 +339,15 @@ def batch_loss(
     l2: float,
 ) -> float:
     """The loss of :func:`batch_loss_and_grad`, without the gradient."""
+    return _loss(weights, bias, _rows(features), label_indices, l2)
+
+
+def _loss(weights, bias, rows: Rows, ys: Sequence[int], l2: float) -> float:
+    """:func:`batch_loss` over rows; the examples are added in order."""
     loss = 0.0
-    for feats, y in zip(features, label_indices):
-        loss -= float(np.log(max(_probs(weights, bias, _sparse(feats), 1.0)[y], 1e-300)))
-    loss /= len(features)
+    for p in _probs(weights, bias, rows, 1.0)[ys, np.arange(len(ys))].tolist():
+        loss -= float(np.log(max(p, 1e-300)))
+    loss /= len(ys)
     if l2 > 0:
         loss += 0.5 * l2 * float((weights * weights).sum())
     return loss
@@ -325,7 +370,7 @@ def train(
     if len(labels) < 2:
         raise ValueError(f"need at least 2 distinct labels, got {labels}")
     label_index = {label: i for i, label in enumerate(labels)}
-    feats = featurize_many(features, [text for text, _ in examples])
+    rows = featurize_rows(features, [text for text, _ in examples])
     ys = [label_index[label] for _, label in examples]
 
     n_labels = len(labels)
@@ -334,9 +379,9 @@ def train(
     history: list[float] = []
 
     if config.batch_size == 0:
-        _train_full_batch(weights, bias, feats, ys, config, history)
+        _train_full_batch(weights, bias, rows, ys, config, history)
     else:
-        _train_sgd(weights, bias, feats, ys, config, history)
+        _train_sgd(weights, bias, rows, ys, config, history)
 
     for epoch, loss in enumerate(history):
         if not np.isfinite(loss):
@@ -344,14 +389,14 @@ def train(
     return NgramModel(config=features, labels=labels, weights=weights, bias=bias, loss_history=history)
 
 
-def _train_full_batch(weights, bias, feats, ys, config: TrainConfig, history: list[float]) -> None:
-    loss, grad_w, grad_b = batch_loss_and_grad(weights, bias, feats, ys, config.l2)
+def _train_full_batch(weights, bias, rows: Rows, ys, config: TrainConfig, history: list[float]) -> None:
+    loss, grad_w, grad_b = _loss_and_grad(weights, bias, rows, ys, config.l2)
     for _ in range(config.epochs):
         lr = config.learning_rate
         for _ in range(60):  # halve until the step does not increase the loss
             new_w = weights - lr * grad_w
             new_b = bias - lr * grad_b
-            new_loss, new_gw, new_gb = batch_loss_and_grad(new_w, new_b, feats, ys, config.l2)
+            new_loss, new_gw, new_gb = _loss_and_grad(new_w, new_b, rows, ys, config.l2)
             if new_loss <= loss:
                 break
             lr *= 0.5
@@ -363,29 +408,42 @@ def _train_full_batch(weights, bias, feats, ys, config: TrainConfig, history: li
         history.append(loss)
 
 
-def _train_sgd(weights, bias, feats, ys, config: TrainConfig, history: list[float]) -> None:
-    """Minibatch SGD with lazy L2 decay. Each batch's gradient is one
-    scatter over the columns its examples touch; a column shared by several
-    examples adds their terms in batch order."""
-    rows = [_sparse(f) for f in feats]
+def _take(rows: Rows, order: Sequence[int]) -> Rows:
+    """The rows at ``order``, in that order."""
+    indices, counts, offsets = rows
+    order = np.asarray(order, dtype=np.int64)
+    sizes = np.diff(offsets)[order]
+    taken = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(sizes, out=taken[1:])
+    at = np.repeat(offsets[order] - taken[:-1], sizes) + np.arange(taken[-1])
+    return indices[at], counts[at], taken
+
+
+def _train_sgd(weights, bias, rows: Rows, ys, config: TrainConfig, history: list[float]) -> None:
+    """Minibatch SGD with lazy L2 decay. Each batch is scored in one call,
+    and its gradient is one scatter over the columns its examples touch; a
+    column shared by several examples adds their terms in batch order."""
     rng = random.Random(config.seed)
-    order = list(range(len(rows)))
+    order = list(range(len(ys)))
     scale = 1.0  # lazy L2: true weights = scale * stored weights
     for _ in range(config.epochs):
         rng.shuffle(order)
+        indices, counts, offsets = _take(rows, order)
+        bounds = offsets.tolist()
         for start in range(0, len(order), config.batch_size):
-            batch = order[start : start + config.batch_size]
+            stop = min(start + config.batch_size, len(order))
+            probs = _probs(weights, bias, (indices, counts, offsets[start : stop + 1]), scale)
             terms = []
             grad_b = np.zeros_like(bias)
-            for j in batch:
-                g = _probs(weights, bias, rows[j], scale)
-                g[ys[j]] -= 1.0
-                terms.append(np.outer(rows[j][1], g))
+            for k in range(start, stop):
+                g = probs[:, k - start]
+                g[ys[order[k]]] -= 1.0
+                terms.append(np.outer(counts[bounds[k] : bounds[k + 1]], g))
                 grad_b += g
-            cols, inverse = np.unique(np.concatenate([rows[j][0] for j in batch]), return_inverse=True)
+            cols, inverse = np.unique(indices[bounds[start] : bounds[stop]], return_inverse=True)
             grad_w = np.zeros((len(cols), len(bias)))
             np.add.at(grad_w, inverse, np.concatenate(terms))
-            lr = config.learning_rate / len(batch)
+            lr = config.learning_rate / (stop - start)
             if config.l2 > 0:
                 scale *= 1.0 - config.learning_rate * config.l2
                 if scale < 1e-100:
@@ -394,7 +452,7 @@ def _train_sgd(weights, bias, feats, ys, config: TrainConfig, history: list[floa
             weights[:, cols] -= (lr / scale) * grad_w.T
             bias -= lr * grad_b
         true_w = weights if scale == 1.0 else scale * weights
-        history.append(batch_loss(true_w, bias, feats, ys, config.l2))
+        history.append(_loss(true_w, bias, rows, ys, config.l2))
     if scale != 1.0:
         weights *= scale
 
@@ -432,7 +490,7 @@ def score_language_paragraph_avg(model: NgramModel, text: str) -> ParagraphScore
     if not paragraphs:
         return ParagraphScore(0.0, True)
     _check_english(model)
-    scores = [model.predict_features(feats)["en"] for feats in featurize_many(model.config, paragraphs)]
+    scores = model.predict_rows(featurize_rows(model.config, paragraphs))[model.labels.index("en")].tolist()
     return ParagraphScore(sum(scores) / len(scores), False)
 
 
@@ -482,6 +540,8 @@ def load_model(path) -> NgramModel:
     if version != MODEL_VERSION:
         raise ModelFormatError(f"unsupported model version {version}")
     kind, seed, buckets = struct.unpack("<BQQ", take(17))
+    if kind not in (0, 1):
+        raise ModelFormatError(f"unknown feature kind byte {kind} (0 is word, 1 is char)")
     (n_orders,) = struct.unpack("<B", take(1))
     orders = struct.unpack(f"<{n_orders}B", take(n_orders))
     (n_labels,) = struct.unpack("<I", take(4))

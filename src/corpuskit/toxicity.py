@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from corpuskit.documents import AttributeSpan, Document
-from corpuskit.ngram_classifier import NgramModel, featurize_many
+from corpuskit.ngram_classifier import NgramModel, featurize_rows
 from corpuskit.pii import ContentTagConfig
 from corpuskit.sentences import split_sentences
 
@@ -27,7 +27,8 @@ def tag_toxicity(
     The span carries the model's score and covers the sentence, so the
     mixer can delete it. Thresholds default to the shared tau with optional
     per-model overrides. The sentences are featurized together, once per
-    distinct feature config, so two models with equal configs share it.
+    distinct feature config, so two models with equal configs share it, and
+    each model scores all of them in one call.
     """
     config = config or ContentTagConfig()
     models = []
@@ -49,14 +50,16 @@ def tag_toxicity(
         if sentence:
             spans.append(span)
             sentences.append(sentence)
-    features = {}
+    rows = {}
     for _, model, _ in models:
-        if model.config not in features:
-            features[model.config] = featurize_many(model.config, sentences)
+        if model.config not in rows:
+            rows[model.config] = featurize_rows(model.config, sentences)
+    scores = [
+        model.predict_rows(rows[model.config])[model.labels.index(TOXIC_LABEL)].tolist() for _, model, _ in models
+    ]
     attrs: dict[str, list[AttributeSpan]] = {}
     for i, span in enumerate(spans):
-        for name, model, tau in models:
-            score = model.predict_features(features[model.config][i])[TOXIC_LABEL]
-            if score > tau:
-                attrs.setdefault(name, []).append(AttributeSpan(span.start, span.end, score))
+        for (name, _, tau), model_scores in zip(models, scores):
+            if model_scores[i] > tau:
+                attrs.setdefault(name, []).append(AttributeSpan(span.start, span.end, model_scores[i]))
     return attrs

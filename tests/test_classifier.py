@@ -9,16 +9,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from corpuskit.documents import AttributeSpan, Document
 from corpuskit.ngram_classifier import (
     ENGLISH_KEEP_THRESHOLD,
     ModelFormatError,
     NgramConfig,
     NgramModel,
     TrainConfig,
+    _probs,
     batch_loss,
     batch_loss_and_grad,
     featurize,
     featurize_many,
+    featurize_rows,
     keeps_english,
     load_model,
     predict,
@@ -27,7 +30,9 @@ from corpuskit.ngram_classifier import (
     score_language_paragraph_avg,
     train,
 )
+from corpuskit.pii import ContentTagConfig
 from corpuskit.sentences import split_sentences
+from corpuskit.toxicity import TOXIC_LABEL, tag_toxicity
 
 WORD_CFG = NgramConfig(hash_buckets=1 << 10, ngram_orders=(1,), feature_kind="word")
 
@@ -62,6 +67,25 @@ def reference_featurize(config: NgramConfig, text: str) -> dict[int, float]:
         bucket = bucket_hash(key, config.hash_seed, config.hash_buckets)
         counts[bucket] = counts.get(bucket, 0.0) + 1.0
     return counts
+
+
+def reference_probs(weights, bias, row, scale) -> np.ndarray:
+    """The one-row softmax every caller used before rows were scored in
+    batches: the logits of one sparse row, then exp and one division over
+    its vector."""
+    z = bias.copy()
+    idx, vals = row
+    if idx.size:
+        z += scale * (weights[:, idx] @ vals)
+    e = np.exp(z - z.max())
+    return e / e.sum()
+
+
+def reference_predict(model: NgramModel, text: str) -> dict[str, float]:
+    """Label probabilities of one text by the scalar featurization and the one-row softmax."""
+    feats = reference_featurize(model.config, text)
+    row = (np.array(list(feats), dtype=np.int64), np.array(list(feats.values()), dtype=np.float64))
+    return dict(zip(model.labels, reference_probs(model.weights, model.bias, row, 1.0)))
 
 
 def zero_model(labels=("en", "xx"), config=WORD_CFG) -> NgramModel:
@@ -148,6 +172,17 @@ class TestKernelMatchesScalarOracle:
         got = [list(feats.items()) for feats in featurize_many(config, texts)]
         assert got == [list(reference_featurize(config, text).items()) for text in texts]
 
+    @settings(max_examples=200)
+    @given(_CONFIGS, st.lists(_TEXTS, max_size=8))
+    def test_featurize_rows_equal_featurize_many_row_by_row(self, config, texts):
+        indices, counts, offsets = featurize_rows(config, texts)
+        assert (indices.dtype, counts.dtype, offsets.dtype) == (np.int64, np.float64, np.int64)
+        assert len(offsets) == len(texts) + 1 and offsets[0] == 0 and offsets[-1] == len(indices) == len(counts)
+        bounds = offsets.tolist()
+        rows = [list(zip(indices[lo:hi].tolist(), counts[lo:hi].tolist())) for lo, hi in zip(bounds, bounds[1:])]
+        assert rows == [list(feats.items()) for feats in featurize_many(config, texts)]
+        assert rows == [list(reference_featurize(config, text).items()) for text in texts]
+
     @pytest.mark.parametrize("kind, texts", [("char", ["a", "b"]), ("word", ["a", "b"])])
     def test_no_ngram_crosses_texts(self, kind, texts):
         config = NgramConfig(hash_buckets=1 << 10, ngram_orders=(2,), feature_kind=kind)
@@ -219,6 +254,50 @@ def reference_train_sgd(weights, bias, feats, ys, config: TrainConfig, history: 
         history.append(batch_loss(true_w, bias, feats, ys, config.l2))
     if scale != 1.0:
         weights *= scale
+
+
+@st.composite
+def scoring_batches(draw):
+    """Weights, bias, scale and sparse rows over 64 buckets, so rows share
+    buckets; a row may be empty, or long enough for several blocks of the
+    BLAS dot kernel. Nine labels or more make numpy sum each softmax pairwise."""
+    n_labels = draw(st.sampled_from([2, 3, 4, 5, 9, 12]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    magnitude = draw(st.sampled_from([1.0, 40.0]))
+    weights = rng.normal(size=(n_labels, 64)) * magnitude
+    bias = draw(st.sampled_from([rng.normal(size=n_labels) * magnitude, np.zeros(n_labels), np.full(n_labels, -0.0)]))
+    scale = draw(st.sampled_from([1.0, 0.5, 3.0, 1e-3, 1e-120]))
+    n_rows = draw(st.sampled_from([0, 1, 2, 5, 40]))
+    rows = [
+        (
+            np.array(buckets, dtype=np.int64),
+            np.array(draw(st.lists(st.integers(1, 4), min_size=len(buckets), max_size=len(buckets))), dtype=np.float64),
+        )
+        for buckets in (draw(st.lists(st.integers(0, 63), unique=True, max_size=40)) for _ in range(n_rows))
+    ]
+    return weights, bias, scale, rows
+
+
+class TestBatchedScorer:
+    """``_probs`` over a batch against the one-row softmax it replaced, as
+    bytes: numpy's SIMD exp runs over a matrix in the batch and over a
+    vector in the oracle."""
+
+    @settings(max_examples=300)
+    @given(scoring_batches(), st.integers(0, 3))
+    def test_every_column_equals_one_row_oracle_as_bytes(self, batch, skip):
+        weights, bias, scale, rows = batch
+        offsets = np.cumsum([0] + [len(idx) for idx, _ in rows])
+        indices = np.concatenate([np.empty(0, dtype=np.int64)] + [idx for idx, _ in rows])
+        counts = np.concatenate([np.empty(0)] + [vals for _, vals in rows])
+        expected = [reference_probs(weights, bias, row, scale).tobytes() for row in rows]
+        probs = _probs(weights, bias, (indices, counts, offsets), scale)
+        assert probs.shape == (len(bias), len(rows))
+        assert [probs[:, j].tobytes() for j in range(len(rows))] == expected
+        # offsets past 0 select the later rows, as each SGD minibatch does
+        skip = min(skip, len(rows))
+        later = _probs(weights, bias, (indices, counts, offsets[skip:]), scale)
+        assert [later[:, j].tobytes() for j in range(later.shape[1])] == expected[skip:]
 
 
 @st.composite
@@ -491,6 +570,84 @@ class TestParagraphAverage:
         assert score_language_paragraph_avg(lang_model, text).score == pytest.approx(expected)
 
 
+def random_model(config: NgramConfig, labels, seed: int) -> NgramModel:
+    rng = np.random.default_rng(seed)
+    weights = rng.normal(size=(len(labels), config.hash_buckets))
+    return NgramModel(config=config, labels=list(labels), weights=weights, bias=rng.normal(size=len(labels)))
+
+
+def reference_tag_toxicity(doc: Document, hate, nsfw, config: ContentTagConfig):
+    """``tag_toxicity`` before batching: each sentence featurized and scored
+    on its own by each model in turn."""
+    models = []
+    for name, model, tau in (("toxicity__hate", hate, config.hate_threshold), ("toxicity__nsfw", nsfw, config.nsfw_threshold)):
+        if model is not None:
+            models.append((name, model, config.toxicity_threshold if tau is None else tau))
+    data = doc.text_bytes
+    attrs = {}
+    for span in split_sentences(doc.text):
+        sentence = data[span.start : span.end].decode("utf-8").strip()
+        if sentence:
+            for name, model, tau in models:
+                score = reference_predict(model, sentence)[TOXIC_LABEL]
+                if score > tau:
+                    attrs.setdefault(name, []).append(AttributeSpan(span.start, span.end, score))
+    return attrs
+
+
+def spans_as_bits(attrs):
+    return [(name, [(sp.start, sp.end, float(sp.score).hex()) for sp in spans]) for name, spans in attrs.items()]
+
+
+TAGGER_TEXT = (
+    "Lovely weather garden. Hi. Utterly grawlix sklonk morning.\n\n"
+    "Thanks lovely coffee! A. Lovely grawlix.\n"
+    "zxqv wqrtz kjxy qqzt. The quick brown fox jumps over the lazy dog."
+)
+
+
+class TestTaggersMatchPerRowPath:
+    """``tag_toxicity`` and ``score_language_paragraph_avg`` score all of a
+    document's sentences or paragraphs in one batch; their spans and score
+    floats equal those of the per-row path."""
+
+    def test_tag_toxicity_equals_per_sentence_path(self, hate_model, nsfw_model):
+        bigram = random_model(NgramConfig(hash_buckets=1 << 8, ngram_orders=(2,)), ("ok", "toxic"), seed=1)
+        shared = random_model(bigram.config, ("toxic", "ok", "other"), seed=2)  # the same featurization
+        doc = Document(id="d", text=TAGGER_TEXT)
+        sentences = [
+            doc.text_bytes[span.start : span.end].decode("utf-8").strip() for span in split_sentences(doc.text)
+        ]
+        hate_scores = sorted(reference_predict(hate_model, s)[TOXIC_LABEL] for s in sentences if s)
+        at_hate = hate_scores[len(hate_scores) // 2]  # a sentence scores exactly at the threshold
+        prior = reference_predict(bigram, "")[TOXIC_LABEL]
+        assert reference_predict(bigram, "Hi.")[TOXIC_LABEL] == prior  # one token, no bigram: the bias prior
+        cases = [
+            (hate_model, bigram, ContentTagConfig(hate_threshold=at_hate, nsfw_threshold=prior)),
+            (bigram, shared, ContentTagConfig(toxicity_threshold=0.3)),
+            (hate_model, nsfw_model, ContentTagConfig(toxicity_threshold=0.4)),
+            (None, bigram, ContentTagConfig(toxicity_threshold=0.0)),
+        ]
+        for hate, nsfw, config in cases:
+            expected = reference_tag_toxicity(doc, hate, nsfw, config)
+            assert expected, "every case tags some sentence"
+            assert spans_as_bits(tag_toxicity(doc, hate, nsfw, config)) == spans_as_bits(expected)
+        tagged = [sp.score for sp in reference_tag_toxicity(doc, hate_model, None, cases[0][2])["toxicity__hate"]]
+        assert tagged and at_hate not in tagged
+
+    def test_paragraph_average_equals_per_paragraph_path(self, lang_model):
+        bigrams = random_model(NgramConfig(hash_buckets=1 << 8, ngram_orders=(2, 3), feature_kind="char"), ("xx", "en"), 3)
+        for model in (lang_model, bigrams, zero_model(config=lang_model.config)):
+            long_text = "\n".join([TAGGER_TEXT] * 5)  # more paragraphs than numpy sums one by one
+            for text in (TAGGER_TEXT, TAGGER_TEXT + "\na\n\n  \n", long_text, "a", "a\nb"):  # "a" holds no n-gram
+                paragraphs = [para for para in text.split("\n") if para.strip()]
+                scores = [reference_predict(model, para)["en"] for para in paragraphs]
+                got = score_language_paragraph_avg(model, text)
+                assert not got.degenerate
+                assert float(got.score).hex() == float(sum(scores) / len(scores)).hex()
+        assert score_language_paragraph_avg(zero_model(config=lang_model.config), "a\n\nb").score == ENGLISH_KEEP_THRESHOLD
+
+
 class TestPersistence:
     def test_roundtrip_bit_exact(self, tmp_path, lang_model):
         path = tmp_path / "model.bin"
@@ -508,6 +665,17 @@ class TestPersistence:
         data[0] ^= 0xFF
         path.write_bytes(bytes(data))
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", [2, 7, 255])
+    def test_unknown_feature_kind_byte_rejected(self, tmp_path, lang_model, kind):
+        path = tmp_path / "model.bin"
+        save_model(lang_model, path)
+        data = bytearray(path.read_bytes())
+        assert data[12] == 1  # after the magic and the version: 0 word, 1 char
+        data[12] = kind
+        path.write_bytes(bytes(data))
+        with pytest.raises(ModelFormatError, match=f"feature kind byte {kind}"):
             load_model(path)
 
     def test_truncated_file_rejected(self, tmp_path, lang_model):

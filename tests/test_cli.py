@@ -8,7 +8,7 @@ from conftest import BENIGN_WORDS, OTHER_WORDS, ENGLISH_WORDS, sentence
 from corpuskit.bloom import BloomFilter, bloom_load
 from corpuskit.cli import _bloom_health, build_parser, main
 from corpuskit.documents import Document
-from corpuskit.ngram_classifier import load_model
+from corpuskit.ngram_classifier import load_model, save_model
 from corpuskit.shard_io import read_attributes, read_documents, write_documents
 
 
@@ -37,6 +37,19 @@ class TestExitCodes:
     def test_missing_input_file_is_runtime_error(self, tmp_path, capsys):
         assert run_cli("stats", "--inputs", str(tmp_path / "absent.jsonl")) == 2
         assert "runtime failure" in capsys.readouterr().err
+
+    def test_model_with_unknown_feature_kind_is_runtime_error(self, tmp_path, capsys, lang_model):
+        # a malformed model file fails like an absent or truncated one
+        model = tmp_path / "model.bin"
+        save_model(lang_model, model)
+        data = bytearray(model.read_bytes())
+        data[12] = 7  # the feature-kind byte: 0 word, 1 char
+        model.write_bytes(bytes(data))
+        config = tmp_path / "tag.json"
+        config.write_text(json.dumps({"taggers": [{"name": "language", "params": {"model": str(model)}}]}))
+        argv = ["tag", "--config", str(config), "--inputs", str(make_shard(tmp_path)), "--out-dir", str(tmp_path / "o")]
+        assert run_cli(*argv) == 2
+        assert "feature kind byte 7" in capsys.readouterr().err
 
     def test_success_is_zero(self, tmp_path):
         shard = make_shard(tmp_path)
