@@ -58,9 +58,7 @@ class KeyFilter(Protocol):
 
     def contains_many(self, keys: Sequence[bytes]) -> list[bool]: ...
 
-    def insert_check(self, key: bytes) -> bool: ...
-
-    def contains(self, key: bytes) -> bool: ...
+    def freeze(self) -> "KeyFilter": ...
 
 
 Keyed = list[tuple[AttributeSpan, bytes]]  # a document's keys, each with the span it flags

@@ -54,6 +54,15 @@ class Document:
         return self.text.encode("utf-8")
 
 
+def metadata_flag(value) -> bool:
+    """A metadata flag as a bool. A string is true only as "true", "1" or
+    "yes" in any case, so "false" and "0" stay false; other values go by
+    their truth value, and an absent flag (None) is false."""
+    if isinstance(value, str):
+        return value.lower() in ("true", "1", "yes")
+    return bool(value)
+
+
 @dataclass
 class DocumentAttributes:
     """Tagger outputs for one document, stored beside (not inside) it.

@@ -9,6 +9,7 @@ from corpuskit.documents import (
     Document,
     char_spans_to_byte_spans,
     count_words,
+    metadata_flag,
     whitespace_word_ids,
     whitespace_word_spans,
 )
@@ -154,12 +155,6 @@ def tag_banned_subreddit(
     return {}
 
 
-def _truthy(value) -> bool:
-    if isinstance(value, str):
-        return value.lower() in ("true", "1", "yes")
-    return bool(value)
-
-
 def tag_reddit_quality(doc: Document) -> dict[str, list[AttributeSpan]]:
     """Length, vote, and moderation flags for submissions and comments.
 
@@ -179,9 +174,9 @@ def tag_reddit_quality(doc: Document) -> dict[str, list[AttributeSpan]]:
     flags["reddit__too_long"] = length > REDDIT_MAX_CHARS
     if kind == "comment" and "votes" in doc.metadata:
         flags["reddit__low_votes"] = int(doc.metadata["votes"]) < REDDIT_MIN_COMMENT_VOTES
-    flags["reddit__author_deleted"] = _truthy(doc.metadata.get("author_deleted"))
-    flags["reddit__moderator_removed"] = _truthy(doc.metadata.get("moderator_removed"))
-    flags["reddit__over_18"] = _truthy(doc.metadata.get("over_18"))
+    flags["reddit__author_deleted"] = metadata_flag(doc.metadata.get("author_deleted"))
+    flags["reddit__moderator_removed"] = metadata_flag(doc.metadata.get("moderator_removed"))
+    flags["reddit__over_18"] = metadata_flag(doc.metadata.get("over_18"))
 
     end = len(doc.text_bytes)
     return {name: [AttributeSpan(0, end, 1.0)] for name, value in flags.items() if value}

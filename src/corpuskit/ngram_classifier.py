@@ -246,10 +246,6 @@ class NgramModel:
     def predict_proba(self, text: str) -> dict[str, float]:
         return dict(zip(self.labels, self.predict_rows(featurize_rows(self.config, [text]))[:, 0].tolist()))
 
-    def predict_features(self, feats: dict[int, float]) -> dict[str, float]:
-        """Label probabilities of a text featurized with this model's config."""
-        return dict(zip(self.labels, self.predict_rows(_rows([feats]))[:, 0].tolist()))
-
     def predict_rows(self, rows: Rows) -> np.ndarray:
         """Label probabilities of rows featurized with this model's config
         (:func:`featurize_rows`), as a (labels x rows) matrix."""

@@ -5,15 +5,16 @@ Three strategies: atomic (every item standalone), partial threads
 (one document per submission with depth-indented comments). Comment bodies
 are joined with a blank line; full threads indent two spaces per depth
 level. Sibling order is ascending created timestamp, ties kept in input
-order.
+order. The forest is walked with an explicit stack, so reply chains of any
+depth work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from corpuskit.documents import Document
+from corpuskit.documents import Document, metadata_flag
 
 DEFAULT_MAX_PARENT_DEPTH = 4
 _BLOCK_SEPARATOR = "\n\n"
@@ -54,9 +55,9 @@ class RedditItem:
             parent_id=md.get("parent_id"),
             votes=int(md.get("votes", 0)),
             subreddit=str(md.get("subreddit", "")),
-            author_deleted=bool(md.get("author_deleted", False)),
-            moderator_removed=bool(md.get("moderator_removed", False)),
-            over_18=bool(md.get("over_18", False)),
+            author_deleted=metadata_flag(md.get("author_deleted")),
+            moderator_removed=metadata_flag(md.get("moderator_removed")),
+            over_18=metadata_flag(md.get("over_18")),
             created=doc.created or "",
             source=doc.source,
         )
@@ -93,6 +94,22 @@ class _Forest:
     comment_roots: list[str]  # top-level and orphan comments
     orphan_groups: dict[str, list[str]]  # missing parent id -> orphan ids
     submissions: list[str]
+
+
+def _preorder(children: dict[str, list[str]], roots: list[str]) -> Iterator[tuple[str, int]]:
+    """Yield ``(node, depth)`` depth-first in pre-order, each root at depth 0
+    and each node's children in their sorted order. The stack is explicit, so
+    a chain of any depth stays within Python's recursion limit."""
+    stack = [roots[::-1]]  # per depth, the siblings still to visit, last first
+    while stack:
+        if not stack[-1]:
+            stack.pop()
+            continue
+        node = stack[-1].pop()
+        yield node, len(stack) - 1
+        kids = children.get(node)
+        if kids:
+            stack.append(kids[::-1])
 
 
 def _build_forest(items: Sequence[RedditItem]) -> _Forest:
@@ -132,12 +149,7 @@ def _build_forest(items: Sequence[RedditItem]) -> _Forest:
         ids.sort(key=sort_key)
 
     # every comment must be reachable from a root; leftovers form cycles
-    visited: set[str] = set()
-    stack = list(comment_roots)
-    while stack:
-        node = stack.pop()
-        visited.add(node)
-        stack.extend(children.get(node, []))
+    visited = {node for node, _ in _preorder(children, comment_roots)}
     unreached = [i.id for i in items if i.kind == "comment" and i.id not in visited]
     if unreached:
         raise ThreadStructureError(f"parent links form a cycle through {unreached[0]!r}")
@@ -148,6 +160,17 @@ def _build_forest(items: Sequence[RedditItem]) -> _Forest:
         comment_roots=comment_roots,
         orphan_groups=orphan_groups,
         submissions=submissions,
+    )
+
+
+def _thread(doc_id: str, text: str, first_item: RedditItem, kind: str, **metadata) -> Document:
+    """A thread document, dated and sourced by its first item."""
+    return Document(
+        id=doc_id,
+        text=text,
+        source=first_item.source,
+        created=first_item.created or None,
+        metadata={"kind": kind, "subreddit": first_item.subreddit, **metadata},
     )
 
 
@@ -176,33 +199,15 @@ def build_partial_threads(
                 continue
             emitted.add(window)
             members = [forest.items[i] for i in window]
-            root = members[0]
-            docs.append(
-                Document(
-                    id="+".join(window),
-                    text=_BLOCK_SEPARATOR.join(m.body for m in members),
-                    source=root.source,
-                    created=root.created or None,
-                    metadata={
-                        "kind": "partial_thread",
-                        "subreddit": root.subreddit,
-                        "items": len(members),
-                    },
-                )
-            )
+            text = _BLOCK_SEPARATOR.join(m.body for m in members)
+            docs.append(_thread("+".join(window), text, members[0], "partial_thread", items=len(members)))
 
-    def walk(node: str, path: list[str]) -> None:
+    path: list[str] = []  # the root-to-node chain of the walk's current node
+    for node, depth in _preorder(forest.children, forest.comment_roots):
+        del path[depth:]
         path.append(node)
-        kids = forest.children.get(node, [])
-        if not kids:
+        if not forest.children.get(node):
             emit_path(path)
-        else:
-            for kid in kids:
-                walk(kid, path)
-        path.pop()
-
-    for root in forest.comment_roots:
-        walk(root, [])
     return docs
 
 
@@ -215,40 +220,16 @@ def build_full_threads(items: Sequence[RedditItem]) -> list[Document]:
     """
     forest = _build_forest(items)
 
-    def blocks(node: str, depth: int, out: list[str]) -> None:
-        body = forest.items[node].body
-        indent = _INDENT * depth
-        out.append("\n".join(indent + line for line in body.split("\n")))
-        for kid in forest.children.get(node, []):
-            blocks(kid, depth + 1, out)
-
-    docs = []
-    for sid in forest.submissions:
-        submission = forest.items[sid]
-        parts: list[str] = []
-        blocks(sid, 0, parts)  # the submission unindented, its comments below
-        docs.append(
-            Document(
-                id=sid,
-                text=_BLOCK_SEPARATOR.join(parts),
-                source=submission.source,
-                created=submission.created or None,
-                metadata={"kind": "full_thread", "subreddit": submission.subreddit},
-            )
+    def text(roots: list[str], offset: int) -> str:
+        """The walk below ``roots``, each body indented by its depth plus ``offset``."""
+        return _BLOCK_SEPARATOR.join(
+            "\n".join(_INDENT * (depth + offset) + line for line in forest.items[node].body.split("\n"))
+            for node, depth in _preorder(forest.children, roots)
         )
 
+    # a submission sits unindented with its comments below it
+    docs = [_thread(sid, text([sid], 0), forest.items[sid], "full_thread") for sid in forest.submissions]
     for missing_parent, roots in sorted(forest.orphan_groups.items()):
         first = forest.items[roots[0]]
-        parts = []
-        for root in roots:
-            blocks(root, 1, parts)
-        docs.append(
-            Document(
-                id=f"orphans-{missing_parent}",
-                text=_BLOCK_SEPARATOR.join(parts),
-                source=first.source,
-                created=first.created or None,
-                metadata={"kind": "full_thread", "subreddit": first.subreddit, "synthetic_root": True},
-            )
-        )
+        docs.append(_thread(f"orphans-{missing_parent}", text(roots, 1), first, "full_thread", synthetic_root=True))
     return docs

@@ -1,8 +1,9 @@
 """Newline-delimited JSON shard I/O for documents and attribute sidecars,
 and the shard-task engine every per-shard job runs through.
 
-One JSON object per line; a malformed line raises
-:class:`MalformedRecordError` with its path and line number, and
+One JSON object per line; a malformed line, or a record whose field has
+the wrong type, raises :class:`MalformedRecordError` with its path and
+line number, and
 :func:`write_documents` is the one writer of document lines. Gzip is
 detected on read by magic bytes (robust to renamed shards) and selected on
 write by the ``.gz`` suffix of the output path. Gzip members are written
@@ -54,13 +55,34 @@ def open_shard_read(path: str | os.PathLike) -> io.TextIOBase:
     return io.TextIOWrapper(f, encoding="utf-8")
 
 
+_DOC_TYPES = (("id", str), ("text", str), ("source", str), ("created", (str, type(None))), ("metadata", dict))
+_ATTRS_TYPES = (("id", str), ("attributes", dict))
+
+
+def _wrong_type(obj: dict, types: tuple) -> TypeError:
+    """The error naming the first field of ``obj`` not of its type in ``types``."""
+    key = next(key for key, t in types if key in obj and not isinstance(obj[key], t))
+    return TypeError(f"field {key!r} has type {type(obj[key]).__name__}")
+
+
 def _doc_from_obj(obj: dict) -> Document:
+    doc_id, text, source = obj["id"], obj.get("text", ""), obj.get("source", "")
+    created, metadata = obj.get("created"), obj.get("metadata", {})
+    # _DOC_TYPES checked inline, not by a loop over it, as this runs for every record read
+    if not (
+        isinstance(doc_id, str)
+        and isinstance(text, str)
+        and isinstance(source, str)
+        and (created is None or isinstance(created, str))
+        and isinstance(metadata, dict)
+    ):
+        raise _wrong_type(obj, _DOC_TYPES)
     return Document(
-        id=obj["id"],
-        text=obj.get("text", ""),
-        source=obj.get("source", ""),
-        created=obj.get("created"),
-        metadata=obj.get("metadata", {}),
+        id=doc_id,
+        text=text,
+        source=source,
+        created=created,
+        metadata=metadata,
         extra={k: v for k, v in obj.items() if k not in _DOC_FIELDS},
     )
 
@@ -136,10 +158,13 @@ def write_documents(docs: Iterable[Document], path: str | os.PathLike) -> int:
 
 
 def _attrs_from_obj(obj: dict) -> DocumentAttributes:
+    doc_id, encoded = obj["id"], obj.get("attributes", {})
+    if not (isinstance(doc_id, str) and isinstance(encoded, dict)):
+        raise _wrong_type(obj, _ATTRS_TYPES)
     attributes = {}
-    for name, spans in obj.get("attributes", {}).items():
+    for name, spans in encoded.items():
         attributes[name] = [AttributeSpan(int(s), int(e), float(v)) for s, e, v in spans]
-    return DocumentAttributes(id=obj["id"], attributes=attributes)
+    return DocumentAttributes(id=doc_id, attributes=attributes)
 
 
 def _attrs_to_obj(attrs: DocumentAttributes) -> dict:

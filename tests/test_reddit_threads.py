@@ -1,13 +1,21 @@
-import pytest
+import json
 
-from corpuskit.documents import Document
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from corpuskit.cli import main
+from corpuskit.documents import Document, metadata_flag
+from corpuskit.heuristics import tag_reddit_quality
 from corpuskit.reddit_threads import (
+    DEFAULT_MAX_PARENT_DEPTH,
     RedditItem,
     ThreadStructureError,
+    _build_forest,
     build_atomic,
     build_full_threads,
     build_partial_threads,
 )
+from corpuskit.shard_io import read_documents, write_documents
 
 
 def submission(item_id, body="post body", created="2020-01-01T00:00:00", **kw):
@@ -224,3 +232,186 @@ class TestItemConversion:
             first = build(list(items))
             second = build(list(items))
             assert first == second
+
+
+def oracle_partial_threads(items, max_depth=DEFAULT_MAX_PARENT_DEPTH):
+    """The recursive partial-thread builder, kept as the reference."""
+    forest = _build_forest(items)
+    docs = [forest.items[sid].to_document() for sid in forest.submissions]
+    emitted = set()
+
+    def emit_path(path):
+        for start in range(0, len(path), max_depth):
+            window = tuple(path[start : start + max_depth])
+            if window in emitted:
+                continue
+            emitted.add(window)
+            members = [forest.items[i] for i in window]
+            root = members[0]
+            docs.append(
+                Document(
+                    id="+".join(window),
+                    text="\n\n".join(m.body for m in members),
+                    source=root.source,
+                    created=root.created or None,
+                    metadata={"kind": "partial_thread", "subreddit": root.subreddit, "items": len(members)},
+                )
+            )
+
+    def walk(node, path):
+        path.append(node)
+        kids = forest.children.get(node, [])
+        if not kids:
+            emit_path(path)
+        else:
+            for kid in kids:
+                walk(kid, path)
+        path.pop()
+
+    for root in forest.comment_roots:
+        walk(root, [])
+    return docs
+
+
+def oracle_full_threads(items):
+    """The recursive full-thread builder, kept as the reference."""
+    forest = _build_forest(items)
+
+    def blocks(node, depth, out):
+        indent = "  " * depth
+        out.append("\n".join(indent + line for line in forest.items[node].body.split("\n")))
+        for kid in forest.children.get(node, []):
+            blocks(kid, depth + 1, out)
+
+    docs = []
+    for sid in forest.submissions:
+        submission = forest.items[sid]
+        parts = []
+        blocks(sid, 0, parts)
+        docs.append(
+            Document(
+                id=sid,
+                text="\n\n".join(parts),
+                source=submission.source,
+                created=submission.created or None,
+                metadata={"kind": "full_thread", "subreddit": submission.subreddit},
+            )
+        )
+    for missing_parent, roots in sorted(forest.orphan_groups.items()):
+        first = forest.items[roots[0]]
+        parts = []
+        for root in roots:
+            blocks(root, 1, parts)
+        docs.append(
+            Document(
+                id=f"orphans-{missing_parent}",
+                text="\n\n".join(parts),
+                source=first.source,
+                created=first.created or None,
+                metadata={"kind": "full_thread", "subreddit": first.subreddit, "synthetic_root": True},
+            )
+        )
+    return docs
+
+
+@st.composite
+def forests(draw):
+    """Random items in a random order: submissions with and without
+    comments, branching replies, orphans of missing parents, and tied
+    ``created`` stamps. Parents are drawn from earlier items, so there is
+    no cycle."""
+    items = []
+    for i in range(draw(st.integers(0, 16))):
+        fields = {
+            "body": draw(st.sampled_from(["", "a", "b c", "line one\nline two"])),
+            "created": draw(st.sampled_from(["", "t1", "t2"])),
+            "subreddit": draw(st.sampled_from(["x", "y"])),
+            "source": draw(st.sampled_from(["s", "t"])),
+        }
+        if draw(st.integers(0, 3)) == 0:
+            items.append(RedditItem(id=f"s{i}", kind="submission", **fields))
+        else:
+            parent = draw(st.sampled_from([item.id for item in items] + ["gone1", "gone2"]))
+            items.append(RedditItem(id=f"c{i}", kind="comment", parent_id=parent, **fields))
+    return draw(st.permutations(items))
+
+
+def with_key_order(docs):
+    # Document equality compares metadata as dicts; the written bytes also
+    # depend on the order of its keys
+    return [(doc, list(doc.metadata)) for doc in docs]
+
+
+class TestAgainstRecursiveOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(items=forests(), max_depth=st.integers(1, 5))
+    def test_strategies_equal_oracle(self, items, max_depth):
+        assert build_atomic(items) == [item.to_document() for item in items]
+        got = build_partial_threads(items, max_depth)
+        assert with_key_order(got) == with_key_order(oracle_partial_threads(items, max_depth))
+        assert with_key_order(build_full_threads(items)) == with_key_order(oracle_full_threads(items))
+
+
+DEEP = 1_500  # beyond CPython's default recursion limit; full-thread text grows quadratically with depth
+
+
+def deep_chain(root_parent):
+    """``root_parent`` (a submission, or an orphan parent if absent) and a
+    chain of ``DEEP`` comments below it, each replying to the one before."""
+    items = [submission("s")] if root_parent == "s" else []
+    for i in range(DEEP):
+        items.append(comment(f"c{i}", root_parent if i == 0 else f"c{i - 1}", created=f"t{i:04d}"))
+    return items
+
+
+class TestDeepChains:
+    @pytest.mark.parametrize("root_parent", ["s", "gone"])
+    def test_library_builds_every_strategy(self, root_parent):
+        items = deep_chain(root_parent)
+        assert len(build_atomic(items)) == len(items)
+
+        windows = [d for d in build_partial_threads(items) if d.metadata["kind"] == "partial_thread"]
+        assert len(windows) == DEEP // DEFAULT_MAX_PARENT_DEPTH
+        assert windows[-1].id == "+".join(f"c{i}" for i in range(DEEP - DEFAULT_MAX_PARENT_DEPTH, DEEP))
+
+        (doc,) = build_full_threads(items)
+        blocks = doc.text.split("\n\n")
+        assert len(blocks) == len(items)
+        assert blocks[-1] == "  " * DEEP + f"comment c{DEEP - 1}"
+
+    @pytest.mark.parametrize(
+        "strategy, documents", [("atomic", DEEP + 1), ("partial", 1 + DEEP // DEFAULT_MAX_PARENT_DEPTH), ("full", 1)]
+    )
+    def test_cli_builds_every_strategy(self, tmp_path, capsys, strategy, documents):
+        shard = tmp_path / "items.jsonl"
+        write_documents((item.to_document() for item in deep_chain("s")), shard)
+        out = tmp_path / "docs.jsonl"
+        argv = ["reddit-build", "--inputs", str(shard), "--strategy", strategy, "--out", str(out)]
+        assert main(argv) == 0
+        assert json.loads(capsys.readouterr().out)["documents"] == documents
+        assert sum(1 for _ in read_documents(out)) == documents
+
+
+class TestFlags:
+    @pytest.mark.parametrize(
+        "value, expected",
+        [("false", False), ("0", False), ("no", False), ("", False), (None, False), (False, False), (0, False),
+         ("true", True), ("TRUE", True), ("1", True), ("yes", True), (True, True), (1, True)],
+    )
+    def test_metadata_flag(self, value, expected):
+        assert metadata_flag(value) is expected
+
+    def test_string_false_flags_stay_false_through_reddit_build(self, tmp_path):
+        raw = Document(
+            id="s1",
+            text="post " * 100,
+            metadata={"kind": "submission", "author_deleted": "false", "moderator_removed": "no", "over_18": "0"},
+        )
+        shard = tmp_path / "items.jsonl"
+        write_documents([raw], shard)
+        out = tmp_path / "docs.jsonl"
+        assert main(["reddit-build", "--inputs", str(shard), "--strategy", "atomic", "--out", str(out)]) == 0
+        (built,) = read_documents(out)
+        for key in ("author_deleted", "moderator_removed", "over_18"):
+            assert built.metadata[key] is False
+        assert tag_reddit_quality(built) == tag_reddit_quality(raw) == {}

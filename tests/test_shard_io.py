@@ -61,6 +61,33 @@ class TestDocumentIO:
             list(read_documents(path))
         assert err.value.line_no == 2
 
+    @pytest.mark.parametrize(
+        "reader, record, field",
+        [
+            (read_documents, {"id": 5, "text": "x"}, "id"),
+            (read_documents, {"id": "b", "text": 5}, "text"),
+            (read_documents, {"id": "b", "text": None}, "text"),
+            (read_documents, {"id": "b", "text": "x", "source": ["s"]}, "source"),
+            (read_documents, {"id": "b", "text": "x", "created": 2020}, "created"),
+            (read_documents, {"id": "b", "text": "x", "metadata": [1]}, "metadata"),
+            (read_documents, {"id": "b", "text": "x", "metadata": None}, "metadata"),
+            (read_attributes, {"id": "a", "attributes": [1]}, "attributes"),
+            (read_attributes, {"id": ["a"], "attributes": {}}, "id"),
+        ],
+    )
+    def test_record_of_wrong_shape_names_its_line(self, tmp_path, reader, record, field):
+        path = tmp_path / "bad.jsonl"
+        path.write_text('{"id": "a", "text": "x"}\n' + json.dumps(record) + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecordError, match=f"field '{field}'") as err:
+            list(reader(path))
+        assert (err.value.path, err.value.line_no) == (str(path), 2)
+
+    def test_null_created_reads_as_absent(self, tmp_path):
+        path = tmp_path / "ok.jsonl"
+        path.write_text('{"id": "a", "text": "x", "created": null}\n', encoding="utf-8")
+        (doc,) = read_documents(path)
+        assert doc.created is None
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             list(read_documents(tmp_path / "absent.jsonl"))
