@@ -113,6 +113,8 @@ class BloomFilter:
             raise ValueError(f"bit array holds {len(bits)} bytes, expected {n_bytes}")
         self.bits = bits
         self.added = 0  # keys an insert on this object reported absent
+        self.n_target: int | None = None  # the key count and false-positive rate
+        self.p_target: float | None = None  # it was sized for, set by create only
         self._lock = threading.Lock()
 
     @classmethod

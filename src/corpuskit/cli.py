@@ -37,8 +37,11 @@ from corpuskit import reddit_threads
 from corpuskit.bloom import BloomFilter, bloom_load, bloom_save, make_backend
 from corpuskit.correlate import filter_correlation, merge_attribute_shards
 from corpuskit.dedupe import (
+    CONTAMINATED,
     DECONTAMINATION_MIN_TOKENS,
+    DOC_DUPLICATE,
     PARAGRAPH_DUPLICATE,
+    URL_DUPLICATE,
     ccnet_group_dedupe,
     decontaminate_seed,
     decontaminate_tag,
@@ -62,9 +65,11 @@ from corpuskit.pipeline import (
     WebPipelineConfig,
     run_pipeline_web,
     run_tag,
+    tag_report_json,
 )
 from corpuskit.shard_io import (
     ShardNameError,
+    StageReport,
     atomic_output,
     output_paths,
     read_documents,
@@ -260,24 +265,16 @@ def _option_values() -> Iterator[None]:
 
 
 def _cmd_tag(args) -> dict:
-    return run_tag(list(args.inputs), args.taggers or [], args.out_dir, **_given(args, "workers")).to_json()
+    return tag_report_json(run_tag(list(args.inputs), args.taggers or [], args.out_dir, **_given(args, "workers")))
 
 
-def _write_counted(outputs, shards) -> dict:
-    """Write each input shard's attribute records to its output path and
-    count the records written and the documents and paragraphs they flag."""
-    counts = {"documents": 0, "flagged_documents": 0, "flagged_paragraphs": 0}
-
-    def counted(records):
-        for rec in records:
-            counts["documents"] += 1
-            counts["flagged_documents"] += bool(rec.attributes)
-            counts["flagged_paragraphs"] += len(rec.attributes.get(PARAGRAPH_DUPLICATE, []))
-            yield rec
-
+def _write_counted(stage: str, outputs, shards) -> StageReport:
+    """Write each input shard's attribute records to its output path,
+    counting the records written and what they flag."""
+    report = StageReport(stage)
     for out_path, records in zip(outputs, shards):
-        write_attributes(counted(records), out_path)
-    return counts
+        write_attributes(map(report.flag, records), out_path)
+    return report
 
 
 def _bloom_health(bloom: BloomFilter) -> dict:
@@ -286,12 +283,11 @@ def _bloom_health(bloom: BloomFilter) -> dict:
     alone would not do: at exactly the sized key count it lands on the target
     up to noise, above it about half the time.)"""
     health = bloom.health()
-    n_target = getattr(bloom, "n_target", None)  # set by BloomFilter.create, not by bloom_load
-    if n_target is not None and bloom.added > n_target:
+    if bloom.n_target is not None and bloom.added > bloom.n_target:
         logger.warning(
             "Bloom filter took %d new keys, sized for %d: fill %.4f, estimated false-positive rate %.3g "
             "against a target of %.3g",
-            bloom.added, n_target, health["fill"], health["estimated_fpr"], bloom.p_target,
+            bloom.added, bloom.n_target, health["fill"], health["estimated_fpr"], bloom.p_target,
         )
     return health
 
@@ -325,13 +321,13 @@ def _cmd_dedupe(args) -> dict:
         shards = (records(path) for path in inputs)
         report = {"stage": stage}
     out_dir.mkdir(parents=True, exist_ok=True)
-    counts = _write_counted(outputs, shards)
-    if group_bytes is not None:
-        report.update(documents=counts["documents"], flagged_documents=counts["flagged_documents"])
-    else:
+    counts = _write_counted(stage, outputs, shards)
+    attribute = {"url": URL_DUPLICATE, "document": DOC_DUPLICATE, "paragraph": PARAGRAPH_DUPLICATE}[stage]
+    report.update(documents=counts.input_docs, flagged_documents=counts.flagged_docs.get(attribute, 0))
+    if group_bytes is None:
         if args.save_filter:
             bloom_save(backend, args.save_filter)
-        report.update(counts, missing_url=missing_url)
+        report.update(flagged_paragraphs=counts.flagged_spans.get(PARAGRAPH_DUPLICATE, 0), missing_url=missing_url)
         if isinstance(backend, BloomFilter):
             report["bloom"] = _bloom_health(backend)
     return report
@@ -363,10 +359,10 @@ def _cmd_decontaminate(args) -> dict:
         (attrs for _, attrs in decontaminate_tag(read_documents(path), seeded, min_paragraph_tokens=min_tokens))
         for path in args.inputs
     )
-    counts = _write_counted(outputs, shards)
+    counts = _write_counted("decontaminate", outputs, shards)
     report = {
-        "documents": counts["documents"],
-        "contaminated_documents": counts["flagged_documents"],
+        "documents": counts.input_docs,
+        "contaminated_documents": counts.flagged_docs.get(CONTAMINATED, 0),
         "min_paragraph_tokens": min_tokens,
     }
     if isinstance(seeded, BloomFilter):

@@ -4,16 +4,18 @@ Taggers are pure functions from a document to named span lists, looked up
 by name in a registry; custom taggers (e.g. a code-secret scanner) can be
 registered at runtime. Tagging parallelizes across shards with one sidecar
 file per input shard; attribute bytes are independent of worker count.
+:func:`run_tag` returns a ``StageReport`` and :func:`tag_report_json` renders it.
 
 The web pipeline runs the fixed stage order: URL dedup, document dedup,
-quality/content filtering, and paragraph dedup last.
+quality/content filtering, and paragraph dedup last, with one
+``StageReport`` per stage.
 """
 
 from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator
@@ -29,7 +31,7 @@ from corpuskit.dedupe import (
     dedupe_by_url,
 )
 from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
-from corpuskit.filters import Drop, FilterExpr, apply_filters, merge_spans
+from corpuskit.filters import Drop, FilterExpr, apply_filters
 from corpuskit.gopher import tag_gopher
 from corpuskit.ngram_classifier import ENGLISH_KEEP_THRESHOLD, load_model, score_english, score_language_paragraph_avg
 from corpuskit.pii import (
@@ -41,7 +43,6 @@ from corpuskit.pii import (
     tag_pii,
 )
 from corpuskit.shard_io import (
-    Counters,
     StageReport,
     map_shards,
     output_paths,
@@ -169,39 +170,6 @@ def build_tagger(name: str, params: dict | None = None) -> TaggerFn:
     return tagger
 
 
-@dataclass
-class TagReport(Counters):
-    """Per-attribute document/character counts, in the same units the
-    curation reports use (percent of documents, percent of UTF-8 bytes)."""
-
-    total_documents: int = 0
-    total_text_bytes: int = 0
-    attribute_documents: dict[str, int] = field(default_factory=dict)
-    attribute_bytes: dict[str, int] = field(default_factory=dict)
-    wall_seconds: float = 0.0
-
-    def to_json(self) -> dict:
-        attrs = {}
-        for name in sorted(self.attribute_documents):
-            docs = self.attribute_documents[name]
-            tagged = self.attribute_bytes[name]
-            attrs[name] = {
-                "documents": docs,
-                "documents_pct": 100.0 * docs / self.total_documents if self.total_documents else 0.0,
-                "characters": tagged,
-                "characters_pct": (
-                    100.0 * tagged / self.total_text_bytes if self.total_text_bytes else 0.0
-                ),
-            }
-        return {
-            "total_documents": self.total_documents,
-            "total_text_bytes": self.total_text_bytes,
-            "attributes": attrs,
-            "wall_seconds": self.wall_seconds,
-            "docs_per_second": self.total_documents / self.wall_seconds if self.wall_seconds else 0.0,
-        }
-
-
 def _tag_document(doc: Document, taggers: list[TaggerFn]) -> DocumentAttributes:
     """Run every tagger on one document and merge their attributes."""
     attrs = DocumentAttributes(id=doc.id)
@@ -210,31 +178,19 @@ def _tag_document(doc: Document, taggers: list[TaggerFn]) -> DocumentAttributes:
     return attrs
 
 
-def _tag_one_shard(doc_path: str, out_path: str, specs: list[tuple[str, dict]]) -> TagReport:
+def _tag_one_shard(doc_path: str, out_path: str, specs: list[tuple[str, dict]]) -> StageReport:
     taggers = [build_tagger(name, params) for name, params in specs]
     # the output directory appears only once the taggers could be built
     Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-    counts = TagReport()
+    report = StageReport(stage="tag")
 
     def records():
         for doc in read_documents(doc_path):
-            counts.total_documents += 1
-            counts.total_text_bytes += len(doc.text_bytes)
-            merged = _tag_document(doc, taggers)
-            for attr_name, spans in merged.attributes.items():
-                if not spans:
-                    continue
-                counts.attribute_documents[attr_name] = (
-                    counts.attribute_documents.get(attr_name, 0) + 1
-                )
-                covered = sum(sp.end - sp.start for sp in merge_spans(spans))
-                counts.attribute_bytes[attr_name] = (
-                    counts.attribute_bytes.get(attr_name, 0) + covered
-                )
-            yield merged
+            report.input_text_bytes += len(doc.text_bytes)
+            yield report.flag(_tag_document(doc, taggers))
 
     write_attributes(records(), out_path)
-    return counts
+    return report
 
 
 def run_tag(
@@ -242,16 +198,39 @@ def run_tag(
     tagger_specs: list[tuple[str, dict]],
     out_dir: str,
     workers: int = 1,
-) -> TagReport:
+) -> StageReport:
     """Tag every shard, writing one sidecar per input shard (same name)."""
     outputs = output_paths(doc_paths, out_dir)
     started = time.monotonic()
     tasks = [(str(p), str(o), tagger_specs) for p, o in zip(doc_paths, outputs)]
-    report = TagReport()
-    for counts in map_shards(_tag_one_shard, tasks, workers):
-        report.merge(counts)
+    report = StageReport(stage="tag")
+    for shard_report in map_shards(_tag_one_shard, tasks, workers):
+        report.merge(shard_report)
     report.wall_seconds = time.monotonic() - started
     return report
+
+
+def tag_report_json(report: StageReport) -> dict:
+    """The ``tag`` report: per attribute, the documents it flags and the
+    bytes its merged spans cover, also as percentages of the documents and
+    UTF-8 text bytes tagged (the units of the curation reports)."""
+    docs, text_bytes, wall = report.input_docs, report.input_text_bytes, report.wall_seconds
+    attrs = {}
+    for name in sorted(report.flagged_docs):
+        flagged, covered = report.flagged_docs[name], report.flagged_bytes[name]
+        attrs[name] = {
+            "documents": flagged,
+            "documents_pct": 100.0 * flagged / docs if docs else 0.0,
+            "characters": covered,
+            "characters_pct": 100.0 * covered / text_bytes if text_bytes else 0.0,
+        }
+    return {
+        "total_documents": docs,
+        "total_text_bytes": text_bytes,
+        "attributes": attrs,
+        "wall_seconds": wall,
+        "docs_per_second": docs / wall if wall else 0.0,
+    }
 
 
 @dataclass

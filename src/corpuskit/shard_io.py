@@ -1,9 +1,9 @@
 """Newline-delimited JSON shard I/O for documents and attribute sidecars,
 and the shard-task engine every per-shard job runs through.
 
-One JSON object per line; a malformed line, or a record whose field has
-the wrong type, raises :class:`MalformedRecordError` with its path and
-line number, and
+One JSON object per line; a malformed line, a record whose field has the
+wrong type, or an infinite span offset raises
+:class:`MalformedRecordError` with its path and line number, and
 :func:`write_documents` is the one writer of document lines. Gzip is
 detected on read by magic bytes (robust to renamed shards) and selected on
 write by the ``.gz`` suffix of the output path. Gzip members are written
@@ -15,7 +15,8 @@ An attribute sidecar lines up with its document shard record for record:
 walks them alongside it. Per-shard jobs name their outputs with
 :func:`output_paths`, fan out with :func:`map_shards`, keep intermediate
 files in :func:`temp_dirs`, and fold their per-shard :class:`StageReport`
-counters together with ``merge``.
+counters together with ``merge``: it is the one counted report of every
+job, and its ``flag`` the one counter of attribute records.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
+from corpuskit.filters import merge_spans
 
 _GZIP_MAGIC = b"\x1f\x8b"
 
@@ -111,7 +113,7 @@ def _read_records(path: str | os.PathLike, decode: Callable[[dict], object]) -> 
                 if not isinstance(obj, dict):
                     raise ValueError("record is not an object")
                 record = decode(obj)
-            except (ValueError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError, OverflowError) as exc:
                 raise MalformedRecordError(path, line_no, str(exc)) from exc
             yield record
 
@@ -279,12 +281,29 @@ def temp_dirs(*dirs: Path) -> Iterator[None]:
             shutil.rmtree(d, ignore_errors=True)
 
 
-class Counters:
-    """Base of the report dataclasses that per-shard tasks return."""
+@dataclass
+class StageReport:
+    """What one stage of a job, one source of a mix or one tagging run
+    counted: documents in, kept, dropped (by reason) and sampled out; text
+    bytes in and kept; its wall time; and per attribute, the documents its
+    records flag, their spans and the bytes the merged spans cover."""
 
-    def merge(self, other: "Counters") -> None:
+    stage: str
+    input_docs: int = 0
+    kept_docs: int = 0
+    dropped_docs: int = 0
+    sampled_out_docs: int = 0
+    input_text_bytes: int = 0
+    kept_text_bytes: int = 0
+    wall_seconds: float = 0.0
+    drop_reasons: dict = field(default_factory=dict)
+    flagged_docs: dict = field(default_factory=dict)
+    flagged_spans: dict = field(default_factory=dict)
+    flagged_bytes: dict = field(default_factory=dict)
+
+    def merge(self, other: "StageReport") -> None:
         """Add ``other`` field by field: numbers add, count dicts add per
-        key, any other field keeps this report's value."""
+        key, and the stage name stays this report's."""
         for f in fields(self):
             mine = getattr(self, f.name)
             theirs = getattr(other, f.name)
@@ -294,23 +313,23 @@ class Counters:
             elif isinstance(mine, (int, float)):
                 setattr(self, f.name, mine + theirs)
 
-
-@dataclass
-class StageReport(Counters):
-    """Documents in, kept, dropped (by reason) and sampled out for one stage
-    of a job, or for one source of a mix."""
-
-    stage: str
-    input_docs: int = 0
-    kept_docs: int = 0
-    dropped_docs: int = 0
-    sampled_out_docs: int = 0
-    kept_text_bytes: int = 0
-    drop_reasons: dict = field(default_factory=dict)
-
     def drop(self, reason: str) -> None:
         self.dropped_docs += 1
         self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
+
+    def flag(self, attrs: DocumentAttributes) -> DocumentAttributes:
+        """Count one input document's attribute record: each attribute with
+        spans flags the document once, and adds its spans and the bytes
+        they cover once merged. Returns ``attrs``, so a writer can count
+        the records it writes with ``map(report.flag, records)``."""
+        self.input_docs += 1
+        for name, spans in attrs.attributes.items():
+            if spans:
+                self.flagged_docs[name] = self.flagged_docs.get(name, 0) + 1
+                self.flagged_spans[name] = self.flagged_spans.get(name, 0) + len(spans)
+                covered = sum(sp.end - sp.start for sp in merge_spans(spans))
+                self.flagged_bytes[name] = self.flagged_bytes.get(name, 0) + covered
+        return attrs
 
     def to_json(self) -> dict:
         return {

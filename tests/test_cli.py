@@ -274,6 +274,27 @@ class TestFilterHealth:
         assert list(grouped) == ["stage", "grouping", "max_group_bytes", "documents", "flagged_documents"]
         assert list(decon) == ["documents", "contaminated_documents", "min_paragraph_tokens"]
 
+    def test_tag_mix_and_pipeline_report_keys_unchanged(self, tmp_path):
+        shard = make_shard(tmp_path)
+        tag = self.run_json(tmp_path, "tag", "tag", "--inputs", str(shard), "--taggers", "c4")
+        config = tmp_path / "mix.json"
+        config.write_text(json.dumps({"streams": [{"documents": [str(shard)]}]}))
+        mix = self.run_json(tmp_path, "mix", "mix", "--config", str(config))
+        web = self.run_json(tmp_path, "web", "pipeline-web", "--inputs", str(shard), "--exact")
+        assert list(tag) == ["total_documents", "total_text_bytes", "attributes", "wall_seconds", "docs_per_second"]
+        assert tag["attributes"]
+        for attribute in tag["attributes"].values():
+            assert list(attribute) == ["documents", "documents_pct", "characters", "characters_pct"]
+        assert list(mix) == ["sources", "total_kept_docs", "total_kept_text_bytes", "output_shards"]
+        assert list(mix["sources"]["s"]) == [
+            "input_docs", "kept_docs", "dropped_docs", "sampled_out_docs", "kept_text_bytes", "byte_share",
+            "drop_reasons",
+        ]
+        assert list(web) == ["stages"]
+        assert [s["stage"] for s in web["stages"]] == ["url_dedup", "doc_dedup", "quality_content", "paragraph_dedup"]
+        for stage in web["stages"]:
+            assert list(stage) == ["stage", "input_docs", "kept_docs", "dropped_docs", "drop_reasons"]
+
     def test_warning_when_filter_passes_its_target(self, tmp_path, caplog):
         shard = make_shard(tmp_path, n=40)
         argv = ["dedupe", "--stage", "document", "--inputs", str(shard), "--bloom-p", "0.01"]
@@ -724,6 +745,58 @@ class TestDedupeReportsMatchSidecars:
                 if key in report:
                     assert report[key] == value, (name, key)
         assert json.loads((tmp_path / "url.json").read_text())["missing_url"] == 2
+
+
+class TestTagReportMatchesSidecars:
+    """The tag report counts what its input shards and sidecars hold."""
+
+    def test_counts_equal_shards_and_records_on_disk(self, tmp_path):
+        shards = [
+            [
+                Document(id="a0", text="Write to ann@example.com or bob@example.org today.\nno stop here"),
+                Document(id="a1", text="Plain sentence with a full stop."),
+                Document(id="a2", text="café ☕ line without a stop\nanother one\nmail eve@example.net."),
+            ],
+            [
+                Document(id="b0", text="Nothing to see here."),
+                Document(id="b1", text="call 10.0.0.1\nand 192.168.1.1 or dan@example.com"),
+            ],
+        ]
+        paths = []
+        for i, docs in enumerate(shards):
+            paths.append(str(tmp_path / f"s{i}.jsonl"))
+            write_documents(docs, paths[-1])
+        out, report_path = tmp_path / "attrs", tmp_path / "tag.json"
+        argv = ["tag", "--inputs", *paths, "--taggers", "c4,pii", "--out-dir", str(out), "--report", str(report_path)]
+        assert run_cli(*argv, "--workers", "2") == 0
+        report = json.loads(report_path.read_text())
+
+        docs = [doc for p in paths for doc in read_documents(p)]
+        records = [r for p in paths for r in read_attributes(out / Path(p).name)]
+        assert [r.id for r in records] == [doc.id for doc in docs]
+        assert report["total_documents"] == len(docs)
+        assert report["total_text_bytes"] == sum(len(doc.text.encode("utf-8")) for doc in docs)
+        on_disk = {}
+        for rec in records:
+            for name, spans in rec.attributes.items():
+                if spans:
+                    covered = set().union(*(range(sp.start, sp.end) for sp in spans))
+                    counts = on_disk.setdefault(name, {"documents": 0, "characters": 0})
+                    counts["documents"] += 1
+                    counts["characters"] += len(covered)
+        assert {"c4__no_punc_line", "pii__email", "pii__ip"} <= set(on_disk)
+        assert {name: {k: a[k] for k in ("documents", "characters")} for name, a in report["attributes"].items()} == on_disk
+
+
+class TestSpanOffsetOutOfRange:
+    def test_mix_names_the_sidecar_and_line(self, tmp_path, capsys):
+        shard = make_shard(tmp_path, n=2)
+        sidecar = tmp_path / "attrs.jsonl"
+        sidecar.write_text('{"id": "d0", "attributes": {}}\n{"id": "d1", "attributes": {"t__a": [[0, 1e400, 1.0]]}}\n')
+        config = tmp_path / "mix.json"
+        config.write_text(json.dumps({"streams": [{"documents": [str(shard)], "attributes": [str(sidecar)]}]}))
+        assert run_cli("mix", "--config", str(config), "--out-dir", str(tmp_path / "out")) == 2
+        assert f"{sidecar}:2: cannot convert float infinity to integer" in capsys.readouterr().err
 
 
 # the flags a command used to accept without reading them

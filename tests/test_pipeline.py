@@ -14,6 +14,7 @@ from corpuskit.pipeline import (
     register_tagger,
     run_pipeline_web,
     run_tag,
+    tag_report_json,
 )
 from corpuskit.shard_io import read_attributes, read_documents, write_documents
 
@@ -45,8 +46,8 @@ class TestRunTag:
         report = run_tag([shard], [], tmp_path / "attrs", workers=1)
         records = list(read_attributes(tmp_path / "attrs" / "shard-00.jsonl"))
         assert all(rec.attributes == {} for rec in records)
-        assert report.total_documents == 5
-        assert report.attribute_documents == {}
+        assert report.input_docs == 5
+        assert report.flagged_docs == {}
 
     def test_gopher_fixture_thirty_percent_tagged(self, tmp_path):
         rng = random.Random(0)
@@ -58,7 +59,7 @@ class TestRunTag:
                 docs.append(Document(id=f"ok{i}", text=clean_text(rng, 12)))
         (shard,) = write_shards(tmp_path, [docs])
         report = run_tag([shard], [("gopher", {})], tmp_path / "attrs")
-        payload = report.to_json()
+        payload = tag_report_json(report)
         assert payload["attributes"]["gopher__matches_any"]["documents"] == 3
         assert payload["attributes"]["gopher__matches_any"]["documents_pct"] == pytest.approx(30.0)
 
@@ -96,8 +97,8 @@ class TestRunTag:
         docs = [Document(id=f"d{i}", text="short doc") for i in range(8)]
         (shard,) = write_shards(tmp_path, [docs])
         report = run_tag([shard], [("gopher", {}), ("c4", {})], tmp_path / "attrs")
-        for name, tagged in report.attribute_bytes.items():
-            assert tagged <= report.total_text_bytes
+        for name, tagged in report.flagged_bytes.items():
+            assert tagged <= report.input_text_bytes
 
     def test_toxicity_tagger_spec_with_model_files(self, tmp_path, hate_model, nsfw_model):
         from conftest import TOXIC_MARKERS
@@ -118,7 +119,7 @@ class TestRunTag:
             )
         ]
         report = run_tag([shard], specs, tmp_path / "attrs", workers=1)
-        assert report.attribute_documents["toxicity__hate"] == 1
+        assert report.flagged_docs["toxicity__hate"] == 1
         records = {r.id: r for r in read_attributes(tmp_path / "attrs" / "shard-00.jsonl")}
         assert "toxicity__hate" in records["tox"].attributes
         assert records["ok"].attributes == {}
@@ -140,7 +141,7 @@ class TestRunTag:
         assert "secrets__match" in hit
         (shard,) = write_shards(tmp_path, [[Document(id="a", text="has KEY")]])
         report = run_tag([shard], [("secret_scanner", {"needle": "KEY"})], tmp_path / "attrs")
-        assert report.attribute_documents["secrets__match"] == 1
+        assert report.flagged_docs["secrets__match"] == 1
 
 
     def test_param_the_tagger_does_not_read_refused(self):

@@ -210,6 +210,14 @@ class TestAttributeIO:
         for spans in got.attributes.values():
             assert spans == sorted(spans, key=lambda sp: (sp.start, sp.end))
 
+    @pytest.mark.parametrize("span", ["[1e400, 2, 1.0]", "[0, -1e400, 1.0]"])
+    def test_infinite_span_offset_names_its_line(self, tmp_path, span):
+        path = tmp_path / "attrs.jsonl"
+        path.write_text('{"id": "a", "attributes": {}}\n{"id": "b", "attributes": {"t__a": [%s]}}\n' % span)
+        with pytest.raises(MalformedRecordError, match="infinity") as err:
+            list(read_attributes(path))
+        assert (err.value.path, err.value.line_no) == (str(path), 2)
+
     def test_merge_rejects_id_mismatch(self):
         a = DocumentAttributes(id="x")
         with pytest.raises(ValueError):
@@ -271,3 +279,28 @@ class TestStageReportMerge:
         assert (a.stage, a.input_docs, a.kept_docs, a.dropped_docs) == ("s", 5, 3, 3)
         assert (a.sampled_out_docs, a.kept_text_bytes) == (1, 10)
         assert a.drop_reasons == {"r1": 2, "r2": 1}
+
+    def test_fieldwise_sum_of_input_bytes_time_and_flags(self):
+        a = StageReport(stage="s", input_text_bytes=7, wall_seconds=0.5, flagged_docs={"t__a": 1})
+        a.flagged_spans["t__a"], a.flagged_bytes["t__a"] = 2, 9
+        b = StageReport(stage="s", input_text_bytes=3, wall_seconds=0.25)
+        b.flagged_docs.update({"t__a": 2, "t__b": 1})
+        b.flagged_spans.update({"t__a": 3, "t__b": 1})
+        b.flagged_bytes.update({"t__a": 4, "t__b": 6})
+        a.merge(b)
+        assert (a.input_text_bytes, a.wall_seconds) == (10, 0.75)
+        assert a.flagged_docs == {"t__a": 3, "t__b": 1}
+        assert a.flagged_spans == {"t__a": 5, "t__b": 1}
+        assert a.flagged_bytes == {"t__a": 13, "t__b": 6}
+
+    def test_flag_counts_documents_spans_and_merged_bytes(self):
+        report = StageReport(stage="s")
+        overlapping = [AttributeSpan(0, 5, 1.0), AttributeSpan(3, 8, 0.5), AttributeSpan(10, 12, 1.0)]
+        rec = DocumentAttributes(id="a", attributes={"t__a": overlapping, "t__empty": []})
+        assert report.flag(rec) is rec
+        report.flag(DocumentAttributes(id="b"))
+        report.flag(DocumentAttributes(id="c", attributes={"t__a": [AttributeSpan(0, 4, 1.0)]}))
+        assert report.input_docs == 3
+        assert report.flagged_docs == {"t__a": 2}  # an attribute without spans flags nothing
+        assert report.flagged_spans == {"t__a": 4}
+        assert report.flagged_bytes == {"t__a": 8 + 2 + 4}  # [0, 8) and [10, 12) merged, then [0, 4)
