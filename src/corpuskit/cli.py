@@ -43,12 +43,12 @@ from corpuskit.dedupe import (
     PARAGRAPH_DUPLICATE,
     URL_DUPLICATE,
     ccnet_group_dedupe,
-    decontaminate_seed,
     decontaminate_tag,
     dedupe_by_document,
     dedupe_by_paragraph,
     dedupe_by_url,
-    gated_paragraphs,
+    gated_keys,
+    seed_filter,
 )
 from corpuskit.documents import count_stats
 from corpuskit.filters import FilterConfigError
@@ -344,13 +344,11 @@ def _cmd_decontaminate(args) -> dict:
     elif not args.test_set:
         raise ValidationError("missing required option --test-set")
     else:
-        # a Bloom filter is sized to the paragraphs the seeding gate admits
-        test_docs = chain.from_iterable(map(read_documents, args.test_set))
-        n_keys = 1 if args.exact else sum(1 for doc in test_docs for _ in gated_paragraphs(doc, min_tokens))
+        # the test set is gated once; a Bloom filter is sized to the keys it admits
+        keys = gated_keys(chain.from_iterable(map(read_documents, args.test_set)), min_tokens)
         with _option_values():
-            filt = make_backend(n_target=max(n_keys, 1), **_given(args, "exact", p_target="bloom_p", seed="seed"))
-        test_docs = chain.from_iterable(map(read_documents, args.test_set))  # seeding reads it again
-        seeded = decontaminate_seed(filt, test_docs, min_paragraph_tokens=min_tokens)
+            filt = make_backend(n_target=max(len(keys), 1), **_given(args, "exact", p_target="bloom_p", seed="seed"))
+        seeded = seed_filter(filt, keys)
         if args.save_filter:
             bloom_save(seeded, args.save_filter)
 

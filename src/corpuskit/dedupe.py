@@ -211,19 +211,30 @@ def ccnet_group_dedupe(
             yield path, [attrs for _, attrs in dedupe_by_paragraph(read_documents(path), seen)]
 
 
+def gated_keys(test_docs: Iterable[Document], min_paragraph_tokens: int) -> list[bytes]:
+    """The bytes of every test-set paragraph the token gate admits, in order:
+    the keys a decontamination filter is seeded with."""
+    return [para for doc in test_docs for _, para in gated_paragraphs(doc, min_paragraph_tokens)]
+
+
+def seed_filter(filt: KeyFilter, keys: Sequence[bytes]) -> KeyFilter:
+    """Insert ``keys``, ``KEY_CHUNK`` at a time, then freeze the filter
+    read-only."""
+    if filt.read_only:
+        raise ValueError("decontamination seeding needs a mutable filter")
+    for start in range(0, len(keys), KEY_CHUNK):
+        filt.insert_check_many(keys[start : start + KEY_CHUNK])
+    return filt.freeze()
+
+
 def decontaminate_seed(
     filt: KeyFilter,
     test_docs: Iterable[Document],
     min_paragraph_tokens: int = DECONTAMINATION_MIN_TOKENS,
 ) -> KeyFilter:
     """Insert every test-set paragraph longer than the token gate, then
-    freeze the filter read-only."""
-    if filt.read_only:
-        raise ValueError("decontamination seeding needs a mutable filter")
-    keys_of = partial(gated_paragraphs, min_tokens=min_paragraph_tokens)
-    for _ in _checked(test_docs, keys_of, filt.insert_check_many):
-        pass
-    return filt.freeze()
+    freeze the filter read-only: :func:`seed_filter` over :func:`gated_keys`."""
+    return seed_filter(filt, gated_keys(test_docs, min_paragraph_tokens))
 
 
 def decontaminate_tag(

@@ -480,14 +480,30 @@ def score_language_paragraph_avg(model: NgramModel, text: str) -> ParagraphScore
     """Mean per-paragraph English score over non-empty paragraphs.
 
     Documents averaging below 0.5 are droppable; texts with no non-empty
-    paragraphs score 0 with the degenerate flag set.
+    paragraphs score 0 with the degenerate flag set. This is
+    :func:`score_language_paragraph_avg_many` on one text.
     """
-    paragraphs = [para for para in text.split("\n") if para.strip()]
-    if not paragraphs:
-        return ParagraphScore(0.0, True)
-    _check_english(model)
-    scores = model.predict_rows(featurize_rows(model.config, paragraphs))[model.labels.index("en")].tolist()
-    return ParagraphScore(sum(scores) / len(scores), False)
+    return score_language_paragraph_avg_many(model, [text])[0]
+
+
+def score_language_paragraph_avg_many(model: NgramModel, texts: Sequence[str]) -> list[ParagraphScore]:
+    """:func:`score_language_paragraph_avg` of each text, in order; the
+    paragraphs of all the texts are featurized and scored in one call."""
+    paragraphs = [[para for para in text.split("\n") if para.strip()] for text in texts]
+    flat = [para for paras in paragraphs for para in paras]
+    scores = []
+    if flat:
+        _check_english(model)
+        scores = model.predict_rows(featurize_rows(model.config, flat))[model.labels.index("en")].tolist()
+    results, start = [], 0
+    for paras in paragraphs:
+        if not paras:
+            results.append(ParagraphScore(0.0, True))
+            continue
+        mine = scores[start : start + len(paras)]
+        start += len(paras)
+        results.append(ParagraphScore(sum(mine) / len(mine), False))
+    return results
 
 
 def save_model(model: NgramModel, path) -> None:

@@ -9,32 +9,24 @@ whitespace stays attached to the preceding sentence.
 
 from __future__ import annotations
 
-from typing import Iterable
+import re
+from typing import Iterator
 
 from corpuskit.documents import AttributeSpan, char_spans_to_byte_spans
 
-_TERMINALS = frozenset(".!?")
 _OPENERS = frozenset("\"'([{“‘")
+# a boundary candidate: a newline, or a terminal and the spaces and tabs after it
+_CANDIDATE = re.compile(r"\n|[.!?][ \t]+")
 
 
-def _boundaries(text: str) -> Iterable[int]:
+def _boundaries(text: str) -> Iterator[int]:
+    """The end of every newline, and of every terminal-plus-blanks run that
+    an uppercase character or an opener follows."""
     n = len(text)
-    i = 0
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            yield i + 1
-            i += 1
-            continue
-        if ch in _TERMINALS:
-            j = i + 1
-            while j < n and text[j] in (" ", "\t"):
-                j += 1
-            if j > i + 1 and j < n and (text[j].isupper() or text[j] in _OPENERS):
-                yield j
-                i = j
-                continue
-        i += 1
+    for match in _CANDIDATE.finditer(text):
+        end = match.end()
+        if text[end - 1] == "\n" or (end < n and (text[end].isupper() or text[end] in _OPENERS)):
+            yield end
 
 
 def split_sentences(text: str) -> list[AttributeSpan]:

@@ -2,13 +2,13 @@
 and the shard-task engine every per-shard job runs through.
 
 One JSON object per line; a malformed line, a record whose field has the
-wrong type, or an infinite span offset raises
-:class:`MalformedRecordError` with its path and line number, and
-:func:`write_documents` is the one writer of document lines. Gzip is
-detected on read by magic bytes (robust to renamed shards) and selected on
-write by the ``.gz`` suffix of the output path. Gzip members are written
-with mtime pinned to 0 so identical content always produces identical
-bytes.
+wrong type, an infinite span offset, bytes that are not UTF-8 or a cut or
+corrupt gzip stream raises :class:`MalformedRecordError` with its path and
+line number, and :func:`write_documents` is the one writer of document
+lines. Gzip is detected on read by magic bytes (robust to renamed shards)
+and selected on write by the ``.gz`` suffix of the output path. Gzip
+members are written with mtime pinned to 0 so identical content always
+produces identical bytes.
 
 An attribute sidecar lines up with its document shard record for record:
 :func:`sidecar_paths` finds a shard's sidecars and :func:`zip_sidecars`
@@ -26,6 +26,7 @@ import io
 import json
 import os
 import shutil
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -103,19 +104,26 @@ def _doc_to_obj(doc: Document) -> dict:
 
 def _read_records(path: str | os.PathLike, decode: Callable[[dict], object]) -> Iterator:
     """The JSONL line loop of both readers: decode each non-empty line's object."""
+    line_no = 0
     with open_shard_read(path) as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                if not isinstance(obj, dict):
-                    raise ValueError("record is not an object")
-                record = decode(obj)
-            except (ValueError, KeyError, TypeError, OverflowError) as exc:
-                raise MalformedRecordError(path, line_no, str(exc)) from exc
-            yield record
+        try:
+            for line_no, line in enumerate(f, start=1):
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                    if not isinstance(obj, dict):
+                        raise ValueError("record is not an object")
+                    record = decode(obj)
+                except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                    raise MalformedRecordError(path, line_no, str(exc)) from exc
+                yield record
+        except (UnicodeDecodeError, EOFError, gzip.BadGzipFile, zlib.error) as exc:
+            # bytes that are not UTF-8, or a gzip stream cut short or corrupt,
+            # met reading the next line; the decoder reads ahead by a block,
+            # so the bad bytes lie on that line or a later one
+            raise MalformedRecordError(path, line_no + 1, str(exc)) from exc
 
 
 def read_documents(path: str | os.PathLike) -> Iterator[Document]:
@@ -138,6 +146,10 @@ def atomic_output(path: str | os.PathLike) -> Iterator[Path]:
     os.replace(tmp, path)
 
 
+# one encoder for every record: json.dumps with an argument builds a new one per call
+_encode = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def _write_records(objs: Iterable[dict], path: str | os.PathLike) -> int:
     """Write one JSON object per line, atomically, as one gzip member if
     ``path`` ends in ``.gz``; returns the count."""
@@ -148,7 +160,7 @@ def _write_records(objs: Iterable[dict], path: str | os.PathLike) -> int:
             binary = gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0)
         with io.TextIOWrapper(binary, encoding="utf-8") as f:
             for obj in objs:
-                f.write(json.dumps(obj, ensure_ascii=False))
+                f.write(_encode(obj))
                 f.write("\n")
                 count += 1
     return count

@@ -28,11 +28,12 @@ from corpuskit.ngram_classifier import (
     save_model,
     score_english,
     score_language_paragraph_avg,
+    score_language_paragraph_avg_many,
     train,
 )
 from corpuskit.pii import ContentTagConfig
-from corpuskit.sentences import split_sentences
-from corpuskit.toxicity import TOXIC_LABEL, tag_toxicity
+from corpuskit.sentences import _boundaries, split_sentences
+from corpuskit.toxicity import TOXIC_LABEL, tag_toxicity, tag_toxicity_many
 
 WORD_CFG = NgramConfig(hash_buckets=1 << 10, ngram_orders=(1,), feature_kind="word")
 
@@ -648,6 +649,66 @@ class TestTaggersMatchPerRowPath:
         assert score_language_paragraph_avg(zero_model(config=lang_model.config), "a\n\nb").score == ENGLISH_KEEP_THRESHOLD
 
 
+def reference_paragraph_avg(model: NgramModel, text: str):
+    """``score_language_paragraph_avg`` before batching: each paragraph scored on its own."""
+    scores = [reference_predict(model, para)["en"] for para in text.split("\n") if para.strip()]
+    return (float(sum(scores) / len(scores)).hex(), False) if scores else (float(0.0).hex(), True)
+
+
+def chunk_docs():
+    """Documents of every shape a chunk may hold, in a fixed order: none,
+    one or many sentences and paragraphs, text too short for an n-gram,
+    non-ASCII text and a long document."""
+    rng = random.Random(21)
+    sentences = TAGGER_TEXT.replace("\n", " ").split(". ")
+    texts = ["", " \n\t\n ", "a", "\n\nA.\n", "Grawlix café sklonk. Ça va? Lovely.", "\n".join([TAGGER_TEXT] * 8)]
+    for _ in range(34):
+        picked = rng.sample(sentences, rng.randrange(1, len(sentences)))
+        texts.append(rng.choice([". ", ".\n", ".\n\n", "! "]).join(picked))
+    return [Document(id=f"d{i}", text=text) for i, text in enumerate(texts)]
+
+
+def in_chunks(items, size):
+    return [items[i : i + size] for i in range(0, len(items), size)]
+
+
+class TestChunksMatchOneDocument:
+    """The chunk functions give every document of a chunk the spans and the
+    score floats the per-row path gives it alone, whatever else the chunk holds."""
+
+    @pytest.mark.parametrize("size", [1, 2, 32])
+    def test_tag_toxicity_many_equals_per_sentence_path(self, size, hate_model, nsfw_model):
+        docs = chunk_docs()
+        shared = random_model(hate_model.config, ("toxic", "ok"), seed=4)  # shares hate_model's featurization
+        cases = [
+            (hate_model, nsfw_model, ContentTagConfig(toxicity_threshold=0.4)),
+            (hate_model, shared, ContentTagConfig(hate_threshold=0.3, nsfw_threshold=0.5)),
+            (None, shared, ContentTagConfig(toxicity_threshold=0.0)),
+        ]
+        for hate, nsfw, config in cases:
+            expected = [spans_as_bits(reference_tag_toxicity(doc, hate, nsfw, config)) for doc in docs]
+            assert any(expected) and not all(expected)
+            got = [attrs for chunk in in_chunks(docs, size) for attrs in tag_toxicity_many(chunk, hate, nsfw, config)]
+            assert [spans_as_bits(attrs) for attrs in got] == expected
+        assert tag_toxicity_many(docs[:3], None, None) == [{}, {}, {}]
+        assert tag_toxicity_many([], hate_model, nsfw_model) == []
+
+    @pytest.mark.parametrize("size", [1, 2, 32])
+    def test_paragraph_avg_many_equals_per_paragraph_path(self, size, lang_model):
+        texts = [doc.text for doc in chunk_docs()]
+        bigrams = random_model(NgramConfig(hash_buckets=1 << 8, ngram_orders=(2, 3), feature_kind="char"), ("xx", "en"), 3)
+        for model in (lang_model, bigrams):
+            expected = [reference_paragraph_avg(model, text) for text in texts]
+            assert (float(0.0).hex(), True) in expected
+            got = [r for chunk in in_chunks(texts, size) for r in score_language_paragraph_avg_many(model, chunk)]
+            assert [(float(r.score).hex(), r.degenerate) for r in got] == expected
+
+    def test_chunk_without_any_paragraph_needs_no_english_label(self, hate_model):
+        assert score_language_paragraph_avg_many(hate_model, ["", " \n "]) == [(0.0, True), (0.0, True)]
+        with pytest.raises(ValueError, match="'en'"):
+            score_language_paragraph_avg_many(hate_model, ["", "text"])
+
+
 class TestPersistence:
     def test_roundtrip_bit_exact(self, tmp_path, lang_model):
         path = tmp_path / "model.bin"
@@ -709,6 +770,59 @@ class TestPersistence:
         for _ in range(100):
             text = " ".join(rng.choice(["the", "zxqv", "fox", "qqzt"]) for _ in range(6))
             assert predict(got, text) == predict(lang_model, text)
+
+
+_TERMINALS = frozenset(".!?")
+_OPENERS = frozenset("\"'([{“‘")
+
+
+def reference_boundaries(text: str):
+    """The sentence boundaries by a walk over every character."""
+    n = len(text)
+    i = 0
+    while i < n:
+        ch = text[i]
+        if ch == "\n":
+            yield i + 1
+            i += 1
+            continue
+        if ch in _TERMINALS:
+            j = i + 1
+            while j < n and text[j] in (" ", "\t"):
+                j += 1
+            if j > i + 1 and j < n and (text[j].isupper() or text[j] in _OPENERS):
+                yield j
+                i = j
+                continue
+        i += 1
+
+
+# terminals, blanks, newlines, ASCII and accented letters of both cases, every
+# opener, a titlecase letter (not uppercase) and a circled capital (uppercase)
+BOUNDARY_ALPHABET = ".!? \t\naZzéÉßÇ" + "".join(sorted(_OPENERS)) + "ǅⒶ"
+
+
+class TestBoundaryScan:
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=BOUNDARY_ALPHABET, max_size=60))
+    def test_scan_equals_character_walk(self, text):
+        assert list(_boundaries(text)) == list(reference_boundaries(text))
+
+    def test_each_rule_at_its_edge(self):
+        cases = {
+            "A. B": [3],
+            "A.B": [],
+            "A. b": [],
+            "A.  \t Ⓐ": [6],
+            "A. ǅ": [],
+            "A. ": [],
+            "A.\t(x)": [3],
+            "a?! “b": [4],
+            "x.. \nY": [5],
+            "\n\n": [1, 2],
+        }
+        for text, expected in cases.items():
+            assert list(_boundaries(text)) == list(reference_boundaries(text)) == expected, text
 
 
 class TestSentences:

@@ -1,3 +1,4 @@
+import gzip
 import json
 import random
 from pathlib import Path
@@ -50,6 +51,21 @@ class TestExitCodes:
         argv = ["tag", "--config", str(config), "--inputs", str(make_shard(tmp_path)), "--out-dir", str(tmp_path / "o")]
         assert run_cli(*argv) == 2
         assert "feature kind byte 7" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, damage, reason",
+        [
+            ("utf8.jsonl", lambda data: data[:20] + b"\xff" + data[20:], "'utf-8' codec can't decode byte 0xff"),
+            ("cut.jsonl.gz", lambda data: gzip.compress(data, mtime=0)[:-12], "Compressed file ended"),
+        ],
+    )
+    def test_undecodable_shard_is_runtime_error_naming_it(self, tmp_path, capsys, name, damage, reason):
+        shard = make_shard(tmp_path)
+        bad = tmp_path / name
+        bad.write_bytes(damage(shard.read_bytes()))
+        assert run_cli("stats", "--inputs", str(shard), str(bad)) == 2
+        err = capsys.readouterr().err
+        assert f"runtime failure: {bad}:" in err and reason in err
 
     def test_success_is_zero(self, tmp_path):
         shard = make_shard(tmp_path)
@@ -664,6 +680,37 @@ class TestDecontaminateFilterSizing:
         loaded = bloom_load(filt)
         expected = BloomFilter.create(6, 1e-4, 0)
         assert (loaded.m, loaded.k) == (expected.m, expected.k)
+
+
+    def test_test_set_gated_once_and_saved_filter_unchanged(self, tmp_path, monkeypatch):
+        import corpuskit.dedupe as dedupe
+        from corpuskit.bloom import bloom_save, make_backend
+
+        rng = random.Random(5)
+        eval_docs = [
+            Document(id=f"e{i}", text="\n".join(sentence(rng, ENGLISH_WORDS, rng.randrange(8, 20)) for _ in range(4)))
+            for i in range(30)
+        ]
+        test_set = tmp_path / "eval.jsonl"
+        write_documents(eval_docs, test_set)
+        segmented = []
+        segment = dedupe.segment_paragraphs
+        monkeypatch.setattr(dedupe, "segment_paragraphs", lambda text: segmented.append(text) or segment(text))
+        filt = tmp_path / "f.bloom"
+        argv = [
+            "decontaminate", "--test-set", str(test_set), "--save-filter", str(filt),
+            "--inputs", str(make_shard(tmp_path)), "--out-dir", str(tmp_path / "o"),
+        ]
+        assert run_cli(*argv) == 0
+        assert [text for text in segmented if text.startswith(tuple(doc.text for doc in eval_docs))] == [
+            doc.text for doc in eval_docs
+        ]
+        # the filter sized and seeded as by counting the gated paragraphs, then seeding from the documents
+        n_keys = sum(1 for doc in eval_docs for _ in dedupe.gated_paragraphs(doc, 13))
+        assert 30 < n_keys < 120
+        expected = dedupe.decontaminate_seed(make_backend(n_target=n_keys), read_documents(test_set))
+        bloom_save(expected, tmp_path / "expected.bloom")
+        assert filt.read_bytes() == (tmp_path / "expected.bloom").read_bytes()
 
 
 class TestFailedRunsLeaveNoTempState:

@@ -3,10 +3,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import BENIGN_WORDS
-from corpuskit.documents import AttributeSpan, Document
+from conftest import BENIGN_WORDS, ENGLISH_WORDS, TOXIC_MARKERS
+from corpuskit import pipeline
+from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
 from corpuskit.ngram_classifier import save_model
 from corpuskit.pipeline import (
+    TAG_CHUNK_BYTES,
+    TAG_CHUNK_DOCS,
+    ChunkTagger,
     TaggerConfigError,
     UnknownTaggerError,
     WebPipelineConfig,
@@ -16,7 +20,7 @@ from corpuskit.pipeline import (
     run_tag,
     tag_report_json,
 )
-from corpuskit.shard_io import read_attributes, read_documents, write_documents
+from corpuskit.shard_io import read_attributes, read_documents, write_attributes, write_documents
 
 
 def clean_text(rng=None, n_sentences=10):
@@ -361,3 +365,126 @@ class TestWebPipeline:
         reports = run_pipeline_web(config)
         by_stage = {r.stage: r for r in reports}
         assert by_stage["quality_content"].drop_reasons.get("lang__en") == 1
+
+
+def chunked_corpus(n_docs=75, seed=12):
+    """Web-like documents, some with toxic sentences, plus documents with no
+    sentence, no paragraph or no n-gram, and one over the chunk byte cap."""
+    rng = random.Random(seed)
+    docs = []
+    for i in range(n_docs):
+        lines = clean_text(rng, 6 + i % 5).split("\n")
+        if i % 3 == 0:
+            lines.insert(2, f"Lovely {rng.choice(TOXIC_MARKERS)} {rng.choice(TOXIC_MARKERS)} garden.")
+        if i % 4 == 1:
+            lines.append(" ".join(rng.choice(ENGLISH_WORDS) for _ in range(10)) + ".")
+        docs.append(Document(id=f"d{i}", text="\n".join(lines), metadata={"url": f"http://c{i}.org/"}))
+    docs[5] = Document(id="d5", text="", metadata={"url": "http://c5.org/"})
+    docs[6] = Document(id="d6", text=" \n\t\n", metadata={"url": "http://c6.org/"})
+    docs[7] = Document(id="d7", text="a", metadata={"url": "http://c7.org/"})
+    big = "\n".join(clean_text(rng, 20) for _ in range(TAG_CHUNK_BYTES // 1000))
+    docs[40] = Document(id="d40", text=big, metadata={"url": "http://c40.org/"})
+    assert len(big.encode()) > TAG_CHUNK_BYTES
+    return docs
+
+
+@pytest.fixture
+def model_paths(tmp_path, lang_model, hate_model, nsfw_model):
+    paths = {}
+    for name, model in (("lang", lang_model), ("hate", hate_model), ("nsfw", nsfw_model)):
+        paths[name] = str(tmp_path / f"{name}.bin")
+        save_model(model, paths[name])
+    return paths
+
+
+def tag_specs(paths):
+    toxicity = {"hate_model": paths["hate"], "nsfw_model": paths["nsfw"], "threshold": 0.4}
+    return [("gopher", {}), ("language_paragraph", {"model": paths["lang"]}), ("toxicity", toxicity), ("c4", {})]
+
+
+def one_document_records(docs, specs):
+    """Each document tagged on its own by every tagger, in spec order."""
+    taggers = [build_tagger(name, params) for name, params in specs]
+    records = []
+    for doc in docs:
+        record = DocumentAttributes(id=doc.id)
+        for tagger in taggers:
+            record.merge(DocumentAttributes(id=doc.id, attributes=tagger(doc)))
+        records.append(record)
+    return records
+
+
+def records_as_bits(records):
+    return [
+        (r.id, [(name, [(sp.start, sp.end, float(sp.score).hex()) for sp in spans]) for name, spans in r.attributes.items()])
+        for r in records
+    ]
+
+
+class TestChunkedTagging:
+    def test_chunks_close_at_document_count_or_byte_cap(self):
+        sizes = []
+        tagger = ChunkTagger(lambda docs: sizes.append(len(docs)) or [{"n": []} for _ in docs])
+
+        def chunk_sizes(docs):
+            sizes.clear()
+            tagged = list(pipeline._tagged(docs, [tagger]))
+            assert [doc.id for doc, _ in tagged] == [attrs.id for _, attrs in tagged] == [doc.id for doc in docs]
+            return list(sizes)
+
+        small = [Document(id=f"s{i}", text="x") for i in range(2 * TAG_CHUNK_DOCS + 6)]
+        assert chunk_sizes(small) == [TAG_CHUNK_DOCS, TAG_CHUNK_DOCS, 6]
+        # a third of the cap in UTF-8 bytes plus 2, but less than that in characters
+        third = [Document(id=f"t{i}", text="é" * (TAG_CHUNK_BYTES // 6 + 1)) for i in range(7)]
+        assert chunk_sizes(third) == [3, 3, 1]
+        huge = Document(id="h", text="x" * (TAG_CHUNK_BYTES + 1))
+        assert chunk_sizes([small[0], huge, small[1], small[2]]) == [2, 2]
+        assert chunk_sizes([huge, huge]) == [1, 1]
+        assert chunk_sizes([]) == []
+
+    def test_tagged_equals_one_document_path(self, model_paths):
+        docs = chunked_corpus()
+        specs = tag_specs(model_paths) + [("language", {"model": model_paths["lang"]})]
+        taggers = [build_tagger(name, params) for name, params in specs]
+        got = [attrs for _, attrs in pipeline._tagged(docs, taggers)]
+        expected = one_document_records(docs, specs)
+        assert any("toxicity__hate" in r.attributes for r in expected)
+        assert any("lang__degenerate" in r.attributes for r in expected)
+        assert records_as_bits(got) == records_as_bits(expected)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_tag_sidecars_unchanged_across_chunk_boundaries(self, tmp_path, model_paths, workers):
+        docs = chunked_corpus()
+        shards = write_shards(tmp_path, [docs[:45], docs[45:]])
+        specs = tag_specs(model_paths)
+        report = run_tag(shards, specs, tmp_path / "attrs", workers=workers)
+        for shard, part in zip(shards, (docs[:45], docs[45:])):
+            expected = tmp_path / "expected.jsonl"
+            write_attributes(one_document_records(part, specs), expected)
+            assert (tmp_path / "attrs" / Path(shard).name).read_bytes() == expected.read_bytes()
+        assert report.input_docs == len(docs)
+        assert report.flagged_docs["toxicity__hate"] > 0
+
+    def test_pipeline_web_unchanged_across_chunk_boundaries(self, tmp_path, model_paths, monkeypatch):
+        docs = chunked_corpus()
+        shards = write_shards(tmp_path, [docs[:45], docs[45:]])
+        results = []
+        for chunk_docs in (TAG_CHUNK_DOCS, 1):  # 1: every document tagged on its own
+            monkeypatch.setattr(pipeline, "TAG_CHUNK_DOCS", chunk_docs)
+            out = tmp_path / f"out-{chunk_docs}"
+            config = WebPipelineConfig(
+                inputs=shards,
+                out_dir=str(out),
+                exact_backend=True,
+                language_model=model_paths["lang"],
+                hate_model=model_paths["hate"],
+                nsfw_model=model_paths["nsfw"],
+                toxicity_threshold=0.4,
+            )
+            reports = run_pipeline_web(config)
+            results.append(([r.to_json() for r in reports], [p.read_bytes() for p in sorted(out.glob("shard-*"))]))
+        assert results[0] == results[1]
+        quality = results[0][0][2]
+        assert quality["input_docs"] > TAG_CHUNK_DOCS and quality["kept_docs"] > 0
+        kept = b"".join(results[0][1])
+        assert not [marker for marker in TOXIC_MARKERS if marker.encode() in kept]  # toxic sentences spliced out

@@ -1,3 +1,4 @@
+import gzip
 import json
 
 import pytest
@@ -8,6 +9,7 @@ from corpuskit.shard_io import (
     MalformedRecordError,
     ShardNameError,
     StageReport,
+    _doc_to_obj,
     map_shards,
     output_paths,
     read_attributes,
@@ -82,6 +84,52 @@ class TestDocumentIO:
             list(reader(path))
         assert (err.value.path, err.value.line_no) == (str(path), 2)
 
+    @pytest.mark.parametrize("compress", [False, True])
+    @pytest.mark.parametrize("reader", [read_documents, read_attributes])
+    def test_bytes_not_utf8_name_path_and_line(self, tmp_path, reader, compress):
+        data = b'{"id": "a", "text": "x", "attributes": {}}\n{"id": "b", "text": "\xff"}\n'
+        path = tmp_path / "bad.jsonl"
+        path.write_bytes(gzip.compress(data, mtime=0) if compress else data)
+        with pytest.raises(MalformedRecordError, match="'utf-8' codec can't decode byte 0xff") as err:
+            list(reader(path))
+        # the decoder reads ahead by a block: the error names the line being read
+        assert (err.value.path, err.value.line_no) == (str(path), 1)
+
+    def test_gzip_cut_or_corrupt_names_path(self, tmp_path):
+        whole = tmp_path / "whole.jsonl.gz"
+        write_documents(docs3() * 20, whole)
+        data = whole.read_bytes()
+        path = tmp_path / "bad.jsonl.gz"
+        failures = set()
+        for size in range(2, len(data)):  # every cut that keeps the magic bytes
+            path.write_bytes(data[:size])
+            with pytest.raises(MalformedRecordError) as err:
+                list(read_documents(path))
+            assert err.value.path == str(path)
+            failures.add(err.value.reason)
+        assert "Compressed file ended before the end-of-stream marker was reached" in failures
+        for pos, reason in ((len(data) - 6, "CRC check failed"), (40, "Error -3 while decompressing")):
+            corrupt = bytearray(data)
+            corrupt[pos] ^= 0xFF
+            path.write_bytes(bytes(corrupt))
+            with pytest.raises(MalformedRecordError, match=reason) as err:
+                list(read_documents(path))
+            assert err.value.path == str(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.binary(max_size=120), compress=st.booleans(), cut=st.integers(0, 200))
+    def test_any_bytes_read_or_name_the_path(self, tmp_path_factory, data, compress, cut):
+        path = tmp_path_factory.mktemp("bytes") / "shard"
+        if compress:
+            data = gzip.compress(data, mtime=0)
+            data = data[: max(2, len(data) - cut)]
+        path.write_bytes(data)
+        for reader in (read_documents, read_attributes):
+            try:
+                list(reader(path))
+            except MalformedRecordError as err:
+                assert err.path == str(path)
+
     def test_null_created_reads_as_absent(self, tmp_path):
         path = tmp_path / "ok.jsonl"
         path.write_text('{"id": "a", "text": "x", "created": null}\n', encoding="utf-8")
@@ -91,6 +139,17 @@ class TestDocumentIO:
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             list(read_documents(tmp_path / "absent.jsonl"))
+
+    def test_writer_builds_no_encoder_per_record(self, tmp_path, monkeypatch):
+        docs = docs3() + [Document(id="é", text="naïve \u2028 😀 \x00", metadata={"k": [1.5, None, True]})]
+        expected = "".join(json.dumps(_doc_to_obj(doc), ensure_ascii=False) + "\n" for doc in docs)
+        built = []
+        init = json.JSONEncoder.__init__
+        monkeypatch.setattr(json.JSONEncoder, "__init__", lambda self, **kw: built.append(kw) or init(self, **kw))
+        path = tmp_path / "docs.jsonl"
+        write_documents(docs, path)
+        assert built == []
+        assert path.read_bytes() == expected.encode("utf-8")
 
     def test_empty_stream_writes_valid_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
