@@ -76,7 +76,7 @@ def _whole_document(
 ) -> dict[str, list[AttributeSpan]]:
     """Whole-document spans: one per score, one per tripped rule, and
     ``<family>__matches_any`` when any rule tripped."""
-    end = len(doc.text_bytes)
+    end = doc.text_size
     attrs = {name: [AttributeSpan(0, end, float(score))] for name, score in scores.items()}
     tripped = [name for name, hit in rules.items() if hit]
     if tripped:
@@ -181,5 +181,5 @@ def tag_extension_filter(
     """
     ext = document_extension(doc)
     if ext is not None and ext in blocklist:
-        return {"ext__blocked": [AttributeSpan(0, len(doc.text_bytes), 1.0)]}
+        return {"ext__blocked": [AttributeSpan(0, doc.text_size, 1.0)]}
     return {}

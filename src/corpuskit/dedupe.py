@@ -7,11 +7,13 @@ byte-capped groups and dedupes within each group independently.
 Decontamination seeds a filter with evaluation-set paragraphs and flags
 any document sharing one.
 
-Every stage hands its filter the keys of a chunk of consecutive documents
-in one batch call, which answers as checking them one by one in stream
-order would. Every stage only flags: it yields each document with its
-attribute record, one document at a time, and counts nothing. Callers count what they need from those records and
-act on the flags through :func:`corpuskit.filters.apply_filters`.
+Every stage is a chunk tagger run through :func:`corpuskit.shard_io.tagged`:
+it hands its filter the keys of a chunk of consecutive documents in one
+batch call, which answers as checking them one by one in stream order
+would. Every stage only flags: it yields each document with its attribute
+record, one document at a time, and counts nothing. Callers count what
+they need from those records and act on the flags through
+:func:`corpuskit.filters.apply_filters`.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from corpuskit.documents import (
     count_words,
     segment_paragraphs,
 )
-from corpuskit.shard_io import read_documents
+from corpuskit.shard_io import ChunkTagger, read_documents, tagged
 
 logger = logging.getLogger(__name__)
 
@@ -45,9 +47,7 @@ DECONTAMINATION_MIN_TOKENS = 13
 CCNET_MAX_GROUP_BYTES = 20 * 2**30
 
 
-# the keys handed to a filter in one call: a chunk of consecutive documents
-# closes once it holds this many keys, or this many documents, so documents
-# without keys are not held back either
+# the keys ``seed_filter`` hands its filter in one call
 KEY_CHUNK = 256
 
 
@@ -61,54 +61,30 @@ class KeyFilter(Protocol):
     def freeze(self) -> "KeyFilter": ...
 
 
-Keyed = list[tuple[AttributeSpan, bytes]]  # a document's keys, each with the span it flags
-
-
-def _checked(
-    docs: Iterable[Document],
-    keys_of: Callable[[Document], Iterable[tuple[AttributeSpan, bytes]]],
-    check_many: Callable[[list[bytes]], list[bool]],
-) -> Iterator[tuple[Document, Keyed, list[bool]]]:
-    """Yield ``(doc, keyed, flags)`` for each document, in order, where
-    ``keyed = list(keys_of(doc))`` and ``flags[i]`` is ``check_many``'s answer
-    for the i-th key. The keys of consecutive documents go to one
-    ``check_many`` call in stream order, a chunk closing once it holds
-    ``KEY_CHUNK`` keys or ``KEY_CHUNK`` documents."""
-    docs = iter(docs)
-    while True:
-        chunk, keys = [], []
-        for doc in docs:
-            keyed = list(keys_of(doc))
-            chunk.append((doc, keyed))
-            keys += [key for _, key in keyed]
-            if len(keys) >= KEY_CHUNK or len(chunk) >= KEY_CHUNK:
-                break
-        if not chunk:
-            return
-        flags = check_many(keys) if keys else []
-        start = 0
-        for doc, keyed in chunk:
-            yield doc, keyed, flags[start : start + len(keyed)]
-            start += len(keyed)
-
-
-def _flag_duplicates(
-    docs: Iterable[Document],
-    backend: KeyFilter,
+def _key_tagger(
     name: str,
-    keys_of: Callable[[Document], Iterable[tuple[AttributeSpan, bytes]]],
-) -> Iterator[tuple[Document, DocumentAttributes]]:
-    """Insert each document's keys; flag the span of every key already present."""
-    for doc, keyed, flags in _checked(docs, keys_of, backend.insert_check_many):
-        attrs = DocumentAttributes(id=doc.id)
-        spans = [span for (span, _), dup in zip(keyed, flags) if dup]
-        if spans:
-            attrs.attributes[name] = spans
-        yield doc, attrs
+    keys_of: Callable[[Document], Iterable[tuple[AttributeSpan | None, bytes]]],
+    check_many: Callable[[list[bytes]], list[bool]],
+    whole: bool = False,
+) -> ChunkTagger:
+    """A tagger handing the keys of a chunk of documents (each key with the
+    span it flags) to ``check_many`` in one call, in stream order, and
+    flagging under ``name`` the span of every key it answers true for, or
+    with ``whole`` the whole document once any key is (the keys' spans are
+    then unused, and may be None)."""
 
+    def tag_many(docs: list[Document]) -> list[dict[str, list[AttributeSpan]]]:
+        keyed = [list(keys_of(doc)) for doc in docs]
+        flags = iter(check_many([key for pairs in keyed for _, key in pairs]))
+        out = []
+        for doc, pairs in zip(docs, keyed):
+            spans = [span for span, _ in pairs if next(flags)]
+            if spans and whole:
+                spans = [AttributeSpan(0, doc.text_size, 1.0)]
+            out.append({name: spans} if spans else {})
+        return out
 
-def _whole(doc: Document) -> AttributeSpan:
-    return AttributeSpan(0, len(doc.text_bytes), 1.0)
+    return ChunkTagger(tag_many)
 
 
 def normalize_url(url: str) -> str:
@@ -126,11 +102,11 @@ def dedupe_by_url(
     Documents without a URL (absent or null) pass through unflagged.
     """
 
-    def keys_of(doc: Document) -> Keyed:
+    def keys_of(doc: Document) -> list[tuple[None, bytes]]:
         url = doc.metadata.get("url")
-        return [] if url is None else [(_whole(doc), normalize_url(str(url)).encode("utf-8"))]
+        return [] if url is None else [(None, normalize_url(str(url)).encode("utf-8"))]
 
-    yield from _flag_duplicates(docs, backend, URL_DUPLICATE, keys_of)
+    yield from tagged(docs, [_key_tagger(URL_DUPLICATE, keys_of, backend.insert_check_many, whole=True)])
 
 
 def dedupe_by_document(
@@ -138,7 +114,8 @@ def dedupe_by_document(
 ) -> Iterator[tuple[Document, DocumentAttributes]]:
     """Flag exact text duplicates; the key is the raw text bytes, so empty
     documents share a key and count as duplicates of each other."""
-    yield from _flag_duplicates(docs, backend, DOC_DUPLICATE, lambda doc: [(_whole(doc), doc.text_bytes)])
+    tagger = _key_tagger(DOC_DUPLICATE, lambda doc: [(None, doc.text_bytes)], backend.insert_check_many, whole=True)
+    yield from tagged(docs, [tagger])
 
 
 def gated_paragraphs(doc: Document, min_tokens: int):
@@ -159,7 +136,7 @@ def dedupe_by_paragraph(
 ) -> Iterator[tuple[Document, DocumentAttributes]]:
     """Flag repeat paragraphs anywhere in the stream, empty ones included."""
     keys_of = partial(gated_paragraphs, min_tokens=min_paragraph_tokens)
-    yield from _flag_duplicates(docs, backend, PARAGRAPH_DUPLICATE, keys_of)
+    yield from tagged(docs, [_key_tagger(PARAGRAPH_DUPLICATE, keys_of, backend.insert_check_many)])
 
 
 class _DigestSet(ExactSet):
@@ -246,8 +223,4 @@ def decontaminate_tag(
     if not seeded.read_only:
         raise ValueError("decontamination tagging requires a read-only (seeded) filter")
     keys_of = partial(gated_paragraphs, min_tokens=min_paragraph_tokens)
-    for doc, _, flags in _checked(docs, keys_of, seeded.contains_many):
-        attrs = DocumentAttributes(id=doc.id)
-        if any(flags):
-            attrs.attributes[CONTAMINATED] = [_whole(doc)]
-        yield doc, attrs
+    yield from tagged(docs, [_key_tagger(CONTAMINATED, keys_of, seeded.contains_many, whole=True)])

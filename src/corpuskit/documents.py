@@ -53,6 +53,11 @@ class Document:
     def text_bytes(self) -> bytes:
         return self.text.encode("utf-8")
 
+    @property
+    def text_size(self) -> int:
+        """``len(self.text_bytes)``; ASCII text is measured without encoding it."""
+        return len(self.text) if self.text.isascii() else len(self.text_bytes)
+
 
 def metadata_flag(value) -> bool:
     """A metadata flag as a bool. A string is true only as "true", "1" or
@@ -90,7 +95,7 @@ class CorpusStats:
     unicode_words: int = 0
 
     def add(self, doc: Document) -> None:
-        self.utf8_bytes += len(doc.text_bytes)
+        self.utf8_bytes += doc.text_size
         self.documents += 1
         self.unicode_words += count_words(doc.text)
 

@@ -230,7 +230,7 @@ def tag_gopher(doc: Document) -> dict[str, list[AttributeSpan]]:
     count exactly the matching documents.
     """
     report = gopher_report(doc.text)
-    end = len(doc.text_bytes)
+    end = doc.text_size
 
     def whole(score: float) -> list[AttributeSpan]:
         return [AttributeSpan(0, end, float(score))]

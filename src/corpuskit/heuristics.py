@@ -50,7 +50,7 @@ def tag_c4_nopunc(doc: Document) -> dict[str, list[AttributeSpan]]:
         pos += len(line) + 1
     fraction = len(failing) / countable if countable else 0.0
     attrs = {
-        "c4__no_punc_fraction": [AttributeSpan(0, len(doc.text_bytes), fraction)],
+        "c4__no_punc_fraction": [AttributeSpan(0, doc.text_size, fraction)],
     }
     if failing:
         attrs["c4__no_punc_line"] = char_spans_to_byte_spans(text, failing)
@@ -133,7 +133,7 @@ def tag_repetition(doc: Document) -> dict[str, list[AttributeSpan]]:
 def tag_wiki_min_words(doc: Document) -> dict[str, list[AttributeSpan]]:
     """Flag pages with 25 or fewer unicode-segmented words."""
     if count_words(doc.text) <= WIKI_MAX_SHORT_WORDS:
-        return {"wiki__short": [AttributeSpan(0, len(doc.text_bytes), 1.0)]}
+        return {"wiki__short": [AttributeSpan(0, doc.text_size, 1.0)]}
     return {}
 
 
@@ -151,7 +151,7 @@ def tag_banned_subreddit(
     if subreddit is None:
         raise ValueError(f"doc {doc.id!r} has no 'subreddit' metadata")
     if str(subreddit).lower() in blocklist:
-        return {"reddit__banned_subreddit": [AttributeSpan(0, len(doc.text_bytes), 1.0)]}
+        return {"reddit__banned_subreddit": [AttributeSpan(0, doc.text_size, 1.0)]}
     return {}
 
 
@@ -178,5 +178,5 @@ def tag_reddit_quality(doc: Document) -> dict[str, list[AttributeSpan]]:
     flags["reddit__moderator_removed"] = metadata_flag(doc.metadata.get("moderator_removed"))
     flags["reddit__over_18"] = metadata_flag(doc.metadata.get("over_18"))
 
-    end = len(doc.text_bytes)
+    end = doc.text_size
     return {name: [AttributeSpan(0, end, 1.0)] for name, value in flags.items() if value}

@@ -168,7 +168,7 @@ def measure_source_sizes(config: MixConfig) -> dict[str, int]:
         for path in stream.documents:
             for doc in read_documents(path):
                 repeats = int(config.upsample.get(doc.source, 1))
-                sizes[doc.source] = sizes.get(doc.source, 0) + len(doc.text_bytes) * repeats
+                sizes[doc.source] = sizes.get(doc.source, 0) + doc.text_size * repeats
     return sizes
 
 
@@ -198,7 +198,7 @@ def _filter_one_file(
                     rep.sampled_out_docs += 1
                     continue
                 rep.kept_docs += 1
-                rep.kept_text_bytes += len(kept_doc.text_bytes)
+                rep.kept_text_bytes += kept_doc.text_size
                 yield kept_doc
 
     write_documents(kept(), part_path)

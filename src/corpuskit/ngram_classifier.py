@@ -533,6 +533,8 @@ class ModelFormatError(ValueError):
 
 
 def load_model(path) -> NgramModel:
+    """Read a model written by :func:`save_model`. Its weights and bias are
+    read-only views over the bytes read, not copies of them."""
     with open(path, "rb") as f:
         data = f.read()
     view = memoryview(data)
@@ -567,8 +569,8 @@ def load_model(path) -> NgramModel:
         ngram_orders=orders,
         feature_kind="word" if kind == 0 else "char",
     )
-    weights = np.frombuffer(take(8 * n_labels * buckets), dtype="<f8").reshape(n_labels, buckets).copy()
-    bias = np.frombuffer(take(8 * n_labels), dtype="<f8").copy()
+    weights = np.frombuffer(take(8 * n_labels * buckets), dtype="<f8").reshape(n_labels, buckets)
+    bias = np.frombuffer(take(8 * n_labels), dtype="<f8")
     if pos != len(view):
         raise ModelFormatError(f"{len(view) - pos} trailing bytes after model payload")
     return NgramModel(config=config, labels=labels, weights=weights, bias=bias)

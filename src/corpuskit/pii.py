@@ -200,7 +200,7 @@ def apply_pii_policy(
     if len(spans) > MAX_SPANS_FOR_MASKING:
         return Drop("pii_density")
 
-    size = len(doc.text_bytes)
+    size = doc.text_size
     pos = 0
     for pii in sorted(spans, key=lambda p: p.span.start):
         if pii.span.start < pos or pii.span.end > size:

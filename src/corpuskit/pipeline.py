@@ -2,12 +2,13 @@
 
 Taggers are pure functions from a document to named span lists, looked up
 by name in a registry; custom taggers (e.g. a code-secret scanner) can be
-registered at runtime. A :class:`ChunkTagger` also tags a chunk of
-documents in one call, which the classifier taggers use to score the
-sentences or paragraphs of many documents in one batch; every tagging run
-goes through :func:`_tagged`, which hands out chunks of consecutive
-documents. Tagging parallelizes across shards with one sidecar file per
-input shard; attribute bytes are independent of worker count and chunking.
+registered at runtime. A :class:`~corpuskit.shard_io.ChunkTagger` also
+tags a chunk of documents in one call, which the classifier taggers use to
+score the sentences or paragraphs of many documents in one batch; every
+tagging run goes through :func:`corpuskit.shard_io.tagged`, which hands
+out chunks of consecutive documents. Tagging parallelizes across shards
+with one sidecar file per input shard; attribute bytes are independent of
+worker count and chunking.
 :func:`run_tag` returns a ``StageReport`` and :func:`tag_report_json` renders it.
 
 The web pipeline runs the fixed stage order: URL dedup, document dedup,
@@ -52,23 +53,18 @@ from corpuskit.pii import (
     tag_pii,
 )
 from corpuskit.shard_io import (
+    ChunkTagger,
     StageReport,
+    TaggerFn,
     map_shards,
     output_paths,
     read_documents,
+    tagged,
     temp_dirs,
     write_attributes,
     write_documents,
 )
 from corpuskit.toxicity import tag_toxicity_many
-
-TaggerFn = Callable[[Document], dict[str, list[AttributeSpan]]]
-
-# tagging hands each tagger a chunk of consecutive documents; a chunk closes
-# once it holds this many documents or this many UTF-8 text bytes, so a
-# chunk of large documents does not grow the n-gram arrays of a batch
-TAG_CHUNK_DOCS = 32
-TAG_CHUNK_BYTES = 1 << 16
 
 
 class TaggerConfigError(ValueError):
@@ -83,23 +79,11 @@ def _language_tagger(params: dict) -> TaggerFn:
     model = load_model(params["model"])
 
     def tag(doc: Document) -> dict[str, list[AttributeSpan]]:
-        end = len(doc.text_bytes)
+        end = doc.text_size
         attrs = {"lang__en": [AttributeSpan(0, end, score_english(model, doc.text))]}
         return attrs
 
     return tag
-
-
-class ChunkTagger:
-    """A tagger that also tags a chunk of documents in one call,
-    ``tag_many(docs)``, returning each document's attributes in order;
-    called on one document, it tags a chunk of one."""
-
-    def __init__(self, tag_many: Callable[[list[Document]], list[dict[str, list[AttributeSpan]]]]) -> None:
-        self.tag_many = tag_many
-
-    def __call__(self, doc: Document) -> dict[str, list[AttributeSpan]]:
-        return self.tag_many([doc])[0]
 
 
 def _language_paragraph_tagger(params: dict) -> TaggerFn:
@@ -109,7 +93,7 @@ def _language_paragraph_tagger(params: dict) -> TaggerFn:
         results = score_language_paragraph_avg_many(model, [doc.text for doc in docs])
         out = []
         for doc, result in zip(docs, results):
-            end = len(doc.text_bytes)
+            end = doc.text_size
             attrs = {"lang__en_paragraph": [AttributeSpan(0, end, result.score)]}
             if result.degenerate:
                 attrs["lang__degenerate"] = [AttributeSpan(0, end, 1.0)]
@@ -200,35 +184,6 @@ def build_tagger(name: str, params: dict | None = None) -> TaggerFn:
     return tagger
 
 
-def _tag_chunk(docs: list[Document], taggers: list[TaggerFn]) -> list[DocumentAttributes]:
-    """Run every tagger on a chunk of documents and merge each document's
-    attributes; a :class:`ChunkTagger` tags the chunk in one call, any
-    other tagger one document at a time."""
-    records = [DocumentAttributes(id=doc.id) for doc in docs]
-    for tagger in taggers:
-        results = tagger.tag_many(docs) if isinstance(tagger, ChunkTagger) else map(tagger, docs)
-        for record, attributes in zip(records, results):
-            record.merge(DocumentAttributes(id=record.id, attributes=attributes))
-    return records
-
-
-def _tagged(docs: Iterable[Document], taggers: list[TaggerFn]) -> Iterator[tuple[Document, DocumentAttributes]]:
-    """Yield each document with its merged attributes, in order, tagging
-    consecutive documents in chunks of ``TAG_CHUNK_DOCS`` documents or
-    ``TAG_CHUNK_BYTES`` text bytes, whichever is reached first."""
-    docs = iter(docs)
-    while True:
-        chunk, size = [], 0
-        for doc in docs:
-            chunk.append(doc)
-            size += len(doc.text_bytes)
-            if len(chunk) >= TAG_CHUNK_DOCS or size >= TAG_CHUNK_BYTES:
-                break
-        if not chunk:
-            return
-        yield from zip(chunk, _tag_chunk(chunk, taggers))
-
-
 def _tag_one_shard(doc_path: str, out_path: str, specs: list[tuple[str, dict]]) -> StageReport:
     taggers = [build_tagger(name, params) for name, params in specs]
     # the output directory appears only once the taggers could be built
@@ -236,8 +191,8 @@ def _tag_one_shard(doc_path: str, out_path: str, specs: list[tuple[str, dict]]) 
     report = StageReport(stage="tag")
 
     def records():
-        for doc, attrs in _tagged(read_documents(doc_path), taggers):
-            report.input_text_bytes += len(doc.text_bytes)
+        for doc, attrs in tagged(read_documents(doc_path), taggers):
+            report.input_text_bytes += doc.text_size
             yield report.flag(attrs)
 
     write_attributes(records(), out_path)
@@ -355,7 +310,7 @@ def _quality_content_shard(shard: str, doc_path: str, out_path: str, config: Web
         exprs.append(FilterExpr("toxicity__nsfw", "span", ">", tau, "remove_span"))
 
     def survivors():
-        for doc, attrs in _tagged(read_documents(doc_path), taggers):
+        for doc, attrs in tagged(read_documents(doc_path), taggers):
             report.input_docs += 1
             # PII density is judged on the original text. Sparse spans are
             # masked after the toxic sentence splice, in a second

@@ -2,13 +2,14 @@
 and the shard-task engine every per-shard job runs through.
 
 One JSON object per line; a malformed line, a record whose field has the
-wrong type, an infinite span offset, bytes that are not UTF-8 or a cut or
-corrupt gzip stream raises :class:`MalformedRecordError` with its path and
-line number, and :func:`write_documents` is the one writer of document
-lines. Gzip is detected on read by magic bytes (robust to renamed shards)
-and selected on write by the ``.gz`` suffix of the output path. Gzip
-members are written with mtime pinned to 0 so identical content always
-produces identical bytes.
+wrong type, an infinite span offset, bytes that are not UTF-8, an escaped
+lone surrogate or a cut or corrupt gzip stream raises
+:class:`MalformedRecordError` with its path and line number, and
+:func:`write_documents` is the one writer of document lines. Gzip is
+detected on read by magic bytes (robust to renamed shards) and selected on
+write by the ``.gz`` suffix of the output path. Gzip members are written
+with mtime pinned to 0 so identical content always produces identical
+bytes.
 
 An attribute sidecar lines up with its document shard record for record:
 :func:`sidecar_paths` finds a shard's sidecars and :func:`zip_sidecars`
@@ -17,6 +18,10 @@ walks them alongside it. Per-shard jobs name their outputs with
 files in :func:`temp_dirs`, and fold their per-shard :class:`StageReport`
 counters together with ``merge``: it is the one counted report of every
 job, and its ``flag`` the one counter of attribute records.
+
+:func:`tagged` is the one loop that tags a stream of documents: taggers,
+dedup stages and decontamination alike get chunks of consecutive
+documents, and a :class:`ChunkTagger` tags a whole chunk in one call.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import gzip
 import io
 import json
 import os
+import re
 import shutil
 import zlib
 from concurrent.futures import ProcessPoolExecutor
@@ -102,6 +108,11 @@ def _doc_to_obj(doc: Document) -> dict:
     return obj
 
 
+# a lone surrogate enters a record only as a \uD800-\uDFFF escape the JSON decoder leaves
+# unpaired: a high one with no low after it, or a low one with no high before it
+_lone_surrogate = re.compile(r"(?i)\\ud(?:[89ab]..(?!\\ud[c-f])|(?<![^\\]\\ud[89ab]..\\ud)[c-f])").search
+
+
 def _read_records(path: str | os.PathLike, decode: Callable[[dict], object]) -> Iterator:
     """The JSONL line loop of both readers: decode each non-empty line's object."""
     line_no = 0
@@ -115,6 +126,9 @@ def _read_records(path: str | os.PathLike, decode: Callable[[dict], object]) -> 
                     obj = json.loads(line)
                     if not isinstance(obj, dict):
                         raise ValueError("record is not an object")
+                    if _lone_surrogate(line):
+                        # the record decodes, but cannot be written as UTF-8: fail on its line
+                        _encode(obj).encode("utf-8")
                     record = decode(obj)
                 except (ValueError, KeyError, TypeError, OverflowError) as exc:
                     raise MalformedRecordError(path, line_no, str(exc)) from exc
@@ -264,6 +278,56 @@ def zip_sidecars(
     for stream, sidecar in zip(streams, sidecars):
         if next(stream, None) is not None:
             raise ValueError(f"attribute shard {sidecar} longer than {path}")
+
+
+TaggerFn = Callable[[Document], dict[str, list[AttributeSpan]]]
+
+# tagging hands each tagger a chunk of consecutive documents; a chunk closes
+# once it holds this many documents or this many UTF-8 text bytes, so a
+# chunk of large documents does not grow the batch arrays of a tagger
+TAG_CHUNK_DOCS = 32
+TAG_CHUNK_BYTES = 1 << 16
+
+
+class ChunkTagger:
+    """A tagger that also tags a chunk of documents in one call,
+    ``tag_many(docs)``, returning each document's attributes in order;
+    called on one document, it tags a chunk of one."""
+
+    def __init__(self, tag_many: Callable[[list[Document]], list[dict[str, list[AttributeSpan]]]]) -> None:
+        self.tag_many = tag_many
+
+    def __call__(self, doc: Document) -> dict[str, list[AttributeSpan]]:
+        return self.tag_many([doc])[0]
+
+
+def _tag_chunk(docs: list[Document], taggers: Sequence[TaggerFn]) -> list[DocumentAttributes]:
+    """Run every tagger on a chunk of documents and merge each document's
+    attributes; a :class:`ChunkTagger` tags the chunk in one call, any
+    other tagger one document at a time."""
+    records = [DocumentAttributes(id=doc.id) for doc in docs]
+    for tagger in taggers:
+        results = tagger.tag_many(docs) if isinstance(tagger, ChunkTagger) else map(tagger, docs)
+        for record, attributes in zip(records, results):
+            record.merge(DocumentAttributes(id=record.id, attributes=attributes))
+    return records
+
+
+def tagged(docs: Iterable[Document], taggers: Sequence[TaggerFn]) -> Iterator[tuple[Document, DocumentAttributes]]:
+    """Yield each document with its merged attributes, in order, tagging
+    consecutive documents in chunks of ``TAG_CHUNK_DOCS`` documents or
+    ``TAG_CHUNK_BYTES`` text bytes, whichever is reached first."""
+    docs = iter(docs)
+    while True:
+        chunk, size = [], 0
+        for doc in docs:
+            chunk.append(doc)
+            size += doc.text_size
+            if len(chunk) >= TAG_CHUNK_DOCS or size >= TAG_CHUNK_BYTES:
+                break
+        if not chunk:
+            return
+        yield from zip(chunk, _tag_chunk(chunk, taggers))
 
 
 def map_shards(fn: Callable, tasks: Sequence[tuple], workers: int = 1) -> list:

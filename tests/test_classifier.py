@@ -719,6 +719,20 @@ class TestPersistence:
         assert np.array_equal(got.weights, lang_model.weights)
         assert np.array_equal(got.bias, lang_model.bias)
 
+    def test_loaded_arrays_are_read_only_views_of_the_saved_bytes(self, tmp_path, lang_model):
+        path = tmp_path / "model.bin"
+        save_model(lang_model, path)
+        data = path.read_bytes()
+        got = load_model(path)
+        payload = got.weights.tobytes() + got.bias.tobytes()
+        assert data.endswith(payload) and len(payload) == 8 * (lang_model.weights.size + lang_model.bias.size)
+        assert not got.weights.flags.writeable and not got.bias.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got.weights[0, 0] = 1.0
+        again = tmp_path / "again.bin"
+        save_model(got, again)
+        assert again.read_bytes() == data
+
     def test_corrupted_magic_rejected(self, tmp_path, lang_model):
         path = tmp_path / "model.bin"
         save_model(lang_model, path)

@@ -67,6 +67,30 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"runtime failure: {bad}:" in err and reason in err
 
+    @pytest.mark.parametrize(
+        "argv, record",
+        [
+            (["stats"], {"text": "bad \\ud800 here"}),
+            (["tag", "--taggers", "gopher", "--out-dir", "attrs"], {"text": "bad \\ud800 here"}),
+            (["dedupe", "--stage", "url", "--exact", "--out-dir", "attrs"], {"metadata": {"url": "http://a.org/\\udc80"}}),
+        ],
+        ids=["stats", "tag", "dedupe-url"],
+    )
+    def test_lone_surrogate_escape_is_runtime_error_naming_its_line(self, tmp_path, monkeypatch, capsys, argv, record):
+        monkeypatch.chdir(tmp_path)
+        # line 1 escapes a valid surrogate pair, which reads; line 2 a lone one
+        pair = '{"id": "a", "text": "ok \\ud83d\\ude00", "metadata": {"url": "http://a.org/\\ud83d\\ude00"}}'
+        lone = json.dumps({"id": "b", "text": "", **record}).replace("\\\\u", "\\u")
+        good, bad = tmp_path / "good.jsonl", tmp_path / "bad.jsonl"
+        good.write_text(pair + "\n")
+        bad.write_text(pair + "\n" + lone + "\n")
+        assert run_cli(*argv, "--inputs", str(good)) == 0
+        assert next(read_documents(good)).text == "ok \U0001f600"
+        capsys.readouterr()
+        assert run_cli(*argv, "--inputs", str(bad)) == 2
+        err = capsys.readouterr().err
+        assert f"runtime failure: {bad}:2: 'utf-8' codec can't encode character" in err
+
     def test_success_is_zero(self, tmp_path):
         shard = make_shard(tmp_path)
         assert run_cli("stats", "--inputs", str(shard)) == 0

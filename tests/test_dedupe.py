@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from corpuskit import dedupe
+from corpuskit import shard_io
 from corpuskit.bloom import BloomFilter, ExactSet
 from corpuskit.dedupe import (
     CONTAMINATED,
@@ -21,7 +21,7 @@ from corpuskit.dedupe import (
     plan_shard_groups,
 )
 from corpuskit.documents import AttributeSpan, Document
-from corpuskit.shard_io import write_documents
+from corpuskit.shard_io import TAG_CHUNK_BYTES, TAG_CHUNK_DOCS, write_documents
 
 
 def url_doc(i, url):
@@ -309,12 +309,16 @@ class TestKeyChunks:
             docs.append(Document(id=f"d{i}", text=text, metadata=metadata))
         return docs
 
-    @pytest.mark.parametrize("chunk", [1, 2, 5, 256])
+    @pytest.mark.parametrize(
+        "chunk_docs, chunk_bytes",
+        [(1, TAG_CHUNK_BYTES), (2, TAG_CHUNK_BYTES), (5, TAG_CHUNK_BYTES), (32, TAG_CHUNK_BYTES), (32, 8)],
+    )
     @pytest.mark.parametrize("make", [ExactSet, lambda: BloomFilter.create(12, 0.3, seed=5)], ids=["exact", "bloom"])
-    def test_every_stage_matches_one_key_at_a_time(self, monkeypatch, chunk, make):
+    def test_every_stage_matches_one_key_at_a_time(self, monkeypatch, chunk_docs, chunk_bytes, make):
         # the small Bloom filter fills up, so its answers depend on key order
-        monkeypatch.setattr(dedupe, "KEY_CHUNK", chunk)
-        rng = random.Random(chunk)
+        monkeypatch.setattr(shard_io, "TAG_CHUNK_DOCS", chunk_docs)
+        monkeypatch.setattr(shard_io, "TAG_CHUNK_BYTES", chunk_bytes)
+        rng = random.Random(f"{chunk_docs}/{chunk_bytes}")
         docs, test_docs = self.docs(rng, 50), self.docs(rng, 6)
         stages = {"url": dedupe_by_url, "document": dedupe_by_document, "paragraph": dedupe_by_paragraph}
         for stage, run in stages.items():
@@ -335,8 +339,7 @@ class TestKeyChunks:
             assert got == reference_stage("decontaminate", docs, reference, gate)
             assert any(attrs for _, attrs in got)
 
-    def test_chunks_close_at_the_key_count_and_stream(self, monkeypatch):
-        monkeypatch.setattr(dedupe, "KEY_CHUNK", 10)
+    def test_chunks_close_at_the_document_count_or_byte_cap_and_stream(self):
         batches = []
 
         class Recording(ExactSet):
@@ -344,18 +347,24 @@ class TestKeyChunks:
                 batches.append(len(keys))
                 return super().insert_check_many(keys)
 
-        docs = [Document(id=f"d{i}", text=f"a{i}\nb{i}\nc{i}") for i in range(9)]  # 3 keys each
-        assert [doc.id for doc, _ in dedupe_by_paragraph(iter(docs), Recording())] == [d.id for d in docs]
-        assert batches == [12, 12, 3]
+        def paragraph_batches(docs):
+            batches.clear()
+            assert [doc.id for doc, _ in dedupe_by_paragraph(iter(docs), Recording())] == [d.id for d in docs]
+            return list(batches)
+
+        small = [Document(id=f"d{i}", text=f"a{i}\nb{i}\nc{i}") for i in range(2 * TAG_CHUNK_DOCS + 3)]  # 3 keys each
+        assert paragraph_batches(small) == [3 * TAG_CHUNK_DOCS, 3 * TAG_CHUNK_DOCS, 9]
+        # two keys each, over a third of the byte cap: a chunk closes at three documents
+        large = [Document(id=f"l{i}", text="x" * (TAG_CHUNK_BYTES // 3) + f"\ny{i}") for i in range(7)]
+        assert paragraph_batches(large) == [6, 6, 2]
         # a document comes out before the stream ends
         endless = (Document(id=str(i), text="x") for i in itertools.count())
         doc, _ = next(dedupe_by_document(endless, Recording()))
         assert doc.id == "0"
 
-    def test_documents_without_keys_close_chunks_too(self, monkeypatch):
-        monkeypatch.setattr(dedupe, "KEY_CHUNK", 10)
+    def test_documents_without_keys_close_chunks_too(self):
         # endless streams whose documents give no key: no url, or only
-        # paragraphs below the gate; a chunk closes at ten documents
+        # paragraphs below the gate; a chunk closes at TAG_CHUNK_DOCS documents
         pulled = []
 
         def endless(text):
@@ -371,4 +380,4 @@ class TestKeyChunks:
         ]
         for run in runs:
             doc, attrs = next(run())
-            assert (doc.id, attrs.attributes, len(pulled)) == ("0", {}, 10)
+            assert (doc.id, attrs.attributes, len(pulled)) == ("0", {}, TAG_CHUNK_DOCS)

@@ -4,12 +4,10 @@ from pathlib import Path
 import pytest
 
 from conftest import BENIGN_WORDS, ENGLISH_WORDS, TOXIC_MARKERS
-from corpuskit import pipeline
+from corpuskit import shard_io
 from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
 from corpuskit.ngram_classifier import save_model
 from corpuskit.pipeline import (
-    TAG_CHUNK_BYTES,
-    TAG_CHUNK_DOCS,
     ChunkTagger,
     TaggerConfigError,
     UnknownTaggerError,
@@ -20,7 +18,15 @@ from corpuskit.pipeline import (
     run_tag,
     tag_report_json,
 )
-from corpuskit.shard_io import read_attributes, read_documents, write_attributes, write_documents
+from corpuskit.shard_io import (
+    TAG_CHUNK_BYTES,
+    TAG_CHUNK_DOCS,
+    read_attributes,
+    read_documents,
+    tagged,
+    write_attributes,
+    write_documents,
+)
 
 
 def clean_text(rng=None, n_sentences=10):
@@ -428,8 +434,8 @@ class TestChunkedTagging:
 
         def chunk_sizes(docs):
             sizes.clear()
-            tagged = list(pipeline._tagged(docs, [tagger]))
-            assert [doc.id for doc, _ in tagged] == [attrs.id for _, attrs in tagged] == [doc.id for doc in docs]
+            pairs = list(tagged(docs, [tagger]))
+            assert [doc.id for doc, _ in pairs] == [attrs.id for _, attrs in pairs] == [doc.id for doc in docs]
             return list(sizes)
 
         small = [Document(id=f"s{i}", text="x") for i in range(2 * TAG_CHUNK_DOCS + 6)]
@@ -446,7 +452,7 @@ class TestChunkedTagging:
         docs = chunked_corpus()
         specs = tag_specs(model_paths) + [("language", {"model": model_paths["lang"]})]
         taggers = [build_tagger(name, params) for name, params in specs]
-        got = [attrs for _, attrs in pipeline._tagged(docs, taggers)]
+        got = [attrs for _, attrs in tagged(docs, taggers)]
         expected = one_document_records(docs, specs)
         assert any("toxicity__hate" in r.attributes for r in expected)
         assert any("lang__degenerate" in r.attributes for r in expected)
@@ -470,7 +476,7 @@ class TestChunkedTagging:
         shards = write_shards(tmp_path, [docs[:45], docs[45:]])
         results = []
         for chunk_docs in (TAG_CHUNK_DOCS, 1):  # 1: every document tagged on its own
-            monkeypatch.setattr(pipeline, "TAG_CHUNK_DOCS", chunk_docs)
+            monkeypatch.setattr(shard_io, "TAG_CHUNK_DOCS", chunk_docs)
             out = tmp_path / f"out-{chunk_docs}"
             config = WebPipelineConfig(
                 inputs=shards,

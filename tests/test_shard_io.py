@@ -1,8 +1,9 @@
 import gzip
 import json
+import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
 from corpuskit.shard_io import (
@@ -94,6 +95,30 @@ class TestDocumentIO:
             list(reader(path))
         # the decoder reads ahead by a block: the error names the line being read
         assert (err.value.path, err.value.line_no) == (str(path), 1)
+
+    @settings(max_examples=300)
+    @given(
+        pieces=st.lists(st.sampled_from(["a", "é", "😀", "\\", "\\ud83d", "ude00", "\ud83d", "\ude00", "\udbff"]), max_size=8),
+        upper=st.booleans(),
+    )
+    @example(pieces=["\\ud83d", "\ude00"], upper=False)  # a lone low escape after text like a high one
+    def test_record_reads_exactly_when_its_decoded_text_encodes(self, tmp_path_factory, pieces, upper):
+        # escapes of lone surrogates, of pairs and of other characters, and
+        # escaped backslashes before text that looks like a surrogate escape
+        line = json.dumps({"id": "a", "text": "".join(pieces)})
+        if upper:
+            line = re.sub(r"\\u[0-9a-f]{4}", lambda m: "\\u" + m[0][2:].upper(), line)
+        text = json.loads(line)["text"]
+        path = tmp_path_factory.mktemp("sur") / "one.jsonl"
+        path.write_text('{"id": "z", "text": ""}\n' + line + "\n", encoding="ascii")
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:
+            with pytest.raises(MalformedRecordError, match="can't encode character") as err:
+                list(read_documents(path))
+            assert err.value.line_no == 2
+        else:
+            assert [d.text for d in read_documents(path)] == ["", text]
 
     def test_gzip_cut_or_corrupt_names_path(self, tmp_path):
         whole = tmp_path / "whole.jsonl.gz"
