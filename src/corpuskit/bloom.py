@@ -62,15 +62,23 @@ def probe_positions(keys: Sequence[bytes], m: int, k: int, seed: int) -> np.ndar
     uint64 mixed with int64 into float64); the sum is at most k*(m-1), so it
     fits in 64 bits for every filter ``BloomFilter`` accepts, k*m < 2^64.
     """
-    salt = seed.to_bytes(8, "little")
-    digests = b"".join(hashlib.blake2b(key, digest_size=16, salt=salt).digest() for key in keys)
-    h = (np.frombuffer(digests, _DIGEST) | _H2_LOW_BIT) % np.uint64(m)
-    return (h[:, :1] + np.arange(k, dtype=np.uint64) * h[:, 1:]) % np.uint64(m)
+    # one salted hash object copied per key: cheaper than passing the
+    # digest size and salt to a new one for every key
+    salted = hashlib.blake2b(digest_size=16, salt=seed.to_bytes(8, "little"))
+    digests = []
+    for key in keys:
+        h = salted.copy()
+        h.update(key)
+        digests.append(h.digest())
+    m = np.uint64(m)
+    h = (np.frombuffer(b"".join(digests), _DIGEST) | _H2_LOW_BIT) % m
+    return (h[:, :1] + np.arange(k, dtype=np.uint64) * h[:, 1:]) % m
 
 
 def _first_probes(pos: np.ndarray, index: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct positions < m of a non-empty ``pos``, ascending, each with
-    the smallest entry of ``index`` (ascending, non-negative) that probes it.
+    the smallest entry of ``index`` (non-decreasing, non-negative) that
+    probes it.
 
     One sort of ``position << b | index`` packed in uint64, or a stable
     argsort of the positions when the two fields need more than 64 bits.
@@ -143,22 +151,20 @@ class BloomFilter:
             raise ReadOnlyFilterError("insertion attempted on read-only filter")
         if not keys:
             return []
-        k = self.k
-        pos = probe_positions(keys, self.m, k, self.seed).ravel()
+        pos = probe_positions(keys, self.m, self.k, self.seed).ravel()
+        byte, mask = pos >> 3, _BIT[pos & 7]
         with self._lock:
             bits = np.frombuffer(self.bits, np.uint8)
-            unset = np.flatnonzero((bits[pos >> 3] & _BIT[pos & 7]) == 0)
+            unset = np.flatnonzero(bits[byte] & mask == 0)
             if not unset.size:
                 return [True] * len(keys)
             # a key is absent exactly when it is the first in the batch to
             # probe some position that was unset before the batch
-            new, setters = _first_probes(pos[unset], unset, self.m)
-            # set the new bits once, OR-ing the masks that share a byte
-            byte = new >> 3
-            starts = _run_starts(byte)
-            bits[byte[starts]] |= np.bitwise_or.reduceat(_BIT[new & 7], starts)
+            _, absent = _first_probes(pos[unset], unset // self.k, self.m)
+            # unbuffered, so probes that share a byte all set their bit
+            np.bitwise_or.at(bits, byte[unset], mask[unset])
             present = np.ones(len(keys), bool)
-            present[setters // k] = False
+            present[absent] = False
             self.added += len(keys) - int(np.count_nonzero(present))
         return present.tolist()
 

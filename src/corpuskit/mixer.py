@@ -2,9 +2,12 @@
 
 Sampling is per-document Bernoulli on a seeded hash of (source, doc id,
 repeat index), so decisions need no coordination between workers and the
-output is reproducible for a fixed config and seed. Filtering runs per
-input file (parallelizable); resharding then concatenates the filtered
-parts in config order, so output bytes do not depend on worker count.
+output is reproducible for a fixed config and seed. A mix reads its inputs
+twice over one worker pool: with proportions, a measuring pass sizes each
+input file's sources in parallel, and the parent sums the sizes; then
+filtering and sampling run per input file into one part each. Resharding
+then concatenates the parts in config order, so output bytes do not depend
+on worker count.
 """
 
 from __future__ import annotations
@@ -19,9 +22,10 @@ from typing import Iterator
 from corpuskit.documents import Document, DocumentAttributes
 from corpuskit.filters import Drop, FilterExpr, apply_filters
 from corpuskit.shard_io import (
+    ShardPool,
     StageReport,
-    map_shards,
     read_documents,
+    shard_pool,
     sidecar_paths,
     temp_dirs,
     write_documents,
@@ -156,19 +160,28 @@ def iter_doc_attrs(
     yield from zip_sidecars(read_documents(doc_path), doc_path, sidecar_paths(doc_path, attribute_entries))
 
 
-def measure_source_sizes(config: MixConfig) -> dict[str, int]:
-    """Pre-filter text bytes per source, used to derive sampling rates.
+def _measure_one_file(doc_path: str, upsample: dict[str, int]) -> dict[str, int]:
+    """Measuring task: one input file's text bytes per source, times repeats."""
+    sizes: dict[str, int] = {}
+    for doc in read_documents(doc_path):
+        repeats = int(upsample.get(doc.source, 1))
+        sizes[doc.source] = sizes.get(doc.source, 0) + doc.text_size * repeats
+    return sizes
+
+
+def measure_source_sizes(config: MixConfig, pool: ShardPool) -> dict[str, int]:
+    """Pre-filter text bytes per source, used to derive sampling rates: one
+    task per input file on ``pool``, summed here.
 
     Upsampled sources count once per repeat. Heavy filtering will skew
     realized shares away from the targets; the mix report shows what was
     realized.
     """
+    tasks = [(str(path), config.upsample) for stream in config.streams for path in stream.documents]
     sizes: dict[str, int] = {}
-    for stream in config.streams:
-        for path in stream.documents:
-            for doc in read_documents(path):
-                repeats = int(config.upsample.get(doc.source, 1))
-                sizes[doc.source] = sizes.get(doc.source, 0) + doc.text_size * repeats
+    for file_sizes in pool.map(_measure_one_file, tasks):
+        for source, size in file_sizes.items():
+            sizes[source] = sizes.get(source, 0) + size
     return sizes
 
 
@@ -219,9 +232,11 @@ def mix(config: MixConfig, out_dir: str | os.PathLike, workers: int = 1) -> MixR
     tmp_dir = out_dir / ".mix-parts"
     rates = None
     report = MixReport()
-    with temp_dirs(tmp_dir):
+    # the measuring pass and phase 1 share one pool, started by the first of
+    # them to fan out; it is joined before the parts directory is removed
+    with temp_dirs(tmp_dir), shard_pool(workers) as pool:
         if config.proportions is not None:
-            sizes = measure_source_sizes(config)
+            sizes = measure_source_sizes(config, pool)
             rates = sample_proportions(config.proportions, sizes)
 
         tasks = []
@@ -232,7 +247,7 @@ def mix(config: MixConfig, out_dir: str | os.PathLike, workers: int = 1) -> MixR
                 parts.append(part)
                 tasks.append((stream, str(doc_path), str(part), config.seed, config.upsample, rates))
 
-        for sources in map_shards(_filter_one_file, tasks, workers):
+        for sources in pool.map(_filter_one_file, tasks):
             for name, counts in sources.items():
                 report.source(name).merge(counts)
 

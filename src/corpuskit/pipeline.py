@@ -56,9 +56,9 @@ from corpuskit.shard_io import (
     ChunkTagger,
     StageReport,
     TaggerFn,
-    map_shards,
     output_paths,
     read_documents,
+    shard_pool,
     tagged,
     temp_dirs,
     write_attributes,
@@ -210,8 +210,9 @@ def run_tag(
     started = time.monotonic()
     tasks = [(str(p), str(o), tagger_specs) for p, o in zip(doc_paths, outputs)]
     report = StageReport(stage="tag")
-    for shard_report in map_shards(_tag_one_shard, tasks, workers):
-        report.merge(shard_report)
+    with shard_pool(workers) as pool:
+        for shard_report in pool.map(_tag_one_shard, tasks):
+            report.merge(shard_report)
     report.wall_seconds = time.monotonic() - started
     return report
 
@@ -377,8 +378,9 @@ def run_pipeline_web(config: WebPipelineConfig) -> list[StageReport]:
             (str(shard), str(src), str(dst), config)
             for shard, src, dst in zip(config.inputs, dedup_paths, quality_paths)
         ]
-        for shard_report in map_shards(_quality_content_shard, quality_tasks, config.workers):
-            quality_report.merge(shard_report)
+        with shard_pool(config.workers) as pool:
+            for shard_report in pool.map(_quality_content_shard, quality_tasks):
+                quality_report.merge(shard_report)
 
         # Paragraph dedup runs last; duplicate paragraphs are spliced out and
         # documents emptied by the splice are dropped.

@@ -5,19 +5,23 @@ One JSON object per line; a malformed line, a record whose field has the
 wrong type, an infinite span offset, bytes that are not UTF-8, an escaped
 lone surrogate or a cut or corrupt gzip stream raises
 :class:`MalformedRecordError` with its path and line number, and
-:func:`write_documents` is the one writer of document lines. Gzip is
-detected on read by magic bytes (robust to renamed shards) and selected on
-write by the ``.gz`` suffix of the output path. Gzip members are written
-with mtime pinned to 0 so identical content always produces identical
-bytes.
+:func:`write_documents` is the one writer of document lines. A line is
+decoded by the C JSON scanner when it reads the whole line, and by
+``json.loads`` otherwise, so the records read and every error are
+``json.loads``'. Gzip is detected on read by magic bytes (robust to renamed
+shards) and selected on write by the ``.gz`` suffix of the output path.
+Gzip members are written with mtime pinned to 0 so identical content always
+produces identical bytes.
 
 An attribute sidecar lines up with its document shard record for record:
 :func:`sidecar_paths` finds a shard's sidecars and :func:`zip_sidecars`
 walks them alongside it. Per-shard jobs name their outputs with
-:func:`output_paths`, fan out with :func:`map_shards`, keep intermediate
-files in :func:`temp_dirs`, and fold their per-shard :class:`StageReport`
-counters together with ``merge``: it is the one counted report of every
-job, and its ``flag`` the one counter of attribute records.
+:func:`output_paths`, fan out over the job's one :func:`shard_pool`, whose
+worker processes start at the first fan-out that needs them and serve every
+later one, keep intermediate files in :func:`temp_dirs`, and fold their
+per-shard :class:`StageReport` counters together with ``merge``: it is the
+one counted report of every job, and its ``flag`` the one counter of
+attribute records.
 
 :func:`tagged` is the one loop that tags a stream of documents: taggers,
 dedup stages and decontamination alike get chunks of consecutive
@@ -44,7 +48,7 @@ from corpuskit.filters import merge_spans
 
 _GZIP_MAGIC = b"\x1f\x8b"
 
-_DOC_FIELDS = ("id", "text", "source", "created", "metadata")
+_DOC_FIELDS = frozenset(("id", "text", "source", "created", "metadata"))
 
 
 class MalformedRecordError(ValueError):
@@ -53,6 +57,11 @@ class MalformedRecordError(ValueError):
         self.path = str(path)
         self.line_no = line_no
         self.reason = reason
+
+    def __reduce__(self):
+        # a worker's error reaches the parent pickled; by default unpickling
+        # would call __init__ with the message alone
+        return type(self), (self.path, self.line_no, self.reason)
 
 
 def open_shard_read(path: str | os.PathLike) -> io.TextIOBase:
@@ -92,7 +101,7 @@ def _doc_from_obj(obj: dict) -> Document:
         source=source,
         created=created,
         metadata=metadata,
-        extra={k: v for k, v in obj.items() if k not in _DOC_FIELDS},
+        extra={} if obj.keys() <= _DOC_FIELDS else {k: v for k, v in obj.items() if k not in _DOC_FIELDS},
     )
 
 
@@ -113,6 +122,22 @@ def _doc_to_obj(doc: Document) -> dict:
 _lone_surrogate = re.compile(r"(?i)\\ud(?:[89ab]..(?!\\ud[c-f])|(?<![^\\]\\ud[89ab]..\\ud)[c-f])").search
 
 
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _decode_line(line: str) -> object:
+    """``json.loads(line)``, faster: the C scanner's object when it reads the
+    whole line, and otherwise ``json.loads`` itself, so that surrounding
+    whitespace, a BOM, trailing data and every error come out as it gives them."""
+    try:
+        obj, end = _scan_once(line, 0)
+        if end == len(line):
+            return obj
+    except (StopIteration, ValueError, RecursionError):
+        pass
+    return json.loads(line)
+
+
 def _read_records(path: str | os.PathLike, decode: Callable[[dict], object]) -> Iterator:
     """The JSONL line loop of both readers: decode each non-empty line's object."""
     line_no = 0
@@ -123,14 +148,14 @@ def _read_records(path: str | os.PathLike, decode: Callable[[dict], object]) -> 
                 if not line:
                     continue
                 try:
-                    obj = json.loads(line)
+                    obj = _decode_line(line)
                     if not isinstance(obj, dict):
                         raise ValueError("record is not an object")
                     if _lone_surrogate(line):
                         # the record decodes, but cannot be written as UTF-8: fail on its line
                         _encode(obj).encode("utf-8")
                     record = decode(obj)
-                except (ValueError, KeyError, TypeError, OverflowError) as exc:
+                except (ValueError, KeyError, TypeError, OverflowError, RecursionError) as exc:
                     raise MalformedRecordError(path, line_no, str(exc)) from exc
                 yield record
         except (UnicodeDecodeError, EOFError, gzip.BadGzipFile, zlib.error) as exc:
@@ -330,18 +355,43 @@ def tagged(docs: Iterable[Document], taggers: Sequence[TaggerFn]) -> Iterator[tu
         yield from zip(chunk, _tag_chunk(chunk, taggers))
 
 
-def map_shards(fn: Callable, tasks: Sequence[tuple], workers: int = 1) -> list:
-    """Run ``fn(*task)`` for every task and return the results in task order.
+class ShardPool:
+    """The worker processes of one job, shared by all its fan-outs; made by
+    :func:`shard_pool`."""
 
-    With ``workers <= 1`` or a single task the calls run in this process, in
-    order; otherwise they fan out over one process pool, so ``fn`` and its
-    arguments must pickle. An exception raised by a task propagates.
-    """
-    if workers <= 1 or len(tasks) <= 1:
-        return [fn(*task) for task in tasks]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, *task) for task in tasks]
+    def __init__(self, workers: int) -> None:
+        self.workers = workers
+        self.executor: ProcessPoolExecutor | None = None
+
+    def map(self, fn: Callable, tasks: Sequence[tuple]) -> list:
+        """Run ``fn(*task)`` for every task and return the results in task order.
+
+        With ``workers <= 1`` or a single task the calls run in this process,
+        in order; otherwise they fan out over the job's process pool, started
+        by the first fan-out that needs it, so ``fn`` and its arguments must
+        pickle. An exception raised by a task propagates, the first in task
+        order.
+        """
+        if self.workers <= 1 or len(tasks) <= 1:
+            return [fn(*task) for task in tasks]
+        if self.executor is None:
+            self.executor = ProcessPoolExecutor(max_workers=self.workers)
+        futures = [self.executor.submit(fn, *task) for task in tasks]
         return [f.result() for f in futures]
+
+
+@contextmanager
+def shard_pool(workers: int) -> Iterator[ShardPool]:
+    """A :class:`ShardPool` of ``workers`` processes for the fan-outs of one
+    job. When the block ends, whether it succeeds or fails, tasks not yet
+    started are cancelled and the workers are joined, so none is still
+    writing when the job's :func:`temp_dirs` are removed."""
+    pool = ShardPool(workers)
+    try:
+        yield pool
+    finally:
+        if pool.executor is not None:
+            pool.executor.shutdown(wait=True, cancel_futures=True)
 
 
 @contextmanager

@@ -1,5 +1,6 @@
 import gzip
 import json
+import multiprocessing
 import random
 from pathlib import Path
 
@@ -762,6 +763,22 @@ class TestFailedRunsLeaveNoTempState:
         assert run_cli("mix", "--config", str(config), "--out-dir", str(out)) == 2
         assert not (out / ".mix-parts").exists()
         assert "misaligned" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("proportions", [{}, {"proportions": {"s": 1.0}}])
+    def test_mix_malformed_record_at_two_workers(self, tmp_path, capsys, proportions):
+        first = make_shard(tmp_path, name="a.jsonl", n=5)
+        second = make_shard(tmp_path, name="b.jsonl", n=5)
+        lines = second.read_text().splitlines(keepends=True)
+        lines[2] = '{"id": "d2", "text": \n'
+        second.write_text("".join(lines))
+        config = tmp_path / "mix.json"
+        config.write_text(json.dumps({"streams": [{"documents": [str(first), str(second)]}], **proportions}))
+        out = tmp_path / "mixed"
+        assert run_cli("mix", "--config", str(config), "--out-dir", str(out), "--workers", "2") == 2
+        assert f"runtime failure: {second}:3: Expecting value" in capsys.readouterr().err
+        assert not (out / ".mix-parts").exists()
+        assert not list(out.glob("part-*.jsonl"))
+        assert multiprocessing.active_children() == []
 
 
 class TestDedupeReportsMatchSidecars:

@@ -14,7 +14,7 @@ from corpuskit.mixer import (
     mix,
     sample_proportions,
 )
-from corpuskit.shard_io import read_documents, write_attributes, write_documents
+from corpuskit.shard_io import read_documents, shard_pool, write_attributes, write_documents
 
 
 def write_corpus(path, docs):
@@ -320,4 +320,26 @@ class TestConfig:
         docs = [Document(id="d", text="12345", source="s")]
         shard = write_corpus(tmp_path / "in.jsonl", docs)
         config = MixConfig(streams=[StreamConfig(documents=[shard])], upsample={"s": 3})
-        assert measure_source_sizes(config) == {"s": 15}
+        with shard_pool(1) as pool:
+            assert measure_source_sizes(config, pool) == {"s": 15}
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_measure_source_sizes_sums_every_input_file(self, tmp_path, workers):
+        a = write_corpus(
+            tmp_path / "a.jsonl",
+            [Document(id="a0", text="12345", source="s"), Document(id="a1", text="héllo", source="t")],
+        )
+        b = write_corpus(tmp_path / "b.jsonl", [Document(id="b0", text="123", source="s")])
+        c = write_corpus(tmp_path / "c.jsonl", [Document(id="c0", text="xy", source="u")])
+        # a file listed in two streams is measured twice, as it is mixed twice
+        streams = [StreamConfig(documents=[a, b]), StreamConfig(documents=[c, a])]
+        config = MixConfig(streams=streams, upsample={"s": 3, "u": 2})
+        with shard_pool(workers) as pool:
+            got = measure_source_sizes(config, pool)
+        # the serial sum over every document of every listed file
+        expected: dict[str, int] = {}
+        for path in [a, b, c, a]:
+            for doc in read_documents(path):
+                size = len(doc.text.encode("utf-8")) * config.upsample.get(doc.source, 1)
+                expected[doc.source] = expected.get(doc.source, 0) + size
+        assert got == expected == {"s": 39, "t": 12, "u": 4}

@@ -1,6 +1,10 @@
 import gzip
 import json
+import multiprocessing
+import os
 import re
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,11 +14,12 @@ from corpuskit.shard_io import (
     MalformedRecordError,
     ShardNameError,
     StageReport,
+    _decode_line,
     _doc_to_obj,
-    map_shards,
     output_paths,
     read_attributes,
     read_documents,
+    shard_pool,
     sidecar_paths,
     write_attributes,
     write_documents,
@@ -225,6 +230,77 @@ class TestDocumentIO:
         assert a.read_bytes() == b.read_bytes()
 
 
+def _outcome(decode, line):
+    """What ``decode(line)`` returns (type and repr, so NaN compares equal),
+    or the type and message of what it raises."""
+    try:
+        obj = decode(line)
+    except Exception as exc:
+        return "raises", type(exc), str(exc)
+    return "returns", type(obj), repr(obj)
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_fragments = st.sampled_from(
+    ["", " ", "\t", "\r", "\ufeff", "{}", "[1]", "x", "NaN", "Infinity", "-Infinity", ",", "}", "]", '"', "\\"]
+)
+# an object whose keys repeat: the last value wins, at the first key's place
+_duplicate_keys = st.lists(st.tuples(st.sampled_from("ab"), _json_values), min_size=1, max_size=4).map(
+    lambda pairs: "{" + ", ".join(f"{json.dumps(k)}: {json.dumps(v)}" for k, v in pairs) + "}"
+)
+# nesting well inside the recursion limit, or far past it, where both raise
+# RecursionError; near the limit the outcome depends on the caller's stack depth
+_deep = st.tuples(st.integers(1, 200) | st.integers(5_000, 20_000), st.booleans()).map(
+    lambda d: '{"a": ' * d[0] + "1" + "}" * d[0] if d[1] else "[" * d[0] + "]" * d[0]
+)
+_lines = st.one_of(
+    st.tuples(_fragments, _json_values.map(json.dumps) | _duplicate_keys | _deep, _fragments).map("".join),
+    st.lists(_fragments, max_size=5).map("".join),
+    st.text(max_size=30),
+)
+
+
+class TestDecodeLine:
+    """The reader's decode is ``json.loads``, on every line."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(line=_lines)
+    @example(line=' {"id": "a"}')
+    @example(line='{"id": "a"} ')
+    @example(line='\ufeff{"id": "a"}')
+    @example(line="{} {}")
+    @example(line="{}x")
+    @example(line="[1]")
+    @example(line="NaN")
+    @example(line="Infinity")
+    @example(line='{"id": "a", "id": "b"}')
+    @example(line="[" * 100_000)
+    @example(line='{"a": ' * 50_000 + "1" + "}" * 50_000)
+    def test_same_object_or_error_as_json_loads(self, line):
+        assert _outcome(_decode_line, line) == _outcome(json.loads, line)
+
+    def test_extra_keys_kept_in_file_order(self, tmp_path):
+        path = tmp_path / "extra.jsonl"
+        path.write_text(
+            '{"z": 1, "id": "a", "b": [2], "text": "x", "a": {"c": 3}}\n{"id": "b", "text": "y", "source": "s"}\n',
+            encoding="utf-8",
+        )
+        first, second = read_documents(path)
+        assert list(first.extra.items()) == [("z", 1), ("b", [2]), ("a", {"c": 3})]
+        assert second.extra == {}
+
+    def test_nesting_past_the_recursion_limit_names_its_line(self, tmp_path):
+        path = tmp_path / "deep.jsonl"
+        path.write_text('{"id": "a", "text": "x"}\n{"id": "b", "text": ' + "[" * 100_000 + "\n", encoding="utf-8")
+        with pytest.raises(MalformedRecordError, match="maximum recursion depth exceeded") as err:
+            list(read_documents(path))
+        assert (err.value.path, err.value.line_no) == (str(path), 2)
+
+
 _doc_strategy = st.builds(
     Document,
     id=st.text(min_size=1, max_size=20),
@@ -326,20 +402,62 @@ class TestSidecars:
             list(zip_sidecars(docs3()[:1], "in.jsonl", [tmp_path / "side.jsonl"]))
 
 
-class TestMapShards:
+def _worker_pid(seconds: float) -> int:
+    time.sleep(seconds)
+    return os.getpid()
+
+
+def _fail_or_touch(path: str) -> None:
+    """Fail at once for an empty path; otherwise wait a little, then create the file."""
+    if not path:
+        raise ZeroDivisionError("first task")
+    time.sleep(0.05)
+    Path(path).touch()
+
+
+class TestShardPool:
     def test_results_in_task_order_for_any_worker_count(self):
         tasks = [(i, 3) for i in range(12)]
         expected = [i**3 for i in range(12)]
-        assert map_shards(pow, tasks, 1) == expected
-        assert map_shards(pow, tasks, 2) == expected
+        for workers in (1, 2):
+            with shard_pool(workers) as pool:
+                assert pool.map(pow, tasks) == expected
 
-    def test_no_tasks(self):
-        assert map_shards(pow, [], 2) == []
+    @pytest.mark.parametrize("tasks", [[], [(0.0,)]])
+    def test_no_task_or_one_runs_in_process_without_a_pool(self, tasks):
+        with shard_pool(2) as pool:
+            assert pool.map(_worker_pid, tasks) == [os.getpid()] * len(tasks)
+            assert pool.executor is None
+        assert multiprocessing.active_children() == []
+
+    def test_one_pool_serves_every_fan_out_of_a_job(self):
+        with shard_pool(2) as pool:
+            # tasks long enough that both workers take some
+            first = set(pool.map(_worker_pid, [(0.05,)] * 8))
+            second = set(pool.map(_worker_pid, [(0.0,)] * 8))
+            assert multiprocessing.active_children()
+        assert os.getpid() not in first and len(first) == 2
+        assert second <= first
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_task_exception_propagates(self, workers):
         with pytest.raises(ZeroDivisionError):
-            map_shards(divmod, [(4, 2), (1, 0), (9, 3)], workers)
+            with shard_pool(workers) as pool:
+                pool.map(divmod, [(4, 2), (1, 0), (9, 3)])
+        assert multiprocessing.active_children() == []
+
+    def test_failed_fan_out_cancels_pending_tasks_and_joins_workers(self, tmp_path):
+        tasks = [("",)] + [(str(tmp_path / f"t{i}"),) for i in range(40)]
+        with pytest.raises(ZeroDivisionError, match="first task"):
+            with shard_pool(2) as pool:
+                pool.map(_fail_or_touch, tasks)
+        # only tasks a worker had already taken ran; none runs once the block has ended
+        assert multiprocessing.active_children() == []
+        ran = len(list(tmp_path.iterdir()))
+        assert ran < 40
+        time.sleep(0.2)
+        assert len(list(tmp_path.iterdir())) == ran
 
 
 class TestOutputPaths:
