@@ -115,11 +115,12 @@ class BloomFilter:
         self.seed = seed & _MASK64
         self.read_only = read_only
         n_bytes = (m + 7) // 8
-        if bits is None:
-            bits = bytearray(n_bytes)
-        elif len(bits) != n_bytes:
+        if bits is not None and len(bits) != n_bytes:
             raise ValueError(f"bit array holds {len(bits)} bytes, expected {n_bytes}")
-        self.bits = bits
+        self.bits = bytearray(n_bytes) if bits is None else bits
+        # the popcount of ``bits``: given bits are counted once, here, and
+        # the inserts add each bit they set
+        self.set_bits = 0 if bits is None else self.popcount()
         self.added = 0  # keys an insert on this object reported absent
         self.n_target: int | None = None  # the key count and false-positive rate
         self.p_target: float | None = None  # it was sized for, set by create only
@@ -160,9 +161,10 @@ class BloomFilter:
                 return [True] * len(keys)
             # a key is absent exactly when it is the first in the batch to
             # probe some position that was unset before the batch
-            _, absent = _first_probes(pos[unset], unset // self.k, self.m)
+            newly_set, absent = _first_probes(pos[unset], unset // self.k, self.m)
             # unbuffered, so probes that share a byte all set their bit
             np.bitwise_or.at(bits, byte[unset], mask[unset])
+            self.set_bits += len(newly_set)
             present = np.ones(len(keys), bool)
             present[absent] = False
             self.added += len(keys) - int(np.count_nonzero(present))
@@ -197,6 +199,7 @@ class BloomFilter:
                 if not bits[byte] & mask:
                     was_present = False
                     bits[byte] |= mask
+                    self.set_bits += 1
             self.added += not was_present
         return was_present
 
@@ -213,7 +216,7 @@ class BloomFilter:
     def health(self) -> dict:
         """Size, fill ratio (set bits over m) and the false-positive rate that
         fill implies for a key never inserted, ``fill ** k``."""
-        fill = self.popcount() / self.m
+        fill = self.set_bits / self.m
         return {"m": self.m, "k": self.k, "fill": fill, "estimated_fpr": fill**self.k}
 
     def freeze(self) -> "BloomFilter":

@@ -32,7 +32,7 @@ from corpuskit.documents import (
     Document,
     DocumentAttributes,
     count_words,
-    segment_paragraphs,
+    split_paragraphs,
 )
 from corpuskit.shard_io import ChunkTagger, read_documents, tagged
 
@@ -63,25 +63,28 @@ class KeyFilter(Protocol):
 
 def _key_tagger(
     name: str,
-    keys_of: Callable[[Document], Iterable[tuple[AttributeSpan | None, bytes]]],
+    keys_of: Callable[[Document], Iterable[tuple[tuple[int, int] | None, bytes]]],
     check_many: Callable[[list[bytes]], list[bool]],
     whole: bool = False,
 ) -> ChunkTagger:
     """A tagger handing the keys of a chunk of documents (each key with the
-    span it flags) to ``check_many`` in one call, in stream order, and
-    flagging under ``name`` the span of every key it answers true for, or
-    with ``whole`` the whole document once any key is (the keys' spans are
-    then unused, and may be None)."""
+    ``(start, end)`` bytes it flags) to ``check_many`` in one call, in stream
+    order, and flagging under ``name`` a span over the bytes of every key it
+    answers true for, or with ``whole`` the whole document once any key is
+    (the keys' bounds are then unused, and may be None)."""
 
     def tag_many(docs: list[Document]) -> list[dict[str, list[AttributeSpan]]]:
         keyed = [list(keys_of(doc)) for doc in docs]
         flags = iter(check_many([key for pairs in keyed for _, key in pairs]))
         out = []
         for doc, pairs in zip(docs, keyed):
-            spans = [span for span, _ in pairs if next(flags)]
-            if spans and whole:
-                spans = [AttributeSpan(0, doc.text_size, 1.0)]
-            out.append({name: spans} if spans else {})
+            flagged = [bounds for bounds, _ in pairs if next(flags)]
+            if not flagged:
+                out.append({})
+            elif whole:
+                out.append({name: [AttributeSpan(0, doc.text_size, 1.0)]})
+            else:
+                out.append({name: [AttributeSpan(start, end, 1.0) for start, end in flagged]})
         return out
 
     return ChunkTagger(tag_many)
@@ -118,15 +121,14 @@ def dedupe_by_document(
     yield from tagged(docs, [tagger])
 
 
-def gated_paragraphs(doc: Document, min_tokens: int):
-    """Yield ``(span, paragraph bytes)`` for each paragraph with more than
-    ``min_tokens`` unicode words; a gate of 0 admits every paragraph."""
-    data = doc.text_bytes
-    for span in segment_paragraphs(doc.text):
-        para = data[span.start : span.end]
+def gated_paragraphs(doc: Document, min_tokens: int) -> Iterator[tuple[tuple[int, int], bytes]]:
+    """Yield ``((start, end), paragraph bytes)`` of :func:`split_paragraphs`
+    for each paragraph with more than ``min_tokens`` unicode words; a gate of
+    0 admits every paragraph."""
+    for bounds, para in split_paragraphs(doc.text_bytes):
         if min_tokens > 0 and count_words(para.decode("utf-8")) <= min_tokens:
             continue
-        yield span, para
+        yield bounds, para
 
 
 def dedupe_by_paragraph(

@@ -8,10 +8,13 @@ encoded text at span edges always yields valid UTF-8.
 
 from __future__ import annotations
 
+import math
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
+
+_INFINITIES = (math.inf, -math.inf)
 
 
 @dataclass(frozen=True)
@@ -25,7 +28,7 @@ class AttributeSpan:
     def __post_init__(self) -> None:
         if self.start < 0 or self.end < self.start:
             raise ValueError(f"invalid span [{self.start}, {self.end})")
-        if self.score != self.score or self.score in (float("inf"), float("-inf")):
+        if self.score != self.score or self.score in _INFINITIES:
             raise ValueError(f"span score must be finite, got {self.score}")
 
 
@@ -124,24 +127,28 @@ def char_spans_to_byte_spans(
     return out
 
 
+def split_paragraphs(data: bytes) -> Iterator[tuple[tuple[int, int], bytes]]:
+    """Yield ``((start, end), paragraph)`` for each paragraph of the UTF-8
+    ``data``: the bytes between newlines, with their byte offsets; the
+    newline itself is in neither. Empty paragraphs are yielded too, and
+    b"" is one empty paragraph."""
+    start = 0
+    for para in data.split(b"\n"):
+        end = start + len(para)
+        yield (start, end), para
+        start = end + 1
+
+
 def segment_paragraphs(text: str) -> list[AttributeSpan]:
     """Split text into paragraph spans at newline boundaries.
 
     A paragraph is a span of text ending in a newline; the trailing newline
     is excluded from the span. Empty paragraphs produce empty spans (they
     participate in deduplication like any other paragraph). Offsets are byte
-    offsets; "" yields a single empty span.
+    offsets; "" yields a single empty span. These are the bounds of
+    :func:`split_paragraphs`, as spans.
     """
-    data = text.encode("utf-8")
-    spans = []
-    start = 0
-    while True:
-        idx = data.find(b"\n", start)
-        if idx < 0:
-            spans.append(AttributeSpan(start, len(data), 1.0))
-            return spans
-        spans.append(AttributeSpan(start, idx, 1.0))
-        start = idx + 1
+    return [AttributeSpan(start, end, 1.0) for (start, end), _ in split_paragraphs(text.encode("utf-8"))]
 
 
 # UAX #29-style word segmentation, reduced to a documented rule set. Each
@@ -158,7 +165,19 @@ def segment_paragraphs(text: str) -> list[AttributeSpan]:
 # connectors alone is not a word. ``_WORD`` is that pattern with its loop
 # unrolled, so a run of word codes matches in one repeat instead of one
 # alternation per character.
+#
+# ``count_words`` counts the same words without matching them. A match
+# spans a maximal run of word codes and of the mid codes that join two of
+# them, from its first ``L``, ``D`` or ``C``. ``_JOINED_MID`` turns each
+# joining mid code into ``L``; its lookbehinds read the code before and the
+# mid code itself. The mid codes left then become spaces, so ``str.split``
+# yields the runs, one match each. A run counts unless it is all ``C`` and
+# ``M`` codes; ``_CM_RUN`` finds those. Both patterns lead with a class, so
+# the scanner skips to the codes that can start a match.
 _WORD = re.compile(r"[LDC][LDCM]*(?:(?:(?<=L)[qb](?=L)|(?<=D)[bn](?=D))[LDCM]*)*")
+_JOINED_MID = re.compile(r"[qbn](?:(?<=L[qb])(?=L)|(?<=D[bn])(?=D))")
+_MIDS_TO_SPACES = str.maketrans("qbn", "   ")
+_CM_RUN = re.compile(r"[CM](?<![LDCM].)[CM]*(?![LDCM])")
 _MID_CODES = {"'": "q", "’": "q", "·": "q", ".": "b", ",": "n"}
 # the most code points the class table memoises; rarer ones past it are
 # classified on every sight, so the table cannot grow without bound
@@ -227,7 +246,11 @@ def segment_words(text: str) -> list[AttributeSpan]:
 
 def count_words(text: str) -> int:
     """The number of words :func:`segment_words` finds."""
-    return sum(1 for codes in _WORD.findall(_class_codes(text)) if codes.strip("CM"))
+    codes = _JOINED_MID.sub("L", _class_codes(text)).translate(_MIDS_TO_SPACES)
+    words = len(codes.split())
+    if "C" in codes or "M" in codes:
+        words -= len(_CM_RUN.findall(codes))
+    return words
 
 
 def count_stats(docs: Iterable[Document]) -> CorpusStats:

@@ -112,6 +112,23 @@ class TestInsertCheck:
             bloom = BloomFilter(m, 1, bits=bytearray(rng.randbytes((m + 7) // 8)))
             assert bloom.popcount() == sum(bin(byte).count("1") for byte in bloom.bits)
 
+    def test_set_bits_equals_popcount_after_mixed_inserts(self):
+        rng = random.Random(7)
+        for trial in range(60):
+            m, k = rng.randrange(1, 400), rng.randrange(1, 6)
+            # a filter built from given bits counts them once, a fresh one starts at 0
+            bits = bytearray(rng.randbytes((m + 7) // 8)) if trial % 2 else None
+            bloom = BloomFilter(m, k, seed=trial, bits=bits)
+            assert bloom.set_bits == bloom.popcount()
+            pool = [f"k{i}".encode() for i in range(rng.randrange(1, 60))]  # keys repeat
+            for _ in range(20):
+                if rng.random() < 0.5:
+                    bloom.insert_check_many([rng.choice(pool) for _ in range(rng.randrange(0, 30))])
+                else:
+                    bloom.insert_check(rng.choice(pool))
+                assert bloom.set_bits == bloom.popcount()
+            assert bloom.health()["fill"] == bloom.popcount() / m
+
     def test_read_only_rejects_insert_allows_query(self):
         bloom = BloomFilter.create(100, 0.01, 0)
         bloom.insert_check(b"x")
@@ -371,6 +388,7 @@ class TestBatchOracle:
                 assert bytes(bloom.bits) == bytes(expected.bits)
                 assert all(bloom.contains_many(keys))
                 assert bytes(one.bits) == bytes(expected.bits)
+                assert bloom.set_bits == one.set_bits == expected.popcount()
                 assert one.added == sum(not seen for f in one_runs for seen in f.result(timeout=60))
                 # the exact set reports each key absent exactly once
                 assert sorted(absent) == sorted(keys)

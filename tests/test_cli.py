@@ -718,17 +718,17 @@ class TestDecontaminateFilterSizing:
         ]
         test_set = tmp_path / "eval.jsonl"
         write_documents(eval_docs, test_set)
-        segmented = []
-        segment = dedupe.segment_paragraphs
-        monkeypatch.setattr(dedupe, "segment_paragraphs", lambda text: segmented.append(text) or segment(text))
+        split = []
+        splitter = dedupe.split_paragraphs
+        monkeypatch.setattr(dedupe, "split_paragraphs", lambda data: split.append(data) or splitter(data))
         filt = tmp_path / "f.bloom"
         argv = [
             "decontaminate", "--test-set", str(test_set), "--save-filter", str(filt),
             "--inputs", str(make_shard(tmp_path)), "--out-dir", str(tmp_path / "o"),
         ]
         assert run_cli(*argv) == 0
-        assert [text for text in segmented if text.startswith(tuple(doc.text for doc in eval_docs))] == [
-            doc.text for doc in eval_docs
+        assert [data for data in split if data.startswith(tuple(doc.text_bytes for doc in eval_docs))] == [
+            doc.text_bytes for doc in eval_docs
         ]
         # the filter sized and seeded as by counting the gated paragraphs, then seeding from the documents
         n_keys = sum(1 for doc in eval_docs for _ in dedupe.gated_paragraphs(doc, 13))

@@ -16,11 +16,10 @@ from corpuskit.dedupe import (
     dedupe_by_document,
     dedupe_by_paragraph,
     dedupe_by_url,
-    gated_paragraphs,
     normalize_url,
     plan_shard_groups,
 )
-from corpuskit.documents import AttributeSpan, Document
+from corpuskit.documents import AttributeSpan, Document, segment_paragraphs, segment_words
 from corpuskit.shard_io import TAG_CHUNK_BYTES, TAG_CHUNK_DOCS, write_documents
 
 
@@ -271,6 +270,16 @@ class TestDecontamination:
             decontaminate_seed(filt, [])
 
 
+def reference_paragraphs(doc, gate):
+    """``(span, paragraph bytes)`` of each paragraph with more than ``gate``
+    words, from the span splitter and the word segmenter."""
+    data = doc.text_bytes
+    for span in segment_paragraphs(doc.text):
+        para = data[span.start : span.end]
+        if gate == 0 or len(segment_words(para.decode("utf-8"))) > gate:
+            yield span, para
+
+
 def reference_stage(stage, docs, backend, gate=0):
     """The per-document, one-key-at-a-time loops that the chunked stages
     replaced; ``decontaminate`` tags with a seeded ``backend``."""
@@ -286,10 +295,10 @@ def reference_stage(stage, docs, backend, gate=0):
             if backend.insert_check(doc.text_bytes):
                 attrs[DOC_DUPLICATE] = whole
         elif stage == "paragraph":
-            spans = [span for span, para in gated_paragraphs(doc, gate) if backend.insert_check(para)]
+            spans = [span for span, para in reference_paragraphs(doc, gate) if backend.insert_check(para)]
             if spans:
                 attrs[PARAGRAPH_DUPLICATE] = spans
-        elif any(backend.contains(para) for _, para in gated_paragraphs(doc, gate)):
+        elif any(backend.contains(para) for _, para in reference_paragraphs(doc, gate)):
             attrs[CONTAMINATED] = whole
         out.append((doc.id, attrs))
     return out
@@ -330,7 +339,7 @@ class TestKeyChunks:
             seeded = decontaminate_seed(make(), iter(test_docs), min_paragraph_tokens=gate)
             reference = make()
             for doc in test_docs:
-                for _, para in gated_paragraphs(doc, gate):
+                for _, para in reference_paragraphs(doc, gate):
                     reference.insert_check(para)
             reference.freeze()
             if isinstance(seeded, BloomFilter):

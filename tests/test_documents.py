@@ -1,7 +1,9 @@
+import math
 import random
 import sys
 import unicodedata
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +16,7 @@ from corpuskit.documents import (
     count_words,
     segment_paragraphs,
     segment_words,
+    split_paragraphs,
     whitespace_word_spans,
 )
 
@@ -112,6 +115,12 @@ class TestParagraphs:
         pieces = [data[sp.start : sp.end] for sp in segment_paragraphs(text)]
         assert b"\n".join(pieces).decode("utf-8") == text
 
+    @given(st.binary(max_size=200))
+    def test_split_bounds_slice_out_each_paragraph(self, data):
+        pieces = list(split_paragraphs(data))
+        assert [para for _, para in pieces] == data.split(b"\n")
+        assert all(data[start:end] == para for (start, end), para in pieces)
+
     def test_byte_offsets_for_multibyte_text(self):
         text = "héllo\nwörld"
         spans = segment_paragraphs(text)
@@ -135,6 +144,24 @@ class TestWords:
     def test_punctuation_only_has_no_words(self):
         assert count_words("... !!! --") == 0
         assert count_words("___") == 0  # connectors alone are not words
+
+    @pytest.mark.parametrize(
+        "text, words",
+        [
+            ("a'b'c", 1),  # mid-letter codes join a chain of letters
+            ("a'.b", 2),  # two mid codes in a row break the word
+            ("1.,2", 2),
+            ("a.1", 2),  # a mid code joins letters to letters, digits to digits
+            ("1,000.5", 1),
+            ("1.2.3", 1),
+            ("a''b", 2),
+            ("x\u0301\u0301'y", 2),  # a mark before the mid code is not a letter
+            ("__ _a", 1),  # connector runs count only with a letter or digit
+            ("\u203f\u203f x", 1),
+        ],
+    )
+    def test_mid_codes_marks_and_connectors(self, text, words):
+        assert count_words(text) == words == len(segment_words(text))
 
     def test_word_spans_cover_words(self):
         text = "naïve café"
@@ -214,6 +241,13 @@ class TestInvariants:
             AttributeSpan(0, 1, float("nan"))
         with pytest.raises(ValueError):
             AttributeSpan(0, 1, float("inf"))
+        for score in (-math.inf, np.float64("nan"), np.float64("-inf")):
+            with pytest.raises(ValueError, match="finite"):
+                AttributeSpan(0, 1, score)
+
+    @pytest.mark.parametrize("score", [0.0, -0.0, 1, sys.float_info.max, -sys.float_info.max, np.float32(2.5)])
+    def test_span_accepts_finite_scores(self, score):
+        assert AttributeSpan(0, 1, score).score == score
 
     def test_document_rejects_empty_id(self):
         with pytest.raises(ValueError):
