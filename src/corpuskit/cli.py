@@ -292,8 +292,17 @@ def _bloom_health(bloom: BloomFilter) -> dict:
     return health
 
 
+# each --stage of dedupe: its flagging function and the attribute it flags
+_DEDUPE_STAGES = {
+    "url": (dedupe_by_url, URL_DUPLICATE),
+    "document": (dedupe_by_document, DOC_DUPLICATE),
+    "paragraph": (dedupe_by_paragraph, PARAGRAPH_DUPLICATE),
+}
+
+
 def _cmd_dedupe(args) -> dict:
     inputs, out_dir, stage = args.inputs, Path(args.out_dir), args.stage
+    stage_fn, attribute = _DEDUPE_STAGES[stage]
     outputs = output_paths(inputs, out_dir)
     group_bytes = args.ccnet_group_bytes
     if group_bytes is not None:
@@ -303,11 +312,6 @@ def _cmd_dedupe(args) -> dict:
     else:
         with _option_values():
             backend = make_backend(**_given(args, "exact", n_target="bloom_n", p_target="bloom_p", seed="seed"))
-        stage_fn = {
-            "url": dedupe_by_url,
-            "document": dedupe_by_document,
-            "paragraph": dedupe_by_paragraph,
-        }[stage]
         gate = _given(args, "min_paragraph_tokens")  # refused unless the stage is paragraph
         missing_url = 0
 
@@ -322,7 +326,6 @@ def _cmd_dedupe(args) -> dict:
         report = {"stage": stage}
     out_dir.mkdir(parents=True, exist_ok=True)
     counts = _write_counted(stage, outputs, shards)
-    attribute = {"url": URL_DUPLICATE, "document": DOC_DUPLICATE, "paragraph": PARAGRAPH_DUPLICATE}[stage]
     report.update(documents=counts.input_docs, flagged_documents=counts.flagged_docs.get(attribute, 0))
     if group_bytes is None:
         if args.save_filter:
@@ -455,7 +458,7 @@ _OPTIONS: dict[str, dict] = {
     "workers": dict(type=_positive_int),
     "taggers": dict(type=_tagger_specs, help="comma-separated tagger names"),
     "out_dir": {},
-    "stage": dict(choices=["url", "document", "paragraph"]),
+    "stage": dict(choices=list(_DEDUPE_STAGES)),
     "exact": dict(action="store_const", const=True),
     "bloom_n": dict(type=int),
     "bloom_p": dict(type=float),

@@ -23,7 +23,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator
 
 from corpuskit import code_rules, heuristics
 from corpuskit.bloom import DEFAULT_N_TARGET, DEFAULT_P_TARGET, check_target, make_backend
@@ -36,7 +36,7 @@ from corpuskit.dedupe import (
     dedupe_by_url,
 )
 from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
-from corpuskit.filters import Drop, FilterExpr, apply_filters
+from corpuskit.filters import Decision, Drop, FilterExpr, apply_filters
 from corpuskit.gopher import tag_gopher
 from corpuskit.ngram_classifier import (
     ENGLISH_KEEP_THRESHOLD,
@@ -272,21 +272,6 @@ DOC_DROP_FILTER = FilterExpr(DOC_DUPLICATE, "document", ">=", 1.0, "drop_doc")
 PARAGRAPH_REMOVE_FILTER = FilterExpr(PARAGRAPH_DUPLICATE, "span", ">=", 1.0, "remove_span")
 
 
-def _apply_counted(
-    pairs: Iterable[tuple[Document, DocumentAttributes]], expr: FilterExpr, report: StageReport
-) -> Iterator[Document]:
-    """Apply one filter to each flagged document, counting into ``report``;
-    yield the survivors."""
-    for doc, attrs in pairs:
-        report.input_docs += 1
-        decision = apply_filters(doc, attrs, [expr])
-        if isinstance(decision, Drop):
-            report.drop(decision.reason)
-            continue
-        report.kept_docs += 1
-        yield decision.doc
-
-
 @contextmanager
 def _failing_in(stage: str, shard) -> Iterator[None]:
     """Re-raise a failure as one naming the stage and the input shard."""
@@ -310,33 +295,25 @@ def _quality_content_shard(shard: str, doc_path: str, out_path: str, config: Web
         exprs.append(FilterExpr("toxicity__hate", "span", ">", tau, "remove_span"))
         exprs.append(FilterExpr("toxicity__nsfw", "span", ">", tau, "remove_span"))
 
-    def survivors():
-        for doc, attrs in tagged(read_documents(doc_path), taggers):
-            report.input_docs += 1
-            # PII density is judged on the original text. Sparse spans are
-            # masked after the toxic sentence splice, in a second
-            # apply_filters pass (apply_pii_policy).
-            pii = tag_pii(doc)
-            if len(pii) > MAX_SPANS_FOR_MASKING:
-                report.drop("pii_density")
-                continue
-            decision = apply_filters(doc, attrs, exprs)
-            if isinstance(decision, Drop):
-                report.drop(decision.reason)
-                continue
-            # PII is tagged again only when the splice changed the document,
-            # so that its offsets match the edited text
-            edited = decision.doc
-            masked = apply_pii_policy(edited, pii if edited is doc else tag_pii(edited))
-            if isinstance(masked, Drop):
-                report.drop(masked.reason)
-                continue
-            report.kept_docs += 1
-            yield masked.doc
+    def decide(doc: Document, attrs: DocumentAttributes) -> Decision:
+        # PII density is judged on the original text. Sparse spans are
+        # masked after the toxic sentence splice, in a second
+        # apply_filters pass (apply_pii_policy).
+        pii = tag_pii(doc)
+        if len(pii) > MAX_SPANS_FOR_MASKING:
+            return Drop("pii_density")
+        decision = apply_filters(doc, attrs, exprs)
+        if isinstance(decision, Drop):
+            return decision
+        # PII is tagged again only when the splice changed the document,
+        # so that its offsets match the edited text
+        edited = decision.doc
+        return apply_pii_policy(edited, pii if edited is doc else tag_pii(edited))
 
     with _failing_in("quality_content", shard):
         taggers = [build_tagger(name, params) for name, params in specs]
-        write_documents(survivors(), out_path)
+        pairs = tagged(read_documents(doc_path), taggers)
+        write_documents(report.kept(decide(doc, attrs) for doc, attrs in pairs), out_path)
     return report
 
 
@@ -370,9 +347,9 @@ def run_pipeline_web(config: WebPipelineConfig) -> list[StageReport]:
         for shard, dst in zip(config.inputs, dedup_paths):
             with _failing_in("url_dedup/doc_dedup", shard):
                 by_url = dedupe_by_url(read_documents(shard), url_backend)
-                url_unique = _apply_counted(by_url, URL_DROP_FILTER, url_report)
+                url_unique = url_report.kept(apply_filters(d, a, [URL_DROP_FILTER]) for d, a in by_url)
                 by_doc = dedupe_by_document(url_unique, doc_backend)
-                write_documents(_apply_counted(by_doc, DOC_DROP_FILTER, doc_report), dst)
+                write_documents(doc_report.kept(apply_filters(d, a, [DOC_DROP_FILTER]) for d, a in by_doc), dst)
 
         quality_tasks = [
             (str(shard), str(src), str(dst), config)
@@ -388,6 +365,7 @@ def run_pipeline_web(config: WebPipelineConfig) -> list[StageReport]:
         for shard, src, dst in zip(config.inputs, quality_paths, final_paths):
             with _failing_in("paragraph_dedup", shard):
                 flagged = dedupe_by_paragraph(read_documents(src), para_backend)
-                write_documents(_apply_counted(flagged, PARAGRAPH_REMOVE_FILTER, para_report), dst)
+                survivors = (apply_filters(d, a, [PARAGRAPH_REMOVE_FILTER]) for d, a in flagged)
+                write_documents(para_report.kept(survivors), dst)
 
     return [url_report, doc_report, quality_report, para_report]

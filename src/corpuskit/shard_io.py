@@ -20,8 +20,8 @@ walks them alongside it. Per-shard jobs name their outputs with
 worker processes start at the first fan-out that needs them and serve every
 later one, keep intermediate files in :func:`temp_dirs`, and fold their
 per-shard :class:`StageReport` counters together with ``merge``: it is the
-one counted report of every job, and its ``flag`` the one counter of
-attribute records.
+one counted report of every job, its ``flag`` the one counter of
+attribute records and its ``kept`` the one counter of filter decisions.
 
 :func:`tagged` is the one loop that tags a stream of documents: taggers,
 dedup stages and decontamination alike get chunks of consecutive
@@ -44,7 +44,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
 from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
-from corpuskit.filters import merge_spans
+from corpuskit.filters import Decision, Drop, merge_spans
 
 _GZIP_MAGIC = b"\x1f\x8b"
 
@@ -161,8 +161,27 @@ def _read_records(path: str | os.PathLike, decode: Callable[[dict], object]) -> 
         except (UnicodeDecodeError, EOFError, gzip.BadGzipFile, zlib.error) as exc:
             # bytes that are not UTF-8, or a gzip stream cut short or corrupt,
             # met reading the next line; the decoder reads ahead by a block,
-            # so the bad bytes lie on that line or a later one
-            raise MalformedRecordError(path, line_no + 1, str(exc)) from exc
+            # so bad bytes are found on their own line by reading again
+            bad_line = isinstance(exc, UnicodeDecodeError) and _first_escaped_line(path)
+            raise MalformedRecordError(path, bad_line or line_no + 1, str(exc)) from exc
+
+
+_escaped_byte = re.compile(r"[\udc80-\udcff]").search
+
+
+def _first_escaped_line(path: str | os.PathLike) -> int | None:
+    """The number of the first line of ``path`` holding bytes that are not
+    UTF-8, split into lines as :func:`_read_records` splits them; None if
+    none is found before the end or a gzip fault."""
+    try:
+        with open_shard_read(path) as f:
+            f.reconfigure(errors="surrogateescape")
+            for line_no, line in enumerate(f, start=1):
+                if _escaped_byte(line):
+                    return line_no
+    except (EOFError, gzip.BadGzipFile, zlib.error):
+        pass
+    return None
 
 
 def read_documents(path: str | os.PathLike) -> Iterator[Document]:
@@ -442,6 +461,18 @@ class StageReport:
     def drop(self, reason: str) -> None:
         self.dropped_docs += 1
         self.drop_reasons[reason] = self.drop_reasons.get(reason, 0) + 1
+
+    def kept(self, decisions: Iterable[Decision]) -> Iterator[Document]:
+        """Count each filter decision as one input document, then as a drop
+        by its reason or a keep, and yield the kept documents in order;
+        lazily, so a stage's counts cover the decisions drawn so far."""
+        for decision in decisions:
+            self.input_docs += 1
+            if isinstance(decision, Drop):
+                self.drop(decision.reason)
+            else:
+                self.kept_docs += 1
+                yield decision.doc
 
     def flag(self, attrs: DocumentAttributes) -> DocumentAttributes:
         """Count one input document's attribute record: each attribute with

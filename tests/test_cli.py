@@ -876,6 +876,94 @@ class TestTagReportMatchesSidecars:
         assert {name: {k: a[k] for k in ("documents", "characters")} for name, a in report["attributes"].items()} == on_disk
 
 
+class TestCurationReportsMatchShards:
+    """The pipeline-web and mix reports count what their input and output shards hold."""
+
+    @staticmethod
+    def web_shards(tmp_path):
+        rng = random.Random(0)
+        words = ENGLISH_WORDS + ["and", "to", "of", "with"]
+
+        def para():
+            return " ".join(sentence(rng, words, 9).capitalize() + "." for _ in range(4))
+
+        shared = [para() for _ in range(3)]
+        paths = []
+        for s in range(3):
+            texts = [
+                f"{para()}\n{para()}",
+                f"{para()}\n{para()}",  # its URL repeats the first document of shard 0
+                f"Same text everywhere. {shared[0]}",
+                "\n".join(sentence(rng, ENGLISH_WORDS, 9) for _ in range(8)),  # no punctuation
+                f"{para()}\n{para()} " + " ".join(f"mail{j}@example.com." for j in range(7)),  # dense PII
+                f"{para()}\n{para()} Write to ann@example.com today.",  # sparse PII, masked
+                f"{shared[1]}\n{shared[2]}" if s % 2 else f"{shared[2]}\n{shared[1]}",  # emptied by paragraph dedup
+                f"{para()}\n{shared[1]}",
+            ]
+            urls = [f"http://site{s}.com/{i}" for i in range(len(texts))]
+            urls[1] = "http://site0.com/0"
+            docs = [
+                Document(id=f"s{s}d{i}", text=text, source="web", metadata={"url": url})
+                for i, (text, url) in enumerate(zip(texts, urls))
+            ]
+            paths.append(str(tmp_path / f"in{s}.jsonl"))
+            write_documents(docs, paths[-1])
+        return paths
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_pipeline_web_stages_chain_from_inputs_to_curated_shards(self, tmp_path, workers):
+        paths = self.web_shards(tmp_path)
+        out, report_path = tmp_path / "out", tmp_path / "web.json"
+        argv = ["pipeline-web", "--exact", "--inputs", *paths, "--out-dir", str(out), "--report", str(report_path)]
+        assert run_cli(*argv, "--workers", workers) == 0
+        stages = json.loads(report_path.read_text())["stages"]
+
+        assert [stage["stage"] for stage in stages] == ["url_dedup", "doc_dedup", "quality_content", "paragraph_dedup"]
+        for stage in stages:
+            assert stage["dropped_docs"] > 0
+            assert stage["input_docs"] == stage["kept_docs"] + stage["dropped_docs"]
+            assert sum(stage["drop_reasons"].values()) == stage["dropped_docs"]
+        for before, after in zip(stages, stages[1:]):
+            assert before["kept_docs"] == after["input_docs"]
+        assert stages[0]["input_docs"] == sum(1 for p in paths for _ in read_documents(p))
+        assert stages[-1]["kept_docs"] == sum(1 for p in paths for _ in read_documents(out / Path(p).name))
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_mix_sources_count_records_and_text_bytes_on_disk(self, tmp_path, workers):
+        inputs = {
+            "a": [Document(id=f"a{i}", text=f"café número {i} " * (i + 1), source="a") for i in range(12)],
+            "b": [Document(id=f"b{i}", text=f"☕ short {i}", source="b") for i in range(9)],
+        }
+        streams = []
+        for name, docs in inputs.items():
+            shard, sidecar = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.attrs.jsonl"
+            write_documents(docs, shard)
+            flags = ({"id": doc.id, "attributes": {"t__bad": [[0, 1, 1.0]] if i % 4 == 0 else []}} for i, doc in enumerate(docs))
+            sidecar.write_text("".join(json.dumps(flag) + "\n" for flag in flags))
+            drop = {"attribute": "t__bad", "scope": "document", "op": ">=", "threshold": 1, "action": "drop_doc"}
+            streams.append({"documents": [str(shard)], "attributes": [str(sidecar)], "filters": [drop]})
+        config = tmp_path / "mix.json"
+        config.write_text(json.dumps({
+            "streams": streams, "proportions": {"a": 1.0, "b": 1.0}, "upsample": {"b": 3}, "output_shard_bytes": 300,
+        }))
+        out, report_path = tmp_path / "mixed", tmp_path / "mix-report.json"
+        argv = ["mix", "--config", str(config), "--out-dir", str(out), "--report", str(report_path)]
+        assert run_cli(*argv, "--workers", workers) == 0
+        report = json.loads(report_path.read_text())
+
+        written = [doc for p in sorted(out.glob("part-*.jsonl")) for doc in read_documents(p)]
+        assert len(report["output_shards"]) > 1
+        assert sum(rep["sampled_out_docs"] for rep in report["sources"].values()) > 0
+        for name, docs in inputs.items():
+            rep = report["sources"][name]
+            mine = [doc for doc in written if doc.source == name]
+            assert rep["input_docs"] == len(docs)
+            assert rep["dropped_docs"] > 0
+            assert rep["kept_docs"] == len(mine)
+            assert rep["kept_text_bytes"] == sum(len(doc.text.encode("utf-8")) for doc in mine)
+        assert report["total_kept_docs"] == len(written)
+
+
 class TestSpanOffsetOutOfRange:
     def test_mix_names_the_sidecar_and_line(self, tmp_path, capsys):
         shard = make_shard(tmp_path, n=2)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
+from corpuskit.filters import Drop, Keep
 from corpuskit.shard_io import (
     MalformedRecordError,
     ShardNameError,
@@ -92,13 +93,32 @@ class TestDocumentIO:
 
     @pytest.mark.parametrize("compress", [False, True])
     @pytest.mark.parametrize("reader", [read_documents, read_attributes])
-    def test_bytes_not_utf8_name_path_and_line(self, tmp_path, reader, compress):
-        data = b'{"id": "a", "text": "x", "attributes": {}}\n{"id": "b", "text": "\xff"}\n'
+    @pytest.mark.parametrize(
+        "good,bad_line",
+        [
+            (b'{"id": "a", "text": "x", "attributes": {}}\n', 2),
+            (b'{"id": "a", "text": "x", "attributes": {}}\r{"id": "b", "text": "y", "attributes": {}}\n', 3),
+            # 20 KB before the bad line: the decoder has read ahead past many lines
+            (b"".join(b'{"id": "d%03d", "text": "%s", "attributes": {}}\n' % (i, b"x" * 24) for i in range(300)), 301),
+        ],
+        ids=["second", "after_cr", "deep"],
+    )
+    def test_bytes_not_utf8_name_path_and_line(self, tmp_path, reader, compress, good, bad_line):
+        data = good + b'{"id": "z", "text": "\xff", "attributes": {}}\n{"id": "y", "text": "", "attributes": {}}\n'
         path = tmp_path / "bad.jsonl"
         path.write_bytes(gzip.compress(data, mtime=0) if compress else data)
         with pytest.raises(MalformedRecordError, match="'utf-8' codec can't decode byte 0xff") as err:
             list(reader(path))
-        # the decoder reads ahead by a block: the error names the line being read
+        assert (err.value.path, err.value.line_no) == (str(path), bad_line)
+
+    def test_bytes_not_utf8_before_a_cut_gzip_name_the_line_reached(self, tmp_path):
+        # reading again to find the bad line meets the cut first: the error
+        # still names the path and the line the first read had reached
+        data = b'{"id": "a", "text": "x"}\n{"id": "b", "text": "\xff"}'
+        path = tmp_path / "bad.jsonl.gz"
+        path.write_bytes(gzip.compress(data, mtime=0)[:-8])
+        with pytest.raises(MalformedRecordError, match="'utf-8' codec can't decode byte 0xff") as err:
+            list(read_documents(path))
         assert (err.value.path, err.value.line_no) == (str(path), 1)
 
     @settings(max_examples=300)
@@ -506,3 +526,26 @@ class TestStageReportMerge:
         assert report.flagged_docs == {"t__a": 2}  # an attribute without spans flags nothing
         assert report.flagged_spans == {"t__a": 4}
         assert report.flagged_bytes == {"t__a": 8 + 2 + 4}  # [0, 8) and [10, 12) merged, then [0, 4)
+
+
+class TestStageReportKept:
+    def test_counts_drops_by_reason_and_yields_keeps_in_order(self):
+        a, b, c = docs3()
+        report = StageReport(stage="s")
+        decisions = [Drop("r1"), Keep(a), Drop("r2"), Keep(b), Drop("r1"), Keep(c)]
+        assert list(report.kept(decisions)) == [a, b, c]
+        assert (report.input_docs, report.kept_docs, report.dropped_docs) == (6, 3, 3)
+        assert report.drop_reasons == {"r1": 2, "r2": 1}
+
+    def test_counts_lazily_as_the_next_stage_pulls(self):
+        a, b, c = docs3()
+        first, second = StageReport(stage="first"), StageReport(stage="second")
+        decisions = iter([Keep(a), Drop("r1"), Keep(b), Keep(c)])
+        survivors = first.kept(decisions)
+        pulled = second.kept(Drop("r2") if doc is a else Keep(doc) for doc in survivors)
+        assert (first.input_docs, second.input_docs) == (0, 0)
+        assert next(pulled) is b
+        # a was dropped by the second stage; the first has counted only up to b
+        assert (first.input_docs, first.kept_docs, first.dropped_docs) == (3, 2, 1)
+        assert (second.input_docs, second.kept_docs, second.drop_reasons) == (2, 1, {"r2": 1})
+        assert list(decisions) == [Keep(c)]
