@@ -16,7 +16,7 @@ or --model-out file in a directory that neither exists nor is the command's
 --out-dir or above it. Reports are JSON on stdout or at --report; with a
 Bloom filter, dedupe and decontaminate reports end in its size, fill and
 estimated false-positive rate. Exit codes: 0 success, 1 validation error, 2
-runtime failure.
+runtime failure, 143 ended by SIGTERM after cleaning up as a failure does.
 """
 
 from __future__ import annotations
@@ -25,7 +25,9 @@ import argparse
 import json
 import logging
 import random
+import signal
 import sys
+import threading
 from contextlib import contextmanager
 from dataclasses import fields
 from functools import partial
@@ -83,6 +85,7 @@ logger = logging.getLogger("corpuskit")
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
+EXIT_TERMINATED = 128 + signal.SIGTERM
 
 _MIX_KEYS = tuple(f.name for f in fields(MixConfig))
 _LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR", "CRITICAL")
@@ -541,30 +544,47 @@ _VALIDATION_ERRORS = (
 )
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+@contextmanager
+def _sigterm_as_exit() -> Iterator[None]:
+    """While the block runs, SIGTERM raises ``SystemExit(143)``, so the job's
+    :class:`~corpuskit.shard_io.ShardPool`, its atomic outputs and the mix
+    publish step clean up as they do for an exception. Only the main thread
+    can set a handler; the previous one is restored when the block ends."""
+    if threading.current_thread() is not threading.main_thread():
+        yield
+        return
+    previous = signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(EXIT_TERMINATED))
     try:
-        args = parser.parse_args(argv)
-        logging.basicConfig(level=args.log_level)
-        if args.config:
-            _merge_config(args, parser.commands[args.command])
-        _refuse_unread(args)
-        _refuse_missing(args)
-        _refuse_missing_parent(args)
-        payload = json.dumps(_COMMANDS[args.command][0](args), indent=2)
-        if args.report:
-            with atomic_output(args.report) as tmp:
-                tmp.write_text(payload + "\n", encoding="utf-8")
-        else:
-            print(payload)
-        return EXIT_OK
-    except _VALIDATION_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except Exception as exc:  # runtime failure
-        logger.exception("command failed")
-        print(f"runtime failure: {exc}", file=sys.stderr)
-        return EXIT_RUNTIME
+        yield
+    finally:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL if previous is None else previous)
+
+
+def main(argv: list[str] | None = None) -> int:
+    with _sigterm_as_exit():
+        parser = build_parser()
+        try:
+            args = parser.parse_args(argv)
+            logging.basicConfig(level=args.log_level)
+            if args.config:
+                _merge_config(args, parser.commands[args.command])
+            _refuse_unread(args)
+            _refuse_missing(args)
+            _refuse_missing_parent(args)
+            payload = json.dumps(_COMMANDS[args.command][0](args), indent=2)
+            if args.report:
+                with atomic_output(args.report) as tmp:
+                    tmp.write_text(payload + "\n", encoding="utf-8")
+            else:
+                print(payload)
+            return EXIT_OK
+        except _VALIDATION_ERRORS as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_VALIDATION
+        except Exception as exc:  # runtime failure
+            logger.exception("command failed")
+            print(f"runtime failure: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

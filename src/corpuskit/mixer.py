@@ -2,12 +2,14 @@
 
 Sampling is per-document Bernoulli on a seeded hash of (source, doc id,
 repeat index), so decisions need no coordination between workers and the
-output is reproducible for a fixed config and seed. A mix reads its inputs
-twice over one worker pool: with proportions, a measuring pass sizes each
-input file's sources in parallel, and the parent sums the sizes; then
-filtering and sampling run per input file into one part each. Resharding
-then concatenates the parts in config order, so output bytes do not depend
-on worker count.
+output is reproducible for a fixed config and seed. A mix is one
+:class:`~corpuskit.shard_io.ShardPool` scope, whose workers serve both of
+its fan-outs: with proportions, a measuring pass sizes each input file's
+sources in parallel, and the parent sums the sizes (every source with
+input mass must have a weight); then filtering and sampling run per input
+file into one part each. Resharding then concatenates the parts in config
+order, so output bytes do not depend on worker count. A span past the end
+of its document fails naming the sidecar and line it came from.
 """
 
 from __future__ import annotations
@@ -16,18 +18,19 @@ import hashlib
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import Iterator
 
 from corpuskit.documents import Document, DocumentAttributes
-from corpuskit.filters import Drop, FilterExpr, apply_filters
+from corpuskit.filters import Drop, FilterExpr, SpanBoundsError, apply_filters
 from corpuskit.shard_io import (
     ShardPool,
     StageReport,
+    read_attributes,
     read_documents,
-    shard_pool,
+    record_line,
     sidecar_paths,
-    temp_dirs,
     write_documents,
     zip_sidecars,
 )
@@ -93,12 +96,16 @@ def sample_proportions(weights: dict[str, float], sizes: dict[str, float]) -> di
 
     Expected output shares equal the normalized weights exactly; the
     densest source is sampled at 100% (a source cannot exceed its available
-    mass without upsampling). Deterministic and seed-free: the mix seed
-    drives only the later per-document draws.
+    mass without upsampling). A source with input mass but no weight would
+    be kept whole, outside the shares, so it is refused. Deterministic and
+    seed-free: the mix seed drives only the later per-document draws.
     """
     total_weight = sum(weights.values())
     if total_weight <= 0:
         raise MixConfigError("proportion weights must not all be zero")
+    unweighted = next((source for source, size in sizes.items() if size > 0 and source not in weights), None)
+    if unweighted is not None:
+        raise MixConfigError(f"source {unweighted!r} has input mass but no proportion weight")
     densities = {}
     for source, weight in weights.items():
         if weight == 0:
@@ -197,10 +204,13 @@ def _filter_one_file(
     report = MixReport()
 
     def kept() -> Iterator[Document]:
-        for doc, attrs in iter_doc_attrs(doc_path, stream.attributes):
+        for index, (doc, attrs) in enumerate(iter_doc_attrs(doc_path, stream.attributes)):
             rep = report.source(doc.source)
             rep.input_docs += 1
-            decision = apply_filters(doc, attrs, stream.filters)
+            try:
+                decision = apply_filters(doc, attrs, stream.filters)
+            except SpanBoundsError as exc:
+                raise _naming_sidecar(exc, stream, doc_path, index, doc) from exc
             if isinstance(decision, Drop):
                 rep.drop(decision.reason)
                 continue
@@ -218,13 +228,30 @@ def _filter_one_file(
     return report.sources
 
 
+def _naming_sidecar(
+    exc: SpanBoundsError, stream: StreamConfig, doc_path: str, index: int, doc: Document
+) -> SpanBoundsError:
+    """The span error ``exc`` of record ``index`` of ``doc_path``, prefixed
+    with ``<sidecar>:<line>:`` as a ``MalformedRecordError`` is. An attribute
+    lives in one sidecar, so the sidecar is the one whose record alone
+    raises the same error; ``exc`` itself if none does. Error path only."""
+    for sidecar in sidecar_paths(doc_path, stream.attributes):
+        attrs = next(islice(read_attributes(sidecar), index, None))
+        try:
+            apply_filters(doc, attrs, stream.filters)
+        except SpanBoundsError as own:
+            if str(own) == str(exc):
+                return SpanBoundsError(f"{sidecar}:{record_line(sidecar, index)}: {exc}")
+    return exc
+
+
 def mix(config: MixConfig, out_dir: str | os.PathLike, workers: int = 1) -> MixReport:
     """Run the full mix: filter, sample, upsample, and reshard.
 
     Same config and seed produce byte-identical output shards regardless of
-    worker count. The filtered parts live in ``.mix-parts/``, which is
-    removed whether the mix succeeds or fails; a failed mix also removes
-    the output shards it wrote. An ``out_dir`` holding a ``part-*.jsonl``
+    worker count. The filtered parts live in ``.mix-parts/``, which the
+    mix's :class:`~corpuskit.shard_io.ShardPool` removes whether the mix
+    succeeds or fails; a failed mix also removes the output shards it wrote. An ``out_dir`` holding a ``part-*.jsonl``
     this mix would not overwrite raises :class:`MixConfigError`, and no
     shard of this mix is moved into it.
     """
@@ -232,9 +259,7 @@ def mix(config: MixConfig, out_dir: str | os.PathLike, workers: int = 1) -> MixR
     tmp_dir = out_dir / ".mix-parts"
     rates = None
     report = MixReport()
-    # the measuring pass and phase 1 share one pool, started by the first of
-    # them to fan out; it is joined before the parts directory is removed
-    with temp_dirs(tmp_dir), shard_pool(workers) as pool:
+    with ShardPool(workers, tmp_dir) as pool:
         if config.proportions is not None:
             sizes = measure_source_sizes(config, pool)
             rates = sample_proportions(config.proportions, sizes)

@@ -54,13 +54,12 @@ from corpuskit.pii import (
 )
 from corpuskit.shard_io import (
     ChunkTagger,
+    ShardPool,
     StageReport,
     TaggerFn,
     output_paths,
     read_documents,
-    shard_pool,
     tagged,
-    temp_dirs,
     write_attributes,
     write_documents,
 )
@@ -210,7 +209,7 @@ def run_tag(
     started = time.monotonic()
     tasks = [(str(p), str(o), tagger_specs) for p, o in zip(doc_paths, outputs)]
     report = StageReport(stage="tag")
-    with shard_pool(workers) as pool:
+    with ShardPool(workers) as pool:
         for shard_report in pool.map(_tag_one_shard, tasks):
             report.merge(shard_report)
     report.wall_seconds = time.monotonic() - started
@@ -340,7 +339,7 @@ def run_pipeline_web(config: WebPipelineConfig) -> list[StageReport]:
         make_backend, config.exact_backend, n_target=config.bloom_n, p_target=config.bloom_p, seed=config.seed
     )
 
-    with temp_dirs(tmp1, tmp2):
+    with ShardPool(config.workers, tmp1, tmp2) as pool:
         # Dedup inserts are order-sensitive, so stages 1-2 stream sequentially.
         url_backend = new_backend()
         doc_backend = new_backend()
@@ -355,9 +354,8 @@ def run_pipeline_web(config: WebPipelineConfig) -> list[StageReport]:
             (str(shard), str(src), str(dst), config)
             for shard, src, dst in zip(config.inputs, dedup_paths, quality_paths)
         ]
-        with shard_pool(config.workers) as pool:
-            for shard_report in pool.map(_quality_content_shard, quality_tasks):
-                quality_report.merge(shard_report)
+        for shard_report in pool.map(_quality_content_shard, quality_tasks):
+            quality_report.merge(shard_report)
 
         # Paragraph dedup runs last; duplicate paragraphs are spliced out and
         # documents emptied by the splice are dropped.

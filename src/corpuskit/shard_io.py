@@ -16,9 +16,10 @@ produces identical bytes.
 An attribute sidecar lines up with its document shard record for record:
 :func:`sidecar_paths` finds a shard's sidecars and :func:`zip_sidecars`
 walks them alongside it. Per-shard jobs name their outputs with
-:func:`output_paths`, fan out over the job's one :func:`shard_pool`, whose
-worker processes start at the first fan-out that needs them and serve every
-later one, keep intermediate files in :func:`temp_dirs`, and fold their
+:func:`output_paths` and run in one :class:`ShardPool`, the job's one
+scope: it holds the job's intermediate directories, and its worker
+processes start at the first fan-out that needs them, serve every later
+one and are joined before the directories are removed. Jobs fold their
 per-shard :class:`StageReport` counters together with ``merge``: it is the
 one counted report of every job, its ``flag`` the one counter of
 attribute records and its ``kept`` the one counter of filter decisions.
@@ -36,10 +37,14 @@ import json
 import os
 import re
 import shutil
+import signal
+import threading
+import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
+from itertools import islice
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -182,6 +187,15 @@ def _first_escaped_line(path: str | os.PathLike) -> int | None:
     except (EOFError, gzip.BadGzipFile, zlib.error):
         pass
     return None
+
+
+def record_line(path: str | os.PathLike, index: int) -> int:
+    """The number of the line of ``path`` holding its record ``index``
+    (from 0), split into lines as :func:`_read_records` splits them: an
+    empty line holds no record."""
+    with open_shard_read(path) as f:
+        lines = (line_no for line_no, line in enumerate(f, start=1) if line.rstrip("\n"))
+        return next(islice(lines, index, None))
 
 
 def read_documents(path: str | os.PathLike) -> Iterator[Document]:
@@ -375,12 +389,34 @@ def tagged(docs: Iterable[Document], taggers: Sequence[TaggerFn]) -> Iterator[tu
 
 
 class ShardPool:
-    """The worker processes of one job, shared by all its fan-outs; made by
-    :func:`shard_pool`."""
+    """The one scope of a job: its worker processes, which all its fan-outs
+    share, and the directories of its intermediate files. ``with
+    ShardPool(workers, *temp_dirs) as pool:`` makes the directories; when
+    the block ends, whether it succeeds or fails, tasks not yet started are
+    cancelled, the workers joined, and only then the directories removed.
+    A worker also ends by itself once the job's process is gone."""
 
-    def __init__(self, workers: int) -> None:
+    def __init__(self, workers: int, *temp_dirs: Path) -> None:
         self.workers = workers
+        self.temp_dirs = temp_dirs
         self.executor: ProcessPoolExecutor | None = None
+
+    def __enter__(self) -> "ShardPool":
+        try:
+            for d in self.temp_dirs:
+                d.mkdir(parents=True, exist_ok=True)
+        except BaseException:
+            self.__exit__()
+            raise
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        try:
+            if self.executor is not None:
+                self.executor.shutdown(wait=True, cancel_futures=True)
+        finally:
+            for d in self.temp_dirs:
+                shutil.rmtree(d, ignore_errors=True)
 
     def map(self, fn: Callable, tasks: Sequence[tuple]) -> list:
         """Run ``fn(*task)`` for every task and return the results in task order.
@@ -393,37 +429,34 @@ class ShardPool:
         """
         if self.workers <= 1 or len(tasks) <= 1:
             return [fn(*task) for task in tasks]
-        if self.executor is None:
-            self.executor = ProcessPoolExecutor(max_workers=self.workers)
-        futures = [self.executor.submit(fn, *task) for task in tasks]
+        # the workers fork at the first submit: SIGTERM waits until the
+        # executor has recorded them all, so that its shutdown joins them
+        blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
+        try:
+            if self.executor is None:
+                self.executor = ProcessPoolExecutor(
+                    max_workers=self.workers, initializer=_end_with_parent, initargs=(os.getpid(),)
+                )
+            futures = [self.executor.submit(fn, *task) for task in tasks]
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
         return [f.result() for f in futures]
 
 
-@contextmanager
-def shard_pool(workers: int) -> Iterator[ShardPool]:
-    """A :class:`ShardPool` of ``workers`` processes for the fan-outs of one
-    job. When the block ends, whether it succeeds or fails, tasks not yet
-    started are cancelled and the workers are joined, so none is still
-    writing when the job's :func:`temp_dirs` are removed."""
-    pool = ShardPool(workers)
-    try:
-        yield pool
-    finally:
-        if pool.executor is not None:
-            pool.executor.shutdown(wait=True, cancel_futures=True)
+def _end_with_parent(parent: int) -> None:
+    """Worker initializer: take back the default SIGTERM action and let it
+    through, as the fork copied the handler of a parent that may turn it
+    into an exception and the mask that held it back, and end this worker
+    once ``parent``, the job's process, is gone."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.pthread_sigmask(signal.SIG_UNBLOCK, {signal.SIGTERM})
 
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
 
-@contextmanager
-def temp_dirs(*dirs: Path) -> Iterator[None]:
-    """Create directories for a job's intermediate files and remove them
-    when the job ends, whether it succeeds or fails."""
-    try:
-        for d in dirs:
-            d.mkdir(parents=True, exist_ok=True)
-        yield
-    finally:
-        for d in dirs:
-            shutil.rmtree(d, ignore_errors=True)
+    threading.Thread(target=watch, daemon=True).start()
 
 
 @dataclass

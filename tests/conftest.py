@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +29,26 @@ def sentence(rng: random.Random, words: list[str], n: int = 8) -> str:
 
 def make_doc(doc_id: str, text: str, source: str = "test", **metadata) -> Document:
     return Document(id=doc_id, text=text, source=source, metadata=dict(metadata))
+
+
+def running(pid: int) -> bool:
+    """Whether process ``pid`` is still running; a zombie has ended."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except FileNotFoundError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def child_pids(pid: int) -> set[int]:
+    """The pids of the running children of process ``pid``, forked by any of its threads."""
+    pids = set()
+    for children in Path(f"/proc/{pid}/task").glob("*/children"):
+        try:
+            pids.update(map(int, children.read_text().split()))
+        except (FileNotFoundError, ProcessLookupError):
+            pass  # the thread or the process has ended
+    return pids
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,18 @@
 import gzip
 import json
 import multiprocessing
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from conftest import BENIGN_WORDS, OTHER_WORDS, ENGLISH_WORDS, sentence
+import corpuskit
+from conftest import BENIGN_WORDS, OTHER_WORDS, ENGLISH_WORDS, child_pids, running, sentence
 from corpuskit.bloom import BloomFilter, bloom_load
 from corpuskit.cli import _bloom_health, build_parser, main
 from corpuskit.documents import Document
@@ -421,6 +427,18 @@ class TestMixCommand:
         assert {p.name: p.read_bytes() for p in out.glob("part-*.jsonl")} == before
         assert not (out / ".mix-parts").exists()
 
+    def test_source_without_a_proportion_weight_refused(self, tmp_path, capsys):
+        # unweighted, c would be kept whole: byte shares 0.42 / 0.16 / 0.42, not 3:1
+        docs = [Document(id=f"d{i}", text="x" * 40, source="abc"[i % 3]) for i in range(150)]
+        write_documents(docs, tmp_path / "in.jsonl")
+        config = tmp_path / "mix.json"
+        streams = [{"documents": [str(tmp_path / "in.jsonl")]}]
+        config.write_text(json.dumps({"streams": streams, "proportions": {"a": 3, "b": 1}}))
+        out = tmp_path / "mixed"
+        assert run_cli("mix", "--config", str(config), "--out-dir", str(out)) == 1
+        assert "source 'c' has input mass but no proportion weight" in capsys.readouterr().err
+        assert not list(out.rglob("part-*.jsonl"))
+
 
 class TestRedditBuildCommand:
     def test_atomic_strategy(self, tmp_path, capsys):
@@ -781,6 +799,66 @@ class TestFailedRunsLeaveNoTempState:
         assert multiprocessing.active_children() == []
 
 
+class TestSigtermLeavesNothingBehind:
+    """SIGTERM ends a job as an exception does: the job's scope joins its
+    workers and removes its intermediate files, and the command exits 143."""
+
+    def job(self, tmp_path, command):
+        if command == "mix":
+            shards = [tmp_path / f"in{f}.jsonl" for f in range(4)]
+            for f, shard in enumerate(shards):
+                texts = (f"Body {i} of file {f}. " * 4 for i in range(5000))
+                write_documents((Document(id=f"{f}-{i}", text=t, source="ab"[i % 2]) for i, t in enumerate(texts)), shard)
+            config = tmp_path / "mix.json"
+            streams = [{"documents": [str(s) for s in shards]}]
+            config.write_text(json.dumps({"streams": streams, "proportions": {"a": 3, "b": 1}}))
+            return ["mix", "--config", str(config)], ".mix-parts"
+        rng = random.Random(0)
+        shards = []
+        for s in range(8):
+            docs = [
+                Document(id=f"{s}-{i}", text="\n".join(sentence(rng, ENGLISH_WORDS, 12) + "." for _ in range(4)))
+                for i in range(300)
+            ]
+            shards.append(str(tmp_path / f"in{s}.jsonl"))
+            write_documents(docs, shards[-1])
+        return ["pipeline-web", "--exact", "--inputs", *shards], ".stage-dedup"
+
+    @pytest.mark.parametrize("command", ["mix", "pipeline-web"])
+    def test_sigterm_cleans_up_like_an_exception(self, tmp_path, command):
+        argv, temp_name = self.job(tmp_path, command)
+        out = tmp_path / "out"
+        argv += ["--out-dir", str(out), "--workers", "2"]
+        env = dict(os.environ, PYTHONPATH=str(Path(corpuskit.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "corpuskit.cli", *argv], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+        )
+        workers: set[int] = set()
+        try:
+            while proc.poll() is None:
+                workers = child_pids(proc.pid)
+                if (out / temp_name).exists() and len(workers) == 2:
+                    break
+                time.sleep(0.005)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 143
+            assert len(workers) == 2
+            assert [pid for pid in workers if running(pid)] == []
+            # no .stage-*, .mix-parts/ or *.tmp, and no output shard, whole or partial
+            assert list(out.iterdir()) == []
+        finally:
+            proc.kill()
+            proc.wait()
+            for pid in workers:
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+    def test_previous_handler_restored(self, tmp_path):
+        previous = signal.getsignal(signal.SIGTERM)
+        assert run_cli("stats", "--inputs", str(make_shard(tmp_path))) == 0
+        assert signal.getsignal(signal.SIGTERM) is previous
+
+
 class TestDedupeReportsMatchSidecars:
     """Each dedupe and decontaminate report counts what its sidecars hold."""
 
@@ -973,6 +1051,38 @@ class TestSpanOffsetOutOfRange:
         config.write_text(json.dumps({"streams": [{"documents": [str(shard)], "attributes": [str(sidecar)]}]}))
         assert run_cli("mix", "--config", str(config), "--out-dir", str(tmp_path / "out")) == 2
         assert f"{sidecar}:2: cannot convert float infinity to integer" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_span_past_the_end_names_the_sidecar_and_line(self, tmp_path, capsys, workers):
+        shards = [tmp_path / "a.jsonl", tmp_path / "b.jsonl"]
+        for shard in shards:
+            write_documents([Document(id=f"d{i}", text="eleven byte", source="s") for i in range(3)], shard)
+        flags, spans = tmp_path / "flags", tmp_path / "spans"
+        for sidecar_dir in (flags, spans):
+            sidecar_dir.mkdir()
+            for shard in shards:
+                records = [{"id": f"d{i}", "attributes": {}} for i in range(3)]
+                (sidecar_dir / shard.name).write_text("".join(json.dumps(r) + "\n" for r in records))
+        # the bad span sits in the second sidecar of the second shard, on line 4 after an empty line
+        records = [{"id": "d0", "attributes": {"t__b": [[0, 5, 1.0]]}}, {"id": "d1", "attributes": {}}]
+        records.append({"id": "d2", "attributes": {"t__b": [[0, 50, 1.0]]}})
+        bad = spans / "b.jsonl"
+        bad.write_text(json.dumps(records[0]) + "\n\n" + "".join(json.dumps(r) + "\n" for r in records[1:]))
+        (flags / "b.jsonl").write_text("".join(
+            json.dumps({"id": f"d{i}", "attributes": {"t__a": [[0, 3, 1.0]]}}) + "\n" for i in range(3)
+        ))
+        filters = [
+            {"attribute": attr, "scope": "span", "op": ">=", "threshold": 0.5, "action": "remove_span"}
+            for attr in ("t__a", "t__b")
+        ]
+        streams = [{"documents": [str(s) for s in shards], "attributes": [str(flags), str(spans)], "filters": filters}]
+        config = tmp_path / "mix.json"
+        config.write_text(json.dumps({"streams": streams}))
+        out = tmp_path / "out"
+        assert run_cli("mix", "--config", str(config), "--out-dir", str(out), "--workers", workers) == 2
+        err = capsys.readouterr().err
+        assert f"runtime failure: {bad}:4: span [0, 50) exceeds doc 'd2' of 11 bytes" in err
+        assert not (out / ".mix-parts").exists()
 
 
 # the flags a command used to accept without reading them

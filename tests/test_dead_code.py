@@ -1,6 +1,7 @@
 """A dead-code guard over the package, by ``ast`` alone: no module keeps an
 import it never uses, and no private module-level name goes unreferenced
-in its module."""
+in its module. A one-job-scope guard beside it: only ``shard_io`` starts
+worker pools or removes directory trees, through ``ShardPool``."""
 
 import ast
 from pathlib import Path
@@ -48,3 +49,34 @@ def test_no_unreferenced_private_name(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
     used = _loaded_names(tree)
     assert [name for name in _private_definitions(tree) if name not in used] == []
+
+
+# what a worker pool or a temporary-directory helper is built from
+SCOPE_MODULES = ("concurrent", "multiprocessing", "tempfile")
+
+
+def _job_scope_uses(tree: ast.Module) -> list[str]:
+    """The imports of ``concurrent.futures``, ``multiprocessing`` or
+    ``tempfile`` in ``tree``, and its uses of ``shutil.rmtree``."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            uses += [alias.name for alias in node.names if alias.name.split(".")[0] in SCOPE_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.split(".")[0] in SCOPE_MODULES:
+                uses.append(node.module)
+            elif node.module == "shutil":
+                uses += [f"shutil.{alias.name}" for alias in node.names if alias.name == "rmtree"]
+        elif isinstance(node, ast.Attribute) and node.attr == "rmtree":
+            uses.append("rmtree")
+    return uses
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE.glob("*.py") if p.name != "shard_io.py"], ids=lambda p: p.name)
+def test_only_shard_io_holds_a_job_scope(path):
+    assert _job_scope_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_job_scope_guard_sees_shard_io():
+    uses = _job_scope_uses(ast.parse((PACKAGE / "shard_io.py").read_text(encoding="utf-8")))
+    assert "concurrent.futures" in uses and "rmtree" in uses

@@ -14,7 +14,7 @@ from corpuskit.mixer import (
     mix,
     sample_proportions,
 )
-from corpuskit.shard_io import read_documents, shard_pool, write_attributes, write_documents
+from corpuskit.shard_io import ShardPool, read_documents, write_attributes, write_documents
 
 
 def write_corpus(path, docs):
@@ -67,6 +67,12 @@ class TestSampleProportions:
     def test_weighted_source_with_no_mass_rejected(self):
         with pytest.raises(MixConfigError):
             sample_proportions({"a": 1.0}, {"a": 0.0})
+
+    def test_source_with_mass_but_no_weight_rejected(self):
+        with pytest.raises(MixConfigError, match="source 'c' has input mass but no proportion weight"):
+            sample_proportions({"a": 3.0, "b": 1.0}, {"a": 10.0, "c": 10.0, "b": 10.0, "d": 10.0})
+        # a source with no mass is never sampled, so it needs no weight
+        assert sample_proportions({"a": 1.0}, {"a": 10.0, "c": 0}) == {"a": 1.0}
 
 
 class TestMixBasics:
@@ -320,7 +326,7 @@ class TestConfig:
         docs = [Document(id="d", text="12345", source="s")]
         shard = write_corpus(tmp_path / "in.jsonl", docs)
         config = MixConfig(streams=[StreamConfig(documents=[shard])], upsample={"s": 3})
-        with shard_pool(1) as pool:
+        with ShardPool(1) as pool:
             assert measure_source_sizes(config, pool) == {"s": 15}
 
     @pytest.mark.parametrize("workers", [1, 2])
@@ -334,7 +340,7 @@ class TestConfig:
         # a file listed in two streams is measured twice, as it is mixed twice
         streams = [StreamConfig(documents=[a, b]), StreamConfig(documents=[c, a])]
         config = MixConfig(streams=streams, upsample={"s": 3, "u": 2})
-        with shard_pool(workers) as pool:
+        with ShardPool(workers) as pool:
             got = measure_source_sizes(config, pool)
         # the serial sum over every document of every listed file
         expected: dict[str, int] = {}

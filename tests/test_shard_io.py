@@ -3,24 +3,30 @@ import json
 import multiprocessing
 import os
 import re
+import select
+import signal
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import running
+from corpuskit import shard_io
 from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
 from corpuskit.filters import Drop, Keep
 from corpuskit.shard_io import (
     MalformedRecordError,
     ShardNameError,
+    ShardPool,
     StageReport,
     _decode_line,
     _doc_to_obj,
     output_paths,
     read_attributes,
     read_documents,
-    shard_pool,
     sidecar_paths,
     write_attributes,
     write_documents,
@@ -435,23 +441,34 @@ def _fail_or_touch(path: str) -> None:
     Path(path).touch()
 
 
+# holds a pool of two workers open after four tasks, printing the workers' pids
+_HOLD_POOL = """
+import multiprocessing, time
+from corpuskit.shard_io import ShardPool
+with ShardPool(2) as pool:
+    pool.map(time.sleep, [(0.01,)] * 4)
+    print(*(p.pid for p in multiprocessing.active_children()), flush=True)
+    time.sleep(60)
+"""
+
+
 class TestShardPool:
     def test_results_in_task_order_for_any_worker_count(self):
         tasks = [(i, 3) for i in range(12)]
         expected = [i**3 for i in range(12)]
         for workers in (1, 2):
-            with shard_pool(workers) as pool:
+            with ShardPool(workers) as pool:
                 assert pool.map(pow, tasks) == expected
 
     @pytest.mark.parametrize("tasks", [[], [(0.0,)]])
     def test_no_task_or_one_runs_in_process_without_a_pool(self, tasks):
-        with shard_pool(2) as pool:
+        with ShardPool(2) as pool:
             assert pool.map(_worker_pid, tasks) == [os.getpid()] * len(tasks)
             assert pool.executor is None
         assert multiprocessing.active_children() == []
 
     def test_one_pool_serves_every_fan_out_of_a_job(self):
-        with shard_pool(2) as pool:
+        with ShardPool(2) as pool:
             # tasks long enough that both workers take some
             first = set(pool.map(_worker_pid, [(0.05,)] * 8))
             second = set(pool.map(_worker_pid, [(0.0,)] * 8))
@@ -463,14 +480,14 @@ class TestShardPool:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_task_exception_propagates(self, workers):
         with pytest.raises(ZeroDivisionError):
-            with shard_pool(workers) as pool:
+            with ShardPool(workers) as pool:
                 pool.map(divmod, [(4, 2), (1, 0), (9, 3)])
         assert multiprocessing.active_children() == []
 
     def test_failed_fan_out_cancels_pending_tasks_and_joins_workers(self, tmp_path):
         tasks = [("",)] + [(str(tmp_path / f"t{i}"),) for i in range(40)]
         with pytest.raises(ZeroDivisionError, match="first task"):
-            with shard_pool(2) as pool:
+            with ShardPool(2) as pool:
                 pool.map(_fail_or_touch, tasks)
         # only tasks a worker had already taken ran; none runs once the block has ended
         assert multiprocessing.active_children() == []
@@ -478,6 +495,48 @@ class TestShardPool:
         assert ran < 40
         time.sleep(0.2)
         assert len(list(tmp_path.iterdir())) == ran
+
+    def test_scope_makes_its_directories_and_removes_them_when_it_ends(self, tmp_path):
+        dirs = [tmp_path / ".stage-a", tmp_path / "deep" / ".stage-b"]
+        with ShardPool(1, *dirs):
+            assert all(d.is_dir() for d in dirs)
+        assert not any(d.exists() for d in dirs)
+        with pytest.raises(ZeroDivisionError):
+            with ShardPool(2, *dirs) as pool:
+                (dirs[1] / "part.jsonl").write_text("")
+                pool.map(divmod, [(4, 2), (1, 0)])
+        assert not any(d.exists() for d in dirs)
+        assert multiprocessing.active_children() == []
+
+    def test_a_directory_that_cannot_be_made_removes_those_made(self, tmp_path):
+        (tmp_path / "file").write_text("")
+        made, unmakeable = tmp_path / ".made", tmp_path / "file" / ".stage"
+        with pytest.raises(OSError):
+            with ShardPool(1, made, unmakeable):
+                pass
+        assert not made.exists()
+
+    def test_workers_end_when_the_job_process_is_killed(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(shard_io.__file__).parents[1]))
+        proc = subprocess.Popen([sys.executable, "-c", _HOLD_POOL], env=env, stdout=subprocess.PIPE, text=True)
+        workers = []
+        try:
+            ready, _, _ = select.select([proc.stdout], [], [], 30)
+            workers = [int(pid) for pid in proc.stdout.readline().split()] if ready else []
+            assert len(workers) == 2
+            proc.kill()  # SIGKILL: the job cannot clean up, so each worker must notice by itself
+            proc.wait()
+            deadline = time.monotonic() + 5
+            while any(map(running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in workers if running(pid)] == []
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            for pid in workers:
+                if running(pid):
+                    os.kill(pid, signal.SIGKILL)
 
 
 class TestOutputPaths:
