@@ -281,11 +281,13 @@ def _write_counted(stage: str, outputs, shards) -> StageReport:
 
 
 def _bloom_health(bloom: BloomFilter) -> dict:
-    """A report's ``bloom`` entry; warns when a filter sized in this run took
-    more new keys than it was sized for. (Its estimated false-positive rate
+    """A report's ``bloom`` entry: the filter's health, then the new keys it
+    took in this run and the key count it was sized for (None for a loaded
+    filter, whose file does not record it). Warns when a filter sized in
+    this run took more new keys than that. (Its estimated false-positive rate
     alone would not do: at exactly the sized key count it lands on the target
     up to noise, above it about half the time.)"""
-    health = bloom.health()
+    health = {**bloom.health(), "added": bloom.added, "n_target": bloom.n_target}
     if bloom.n_target is not None and bloom.added > bloom.n_target:
         logger.warning(
             "Bloom filter took %d new keys, sized for %d: fill %.4f, estimated false-positive rate %.3g "

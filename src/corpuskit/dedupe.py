@@ -121,14 +121,18 @@ def dedupe_by_document(
     yield from tagged(docs, [tagger])
 
 
+def _admits(para: bytes, min_tokens: int) -> bool:
+    """The token gate: whether the paragraph ``para`` has more than
+    ``min_tokens`` unicode words; a gate of 0 admits every paragraph."""
+    return min_tokens <= 0 or count_words(para.decode("utf-8")) > min_tokens
+
+
 def gated_paragraphs(doc: Document, min_tokens: int) -> Iterator[tuple[tuple[int, int], bytes]]:
     """Yield ``((start, end), paragraph bytes)`` of :func:`split_paragraphs`
-    for each paragraph with more than ``min_tokens`` unicode words; a gate of
-    0 admits every paragraph."""
+    for each paragraph the token gate :func:`_admits`."""
     for bounds, para in split_paragraphs(doc.text_bytes):
-        if min_tokens > 0 and count_words(para.decode("utf-8")) <= min_tokens:
-            continue
-        yield bounds, para
+        if _admits(para, min_tokens):
+            yield bounds, para
 
 
 def dedupe_by_paragraph(
@@ -221,8 +225,19 @@ def decontaminate_tag(
     seeded: KeyFilter,
     min_paragraph_tokens: int = DECONTAMINATION_MIN_TOKENS,
 ) -> Iterator[tuple[Document, DocumentAttributes]]:
-    """Flag documents with at least one seeded paragraph (same token gate)."""
+    """Flag documents with at least one paragraph that the token gate admits
+    and the seeded filter holds.
+
+    Tagging probes every paragraph of a chunk in one ``contains_many`` call
+    and gates only the hits. A read-only probe has no side effects, so the
+    flags equal gating first and probing what the gate admits, and the
+    paragraphs that miss, nearly all of them, are never counted."""
     if not seeded.read_only:
         raise ValueError("decontamination tagging requires a read-only (seeded) filter")
-    keys_of = partial(gated_paragraphs, min_tokens=min_paragraph_tokens)
-    yield from tagged(docs, [_key_tagger(CONTAMINATED, keys_of, seeded.contains_many, whole=True)])
+
+    def contaminated_many(paras: list[bytes]) -> list[bool]:
+        hits = seeded.contains_many(paras)
+        return [hit and _admits(para, min_paragraph_tokens) for para, hit in zip(paras, hits)]
+
+    tagger = _key_tagger(CONTAMINATED, lambda doc: split_paragraphs(doc.text_bytes), contaminated_many, whole=True)
+    yield from tagged(docs, [tagger])

@@ -8,10 +8,12 @@ lone surrogate or a cut or corrupt gzip stream raises
 :func:`write_documents` is the one writer of document lines. A line is
 decoded by the C JSON scanner when it reads the whole line, and by
 ``json.loads`` otherwise, so the records read and every error are
-``json.loads``'. Gzip is detected on read by magic bytes (robust to renamed
-shards) and selected on write by the ``.gz`` suffix of the output path.
-Gzip members are written with mtime pinned to 0 so identical content always
-produces identical bytes.
+``json.loads``'. A record is encoded by one C JSON encoder, built at
+import and not per record, so every line written is
+``json.dumps(obj, ensure_ascii=False)``. Gzip is detected on read by magic
+bytes (robust to renamed shards) and selected on write by the ``.gz``
+suffix of the output path. Gzip members are written with mtime pinned to
+0 so identical content always produces identical bytes.
 
 An attribute sidecar lines up with its document shard record for record:
 :func:`sidecar_paths` finds a shard's sidecars and :func:`zip_sidecars`
@@ -218,8 +220,27 @@ def atomic_output(path: str | os.PathLike) -> Iterator[Path]:
     os.replace(tmp, path)
 
 
-# one encoder for every record: json.dumps with an argument builds a new one per call
-_encode = json.JSONEncoder(ensure_ascii=False).encode
+# one encoder for every record: ``JSONEncoder.encode`` builds a new C encoder
+# on every call, so the C encoder is built once here, with its settings
+_encoder = json.JSONEncoder(ensure_ascii=False)
+_markers: dict = {}  # the containers an encoding is inside, for its circular-reference check
+_c_encode = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    _markers, _encoder.default, json.encoder.encode_basestring, _encoder.indent, _encoder.key_separator,
+    _encoder.item_separator, _encoder.sort_keys, _encoder.skipkeys, _encoder.allow_nan,
+)
+
+
+def _encode(obj: dict) -> str:
+    """``json.dumps(obj, ensure_ascii=False)``, by the one prebuilt C encoder
+    where the C accelerator is present."""
+    if _c_encode is None:
+        return _encoder.encode(obj)
+    try:
+        return "".join(_c_encode(obj, 0))
+    except BaseException:
+        # a failed encoding leaves the containers it was inside in the markers
+        _markers.clear()
+        raise
 
 
 def _write_records(objs: Iterable[dict], path: str | os.PathLike) -> int:
@@ -232,8 +253,7 @@ def _write_records(objs: Iterable[dict], path: str | os.PathLike) -> int:
             binary = gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0)
         with io.TextIOWrapper(binary, encoding="utf-8") as f:
             for obj in objs:
-                f.write(_encode(obj))
-                f.write("\n")
+                f.write(_encode(obj) + "\n")
                 count += 1
     return count
 

@@ -298,10 +298,16 @@ class TestFilterHealth:
         loaded_report = self.run_json(
             tmp_path, "loaded", "decontaminate", "--load-filter", str(tmp_path / "s.bloom"), "--inputs", str(shard),
         )
-        for report, path in [(dedupe_report, "d.bloom"), (seed_report, "s.bloom"), (loaded_report, "s.bloom")]:
+        # four distinct paragraphs go in: the long one and "line 0" to "line 2"; the
+        # seeded filter is sized to the 60 paragraphs the gate admits, and a loaded
+        # file records no size
+        for report, path, added, n_target in [
+            (dedupe_report, "d.bloom", 4, 50), (seed_report, "s.bloom", 4, 60), (loaded_report, "s.bloom", 0, None),
+        ]:
             saved = bloom_load(tmp_path / path)
             assert 0 < saved.popcount() < saved.m
-            assert report["bloom"] == health(saved)
+            assert report["bloom"] == {**health(saved), "added": added, "n_target": n_target}
+            assert list(report["bloom"]) == ["m", "k", "fill", "estimated_fpr", "added", "n_target"]
             assert list(report)[-1] == "bloom"  # the key is added last
         assert list(dedupe_report) == [
             "stage", "documents", "flagged_documents", "flagged_paragraphs", "missing_url", "bloom",
@@ -365,7 +371,7 @@ class TestFilterHealth:
             assert bloom.added - before in (0, 1)  # 0 only for a false positive
             caplog.clear()
             with caplog.at_level("WARNING", logger="corpuskit"):
-                assert _bloom_health(bloom) == health(bloom)
+                assert _bloom_health(bloom) == {**health(bloom), "added": bloom.added, "n_target": 5}
             assert bool(caplog.records) is (bloom.added > 5)
         assert bloom.added > 5
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from corpuskit import shard_io
+from corpuskit import dedupe, shard_io
 from corpuskit.bloom import BloomFilter, ExactSet
 from corpuskit.dedupe import (
     CONTAMINATED,
@@ -390,3 +390,73 @@ class TestKeyChunks:
         for run in runs:
             doc, attrs = next(run())
             assert (doc.id, attrs.attributes, len(pulled)) == ("0", {}, TAG_CHUNK_DOCS)
+
+
+class TestDecontaminationProbesFirst:
+    """Tagging probes every paragraph and runs the token gate only on the
+    hits; its flags must be those of gating first and probing what the
+    gate admits (``reference_stage``)."""
+
+    WORDS = ["tok", "é", "x", "😀", "word"]
+
+    def para(self, rng):
+        return " ".join(f"{rng.choice(self.WORDS)}{rng.randrange(3)}" for _ in range(rng.randrange(0, 20)))
+
+    def corpus(self, seed):
+        rng = random.Random(seed)
+        pool = [self.para(rng) for _ in range(40)]
+        # the test set holds paragraphs of every length; the tagged documents
+        # share some of them, among paragraphs of their own
+        test_docs = [Document(id=f"t{i}", text="\n".join(rng.sample(pool, 3))) for i in range(8)]
+        docs = []
+        for i in range(60):
+            paras = [rng.choice(pool) if rng.random() < 0.3 else self.para(rng) for _ in range(rng.randrange(1, 5))]
+            docs.append(Document(id=f"d{i}", text="\n".join(paras)))
+        return test_docs, docs
+
+    def count_gated(self, monkeypatch):
+        """Record the text of every ``count_words`` call the gate makes."""
+        counted = []
+        original = dedupe.count_words
+
+        def counting(text):
+            counted.append(text)
+            return original(text)
+
+        monkeypatch.setattr(dedupe, "count_words", counting)
+        return counted
+
+    @pytest.mark.parametrize("make", [ExactSet, lambda: BloomFilter.create(12, 0.3, seed=5)], ids=["exact", "bloom"])
+    def test_short_paragraph_seeded_at_gate_0_hits_but_does_not_flag_at_13(self, monkeypatch, make):
+        short = "short eval line"
+        seeded = decontaminate_seed(make(), [Document(id="t", text=short)], min_paragraph_tokens=0)
+        assert seeded.contains(short.encode())
+        counted = self.count_gated(monkeypatch)
+        docs = [Document(id="a", text=short), Document(id="b", text="other\n" + short)]
+        assert [attrs.attributes for _, attrs in decontaminate_tag(iter(docs), seeded, 13)] == [{}, {}]
+        assert counted.count(short) == 2
+        assert [attrs.attributes for _, attrs in decontaminate_tag(iter(docs), seeded, 0)] == [
+            {CONTAMINATED: [AttributeSpan(0, doc.text_size, 1.0)]} for doc in docs
+        ]
+
+    # the small Bloom filter is overfull, so it also answers true for
+    # paragraphs never seeded, some of them short
+    @pytest.mark.parametrize("make", [ExactSet, lambda: BloomFilter.create(12, 0.3, seed=5)], ids=["exact", "bloom"])
+    @pytest.mark.parametrize("gate", [0, 5, 13])
+    def test_flags_equal_gate_then_probe_and_only_hits_are_counted(self, monkeypatch, make, gate):
+        test_docs, docs = self.corpus(gate)
+        seeded = decontaminate_seed(make(), test_docs, min_paragraph_tokens=0)
+        counted = self.count_gated(monkeypatch)
+        got = [(doc.id, attrs.attributes) for doc, attrs in decontaminate_tag(iter(docs), seeded, gate)]
+        assert got == reference_stage("decontaminate", docs, seeded, gate)
+        flagged = sum(bool(attrs) for _, attrs in got)
+        paragraphs = [para for doc in docs for para in doc.text.split("\n")]
+        hits = [para for para in paragraphs if seeded.contains(para.encode())]
+        # some hits flag and some are stopped by the gate (none at gate 0)
+        assert 0 < flagged < len(docs)
+        if gate:
+            assert any(len(segment_words(para)) <= gate for para in hits)
+        # the gate counts hits only, and at gate 0 nothing
+        assert all(seeded.contains(text.encode()) for text in counted)
+        assert len(counted) <= len(hits) < len(paragraphs)
+        assert bool(counted) is (gate > 0)

@@ -375,6 +375,116 @@ class TestRoundTripProperties:
             assert got.attributes[name] == sorted(spans, key=lambda sp: (sp.start, sp.end))
 
 
+# text with non-ASCII, control characters, quotes, backslashes and emoji
+_tricky_text = st.text(max_size=40) | st.text(
+    st.sampled_from(['"', "\\", "\x00", "\x1f", "\x7f", "\n", "\t", " ", "é", "ß", "中", "😀", "\U0010ffff"]),
+    max_size=12,
+)
+# metadata values: big ints, every float (NaN, infinities and -0.0 among them) and nesting
+_metadata_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**80), 2**80) | st.floats() | _tricky_text,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_tricky_text, inner, max_size=3),
+    max_leaves=10,
+)
+_written_docs = st.builds(
+    Document,
+    id=_tricky_text.filter(bool),
+    text=_tricky_text,
+    source=_tricky_text,
+    created=st.none() | _tricky_text,
+    metadata=st.dictionaries(_tricky_text, _metadata_values, max_size=4),
+    extra=st.dictionaries(_tricky_text.filter(lambda k: k not in shard_io._DOC_FIELDS), _metadata_values, max_size=2),
+)
+_written_attrs = st.builds(
+    DocumentAttributes,
+    id=_tricky_text,
+    attributes=st.dictionaries(
+        _tricky_text,
+        st.lists(
+            st.tuples(st.integers(0, 2**40), st.integers(0, 2**40), st.floats(allow_nan=False, allow_infinity=False)).map(
+                lambda t: AttributeSpan(min(t[:2]), max(t[:2]), t[2])
+            ),
+            max_size=3,
+        ),
+        max_size=3,
+    ),
+)
+
+
+def _written_lines(path):
+    data = path.read_bytes()
+    if path.name.endswith(".gz"):
+        data = gzip.decompress(data)
+    lines = data.decode("utf-8").split("\n")
+    assert lines.pop() == ""
+    return lines
+
+
+class TestWriterEncoding:
+    """Every line the writers write is ``json.dumps(obj, ensure_ascii=False)``
+    of its record, and what ``json.dumps`` refuses the writers refuse."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(docs=st.lists(_written_docs, max_size=4), gz=st.booleans())
+    @example(
+        docs=[Document(id="é", text="😀\"\\\x00", metadata={"n": float("nan"), "i": float("inf"), "z": -0.0, "f": 1e16,
+                                                              "big": 2**70, "deep": {"a": [1, {"b": None}]}},
+                       extra={"zz": [True]})],
+        gz=False,
+    )
+    def test_document_lines_are_json_dumps(self, tmp_path_factory, docs, gz):
+        path = tmp_path_factory.mktemp("enc") / ("docs.jsonl.gz" if gz else "docs.jsonl")
+        assert write_documents(docs, path) == len(docs)
+        assert _written_lines(path) == [json.dumps(_doc_to_obj(doc), ensure_ascii=False) for doc in docs]
+
+    @settings(max_examples=200, deadline=None)
+    @given(records=st.lists(_written_attrs, max_size=4))
+    @example(records=[DocumentAttributes(id="a", attributes={"t__x": [AttributeSpan(0, 1, -0.0), AttributeSpan(0, 2**40, 1e16)]})])
+    def test_attribute_lines_are_json_dumps(self, tmp_path_factory, records):
+        path = tmp_path_factory.mktemp("enc") / "attrs.jsonl"
+        assert write_attributes(records, path) == len(records)
+        assert _written_lines(path) == [json.dumps(shard_io._attrs_to_obj(r), ensure_ascii=False) for r in records]
+
+    def test_escaped_emoji_pairs_read_are_written_raw(self, tmp_path):
+        path = tmp_path / "in.jsonl"
+        path.write_text('{"id": "a", "text": "\\ud83d\\ude00 \\uD83D\\uDE00", "metadata": {"m": NaN, "p": Infinity}}\n')
+        (doc,) = read_documents(path)
+        write_documents([doc], tmp_path / "out.jsonl")
+        (line,) = _written_lines(tmp_path / "out.jsonl")
+        assert line == json.dumps(_doc_to_obj(doc), ensure_ascii=False)
+        assert line == '{"id": "a", "text": "😀 😀", "source": "", "metadata": {"m": NaN, "p": Infinity}}'
+
+    @pytest.mark.parametrize("bad", [object(), {1, 2}, b"bytes"])
+    def test_unserializable_value_raises_type_error_and_writes_nothing(self, tmp_path, bad):
+        path = tmp_path / "out.jsonl"
+        metadata = {"keep": {"a": [1]}, "bad": bad}
+        with pytest.raises(TypeError, match="is not JSON serializable"):
+            write_documents([Document(id="a", text="x", metadata=metadata)], path)
+        assert list(tmp_path.iterdir()) == []
+        # the failed record's containers are not taken for a circular
+        # reference when the same dict is written again
+        del metadata["bad"]
+        write_documents([Document(id="a", text="x", metadata=metadata)], path)
+        assert _written_lines(path) == ['{"id": "a", "text": "x", "source": "", "metadata": {"keep": {"a": [1]}}}']
+
+    def test_circular_reference_refused_as_json_dumps_refuses_it(self, tmp_path):
+        metadata = {}
+        metadata["self"] = metadata
+        with pytest.raises(ValueError, match="Circular reference detected"):
+            write_documents([Document(id="a", text="x", metadata=metadata)], tmp_path / "out.jsonl")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_lone_surrogate_fails_on_write_and_on_its_line(self, tmp_path):
+        with pytest.raises(UnicodeEncodeError):
+            write_documents([Document(id="a", text="x\ud800")], tmp_path / "out.jsonl")
+        assert list(tmp_path.iterdir()) == []
+        path = tmp_path / "in.jsonl"
+        path.write_text('{"id": "a", "text": "\\ud83d\\ude00"}\n{"id": "b", "text": "x\\ud800"}\n')
+        with pytest.raises(MalformedRecordError, match="can't encode character") as err:
+            list(read_documents(path))
+        assert err.value.line_no == 2
+
+
 class TestAttributeIO:
     def test_empty_attributes_roundtrip(self, tmp_path):
         path = tmp_path / "a.jsonl"
