@@ -5,23 +5,26 @@ hashed with seeded BLAKE2b double hashing so filters are portable across
 platforms. Bits only ever transition 0 -> 1. Keys go in and are looked up a
 batch at a time, ``insert_check_many`` and ``contains_many``, in numpy; the
 answers are those of inserting or probing the keys one by one in order with
-``insert_check``/``contains``, which compute the same positions in Python
-integers, cheaper for a single key. A hash-set backend with the same
-interface exists for desk-scale oracle testing.
+``insert_check``/``contains``, which probe the same ``probe_positions`` and
+set or test them in a Python loop, cheaper for a single key. A hash-set
+backend with the same interface exists for desk-scale oracle testing.
 """
 
 from __future__ import annotations
 
 import hashlib
+import logging
 import math
 import struct
 import threading
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from corpuskit.shard_io import atomic_output
+
+logger = logging.getLogger(__name__)
 
 BLOOM_MAGIC = b"CKBLOOM1"
 BLOOM_VERSION = 1
@@ -178,14 +181,6 @@ class BloomFilter:
         bits = np.frombuffer(self.bits, np.uint8)
         return ((bits[pos >> 3] & _BIT[pos & 7]) != 0).all(axis=1).tolist()
 
-    def _positions(self, key: bytes) -> Iterator[int]:
-        """``probe_positions`` of one key, in Python integers, lazily."""
-        digest = hashlib.blake2b(key, digest_size=16, salt=self.seed.to_bytes(8, "little")).digest()
-        h1, h2 = struct.unpack("<QQ", digest)
-        h2 |= 1
-        for i in range(self.k):
-            yield (h1 + i * h2) % self.m
-
     def insert_check(self, key: bytes) -> bool:
         """Set the key's bits; return whether all were already set.
         Thread-safe as ``insert_check_many`` is."""
@@ -194,7 +189,7 @@ class BloomFilter:
         was_present = True
         with self._lock:
             bits = self.bits
-            for pos in self._positions(key):
+            for pos in probe_positions([key], self.m, self.k, self.seed)[0].tolist():
                 byte, mask = pos >> 3, 1 << (pos & 7)
                 if not bits[byte] & mask:
                     was_present = False
@@ -205,7 +200,8 @@ class BloomFilter:
 
     def contains(self, key: bytes) -> bool:
         bits = self.bits
-        return all(bits[pos >> 3] & (1 << (pos & 7)) for pos in self._positions(key))
+        positions = probe_positions([key], self.m, self.k, self.seed)[0].tolist()
+        return all(bits[pos >> 3] & (1 << (pos & 7)) for pos in positions)
 
     def popcount(self) -> int:
         """Set bits, counted a 64 KiB slice at a time so that no copy of the
@@ -214,10 +210,23 @@ class BloomFilter:
         return sum(int.from_bytes(view[i : i + 65536], "little").bit_count() for i in range(0, len(view), 65536))
 
     def health(self) -> dict:
-        """Size, fill ratio (set bits over m) and the false-positive rate that
-        fill implies for a key never inserted, ``fill ** k``."""
+        """A report's ``bloom`` entry: size, fill ratio (set bits over m), the
+        false-positive rate that fill implies for a new key (``fill ** k``),
+        the new keys this object took and the key count it was sized for
+        (None for a loaded filter, whose file does not record it). Warns when
+        it took more new keys than that; the rate alone would not do, as at
+        exactly the sized count it lands on the target up to noise."""
         fill = self.set_bits / self.m
-        return {"m": self.m, "k": self.k, "fill": fill, "estimated_fpr": fill**self.k}
+        fpr = fill**self.k
+        if self.n_target is not None and self.added > self.n_target:
+            logger.warning(
+                "Bloom filter took %d new keys, sized for %d: fill %.4f, estimated false-positive rate %.3g "
+                "against a target of %.3g",
+                self.added, self.n_target, fill, fpr, self.p_target,
+            )
+        return {
+            "m": self.m, "k": self.k, "fill": fill, "estimated_fpr": fpr, "added": self.added, "n_target": self.n_target
+        }
 
     def freeze(self) -> "BloomFilter":
         self.read_only = True

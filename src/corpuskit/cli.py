@@ -14,9 +14,11 @@ is needed (--l2, --learning-rate, a mix weight; a NaN filter threshold), a
 tagger param its tagger does not read, and a --save-filter, --report, --out
 or --model-out file in a directory that neither exists nor is the command's
 --out-dir or above it. Reports are JSON on stdout or at --report; with a
-Bloom filter, dedupe and decontaminate reports end in its size, fill and
-estimated false-positive rate. Exit codes: 0 success, 1 validation error, 2
-runtime failure, 143 ended by SIGTERM after cleaning up as a failure does.
+Bloom filter, dedupe and decontaminate reports and each dedup stage of a
+pipeline-web report end in its health: size, fill, estimated false-positive
+rate, new keys and the key count it was sized for. Exit codes: 0 success, 1
+validation error, 2 runtime failure, 143 ended by SIGTERM after cleaning up
+as a failure does.
 """
 
 from __future__ import annotations
@@ -280,23 +282,6 @@ def _write_counted(stage: str, outputs, shards) -> StageReport:
     return report
 
 
-def _bloom_health(bloom: BloomFilter) -> dict:
-    """A report's ``bloom`` entry: the filter's health, then the new keys it
-    took in this run and the key count it was sized for (None for a loaded
-    filter, whose file does not record it). Warns when a filter sized in
-    this run took more new keys than that. (Its estimated false-positive rate
-    alone would not do: at exactly the sized key count it lands on the target
-    up to noise, above it about half the time.)"""
-    health = {**bloom.health(), "added": bloom.added, "n_target": bloom.n_target}
-    if bloom.n_target is not None and bloom.added > bloom.n_target:
-        logger.warning(
-            "Bloom filter took %d new keys, sized for %d: fill %.4f, estimated false-positive rate %.3g "
-            "against a target of %.3g",
-            bloom.added, bloom.n_target, health["fill"], health["estimated_fpr"], bloom.p_target,
-        )
-    return health
-
-
 # each --stage of dedupe: its flagging function and the attribute it flags
 _DEDUPE_STAGES = {
     "url": (dedupe_by_url, URL_DUPLICATE),
@@ -337,7 +322,7 @@ def _cmd_dedupe(args) -> dict:
             bloom_save(backend, args.save_filter)
         report.update(flagged_paragraphs=counts.flagged_spans.get(PARAGRAPH_DUPLICATE, 0), missing_url=missing_url)
         if isinstance(backend, BloomFilter):
-            report["bloom"] = _bloom_health(backend)
+            report["bloom"] = backend.health()
     return report
 
 
@@ -372,7 +357,7 @@ def _cmd_decontaminate(args) -> dict:
         "min_paragraph_tokens": min_tokens,
     }
     if isinstance(seeded, BloomFilter):
-        report["bloom"] = _bloom_health(seeded)
+        report["bloom"] = seeded.health()
     return report
 
 

@@ -13,7 +13,8 @@ worker count and chunking.
 
 The web pipeline runs the fixed stage order: URL dedup, document dedup,
 quality/content filtering, and paragraph dedup last, with one
-``StageReport`` per stage.
+``StageReport`` per stage; with a Bloom backend, each dedup stage's report
+carries its filter's health.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import Callable, Iterator
 
 from corpuskit import code_rules, heuristics
-from corpuskit.bloom import DEFAULT_N_TARGET, DEFAULT_P_TARGET, check_target, make_backend
+from corpuskit.bloom import DEFAULT_N_TARGET, DEFAULT_P_TARGET, BloomFilter, check_target, make_backend
 from corpuskit.dedupe import (
     DOC_DUPLICATE,
     PARAGRAPH_DUPLICATE,
@@ -366,4 +367,7 @@ def run_pipeline_web(config: WebPipelineConfig) -> list[StageReport]:
                 survivors = (apply_filters(d, a, [PARAGRAPH_REMOVE_FILTER]) for d, a in flagged)
                 write_documents(para_report.kept(survivors), dst)
 
+    for report, backend in ((url_report, url_backend), (doc_report, doc_backend), (para_report, para_backend)):
+        if isinstance(backend, BloomFilter):
+            report.bloom = backend.health()
     return [url_report, doc_report, quality_report, para_report]

@@ -484,7 +484,8 @@ class StageReport:
     """What one stage of a job, one source of a mix or one tagging run
     counted: documents in, kept, dropped (by reason) and sampled out; text
     bytes in and kept; its wall time; and per attribute, the documents its
-    records flag, their spans and the bytes the merged spans cover."""
+    records flag, their spans and the bytes the merged spans cover. A dedup
+    stage of ``pipeline-web`` also carries its Bloom filter's ``health()``."""
 
     stage: str
     input_docs: int = 0
@@ -498,11 +499,14 @@ class StageReport:
     flagged_docs: dict = field(default_factory=dict)
     flagged_spans: dict = field(default_factory=dict)
     flagged_bytes: dict = field(default_factory=dict)
+    bloom: dict | None = None
 
     def merge(self, other: "StageReport") -> None:
         """Add ``other`` field by field: numbers add, count dicts add per
-        key, and the stage name stays this report's."""
+        key, and the stage name and filter health stay this report's."""
         for f in fields(self):
+            if f.name == "bloom":  # a snapshot of one filter, not a count
+                continue
             mine = getattr(self, f.name)
             theirs = getattr(other, f.name)
             if isinstance(mine, dict):
@@ -542,10 +546,13 @@ class StageReport:
         return attrs
 
     def to_json(self) -> dict:
-        return {
+        report = {
             "stage": self.stage,
             "input_docs": self.input_docs,
             "kept_docs": self.kept_docs,
             "dropped_docs": self.dropped_docs,
             "drop_reasons": dict(sorted(self.drop_reasons.items())),
         }
+        if self.bloom is not None:
+            report["bloom"] = self.bloom
+        return report

@@ -261,6 +261,42 @@ class TestExactSet:
         assert exact.contains(b"a")
 
 
+class TestPinnedPositions:
+    """v1 probe positions, written down as the format first shipped them: a
+    saved v1 filter must keep probing the bits it set, whatever computes them."""
+
+    CASES = [
+        (b"corpuskit", 1000, 7, 0, [859, 50, 241, 432, 623, 814, 5]),
+        (b"", 97, 3, 1, [27, 62, 0]),
+        ("naïve café ☕".encode(), 4096, 5, 2**64 - 1, [2097, 174, 2347, 424, 2597]),
+        (b"one probe", 12345, 1, 42, [7891]),
+        (
+            b"a large filter", 10_000_019, 13, 2024,
+            [2852342, 9080191, 5308021, 1535851, 7763700, 3991530, 219360, 6447209, 2675039, 8902888, 5130718, 1358548,
+             7586397],
+        ),
+    ]
+    # the largest m of a 4-probe filter, k * m just under 2**64: too large for a bit array
+    LARGEST_M = (
+        b"largest m", (2**64 - 1) // 4, 4, 7,
+        [2509124318113611278, 2298543923694085304, 2087963529274559330, 1877383134855033356],
+    )
+
+    @pytest.mark.parametrize("key, m, k, seed, expected", CASES + [LARGEST_M])
+    def test_probe_positions(self, key, m, k, seed, expected):
+        assert probe_positions([key], m, k, seed).tolist() == [expected]
+
+    @pytest.mark.parametrize("key, m, k, seed, expected", CASES)
+    def test_one_key_insert_sets_exactly_those_bits(self, key, m, k, seed, expected):
+        bloom = BloomFilter(m, k, seed)
+        assert not bloom.insert_check(key)
+        bits = bytearray((m + 7) // 8)
+        for pos in expected:
+            bits[pos >> 3] |= 1 << (pos & 7)
+        assert bloom.bits == bits
+        assert bloom.contains(key)
+
+
 class TestBatchOracle:
     """``insert_check_many``/``contains_many`` against the per-key loop."""
 
@@ -287,7 +323,7 @@ class TestBatchOracle:
             assert flags == expected
             assert bytes(bloom.bits) == bytes(expected_bits)
             assert bloom.added == expected.count(False)
-        # the one-key methods compute the positions their own way
+        # the one-key methods take the same positions but set and test the bits in their own loop
         one = BloomFilter(m, k, seed, bits=bytearray(bits))
         assert [one.contains(key) for key in batch] == contained
         assert [one.insert_check(key) for key in batch] == expected

@@ -14,7 +14,7 @@ import pytest
 import corpuskit
 from conftest import BENIGN_WORDS, OTHER_WORDS, ENGLISH_WORDS, child_pids, running, sentence
 from corpuskit.bloom import BloomFilter, bloom_load
-from corpuskit.cli import _bloom_health, build_parser, main
+from corpuskit.cli import build_parser, main
 from corpuskit.documents import Document
 from corpuskit.ngram_classifier import load_model, save_model
 from corpuskit.shard_io import read_attributes, read_documents, write_documents
@@ -371,7 +371,7 @@ class TestFilterHealth:
             assert bloom.added - before in (0, 1)  # 0 only for a false positive
             caplog.clear()
             with caplog.at_level("WARNING", logger="corpuskit"):
-                assert _bloom_health(bloom) == {**health(bloom), "added": bloom.added, "n_target": 5}
+                assert bloom.health() == {**health(bloom), "added": bloom.added, "n_target": 5}
             assert bool(caplog.records) is (bloom.added > 5)
         assert bloom.added > 5
 
@@ -1011,6 +1011,39 @@ class TestCurationReportsMatchShards:
             assert before["kept_docs"] == after["input_docs"]
         assert stages[0]["input_docs"] == sum(1 for p in paths for _ in read_documents(p))
         assert stages[-1]["kept_docs"] == sum(1 for p in paths for _ in read_documents(out / Path(p).name))
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_pipeline_web_dedup_stages_end_in_their_filter_health(self, tmp_path, workers, caplog):
+        paths = self.web_shards(tmp_path)
+        out, report_path = tmp_path / "out", tmp_path / "web.json"
+        argv = ["pipeline-web", "--bloom-n", "2", "--inputs", *paths, "--out-dir", str(out), "--workers", workers]
+        with caplog.at_level("WARNING", logger="corpuskit"):
+            assert run_cli(*argv, "--report", str(report_path)) == 0
+        stages = json.loads(report_path.read_text())["stages"]
+
+        # filters sized for 2 keys over-drop; every stage key but the new
+        # entry keeps the value and the order it had before the entry existed
+        keys = ["stage", "input_docs", "kept_docs", "dropped_docs", "drop_reasons"]
+        assert [list(stage) for stage in stages] == [keys + ["bloom"], keys + ["bloom"], keys, keys + ["bloom"]]
+        assert [{key: stage[key] for key in keys} for stage in stages] == [
+            {"stage": "url_dedup", "input_docs": 24, "kept_docs": 7, "dropped_docs": 17,
+             "drop_reasons": {"dedupe__url_duplicate": 17}},
+            {"stage": "doc_dedup", "input_docs": 7, "kept_docs": 5, "dropped_docs": 2,
+             "drop_reasons": {"dedupe__doc_duplicate": 2}},
+            {"stage": "quality_content", "input_docs": 5, "kept_docs": 3, "dropped_docs": 2,
+             "drop_reasons": {"gopher__matches_any": 1, "pii_density": 1}},
+            {"stage": "paragraph_dedup", "input_docs": 3, "kept_docs": 3, "dropped_docs": 0, "drop_reasons": {}},
+        ]
+        entries = [stages[0]["bloom"], stages[1]["bloom"], stages[3]["bloom"]]
+        for entry in entries:
+            assert list(entry) == ["m", "k", "fill", "estimated_fpr", "added", "n_target"]
+            assert entry["n_target"] == 2 and entry["added"] > 2
+        # a URL or a document is kept exactly when its key was new to the filter
+        assert [entry["added"] for entry in entries[:2]] == [stages[0]["kept_docs"], stages[1]["kept_docs"]]
+        # one warning per overfull filter
+        assert [record.name for record in caplog.records] == ["corpuskit.bloom"] * 3
+        for entry, record in zip(entries, caplog.records):
+            assert f"took {entry['added']} new keys, sized for 2" in record.getMessage()
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_mix_sources_count_records_and_text_bytes_on_disk(self, tmp_path, workers):

@@ -1,7 +1,10 @@
 """A dead-code guard over the package, by ``ast`` alone: no module keeps an
 import it never uses, and no private module-level name goes unreferenced
 in its module. A one-job-scope guard beside it: only ``shard_io`` starts
-worker pools or removes directory trees, through ``ShardPool``."""
+worker pools or removes directory trees, through ``ShardPool``. And one
+copy of each Bloom filter computation: ``bloom`` hashes keys in one
+function, and only ``bloom`` touches a filter's insert and sizing counters,
+so every report takes them from ``BloomFilter.health()``."""
 
 import ast
 from pathlib import Path
@@ -80,3 +83,39 @@ def test_only_shard_io_holds_a_job_scope(path):
 def test_job_scope_guard_sees_shard_io():
     uses = _job_scope_uses(ast.parse((PACKAGE / "shard_io.py").read_text(encoding="utf-8")))
     assert "concurrent.futures" in uses and "rmtree" in uses
+
+
+def _functions_calling(tree: ast.Module, callee: str) -> list[str]:
+    """The functions and methods in ``tree`` whose bodies call ``callee``,
+    as a bare name or as an attribute."""
+    return [
+        fn.name
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and any(
+            isinstance(call, ast.Call) and callee in (getattr(call.func, "id", None), getattr(call.func, "attr", None))
+            for call in ast.walk(fn)
+        )
+    ]
+
+
+def test_bloom_hashes_keys_in_one_function():
+    assert _functions_calling(ast.parse((PACKAGE / "bloom.py").read_text(encoding="utf-8")), "blake2b") == [
+        "probe_positions"
+    ]
+
+
+# a filter's insert and sizing counters, which its health() reports
+BLOOM_COUNTERS = {"added", "n_target", "p_target", "set_bits"}
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE.glob("*.py") if p.name != "bloom.py"], ids=lambda p: p.name)
+def test_only_bloom_touches_filter_counters(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    touched = [node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    assert [name for name in touched if name in BLOOM_COUNTERS] == []
+
+
+def test_filter_counter_guard_sees_bloom():
+    tree = ast.parse((PACKAGE / "bloom.py").read_text(encoding="utf-8"))
+    assert {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} >= BLOOM_COUNTERS

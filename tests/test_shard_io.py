@@ -684,6 +684,14 @@ class TestStageReportMerge:
         assert a.flagged_spans == {"t__a": 5, "t__b": 1}
         assert a.flagged_bytes == {"t__a": 13, "t__b": 6}
 
+    def test_filter_health_is_kept_not_summed(self):
+        health = {"m": 39, "k": 14, "fill": 0.5, "estimated_fpr": 0.1, "added": 3, "n_target": 2}
+        a, b = StageReport(stage="s", bloom=dict(health)), StageReport(stage="s", bloom=dict(health))
+        a.merge(b)
+        assert a.bloom == health
+        a.merge(StageReport(stage="s"))
+        assert a.bloom == health and a.to_json()["bloom"] == health
+
     def test_flag_counts_documents_spans_and_merged_bytes(self):
         report = StageReport(stage="s")
         overlapping = [AttributeSpan(0, 5, 1.0), AttributeSpan(3, 8, 0.5), AttributeSpan(10, 12, 1.0)]
