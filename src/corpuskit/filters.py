@@ -66,6 +66,14 @@ class FilterExpr:
     def matches(self, score: float) -> bool:
         return _OPS[self.op](score, self.threshold)
 
+    def drops(self, attrs: DocumentAttributes) -> bool:
+        """Whether this is a document-scope expression that drops a document
+        with ``attrs``: its attribute's maximum span score matches."""
+        if self.scope != "document":
+            return False
+        spans = attrs.attributes.get(self.attribute)
+        return bool(spans) and self.matches(max(sp.score for sp in spans))
+
     @classmethod
     def from_json(cls, obj: dict) -> "FilterExpr":
         return cls(
@@ -156,15 +164,11 @@ def apply_filters(
     removals: list[AttributeSpan] = []
     replacements: list[tuple[AttributeSpan, bytes]] = []
     for expr in exprs:
-        spans = attrs.attributes.get(expr.attribute)
-        if not spans:
-            continue
         if expr.scope == "document":
-            score = max(sp.score for sp in spans)
-            if expr.matches(score):
+            if expr.drops(attrs):
                 return Drop(expr.attribute)
         else:
-            for span in spans:
+            for span in attrs.attributes.get(expr.attribute, ()):
                 if not expr.matches(span.score):
                     continue
                 _check_bounds(doc, span, size)

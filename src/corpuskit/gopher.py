@@ -30,6 +30,7 @@ character counts over ``len(text)``, as the conventions above define them.
 
 from __future__ import annotations
 
+import re
 import statistics
 from dataclasses import dataclass
 
@@ -57,6 +58,12 @@ BULLET_PREFIXES = ("•", "‣", "-", "*")
 ELLIPSIS_SUFFIXES = ("…", "...")
 
 _STRIP_PUNCT = "".join(chr(c) for c in range(33, 128) if not chr(c).isalnum())
+
+# a whitespace-delimited word holding a letter: in ASCII text the letters
+# are exactly [A-Za-z], and ``\s`` is ``str.isspace``, which ``str.split``
+# splits on. A match starts only at a word's start, so a word without a
+# letter is scanned once, not once from each of its characters.
+_ASCII_ALPHA_WORD = re.compile(r"(?<!\S)[^\sA-Za-z]*[A-Za-z]\S*")
 
 
 @dataclass
@@ -166,9 +173,11 @@ def gopher_report(text: str) -> GopherReport:
     median_len = float(statistics.median([len(w) for w in words])) if words else 0.0
     symbol_count = sum(text.count(sym) for sym in SYMBOLS)
     symbol_ratio = symbol_count / word_count if word_count else 0.0
-    alpha_frac = (
-        sum(1 for w in words if any(c.isalpha() for c in w)) / word_count if word_count else 0.0
-    )
+    if text.isascii():
+        alpha_words = len(_ASCII_ALPHA_WORD.findall(text))
+    else:
+        alpha_words = sum(1 for w in words if any(c.isalpha() for c in w))
+    alpha_frac = alpha_words / word_count if word_count else 0.0
     normalized = {w.lower().strip(_STRIP_PUNCT) for w in words}
     required_hits = len(REQUIRED_WORDS & normalized)
 

@@ -14,7 +14,12 @@ worker count and chunking.
 The web pipeline runs the fixed stage order: URL dedup, document dedup,
 quality/content filtering, and paragraph dedup last, with one
 ``StageReport`` per stage; with a Bloom backend, each dedup stage's report
-carries its filter's health.
+carries its filter's health. The quality stage tags as a cascade, through
+the gate of ``tagged``: PII density, then the gopher, c4, repetition,
+language and toxicity taggers, in the order of their filters, each seeing
+only the documents no earlier filter drops, so a document's drop reason
+is the first match of all its filters and the models score only the
+documents they can still decide.
 """
 
 from __future__ import annotations
@@ -47,6 +52,7 @@ from corpuskit.ngram_classifier import (
 )
 from corpuskit.pii import (
     MAX_SPANS_FOR_MASKING,
+    PII_MASK_FILTERS,
     TOXICITY_HIGH_THRESHOLD,
     ContentTagConfig,
     apply_pii_policy,
@@ -270,6 +276,8 @@ QUALITY_DROP_FILTERS = [
 URL_DROP_FILTER = FilterExpr(URL_DUPLICATE, "document", ">=", 1.0, "drop_doc")
 DOC_DROP_FILTER = FilterExpr(DOC_DUPLICATE, "document", ">=", 1.0, "drop_doc")
 PARAGRAPH_REMOVE_FILTER = FilterExpr(PARAGRAPH_DUPLICATE, "span", ">=", 1.0, "remove_span")
+# the quality stage's first check: a document with more PII spans than it masks
+PII_DENSITY_FILTER = FilterExpr("pii_density", "document", ">", float(MAX_SPANS_FOR_MASKING), "drop_doc")
 
 
 @contextmanager
@@ -281,10 +289,20 @@ def _failing_in(stage: str, shard) -> Iterator[None]:
         raise RuntimeError(f"stage {stage} failed on input shard {shard}: {exc}") from exc
 
 
+def _pii_density_tagger(doc: Document) -> dict[str, list[AttributeSpan]]:
+    """The document's PII spans and, as ``pii_density``, their count."""
+    pii = tag_pii(doc)
+    attrs = pii_attributes(doc, pii)
+    attrs[PII_DENSITY_FILTER.attribute] = [AttributeSpan(0, doc.text_size, float(len(pii)))]
+    return attrs
+
+
 def _quality_content_shard(shard: str, doc_path: str, out_path: str, config: WebPipelineConfig) -> StageReport:
     report = StageReport(stage="quality_content")
+    # each tagger's filters follow those of the taggers before it, so the
+    # cascade's first drop is apply_filters' first match
     specs: list[tuple[str, dict]] = [("gopher", {}), ("c4", {}), ("repetition", {})]
-    exprs = list(QUALITY_DROP_FILTERS)
+    exprs = [PII_DENSITY_FILTER, *QUALITY_DROP_FILTERS]
     tau = config.toxicity_threshold
     if config.language_model:
         specs.append(("language", {"model": config.language_model}))
@@ -295,24 +313,26 @@ def _quality_content_shard(shard: str, doc_path: str, out_path: str, config: Web
         exprs.append(FilterExpr("toxicity__hate", "span", ">", tau, "remove_span"))
         exprs.append(FilterExpr("toxicity__nsfw", "span", ">", tau, "remove_span"))
 
+    def dropped(doc: Document, attrs: DocumentAttributes) -> bool:
+        return any(expr.drops(attrs) for expr in exprs)
+
     def decide(doc: Document, attrs: DocumentAttributes) -> Decision:
         # PII density is judged on the original text. Sparse spans are
         # masked after the toxic sentence splice, in a second
-        # apply_filters pass (apply_pii_policy).
-        pii = tag_pii(doc)
-        if len(pii) > MAX_SPANS_FOR_MASKING:
-            return Drop("pii_density")
+        # apply_filters pass: the record's own PII spans when the splice
+        # left the text as it was, and otherwise those of the edited text,
+        # tagged again so that their offsets match it
         decision = apply_filters(doc, attrs, exprs)
         if isinstance(decision, Drop):
             return decision
-        # PII is tagged again only when the splice changed the document,
-        # so that its offsets match the edited text
         edited = decision.doc
-        return apply_pii_policy(edited, pii if edited is doc else tag_pii(edited))
+        if edited is doc:
+            return apply_filters(doc, attrs, PII_MASK_FILTERS)
+        return apply_pii_policy(edited, tag_pii(edited))
 
     with _failing_in("quality_content", shard):
-        taggers = [build_tagger(name, params) for name, params in specs]
-        pairs = tagged(read_documents(doc_path), taggers)
+        taggers = [_pii_density_tagger, *(build_tagger(name, params) for name, params in specs)]
+        pairs = tagged(read_documents(doc_path), taggers, dropped)
         write_documents(report.kept(decide(doc, attrs) for doc, attrs in pairs), out_path)
     return report
 

@@ -29,6 +29,8 @@ attribute records and its ``kept`` the one counter of filter decisions.
 :func:`tagged` is the one loop that tags a stream of documents: taggers,
 dedup stages and decontamination alike get chunks of consecutive
 documents, and a :class:`ChunkTagger` tags a whole chunk in one call.
+Given a gate, it runs its taggers as a cascade: a document the gate calls
+dropped gets no later tagger.
 """
 
 from __future__ import annotations
@@ -379,22 +381,42 @@ class ChunkTagger:
         return self.tag_many([doc])[0]
 
 
-def _tag_chunk(docs: list[Document], taggers: Sequence[TaggerFn]) -> list[DocumentAttributes]:
+def _tag_chunk(
+    docs: list[Document], taggers: Sequence[TaggerFn], dropped: Callable[[Document, DocumentAttributes], bool] | None
+) -> list[DocumentAttributes]:
     """Run every tagger on a chunk of documents and merge each document's
     attributes; a :class:`ChunkTagger` tags the chunk in one call, any
-    other tagger one document at a time."""
+    other tagger one document at a time. After each tagger, a document
+    ``dropped`` calls dropped gets no later tagger."""
     records = [DocumentAttributes(id=doc.id) for doc in docs]
+    live = list(zip(docs, records))
     for tagger in taggers:
-        results = tagger.tag_many(docs) if isinstance(tagger, ChunkTagger) else map(tagger, docs)
-        for record, attributes in zip(records, results):
+        batch = [doc for doc, _ in live]
+        results = tagger.tag_many(batch) if isinstance(tagger, ChunkTagger) else map(tagger, batch)
+        for (_, record), attributes in zip(live, results):
             record.merge(DocumentAttributes(id=record.id, attributes=attributes))
+        if dropped is not None:
+            live = [(doc, record) for doc, record in live if not dropped(doc, record)]
+            if not live:
+                break
     return records
 
 
-def tagged(docs: Iterable[Document], taggers: Sequence[TaggerFn]) -> Iterator[tuple[Document, DocumentAttributes]]:
+def tagged(
+    docs: Iterable[Document],
+    taggers: Sequence[TaggerFn],
+    dropped: Callable[[Document, DocumentAttributes], bool] | None = None,
+) -> Iterator[tuple[Document, DocumentAttributes]]:
     """Yield each document with its merged attributes, in order, tagging
     consecutive documents in chunks of ``TAG_CHUNK_DOCS`` documents or
-    ``TAG_CHUNK_BYTES`` text bytes, whichever is reached first."""
+    ``TAG_CHUNK_BYTES`` text bytes, whichever is reached first.
+
+    With a gate ``dropped(doc, attrs)``, the taggers run as a cascade: after
+    each tagger, a document the gate calls dropped, on the attributes
+    merged so far, gets no later tagger, so its record holds only the
+    attributes of the taggers it reached, and a :class:`ChunkTagger` gets
+    the chunk's remaining documents in one call. Without one, every tagger
+    tags every document."""
     docs = iter(docs)
     while True:
         chunk, size = [], 0
@@ -405,15 +427,16 @@ def tagged(docs: Iterable[Document], taggers: Sequence[TaggerFn]) -> Iterator[tu
                 break
         if not chunk:
             return
-        yield from zip(chunk, _tag_chunk(chunk, taggers))
+        yield from zip(chunk, _tag_chunk(chunk, taggers, dropped))
 
 
 class ShardPool:
     """The one scope of a job: its worker processes, which all its fan-outs
     share, and the directories of its intermediate files. ``with
     ShardPool(workers, *temp_dirs) as pool:`` makes the directories; when
-    the block ends, whether it succeeds or fails, tasks not yet started are
-    cancelled, the workers joined, and only then the directories removed.
+    the block ends, tasks not yet started are cancelled, the workers joined,
+    and only then the directories removed; when it fails, the workers are
+    sent SIGTERM first, so a task still running does not hold the job up.
     A worker also ends by itself once the job's process is gone."""
 
     def __init__(self, workers: int, *temp_dirs: Path) -> None:
@@ -430,9 +453,17 @@ class ShardPool:
             raise
         return self
 
-    def __exit__(self, *exc_info) -> None:
+    def __exit__(self, exc_type=None, *exc_info) -> None:
         try:
             if self.executor is not None:
+                if exc_type is not None:
+                    # the executor's own record of its workers, so that no
+                    # other child of the job's process is ended
+                    workers = list((self.executor._processes or {}).values())
+                    for worker in workers:
+                        worker.terminate()
+                    for worker in workers:
+                        worker.join()
                 self.executor.shutdown(wait=True, cancel_futures=True)
         finally:
             for d in self.temp_dirs:
@@ -445,7 +476,7 @@ class ShardPool:
         in order; otherwise they fan out over the job's process pool, started
         by the first fan-out that needs it, so ``fn`` and its arguments must
         pickle. An exception raised by a task propagates, the first in task
-        order.
+        order, once the tasks before it have ended.
         """
         if self.workers <= 1 or len(tasks) <= 1:
             return [fn(*task) for task in tasks]

@@ -865,6 +865,49 @@ class TestSigtermLeavesNothingBehind:
         assert signal.getsignal(signal.SIGTERM) is previous
 
 
+class TestFailingJobStopsRunningTasks:
+    """A failing job ends its running shard tasks instead of waiting for them."""
+
+    def test_sigterm_in_the_quality_stage_exits_within_a_second(self, tmp_path):
+        rng = random.Random(0)
+        shards = []
+        for s in range(4):
+            docs = [
+                Document(id=f"{s}-{i}", text="\n".join(sentence(rng, ENGLISH_WORDS, 12) + "." for _ in range(4)))
+                for i in range(2000)
+            ]
+            shards.append(str(tmp_path / f"in{s}.jsonl"))
+            write_documents(docs, shards[-1])
+        env = dict(os.environ, PYTHONPATH=str(Path(corpuskit.__file__).parents[1]))
+        argv = [sys.executable, "-m", "corpuskit.cli", "pipeline-web", "--exact", "--inputs", *shards, "--workers", "2"]
+        for trial in range(3):
+            out = tmp_path / f"out{trial}"
+            proc = subprocess.Popen(
+                [*argv, "--out-dir", str(out)], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL
+            )
+            workers: set[int] = set()
+            try:
+                # the workers start at the quality stage, the first fan-out
+                while proc.poll() is None:
+                    workers = child_pids(proc.pid)
+                    if (out / ".stage-dedup").exists() and len(workers) == 2:
+                        break
+                    time.sleep(0.005)
+                proc.send_signal(signal.SIGTERM)
+                signalled = time.monotonic()
+                assert proc.wait(timeout=60) == 143
+                assert time.monotonic() - signalled < 1
+                assert len(workers) == 2
+                assert [pid for pid in workers if running(pid)] == []
+                assert list(out.iterdir()) == []  # no .stage-*, *.tmp or output shard
+            finally:
+                proc.kill()
+                proc.wait()
+                for pid in workers:
+                    if running(pid):
+                        os.kill(pid, signal.SIGKILL)
+
+
 class TestDedupeReportsMatchSidecars:
     """Each dedupe and decontaminate report counts what its sidecars hold."""
 

@@ -119,3 +119,31 @@ def test_only_bloom_touches_filter_counters(path):
 def test_filter_counter_guard_sees_bloom():
     tree = ast.parse((PACKAGE / "bloom.py").read_text(encoding="utf-8"))
     assert {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} >= BLOOM_COUNTERS
+
+
+# the chunk caps of shard_io.tagged, the one loop that tags a stream of documents
+CHUNK_CAPS = {"TAG_CHUNK_DOCS", "TAG_CHUNK_BYTES"}
+
+
+def _chunk_cap_names(tree: ast.Module) -> set[str]:
+    """The chunk caps ``tree`` names: as a name, an attribute, an import or a string."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names & CHUNK_CAPS
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE.glob("*.py") if p.name != "shard_io.py"], ids=lambda p: p.name)
+def test_only_shard_io_sizes_tagging_chunks(path):
+    assert _chunk_cap_names(ast.parse(path.read_text(encoding="utf-8"))) == set()
+
+
+def test_chunk_cap_guard_sees_shard_io():
+    assert _chunk_cap_names(ast.parse((PACKAGE / "shard_io.py").read_text(encoding="utf-8"))) == CHUNK_CAPS

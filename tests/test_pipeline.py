@@ -1,4 +1,6 @@
+import json
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -6,8 +8,11 @@ import pytest
 from conftest import BENIGN_WORDS, ENGLISH_WORDS, TOXIC_MARKERS
 from corpuskit import shard_io
 from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
-from corpuskit.ngram_classifier import save_model
+from corpuskit.filters import Drop, FilterExpr, Keep, apply_filters
+from corpuskit.ngram_classifier import ENGLISH_KEEP_THRESHOLD, save_model
+from corpuskit.pii import MAX_SPANS_FOR_MASKING, apply_pii_policy, tag_pii
 from corpuskit.pipeline import (
+    QUALITY_DROP_FILTERS,
     ChunkTagger,
     TaggerConfigError,
     UnknownTaggerError,
@@ -21,6 +26,7 @@ from corpuskit.pipeline import (
 from corpuskit.shard_io import (
     TAG_CHUNK_BYTES,
     TAG_CHUNK_DOCS,
+    StageReport,
     read_attributes,
     read_documents,
     tagged,
@@ -300,6 +306,30 @@ class TestWebPipeline:
             )
         assert outputs[1] == outputs[4]
 
+    def test_a_failing_shard_fails_the_job_while_another_runs(self, tmp_path, monkeypatch):
+        import corpuskit.pipeline as pipeline
+
+        rng = random.Random(10)
+        shards = write_shards(
+            tmp_path,
+            [[Document(id=f"s{s}", text=clean_text(rng, 10), metadata={"url": f"http://f{s}.org/"})] for s in range(2)],
+        )
+        failed_at = tmp_path / "failed_at"
+
+        def tag_gopher(doc):
+            if doc.id == "s1":
+                time.sleep(30)
+                return {}
+            failed_at.write_text(repr(time.monotonic()))
+            raise ValueError("gopher broke")
+
+        monkeypatch.setattr(pipeline, "tag_gopher", tag_gopher)
+        config = WebPipelineConfig(inputs=shards, out_dir=str(tmp_path / "out"), exact_backend=True, workers=2)
+        with pytest.raises(RuntimeError, match=f"stage quality_content failed on input shard {shards[0]}: gopher broke"):
+            run_pipeline_web(config)
+        assert time.monotonic() - float(failed_at.read_text()) < 1
+        assert [p.name for p in (tmp_path / "out").iterdir()] == []
+
     def test_only_final_shard_keeps_gz_name(self, tmp_path, monkeypatch):
         import corpuskit.pipeline as pipeline
 
@@ -494,3 +524,186 @@ class TestChunkedTagging:
         assert quality["input_docs"] > TAG_CHUNK_DOCS and quality["kept_docs"] > 0
         kept = b"".join(results[0][1])
         assert not [marker for marker in TOXIC_MARKERS if marker.encode() in kept]  # toxic sentences spliced out
+
+    def test_gate_hands_each_chunk_tagger_a_chunks_survivors_in_one_call(self):
+        docs = [Document(id=f"d{n}", text="x") for n in range(TAG_CHUNK_DOCS + 7)]
+        chunk_calls, last_calls = [], []
+        first = lambda doc: {"t__first": []}  # noqa: E731
+        middle = ChunkTagger(lambda batch: chunk_calls.append([d.id for d in batch]) or [{"t__middle": []} for _ in batch])
+        last = lambda doc: last_calls.append(doc.id) or {"t__last": []}  # noqa: E731
+
+        def dropped(doc, attrs):
+            # a third of the documents drop after the first tagger, a third after the second
+            n = int(doc.id[1:])
+            return n % 3 == 0 or (n % 3 == 1 and "t__middle" in attrs.attributes)
+
+        pairs = list(tagged(docs, [first, middle, last], dropped))
+        assert [doc.id for doc, _ in pairs] == [attrs.id for _, attrs in pairs] == [doc.id for doc in docs]
+        chunks = [range(TAG_CHUNK_DOCS), range(TAG_CHUNK_DOCS, len(docs))]
+        assert chunk_calls == [[f"d{n}" for n in chunk if n % 3] for chunk in chunks]
+        assert last_calls == [f"d{n}" for n in range(len(docs)) if n % 3 == 2]
+        reached = {0: ["t__first"], 1: ["t__first", "t__middle"], 2: ["t__first", "t__middle", "t__last"]}
+        assert [list(attrs.attributes) for _, attrs in pairs] == [reached[n % 3] for n in range(len(docs))]
+
+        # a chunk with no survivor is not handed on
+        chunk_calls.clear()
+        records = [attrs for _, attrs in tagged(docs, [first, middle], lambda doc, attrs: True)]
+        assert chunk_calls == [] and all(list(r.attributes) == ["t__first"] for r in records)
+
+    def test_gate_that_drops_nothing_changes_no_chunk_or_record(self):
+        sizes = []
+        counter = ChunkTagger(lambda batch: sizes.append(len(batch)) or [{"n__len": [AttributeSpan(0, 1, len(batch))]} for _ in batch])
+        taggers = [build_tagger("c4"), counter, build_tagger("repetition")]
+        docs = chunked_corpus()
+        runs = []
+        for gate in ((), (lambda doc, attrs: False,)):
+            sizes.clear()
+            records = [attrs for _, attrs in tagged(docs, taggers, *gate)]
+            runs.append((list(sizes), records_as_bits(records)))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) > 1
+
+
+def varied_text(rng, n_lines, i):
+    """Text passing every web quality rule: a stopword line and lines of
+    words from a wide vocabulary, so no line or long n-gram repeats, and
+    no paragraph is shared with another document ``i``."""
+    lines = [f"The band went to show {i}, and most of that crowd would have stayed with them."]
+    for _ in range(n_lines):
+        lines.append(" ".join(rng.choice(ENGLISH_WORDS + BENIGN_WORDS) for _ in range(9)).capitalize() + ".")
+    return "\n".join(lines)
+
+
+def cascade_corpus(rng):
+    """Documents dropped for every reason of the quality stage, some of
+    them at once (a too-short text is also unpunctuated), and kept ones:
+    clean, masked, spliced, and spliced and masked."""
+    foreign_words = ["zxqv", "wqrtz", "kjxy", "qqzt", "vxkw", "jzzq", "xwvk", "qkzv"]
+    toxic = [f"Lovely {rng.choice(TOXIC_MARKERS)} {rng.choice(TOXIC_MARKERS)} garden." for _ in range(8)]
+    docs = []
+    for i in range(48):
+        kind = i % 12
+        text = varied_text(rng, 8 + i % 5, i)
+        if kind == 1:
+            text += "\n" + " ".join(f"u{i}x{j}@h{j}.net" for j in range(7)) + " end."
+        elif kind == 2:
+            text = f"tiny fragment {i}"
+        elif kind == 3:
+            text = text.split("\n")[0] + "\n" + "\n".join(" ".join(rng.choice(ENGLISH_WORDS) for _ in range(6)) for _ in range(12))
+        elif kind == 4:
+            text = varied_text(rng, 110, i) + "\n" + "spam " * 110 + "end."
+        elif kind == 5:
+            lines = [" ".join(["the", "of"] + [rng.choice(foreign_words) for _ in range(7)]) + f" nr{i}x{j}." for j in range(10)]
+            text = "\n".join(lines)
+        elif kind == 6:
+            text += "\n" + toxic[i // 12]
+        elif kind == 7:
+            text += f"\nWrite to box{i}@dropmail.org about item {i}.\n" + toxic[4 + i // 12]
+        elif kind == 8:
+            text += f"\nWrite to box{i}@dropmail.org about item {i}."
+        elif kind == 9:  # every sentence toxic
+            lines = []
+            for j in range(7):
+                words = [rng.choice(BENIGN_WORDS) for _ in range(6)] + [rng.choice(TOXIC_MARKERS)]
+                rng.shuffle(words)
+                lines.append(f"The {' '.join(words)} and {rng.choice(ENGLISH_WORDS)} {i}x{j}.")
+            text = "\n".join(lines)
+        docs.append(Document(id=f"q{i}", text=text, metadata={"url": f"http://q{i}.org/"}))
+    return docs
+
+
+def reference_quality(docs, paths, tau=0.4):
+    """The quality stage without a cascade: every tagger tags every
+    document, then its decision: PII density on the original text, the
+    filters in order, and PII masking on the text the splice left.
+    Returns each document's decision and the ids of the spliced kept ones."""
+    toxicity = {"hate_model": paths["hate"], "nsfw_model": paths["nsfw"], "threshold": tau}
+    specs = [("gopher", {}), ("c4", {}), ("repetition", {}), ("language", {"model": paths["lang"]}), ("toxicity", toxicity)]
+    exprs = QUALITY_DROP_FILTERS + [
+        FilterExpr("lang__en", "document", "<", ENGLISH_KEEP_THRESHOLD, "drop_doc"),
+        FilterExpr("toxicity__hate", "span", ">", tau, "remove_span"),
+        FilterExpr("toxicity__nsfw", "span", ">", tau, "remove_span"),
+    ]
+    decisions, spliced = [], set()
+    for doc, attrs in tagged(docs, [build_tagger(name, params) for name, params in specs]):
+        pii = tag_pii(doc)
+        if len(pii) > MAX_SPANS_FOR_MASKING:
+            decisions.append(Drop("pii_density"))
+            continue
+        decision = apply_filters(doc, attrs, exprs)
+        if isinstance(decision, Keep):
+            edited = decision.doc
+            if edited is not doc:
+                spliced.add(doc.id)
+            decision = apply_pii_policy(edited, pii if edited is doc else tag_pii(edited))
+        decisions.append(decision)
+    return decisions, spliced
+
+
+class TestQualityCascade:
+    """The quality stage tags in drop order and stops at a document's first
+    drop, with the outputs of tagging everything and then deciding."""
+
+    @pytest.mark.parametrize("chunk_docs", [TAG_CHUNK_DOCS, 1])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_equals_every_tagger_then_decide(self, tmp_path, model_paths, monkeypatch, workers, chunk_docs):
+        import corpuskit.pipeline as pipeline
+
+        docs = cascade_corpus(random.Random(21))
+        parts = [docs[:20], docs[20:]]
+        shards = write_shards(tmp_path, parts)
+        expected_report = StageReport(stage="quality_content")
+        reason, spliced = {}, set()  # each document's drop reason (None: kept), the spliced kept ones
+        for n, part in enumerate(parts):
+            decisions, part_spliced = reference_quality(part, model_paths)
+            reason.update((doc.id, getattr(d, "reason", None)) for doc, d in zip(part, decisions))
+            spliced |= part_spliced
+            write_documents(expected_report.kept(decisions), tmp_path / f"expected-{n}.jsonl")
+        reasons = expected_report.drop_reasons
+        assert set(reasons) == {"pii_density", *(e.attribute for e in QUALITY_DROP_FILTERS), "lang__en", "emptied"}
+        assert [doc.id for doc in docs if doc.id in spliced and "@" in doc.text]  # masked after a splice
+
+        # every call is noted in a file, so that workers' calls count too
+        calls = tmp_path / "calls.jsonl"
+
+        def note(kind, ids):
+            with open(calls, "a") as f:
+                f.write(json.dumps([kind, ids]) + "\n")
+
+        by_text = {doc.text: doc.id for doc in docs}
+        score_english, tag_toxicity_many, tag_pii_ = pipeline.score_english, pipeline.tag_toxicity_many, pipeline.tag_pii
+        monkeypatch.setattr(pipeline, "score_english", lambda model, text: note("lang", [by_text[text]]) or score_english(model, text))
+        monkeypatch.setattr(
+            pipeline, "tag_toxicity_many", lambda batch, *a: note("toxicity", [d.id for d in batch]) or tag_toxicity_many(batch, *a)
+        )
+        monkeypatch.setattr(pipeline, "tag_pii", lambda doc: note("pii", [doc.id]) or tag_pii_(doc))
+        monkeypatch.setattr(shard_io, "TAG_CHUNK_DOCS", chunk_docs)
+        config = WebPipelineConfig(
+            inputs=shards,
+            out_dir=str(tmp_path / "out"),
+            exact_backend=True,
+            language_model=model_paths["lang"],
+            hate_model=model_paths["hate"],
+            nsfw_model=model_paths["nsfw"],
+            toxicity_threshold=0.4,
+            workers=workers,
+        )
+        reports = run_pipeline_web(config)
+
+        # the dedup stages keep every document, so the curated shards are the quality stage's
+        assert [r.dropped_docs for r in reports] == [0, 0, sum(reasons.values()), 0]
+        assert reports[2].to_json() == expected_report.to_json()
+        for n, shard in enumerate(shards):
+            assert (tmp_path / "out" / Path(shard).name).read_bytes() == (tmp_path / f"expected-{n}.jsonl").read_bytes()
+
+        before_language = {"pii_density", *(e.attribute for e in QUALITY_DROP_FILTERS)}
+        noted = [json.loads(line) for line in calls.read_text().splitlines()]
+        lang_ids = [i for kind, ids in noted if kind == "lang" for i in ids]
+        toxicity_calls = [ids for kind, ids in noted if kind == "toxicity"]
+        pii_ids = [i for kind, ids in noted if kind == "pii" for i in ids]
+        assert sorted(lang_ids) == sorted(i for i in reason if reason[i] not in before_language)
+        assert sorted(sum(toxicity_calls, [])) == sorted(i for i in reason if reason[i] not in before_language | {"lang__en"})
+        order = {doc.id: n for n, doc in enumerate(docs)}
+        assert all(ids == sorted(ids, key=order.get) for ids in toxicity_calls)
+        assert all(len(ids) <= chunk_docs for ids in toxicity_calls)
+        assert sorted(pii_ids) == sorted([doc.id for doc in docs] + list(spliced))

@@ -6,11 +6,12 @@ independently of the production code paths.
 
 import random
 import statistics
+import time
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from corpuskit.documents import Document, whitespace_word_spans
 from corpuskit.gopher import (
@@ -228,6 +229,26 @@ class TestGopherOracle:
         oracle = naive_gopher(text)
         assert report.top_ngram_char_fraction == top == oracle["top_ngram_char_fraction"]
         assert report.dup_ngram_char_fraction == dup == oracle["dup_ngram_char_fraction"]
+
+    # ASCII letters, digits, "_", punctuation, and the whitespace str.split
+    # splits on (\x1c-\x1f among it); the non-ASCII characters, a letter é and
+    # the non-letters ² and Ⅷ, send a text to the per-word loop
+    _ASCII = "aZq09_.-#!\t\n\x0b\x0c\r \x1c\x1d\x1e\x1f"
+
+    @given(st.text(st.sampled_from(_ASCII), max_size=60) | st.text(st.sampled_from(_ASCII + "é²Ⅷ"), max_size=60))
+    @example("12 345 0\x1c..\x1d#!-\x1e_ __\x1fa_1 1a _Z_")
+    @example("\x1c\x1d\x1e\x1f")
+    @example("é ² Ⅷ 12 .. _ a")
+    def test_alpha_word_fraction_matches_per_word_loop(self, text):
+        words = text.split()
+        expected = sum(1 for w in words if any(c.isalpha() for c in w)) / len(words) if words else 0.0
+        assert gopher_report(text).alpha_word_fraction == expected
+
+    def test_alpha_word_count_is_linear_in_a_word_without_letters(self):
+        # a count that scanned such a word from each of its characters would take minutes
+        started = time.monotonic()
+        assert gopher_report("1" * 100_000 + " a").alpha_word_fraction == 0.5
+        assert time.monotonic() - started < 2
 
     def test_matches_any_equals_external_disjunction(self):
         rng = random.Random(99)

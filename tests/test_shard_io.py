@@ -551,6 +551,13 @@ def _fail_or_touch(path: str) -> None:
     Path(path).touch()
 
 
+def _sleep_then_fail(seconds: float, error: str) -> None:
+    """Sleep, then raise ``error`` unless it is empty."""
+    time.sleep(seconds)
+    if error:
+        raise ValueError(error)
+
+
 # holds a pool of two workers open after four tasks, printing the workers' pids
 _HOLD_POOL = """
 import multiprocessing, time
@@ -592,6 +599,16 @@ class TestShardPool:
         with pytest.raises(ZeroDivisionError):
             with ShardPool(workers) as pool:
                 pool.map(divmod, [(4, 2), (1, 0), (9, 3)])
+        assert multiprocessing.active_children() == []
+
+    def test_a_failing_task_ends_the_running_ones(self):
+        # the first task fails while the second sleeps; the third fails after the first
+        tasks = [(0.2, "first task"), (30.0, ""), (0.0, "third task")]
+        started = time.monotonic()
+        with pytest.raises(ValueError, match="first task"):
+            with ShardPool(2) as pool:
+                pool.map(_sleep_then_fail, tasks)
+        assert time.monotonic() - started < 1
         assert multiprocessing.active_children() == []
 
     def test_failed_fan_out_cancels_pending_tasks_and_joins_workers(self, tmp_path):
