@@ -36,6 +36,11 @@ DEFAULT_BLOCKED_EXTENSIONS = frozenset(
 
 _TAG_RE = re.compile(r"<[^>]*>")
 
+# the ASCII bytes that are not alphanumeric, and those that are not
+# alphabetic: deleting them from ASCII text leaves the characters counted
+_ASCII_NOT_ALNUM = bytes(b for b in range(128) if not chr(b).isalnum())
+_ASCII_NOT_ALPHA = bytes(b for b in range(128) if not chr(b).isalpha())
+
 
 @dataclass
 class CodeQualityReport:
@@ -60,9 +65,16 @@ def rpj_report(text: str) -> CodeQualityReport:
     lines = split_lines(text)
     max_len = max((len(ln) for ln in lines), default=0)
     avg_len = sum(len(ln) for ln in lines) / len(lines) if lines else 0.0
-    alnum_frac = sum(1 for c in text if c.isalnum()) / len(text) if text else 0.0
+    if text.isascii():
+        data = text.encode("ascii")
+        alnum = len(data.translate(None, _ASCII_NOT_ALNUM))
+        alpha = len(data.translate(None, _ASCII_NOT_ALPHA))
+    else:
+        alnum = sum(1 for c in text if c.isalnum())
+        alpha = sum(1 for c in text if c.isalpha())
+    alnum_frac = alnum / len(text) if text else 0.0
     tokens = len(text.split())
-    alpha_ratio = sum(1 for c in text if c.isalpha()) / tokens if tokens else 0.0
+    alpha_ratio = alpha / tokens if tokens else 0.0
     return CodeQualityReport(
         max_line_len=max_len,
         avg_line_len=avg_len,

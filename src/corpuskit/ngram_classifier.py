@@ -416,9 +416,11 @@ def _take(rows: Rows, order: Sequence[int]) -> Rows:
 
 
 def _train_sgd(weights, bias, rows: Rows, ys, config: TrainConfig, history: list[float]) -> None:
-    """Minibatch SGD with lazy L2 decay. Each batch is scored in one call,
-    and its gradient is one scatter over the columns its examples touch; a
-    column shared by several examples adds their terms in batch order."""
+    """Minibatch SGD with lazy L2 decay. Each batch is scored in one call.
+    A one-example step updates its row's buckets directly: they are
+    distinct, so each gets its one term. A larger batch's gradient is one
+    scatter over the columns its examples touch; a column shared by several
+    examples adds their terms in batch order."""
     rng = random.Random(config.seed)
     order = list(range(len(ys)))
     scale = 1.0  # lazy L2: true weights = scale * stored weights
@@ -436,9 +438,12 @@ def _train_sgd(weights, bias, rows: Rows, ys, config: TrainConfig, history: list
                 g[ys[order[k]]] -= 1.0
                 terms.append(np.outer(counts[bounds[k] : bounds[k + 1]], g))
                 grad_b += g
-            cols, inverse = np.unique(indices[bounds[start] : bounds[stop]], return_inverse=True)
-            grad_w = np.zeros((len(cols), len(bias)))
-            np.add.at(grad_w, inverse, np.concatenate(terms))
+            if stop - start == 1:
+                cols, grad_w = indices[bounds[start] : bounds[stop]], terms[0]
+            else:
+                cols, inverse = np.unique(indices[bounds[start] : bounds[stop]], return_inverse=True)
+                grad_w = np.zeros((len(cols), len(bias)))
+                np.add.at(grad_w, inverse, np.concatenate(terms))
             lr = config.learning_rate / (stop - start)
             if config.l2 > 0:
                 scale *= 1.0 - config.learning_rate * config.l2
@@ -524,8 +529,8 @@ def save_model(model: NgramModel, path) -> None:
             raw = label.encode("utf-8")
             f.write(struct.pack("<I", len(raw)))
             f.write(raw)
-        f.write(np.ascontiguousarray(model.weights, dtype="<f8").tobytes())
-        f.write(np.ascontiguousarray(model.bias, dtype="<f8").tobytes())
+        f.write(memoryview(np.ascontiguousarray(model.weights, dtype="<f8")))
+        f.write(memoryview(np.ascontiguousarray(model.bias, dtype="<f8")))
 
 
 class ModelFormatError(ValueError):

@@ -499,6 +499,18 @@ class TestTraining:
         assert model.bias.tobytes() == bias.tobytes()
         assert [loss.hex() for loss in model.loss_history] == [loss.hex() for loss in history]
 
+    @pytest.mark.parametrize("batch_size, scatters", [(1, False), (3, True)])
+    def test_only_batches_of_several_examples_scatter(self, monkeypatch, batch_size, scatters):
+        unique, calls = np.unique, []
+
+        def counting_unique(*args, **kwargs):
+            calls.append(args)
+            return unique(*args, **kwargs)
+
+        monkeypatch.setattr(np, "unique", counting_unique)
+        train(separable_examples(10), TrainConfig(epochs=2, seed=0, batch_size=batch_size), WORD_CFG)
+        assert bool(calls) == scatters
+
     def test_sgd_records_per_epoch_loss(self):
         examples = separable_examples(20)
         model = train(examples, TrainConfig(epochs=4, seed=0), WORD_CFG)

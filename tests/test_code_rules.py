@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from corpuskit.code_rules import (
     DEFAULT_BLOCKED_EXTENSIONS,
@@ -71,6 +72,19 @@ class TestRpjRules:
         assert report.alpha_to_token_ratio == pytest.approx(
             sum(c.isalpha() for c in text) / len(text.split())
         )
+
+    @given(
+        st.one_of(
+            st.text(st.characters(max_codepoint=0x7F)),
+            st.text(st.sampled_from("aZ09_ \t\n\x1f-#é²Ⅷ٣ß日")),
+            st.text(),
+        )
+    )
+    def test_character_counts_equal_per_character_definition(self, text):
+        report = rpj_report(text)
+        tokens = len(text.split())
+        assert report.alnum_char_fraction == (sum(c.isalnum() for c in text) / len(text) if text else 0.0)
+        assert report.alpha_to_token_ratio == (sum(c.isalpha() for c in text) / tokens if tokens else 0.0)
 
     def test_trailing_newline_line_not_counted(self):
         with_nl = rpj_report("x" * 10 + "\n")
