@@ -16,9 +16,11 @@ or --model-out file in a directory that neither exists nor is the command's
 --out-dir or above it. Reports are JSON on stdout or at --report; with a
 Bloom filter, dedupe and decontaminate reports and each dedup stage of a
 pipeline-web report end in its health: size, fill, estimated false-positive
-rate, new keys and the key count it was sized for. Exit codes: 0 success, 1
-validation error, 2 runtime failure, 143 ended by SIGTERM after cleaning up
-as a failure does.
+rate, new keys and the key count it was sized for. A failed job moves no
+output into --out-dir: its outputs are moved in only once all are written,
+and --save-filter and --report are written after them. Exit codes: 0
+success, 1 validation error, 2 runtime failure, 143 ended by SIGTERM after
+cleaning up as a failure does.
 """
 
 from __future__ import annotations
@@ -73,6 +75,7 @@ from corpuskit.pipeline import (
 )
 from corpuskit.shard_io import (
     ShardNameError,
+    ShardPool,
     StageReport,
     atomic_output,
     output_paths,
@@ -291,9 +294,9 @@ _DEDUPE_STAGES = {
 
 
 def _cmd_dedupe(args) -> dict:
-    inputs, out_dir, stage = args.inputs, Path(args.out_dir), args.stage
+    inputs, stage = args.inputs, args.stage
     stage_fn, attribute = _DEDUPE_STAGES[stage]
-    outputs = output_paths(inputs, out_dir)
+    outputs = output_paths(inputs, args.out_dir)
     group_bytes = args.ccnet_group_bytes
     if group_bytes is not None:
         # one (shard, records) pair per input, in input order
@@ -314,8 +317,8 @@ def _cmd_dedupe(args) -> dict:
 
         shards = (records(path) for path in inputs)
         report = {"stage": stage}
-    out_dir.mkdir(parents=True, exist_ok=True)
-    counts = _write_counted(stage, outputs, shards)
+    with ShardPool(1, out_dir=args.out_dir) as pool:
+        counts = _write_counted(stage, pool.staged(outputs), shards)
     report.update(documents=counts.input_docs, flagged_documents=counts.flagged_docs.get(attribute, 0))
     if group_bytes is None:
         if args.save_filter:
@@ -327,8 +330,7 @@ def _cmd_dedupe(args) -> dict:
 
 
 def _cmd_decontaminate(args) -> dict:
-    out_dir = Path(args.out_dir)
-    outputs = output_paths(args.inputs, out_dir)
+    outputs = output_paths(args.inputs, args.out_dir)
     min_tokens = DECONTAMINATION_MIN_TOKENS if args.min_paragraph_tokens is None else args.min_paragraph_tokens
     if args.load_filter:
         seeded = bloom_load(args.load_filter)
@@ -342,15 +344,15 @@ def _cmd_decontaminate(args) -> dict:
         with _option_values():
             filt = make_backend(n_target=max(len(keys), 1), **_given(args, "exact", p_target="bloom_p", seed="seed"))
         seeded = seed_filter(filt, keys)
-        if args.save_filter:
-            bloom_save(seeded, args.save_filter)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     shards = (
         (attrs for _, attrs in decontaminate_tag(read_documents(path), seeded, min_paragraph_tokens=min_tokens))
         for path in args.inputs
     )
-    counts = _write_counted("decontaminate", outputs, shards)
+    with ShardPool(1, out_dir=args.out_dir) as pool:
+        counts = _write_counted("decontaminate", pool.staged(outputs), shards)
+    if args.save_filter:
+        bloom_save(seeded, args.save_filter)
     report = {
         "documents": counts.input_docs,
         "contaminated_documents": counts.flagged_docs.get(CONTAMINATED, 0),
@@ -534,8 +536,8 @@ _VALIDATION_ERRORS = (
 @contextmanager
 def _sigterm_as_exit() -> Iterator[None]:
     """While the block runs, SIGTERM raises ``SystemExit(143)``, so the job's
-    :class:`~corpuskit.shard_io.ShardPool`, its atomic outputs and the mix
-    publish step clean up as they do for an exception. Only the main thread
+    :class:`~corpuskit.shard_io.ShardPool` and its atomic outputs clean up
+    as they do for an exception, publishing nothing. Only the main thread
     can set a handler; the previous one is restored when the block ends."""
     if threading.current_thread() is not threading.main_thread():
         yield

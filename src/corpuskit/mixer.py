@@ -8,8 +8,9 @@ its fan-outs: with proportions, a measuring pass sizes each input file's
 sources in parallel, and the parent sums the sizes (every source with
 input mass must have a weight); then filtering and sampling run per input
 file into one part each. Resharding then concatenates the parts in config
-order, so output bytes do not depend on worker count. A span past the end
-of its document fails naming the sidecar and line it came from.
+order into shards, so output bytes do not depend on worker count, and the
+scope publishes them only if the mix succeeds. A span past the end of its
+document fails naming the sidecar and line it came from.
 """
 
 from __future__ import annotations
@@ -249,17 +250,18 @@ def mix(config: MixConfig, out_dir: str | os.PathLike, workers: int = 1) -> MixR
     """Run the full mix: filter, sample, upsample, and reshard.
 
     Same config and seed produce byte-identical output shards regardless of
-    worker count. The filtered parts live in ``.mix-parts/``, which the
-    mix's :class:`~corpuskit.shard_io.ShardPool` removes whether the mix
-    succeeds or fails; a failed mix also removes the output shards it wrote. An ``out_dir`` holding a ``part-*.jsonl``
-    this mix would not overwrite raises :class:`MixConfigError`, and no
-    shard of this mix is moved into it.
+    worker count. The filtered parts live in ``.mix-parts/``, and the output
+    shards are written to the staging directory of the mix's
+    :class:`~corpuskit.shard_io.ShardPool`, which moves them into
+    ``out_dir`` only if the mix succeeds. An ``out_dir`` holding a
+    ``part-*.jsonl`` this mix would not overwrite raises
+    :class:`MixConfigError`, and no shard of this mix is moved into it.
     """
     out_dir = Path(out_dir)
     tmp_dir = out_dir / ".mix-parts"
     rates = None
     report = MixReport()
-    with ShardPool(workers, tmp_dir) as pool:
+    with ShardPool(workers, tmp_dir, out_dir=out_dir) as pool:
         if config.proportions is not None:
             sizes = measure_source_sizes(config, pool)
             rates = sample_proportions(config.proportions, sizes)
@@ -277,15 +279,14 @@ def mix(config: MixConfig, out_dir: str | os.PathLike, workers: int = 1) -> MixR
                 report.source(name).merge(counts)
 
         # Phase 2: concatenate parts in config order into byte-capped shards.
-        # A shard takes at least one line, and an empty mix writes one empty
-        # shard. The shards are written beside the parts and moved into
-        # out_dir only once all are whole, so a failed mix leaves none.
-        shards: list[Path] = []
+        # A shard takes at least one line, and an empty mix writes one empty shard.
+        paths: list[Path] = []
         lines = _part_lines(parts)
         line = next(lines, None)
-        while line is not None or not shards:
-            shards.append(tmp_dir / f"shard-{len(shards):05d}.jsonl")
-            with open(shards[-1], "wb") as out:
+        while line is not None or not paths:
+            paths.append(out_dir / f"part-{len(paths):05d}.jsonl")
+            (shard,) = pool.staged(paths[-1:])
+            with open(shard, "wb") as out:
                 size = 0
                 while line is not None and (size == 0 or size + len(line) <= config.output_shard_bytes):
                     out.write(line)
@@ -293,20 +294,12 @@ def mix(config: MixConfig, out_dir: str | os.PathLike, workers: int = 1) -> MixR
                     line = next(lines, None)
         # Shards of an earlier mix that this one would not overwrite are
         # refused: a reader globbing part-*.jsonl would mix them in.
-        paths = [out_dir / f"part-{i:05d}.jsonl" for i in range(len(shards))]
         stale = sorted(set(out_dir.glob("part-*.jsonl")) - set(paths))
         if stale:
             raise MixConfigError(
                 f"{stale[0]} is a shard this mix would not write; remove the earlier mix's shards first"
             )
-        try:
-            for shard, path in zip(shards, paths):
-                os.replace(shard, path)
-                report.output_shards.append(str(path))
-        except BaseException:
-            for path in report.output_shards:
-                os.unlink(path)
-            raise
+    report.output_shards = [str(path) for path in paths]
     return report
 
 

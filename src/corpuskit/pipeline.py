@@ -192,8 +192,6 @@ def build_tagger(name: str, params: dict | None = None) -> TaggerFn:
 
 def _tag_one_shard(doc_path: str, out_path: str, specs: list[tuple[str, dict]]) -> StageReport:
     taggers = [build_tagger(name, params) for name, params in specs]
-    # the output directory appears only once the taggers could be built
-    Path(out_path).parent.mkdir(parents=True, exist_ok=True)
     report = StageReport(stage="tag")
 
     def records():
@@ -214,9 +212,9 @@ def run_tag(
     """Tag every shard, writing one sidecar per input shard (same name)."""
     outputs = output_paths(doc_paths, out_dir)
     started = time.monotonic()
-    tasks = [(str(p), str(o), tagger_specs) for p, o in zip(doc_paths, outputs)]
     report = StageReport(stage="tag")
-    with ShardPool(workers) as pool:
+    with ShardPool(workers, out_dir=out_dir) as pool:
+        tasks = [(str(p), str(o), tagger_specs) for p, o in zip(doc_paths, pool.staged(outputs))]
         for shard_report in pool.map(_tag_one_shard, tasks):
             report.merge(shard_report)
     report.wall_seconds = time.monotonic() - started
@@ -343,8 +341,8 @@ def run_pipeline_web(config: WebPipelineConfig) -> list[StageReport]:
     final shards are named like their inputs, so inputs sharing a basename
     are rejected before any stage; the stage files in between are plain
     ``<index>.jsonl``, never compressed, since the run deletes them. A
-    failure names its stage and input shard, and the stage directories are
-    removed whether the run succeeds or fails."""
+    failure names its stage and input shard. The stage directories are
+    removed either way; the final shards are published only on success."""
     out_dir = Path(config.out_dir)
     tmp1 = out_dir / ".stage-dedup"
     tmp2 = out_dir / ".stage-quality"
@@ -360,7 +358,7 @@ def run_pipeline_web(config: WebPipelineConfig) -> list[StageReport]:
         make_backend, config.exact_backend, n_target=config.bloom_n, p_target=config.bloom_p, seed=config.seed
     )
 
-    with ShardPool(config.workers, tmp1, tmp2) as pool:
+    with ShardPool(config.workers, tmp1, tmp2, out_dir=out_dir) as pool:
         # Dedup inserts are order-sensitive, so stages 1-2 stream sequentially.
         url_backend = new_backend()
         doc_backend = new_backend()
@@ -381,7 +379,7 @@ def run_pipeline_web(config: WebPipelineConfig) -> list[StageReport]:
         # Paragraph dedup runs last; duplicate paragraphs are spliced out and
         # documents emptied by the splice are dropped.
         para_backend = new_backend()
-        for shard, src, dst in zip(config.inputs, quality_paths, final_paths):
+        for shard, src, dst in zip(config.inputs, quality_paths, pool.staged(final_paths)):
             with _failing_in("paragraph_dedup", shard):
                 flagged = dedupe_by_paragraph(read_documents(src), para_backend)
                 survivors = (apply_filters(d, a, [PARAGRAPH_REMOVE_FILTER]) for d, a in flagged)

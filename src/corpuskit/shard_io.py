@@ -21,10 +21,12 @@ walks them alongside it. Per-shard jobs name their outputs with
 :func:`output_paths` and run in one :class:`ShardPool`, the job's one
 scope: it holds the job's intermediate directories, and its worker
 processes start at the first fan-out that needs them, serve every later
-one and are joined before the directories are removed. Jobs fold their
-per-shard :class:`StageReport` counters together with ``merge``: it is the
-one counted report of every job, its ``flag`` the one counter of
-attribute records and its ``kept`` the one counter of filter decisions.
+one and are joined before the directories are removed; it is the one
+publish step, moving a job's outputs into place only if the job succeeds.
+Jobs fold their per-shard :class:`StageReport` counters together with
+``merge``: it is the one counted report of every job, its ``flag`` the
+one counter of attribute records and its ``kept`` the one counter of
+filter decisions.
 
 :func:`tagged` is the one loop that tags a stream of documents: taggers,
 dedup stages and decontamination alike get chunks of consecutive
@@ -46,7 +48,7 @@ import threading
 import time
 import zlib
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
 from itertools import islice
 from pathlib import Path
@@ -300,10 +302,13 @@ class ShardNameError(ValueError):
 def output_paths(inputs: Iterable[str | os.PathLike], out_dir: str | os.PathLike) -> list[Path]:
     """Name each input shard's output ``out_dir/<basename>``.
 
-    Two inputs with one basename would write the same output, so they are
-    rejected before anything is written.
+    Two inputs with one basename would write the same output, and an output
+    that is an input would replace it, so both are rejected before anything
+    is read.
     """
     out_dir = Path(out_dir)
+    inputs = list(inputs)
+    resolved = {Path(path).resolve() for path in inputs}
     seen: dict[str, str] = {}
     outputs = []
     for path in inputs:
@@ -313,6 +318,8 @@ def output_paths(inputs: Iterable[str | os.PathLike], out_dir: str | os.PathLike
                 f"input shards {seen[name]} and {path} share the basename {name!r}; "
                 f"their outputs in {out_dir} would collide"
             )
+        if (out_dir / name).resolve() in resolved:
+            raise ShardNameError(f"output {out_dir / name} is an input shard; it would be overwritten")
         seen[name] = str(path)
         outputs.append(out_dir / name)
     return outputs
@@ -432,24 +439,35 @@ def tagged(
 
 class ShardPool:
     """The one scope of a job: its worker processes, which all its fan-outs
-    share, and the directories of its intermediate files. ``with
-    ShardPool(workers, *temp_dirs) as pool:`` makes the directories; when
-    the block ends, tasks not yet started are cancelled, the workers joined,
-    and only then the directories removed; when it fails, the workers are
-    sent SIGTERM first, so a task still running does not hold the job up.
-    A worker also ends by itself once the job's process is gone."""
+    share, its intermediate directories, and the publishing of its outputs.
+    ``with ShardPool(workers, *temp_dirs, out_dir=out) as pool:`` makes the
+    directories and ``out/.publish-<pid>`` (one per job's process, so jobs
+    run at once into ``out`` stay apart), where the job writes the outputs
+    it names with :meth:`staged`. When the block ends, tasks not yet started
+    are cancelled, the workers joined, and only then, if the block
+    succeeded, the outputs moved into ``out`` in the order named, and the
+    directories removed. When it fails, the workers are sent SIGTERM first,
+    so a task still running does not hold the job up, and nothing is moved;
+    the directories only the staging directory made are removed too. A
+    worker also ends by itself once the job's process is gone."""
 
-    def __init__(self, workers: int, *temp_dirs: Path) -> None:
+    def __init__(self, workers: int, *temp_dirs: Path, out_dir: str | os.PathLike | None = None) -> None:
         self.workers = workers
         self.temp_dirs = temp_dirs
+        self.staging = None if out_dir is None else Path(out_dir) / f".publish-{os.getpid()}"
+        self.outputs: list[Path] = []  # the staged outputs' final paths, in publishing order
+        self.made: list[Path] = []  # the directories only the staging directory made
         self.executor: ProcessPoolExecutor | None = None
 
     def __enter__(self) -> "ShardPool":
         try:
             for d in self.temp_dirs:
                 d.mkdir(parents=True, exist_ok=True)
-        except BaseException:
-            self.__exit__()
+            if self.staging is not None:
+                self.made = [d for d in self.staging.parents if not d.exists()]
+                self.staging.mkdir(parents=True, exist_ok=True)
+        except BaseException as exc:
+            self.__exit__(type(exc))
             raise
         return self
 
@@ -465,9 +483,23 @@ class ShardPool:
                     for worker in workers:
                         worker.join()
                 self.executor.shutdown(wait=True, cancel_futures=True)
+            if exc_type is None:
+                for path in self.outputs:
+                    os.replace(self.staging / path.name, path)
         finally:
-            for d in self.temp_dirs:
+            for d in filter(None, (*self.temp_dirs, self.staging)):
                 shutil.rmtree(d, ignore_errors=True)
+            if exc_type is not None:
+                for d in self.made:
+                    with suppress(OSError):
+                        d.rmdir()
+
+    def staged(self, outputs: Sequence[Path]) -> list[Path]:
+        """Where the job writes ``outputs``, files of its ``out_dir``: their
+        names in the staging directory. When the job succeeds, they are
+        moved into place after those named before them."""
+        self.outputs += outputs
+        return [self.staging / path.name for path in outputs]
 
     def map(self, fn: Callable, tasks: Sequence[tuple]) -> list:
         """Run ``fn(*task)`` for every task and return the results in task order.

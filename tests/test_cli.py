@@ -13,6 +13,7 @@ import pytest
 
 import corpuskit
 from conftest import BENIGN_WORDS, OTHER_WORDS, ENGLISH_WORDS, child_pids, running, sentence
+from corpuskit import pipeline
 from corpuskit.bloom import BloomFilter, bloom_load
 from corpuskit.cli import build_parser, main
 from corpuskit.documents import Document
@@ -268,6 +269,17 @@ class TestDecontaminateCommand:
         r1 = list(read_attributes(tmp_path / "a1" / "c.jsonl"))
         r2 = list(read_attributes(tmp_path / "a2" / "c.jsonl"))
         assert r1 == r2
+
+    def test_failed_run_saves_no_filter(self, tmp_path):
+        # the filter is written after the sidecars, so a run that fails on its third shard writes none
+        test_set = make_shard(tmp_path, name="eval.jsonl", n=2)
+        shards = [str(make_shard(tmp_path, name=f"s{s}.jsonl")) for s in range(4)]
+        with open(shards[2], "a") as f:
+            f.write('{"id": "bad", "text": \n')
+        filt = tmp_path / "f.bloom"
+        argv = ["--inputs", *shards, "--out-dir", str(tmp_path / "attrs"), "--save-filter", str(filt)]
+        assert run_cli("decontaminate", "--test-set", str(test_set), *argv) == 2
+        assert not filt.exists()
 
 
 def health(bloom: BloomFilter) -> dict:
@@ -803,6 +815,107 @@ class TestFailedRunsLeaveNoTempState:
         assert not (out / ".mix-parts").exists()
         assert not list(out.glob("part-*.jsonl"))
         assert multiprocessing.active_children() == []
+
+
+def tree(path: Path) -> dict | None:
+    """Every file and directory under ``path``, with each file's bytes;
+    None if ``path`` does not exist."""
+    if not path.exists():
+        return None
+    return {str(p.relative_to(path)): p.read_bytes() if p.is_file() else None for p in sorted(path.rglob("*"))}
+
+
+def corpus_shards(directory: Path, words: str) -> list[str]:
+    """Four shards of documents that pass the web quality rules and share
+    a paragraph; their ids and text depend on ``words``."""
+    directory.mkdir()
+    rng = random.Random(words)
+    shards = []
+    for s in range(4):
+        docs = [
+            Document(
+                id=f"{words}-{s}-{i}",
+                text="\n".join(
+                    [f"The band went to the {words} show, and most of that crowd would have stayed with them."]
+                    + [sentence(rng, BENIGN_WORDS, 9).capitalize() + "." for _ in range(8)]
+                ),
+                metadata={"url": f"http://{words}.org/{s}/{i}"},
+            )
+            for i in range(5)
+        ]
+        shards.append(str(directory / f"s{s}.jsonl"))
+        write_documents(docs, shards[-1])
+    return shards
+
+
+# each per-shard command, ready for --inputs and --out-dir; eval is the decontamination test set
+PER_SHARD_JOBS = {
+    "tag": ["tag", "--taggers", "c4,gopher"],
+    "tag-workers-2": ["tag", "--taggers", "c4,gopher", "--workers", "2"],
+    "dedupe": ["dedupe", "--stage", "paragraph", "--exact"],
+    "dedupe-ccnet": ["dedupe", "--stage", "paragraph", "--ccnet-group-bytes", "1"],
+    "decontaminate": ["decontaminate", "--test-set", "{eval}", "--exact"],
+    "pipeline-web": ["pipeline-web", "--exact"],
+}
+
+
+class TestFailedJobLeavesOutDirAsItWas:
+    """A job that fails on its third of four shards publishes nothing: its
+    --out-dir is byte for byte as it was before the run. Only the staging
+    directory of tag, dedupe and decontaminate makes --out-dir, so a missing
+    one stays missing; pipeline-web's stage directories make it on entry."""
+
+    @pytest.mark.parametrize(
+        "job,state",
+        [(job, state) for job in PER_SHARD_JOBS for state in ("missing", "empty", "earlier run")
+         if (job, state) != ("pipeline-web", "missing")],
+    )
+    def test_nothing_published(self, tmp_path, capsys, monkeypatch, job, state):
+        eval_set = make_shard(tmp_path, name="eval.jsonl", n=1)
+        argv = [arg.format(eval=eval_set) for arg in PER_SHARD_JOBS[job]]
+        out = tmp_path / "out"
+        if state == "empty":
+            out.mkdir()
+        elif state == "earlier run":
+            assert run_cli(*argv, "--inputs", *corpus_shards(tmp_path / "old", "earlier"), "--out-dir", str(out)) == 0
+            assert len(list(out.iterdir())) == 4
+        shards = corpus_shards(tmp_path / "new", "later")
+        if job == "pipeline-web":
+            # the paragraph stage, the last, fails on the third shard
+            real, calls = pipeline.dedupe_by_paragraph, []
+
+            def failing(docs, backend):
+                calls.append(docs)
+                if len(calls) == 3:
+                    raise OSError("disk full")
+                return real(docs, backend)
+
+            monkeypatch.setattr(pipeline, "dedupe_by_paragraph", failing)
+        else:
+            with open(shards[2], "a") as f:
+                f.write('{"id": "bad", "text": \n')
+        before = tree(out)
+        capsys.readouterr()
+        assert run_cli(*argv, "--inputs", *shards, "--out-dir", str(out)) == 2
+        err = capsys.readouterr().err
+        assert ("paragraph_dedup" if job == "pipeline-web" else f"{shards[2]}:6") in err
+        assert tree(out) == before
+        assert multiprocessing.active_children() == []
+
+
+class TestOutputReplacingInput:
+    """An output named like an input in the input's own directory would
+    replace it, so each per-shard command refuses it before reading."""
+
+    @pytest.mark.parametrize("job", PER_SHARD_JOBS)
+    def test_refused_naming_the_path(self, tmp_path, capsys, job):
+        eval_set = make_shard(tmp_path, name="eval.jsonl", n=1)
+        argv = [arg.format(eval=eval_set) for arg in PER_SHARD_JOBS[job]]
+        shards = corpus_shards(tmp_path / "d", "only")
+        before = tree(tmp_path / "d")
+        assert run_cli(*argv, "--inputs", *shards, "--out-dir", str(tmp_path / "d")) == 1
+        assert f"output {shards[0]} is an input shard" in capsys.readouterr().err
+        assert tree(tmp_path / "d") == before
 
 
 class TestSigtermLeavesNothingBehind:

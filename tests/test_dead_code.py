@@ -1,7 +1,8 @@
 """A dead-code guard over the package, by ``ast`` alone: no module keeps an
 import it never uses, and no private module-level name goes unreferenced
 in its module. A one-job-scope guard beside it: only ``shard_io`` starts
-worker pools or removes directory trees, through ``ShardPool``. And one
+worker pools or removes directory trees, through ``ShardPool``, and only
+``shard_io`` moves files into place or makes directories. And one
 copy of each Bloom filter computation: ``bloom`` hashes keys in one
 function, and only ``bloom`` touches a filter's insert and sizing counters,
 so every report takes them from ``BloomFilter.health()``."""
@@ -83,6 +84,34 @@ def test_only_shard_io_holds_a_job_scope(path):
 def test_job_scope_guard_sees_shard_io():
     uses = _job_scope_uses(ast.parse((PACKAGE / "shard_io.py").read_text(encoding="utf-8")))
     assert "concurrent.futures" in uses and "rmtree" in uses
+
+
+# what moves a file into place or makes a directory
+PUBLISH_CALLS = {"os.replace", "os.rename", "os.mkdir", "os.makedirs"}
+
+
+def _publish_uses(tree: ast.Module) -> list[str]:
+    """The calls in ``tree`` of ``os.replace``, ``os.rename``, ``os.mkdir``,
+    ``os.makedirs`` or any ``.mkdir`` method, and its imports of them."""
+    uses = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "os":
+            uses += [f"os.{alias.name}" for alias in node.names if f"os.{alias.name}" in PUBLISH_CALLS]
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            name = ast.unparse(node.func)
+            if node.func.attr == "mkdir" or name in PUBLISH_CALLS:
+                uses.append(name)
+    return uses
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE.glob("*.py") if p.name != "shard_io.py"], ids=lambda p: p.name)
+def test_only_shard_io_publishes_or_makes_directories(path):
+    assert _publish_uses(ast.parse(path.read_text(encoding="utf-8"))) == []
+
+
+def test_publish_guard_sees_shard_io():
+    uses = _publish_uses(ast.parse((PACKAGE / "shard_io.py").read_text(encoding="utf-8")))
+    assert "os.replace" in uses and any(use.endswith(".mkdir") for use in uses)
 
 
 def _functions_calling(tree: ast.Module, callee: str) -> list[str]:

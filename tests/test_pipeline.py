@@ -350,7 +350,7 @@ class TestWebPipeline:
         out = tmp_path / "out"
         run_pipeline_web(WebPipelineConfig(inputs=[str(shard)], out_dir=str(out), exact_backend=True))
         assert len(written) == 3
-        assert [p for p in written if p.suffix == ".gz"] == [out / "web-00.jsonl.gz"]
+        assert [p.name for p in written if p.suffix == ".gz"] == ["web-00.jsonl.gz"]
         assert [d.id for d in read_documents(out / "web-00.jsonl.gz")] == ["d0", "d1", "d2"]
 
     def test_bloom_backend_smoke(self, tmp_path):

@@ -675,6 +675,86 @@ class TestOutputPaths:
         with pytest.raises(ShardNameError, match="a/x.jsonl.*b/x.jsonl"):
             output_paths(["a/x.jsonl", "b/x.jsonl"], tmp_path)
 
+    def test_output_that_is_an_input_rejected_naming_it(self, tmp_path):
+        (tmp_path / "sub").mkdir()
+        inputs = [tmp_path / "a" / "x.jsonl", tmp_path / "y.jsonl"]
+        out_dir = tmp_path / "sub" / ".."  # another spelling of the second input's directory
+        with pytest.raises(ShardNameError, match=re.escape(f"output {out_dir / 'y.jsonl'} is an input shard")):
+            output_paths(inputs, out_dir)
+        assert output_paths(inputs, tmp_path / "sub") == [tmp_path / "sub" / "x.jsonl", tmp_path / "sub" / "y.jsonl"]
+
+
+# stages one output in a scope it holds open until its stdin closes
+_HOLD_STAGED = """
+import sys
+from pathlib import Path
+from corpuskit.shard_io import ShardPool
+out = Path(sys.argv[1])
+with ShardPool(1, out_dir=out) as pool:
+    (staged,) = pool.staged([out / "held.jsonl"])
+    staged.write_text("held")
+    print("staged", flush=True)
+    sys.stdin.read()
+"""
+
+
+class TestPublishing:
+    def test_jobs_run_at_once_into_one_out_dir_publish_both(self, tmp_path):
+        out = tmp_path / "out"
+        env = dict(os.environ, PYTHONPATH=str(Path(shard_io.__file__).parents[1]))
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _HOLD_STAGED, str(out)], env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True
+        )
+        try:
+            assert proc.stdout.readline() == "staged\n"
+            with ShardPool(1, out_dir=out) as pool:
+                (staged,) = pool.staged([out / "own.jsonl"])
+                staged.write_text("own")
+            proc.stdin.close()
+            assert proc.wait(timeout=30) == 0
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+        assert [(p.name, p.read_text()) for p in sorted(out.iterdir())] == [("held.jsonl", "held"), ("own.jsonl", "own")]
+
+    def test_staged_outputs_moved_into_place_in_order_on_success(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        moved = []
+        real_replace = os.replace
+        monkeypatch.setattr(shard_io.os, "replace", lambda src, dst: moved.append(dst) or real_replace(src, dst))
+        with ShardPool(2, out_dir=out) as pool:
+            staged = pool.staged([out / "b.jsonl", out / "a.jsonl"])
+            assert all(path.parent.parent == out for path in staged)
+            pool.map(Path.write_text, [(path, path.name) for path in staged])
+            assert not (out / "a.jsonl").exists()
+        assert moved == [out / "b.jsonl", out / "a.jsonl"]
+        assert sorted(p.name for p in out.iterdir()) == ["a.jsonl", "b.jsonl"]
+        assert (out / "a.jsonl").read_text() == "a.jsonl"
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_job_moves_nothing_and_removes_what_it_made(self, tmp_path, existing):
+        out = tmp_path / "deep" / "out"
+        if existing:
+            out.mkdir(parents=True)
+            (out / "a.jsonl").write_text("earlier")
+        with pytest.raises(ZeroDivisionError):
+            with ShardPool(1, out_dir=out) as pool:
+                (staged,) = pool.staged([out / "a.jsonl"])
+                staged.write_text("later")
+                1 / 0
+        if existing:
+            assert [(p.name, p.read_text()) for p in out.iterdir()] == [("a.jsonl", "earlier")]
+        else:
+            assert list(tmp_path.iterdir()) == []
+
+    def test_output_directory_made_by_an_intermediate_directory_kept(self, tmp_path):
+        out = tmp_path / "out"
+        with pytest.raises(ZeroDivisionError):
+            with ShardPool(1, out / ".stage", out_dir=out):
+                1 / 0
+        assert list(out.iterdir()) == []
+
 
 class TestStageReportMerge:
     def test_fieldwise_sum(self):
