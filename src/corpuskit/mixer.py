@@ -250,18 +250,18 @@ def mix(config: MixConfig, out_dir: str | os.PathLike, workers: int = 1) -> MixR
     """Run the full mix: filter, sample, upsample, and reshard.
 
     Same config and seed produce byte-identical output shards regardless of
-    worker count. The filtered parts live in ``.mix-parts/``, and the output
-    shards are written to the staging directory of the mix's
-    :class:`~corpuskit.shard_io.ShardPool`, which moves them into
+    worker count. The filtered parts live in ``.mix-parts/`` and the output
+    shards are written beside it, both in the staging directory of the mix's
+    :class:`~corpuskit.shard_io.ShardPool`, which moves the shards into
     ``out_dir`` only if the mix succeeds. An ``out_dir`` holding a
     ``part-*.jsonl`` this mix would not overwrite raises
     :class:`MixConfigError`, and no shard of this mix is moved into it.
     """
     out_dir = Path(out_dir)
-    tmp_dir = out_dir / ".mix-parts"
     rates = None
     report = MixReport()
-    with ShardPool(workers, tmp_dir, out_dir=out_dir) as pool:
+    with ShardPool(workers, ".mix-parts", out_dir=out_dir) as pool:
+        (tmp_dir,) = pool.temp_dirs
         if config.proportions is not None:
             sizes = measure_source_sizes(config, pool)
             rates = sample_proportions(config.proportions, sizes)

@@ -14,6 +14,7 @@ logits-and-softmax routine over a batch of sparse rows, :func:`_probs`.
 from __future__ import annotations
 
 import math
+import mmap
 import random
 import struct
 from dataclasses import dataclass, field
@@ -271,9 +272,16 @@ def _probs(weights: np.ndarray, bias: np.ndarray, rows: Rows, scale: float) -> n
     one division then cover every row. The logits are laid out one row of
     memory per text so that each softmax reduces over contiguous values, as
     it would over one text's vector: numpy adds a contiguous run of nine or
-    more values pairwise, but down a column one after another.
+    more values pairwise, but down a column one after another. One row, as
+    an SGD step of one example scores, takes the same steps on vectors,
+    without the loop and the logits matrix.
     """
     indices, counts, offsets = rows
+    if len(offsets) == 2:
+        lo, hi = offsets.tolist()
+        z = bias + scale * (weights[:, indices[lo:hi]] @ counts[lo:hi])
+        e = np.exp(z - z.max())
+        return (e / e.sum())[:, None]
     bounds = offsets.tolist()
     first = bounds[0]
     columns = weights[:, indices[first : bounds[-1]]]  # one gather: a gather per row costs more than its dot
@@ -432,12 +440,12 @@ def _train_sgd(weights, bias, rows: Rows, ys, config: TrainConfig, history: list
             stop = min(start + config.batch_size, len(order))
             probs = _probs(weights, bias, (indices, counts, offsets[start : stop + 1]), scale)
             terms = []
-            grad_b = np.zeros_like(bias)
             for k in range(start, stop):
                 g = probs[:, k - start]
                 g[ys[order[k]]] -= 1.0
                 terms.append(np.outer(counts[bounds[k] : bounds[k + 1]], g))
-                grad_b += g
+                # the first term is the sum so far as it is: 0.0 + g is g, bit for bit
+                grad_b = g if k == start else grad_b + g
             if stop - start == 1:
                 cols, grad_w = indices[bounds[start] : bounds[stop]], terms[0]
             else:
@@ -539,9 +547,19 @@ class ModelFormatError(ValueError):
 
 def load_model(path) -> NgramModel:
     """Read a model written by :func:`save_model`. Its weights and bias are
-    read-only views over the bytes read, not copies of them."""
+    read-only views over the file mapped read-only (``mmap``), not copies
+    of it, so the processes loading one model share its pages in the page
+    cache. The mapping holds a file descriptor for as long as the model
+    lives. A model file replaced while it is mapped (as :func:`save_model`
+    replaces it, through ``atomic_output``) leaves the loaded model as it
+    was; a file truncated in place would raise SIGBUS when the model reads
+    past its new end, so corpuskit writes model files only through
+    ``atomic_output``."""
     with open(path, "rb") as f:
-        data = f.read()
+        try:
+            data = mmap.mmap(f.fileno(), 0, access=mmap.ACCESS_READ)
+        except ValueError:  # an empty file cannot be mapped; it is a truncated model file
+            data = b""
     view = memoryview(data)
     pos = 0
 

@@ -11,10 +11,14 @@ with one sidecar file per input shard; attribute bytes are independent of
 worker count and chunking.
 :func:`run_tag` returns a ``StageReport`` and :func:`tag_report_json` renders it.
 
-The web pipeline runs the fixed stage order: URL dedup, document dedup,
-quality/content filtering, and paragraph dedup last, with one
-``StageReport`` per stage; with a Bloom backend, each dedup stage's report
-carries its filter's health. The quality stage tags as a cascade, through
+The web pipeline runs the fixed stage order on each shard: URL dedup,
+document dedup, quality/content filtering, and paragraph dedup last, with
+one ``StageReport`` per stage; with a Bloom backend, each dedup stage's
+report carries its filter's health. The stages overlap across shards: the
+job's process dedups shard after shard while the workers filter the shards
+already deduped, and it dedups each shard's paragraphs once that shard and
+every shard before it are filtered, so each dedup filter sees its keys in
+input order and the outputs do not depend on worker count. The quality stage tags as a cascade, through
 the gate of ``tagged``: PII density, then the gopher, c4, repetition,
 language and toxicity taggers, in the order of their filters, each seeing
 only the documents no earlier filter drops, so a document's drop reason
@@ -28,7 +32,6 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
-from pathlib import Path
 from typing import Callable, Iterator
 
 from corpuskit import code_rules, heuristics
@@ -340,15 +343,15 @@ def run_pipeline_web(config: WebPipelineConfig) -> list[StageReport]:
     paragraph dedup. Every stage writes one shard per input shard. The
     final shards are named like their inputs, so inputs sharing a basename
     are rejected before any stage; the stage files in between are plain
-    ``<index>.jsonl``, never compressed, since the run deletes them. A
-    failure names its stage and input shard. The stage directories are
-    removed either way; the final shards are published only on success."""
-    out_dir = Path(config.out_dir)
-    tmp1 = out_dir / ".stage-dedup"
-    tmp2 = out_dir / ".stage-quality"
-    final_paths = output_paths(config.inputs, out_dir)
-    dedup_paths = [tmp1 / f"{i}.jsonl" for i in range(len(final_paths))]
-    quality_paths = [tmp2 / f"{i}.jsonl" for i in range(len(final_paths))]
+    ``<index>.jsonl`` in the scope's staging directory, never compressed,
+    since the run deletes them. A failure names its stage and input shard.
+
+    The stages overlap: this process runs URL and document dedup shard by
+    shard, submitting each shard's quality task as soon as its dedup file
+    is written, and then runs each shard's paragraph dedup as soon as the
+    quality tasks of that shard and every shard before it are done. Each
+    dedup filter still sees its keys in input order."""
+    final_paths = output_paths(config.inputs, config.out_dir)
     url_report = StageReport(stage="url_dedup")
     doc_report = StageReport(stage="doc_dedup")
     quality_report = StageReport(stage="quality_content")
@@ -358,28 +361,32 @@ def run_pipeline_web(config: WebPipelineConfig) -> list[StageReport]:
         make_backend, config.exact_backend, n_target=config.bloom_n, p_target=config.bloom_p, seed=config.seed
     )
 
-    with ShardPool(config.workers, tmp1, tmp2, out_dir=out_dir) as pool:
-        # Dedup inserts are order-sensitive, so stages 1-2 stream sequentially.
+    # the quality tasks come from a generator, whose length the pool cannot
+    # see, so a single shard's task is kept in process here
+    workers = min(config.workers, len(final_paths))
+    with ShardPool(workers, ".stage-dedup", ".stage-quality", out_dir=config.out_dir) as pool:
+        dedup_dir, quality_dir = pool.temp_dirs
         url_backend = new_backend()
         doc_backend = new_backend()
-        for shard, dst in zip(config.inputs, dedup_paths):
-            with _failing_in("url_dedup/doc_dedup", shard):
-                by_url = dedupe_by_url(read_documents(shard), url_backend)
-                url_unique = url_report.kept(apply_filters(d, a, [URL_DROP_FILTER]) for d, a in by_url)
-                by_doc = dedupe_by_document(url_unique, doc_backend)
-                write_documents(doc_report.kept(apply_filters(d, a, [DOC_DROP_FILTER]) for d, a in by_doc), dst)
+        quality_paths = [quality_dir / f"{i}.jsonl" for i in range(len(final_paths))]
 
-        quality_tasks = [
-            (str(shard), str(src), str(dst), config)
-            for shard, src, dst in zip(config.inputs, dedup_paths, quality_paths)
-        ]
-        for shard_report in pool.map(_quality_content_shard, quality_tasks):
-            quality_report.merge(shard_report)
+        def quality_tasks() -> Iterator[tuple]:
+            # Dedup inserts are order-sensitive, so stages 1-2 run here, shard by shard.
+            for i, (shard, dst) in enumerate(zip(config.inputs, quality_paths)):
+                src = dedup_dir / f"{i}.jsonl"
+                with _failing_in("url_dedup/doc_dedup", shard):
+                    by_url = dedupe_by_url(read_documents(shard), url_backend)
+                    url_unique = url_report.kept(apply_filters(d, a, [URL_DROP_FILTER]) for d, a in by_url)
+                    by_doc = dedupe_by_document(url_unique, doc_backend)
+                    write_documents(doc_report.kept(apply_filters(d, a, [DOC_DROP_FILTER]) for d, a in by_doc), src)
+                yield str(shard), str(src), str(dst), config
 
+        quality_reports = pool.stream(_quality_content_shard, quality_tasks())
+        para_backend = new_backend()
         # Paragraph dedup runs last; duplicate paragraphs are spliced out and
         # documents emptied by the splice are dropped.
-        para_backend = new_backend()
         for shard, src, dst in zip(config.inputs, quality_paths, pool.staged(final_paths)):
+            quality_report.merge(next(quality_reports))
             with _failing_in("paragraph_dedup", shard):
                 flagged = dedupe_by_paragraph(read_documents(src), para_backend)
                 survivors = (apply_filters(d, a, [PARAGRAPH_REMOVE_FILTER]) for d, a in flagged)

@@ -19,10 +19,13 @@ An attribute sidecar lines up with its document shard record for record:
 :func:`sidecar_paths` finds a shard's sidecars and :func:`zip_sidecars`
 walks them alongside it. Per-shard jobs name their outputs with
 :func:`output_paths` and run in one :class:`ShardPool`, the job's one
-scope: it holds the job's intermediate directories, and its worker
-processes start at the first fan-out that needs them, serve every later
-one and are joined before the directories are removed; it is the one
-publish step, moving a job's outputs into place only if the job succeeds.
+scope: it holds the job's intermediate directories inside its staging
+directory, and its worker processes start at the first fan-out that needs
+them, serve every later one and are joined before the directories are
+removed; it is the one publish step, moving a job's outputs into place
+only if the job succeeds. Its one fan-out, ``stream``, submits each task as
+its iterable yields it and gives the results in task order as they come
+in, so a job can overlap its own stages with its tasks; ``map`` is its list form.
 Jobs fold their per-shard :class:`StageReport` counters together with
 ``merge``: it is the one counted report of every job, its ``flag`` the
 one counter of attribute records and its ``kept`` the one counter of
@@ -47,12 +50,14 @@ import signal
 import threading
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
+from collections import deque
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field, fields
+from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, Sized
 
 from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
 from corpuskit.filters import Decision, Drop, merge_spans
@@ -440,41 +445,58 @@ def tagged(
 class ShardPool:
     """The one scope of a job: its worker processes, which all its fan-outs
     share, its intermediate directories, and the publishing of its outputs.
-    ``with ShardPool(workers, *temp_dirs, out_dir=out) as pool:`` makes the
-    directories and ``out/.publish-<pid>`` (one per job's process, so jobs
-    run at once into ``out`` stay apart), where the job writes the outputs
-    it names with :meth:`staged`. When the block ends, tasks not yet started
-    are cancelled, the workers joined, and only then, if the block
-    succeeded, the outputs moved into ``out`` in the order named, and the
-    directories removed. When it fails, the workers are sent SIGTERM first,
-    so a task still running does not hold the job up, and nothing is moved;
-    the directories only the staging directory made are removed too. A
-    worker also ends by itself once the job's process is gone."""
+    ``with ShardPool(workers, *temp_names, out_dir=out) as pool:`` makes
+    ``out/.publish-<pid>`` (one per job's process, so jobs run at once into
+    ``out`` stay apart), where the job writes the outputs it names with
+    :meth:`staged`, and inside it the intermediate directories named
+    ``temp_names``, whose paths are ``pool.temp_dirs``. When the block ends,
+    the results of its fan-outs that nobody drew are drawn, tasks not yet
+    started are cancelled, the workers joined, and only then, if the block
+    and those results succeeded, the outputs moved into ``out`` in the order
+    named. The staging directory is removed either way. When the job fails,
+    the workers are sent SIGTERM first, so a task still running does not
+    hold the job up, and nothing is moved; the directories only the staging
+    directory made are removed too. A worker also ends by itself once the
+    job's process is gone."""
 
-    def __init__(self, workers: int, *temp_dirs: Path, out_dir: str | os.PathLike | None = None) -> None:
+    def __init__(self, workers: int, *temp_names: str, out_dir: str | os.PathLike | None = None) -> None:
         self.workers = workers
-        self.temp_dirs = temp_dirs
         self.staging = None if out_dir is None else Path(out_dir) / f".publish-{os.getpid()}"
+        self.temp_dirs = [self.staging / name for name in temp_names]
         self.outputs: list[Path] = []  # the staged outputs' final paths, in publishing order
         self.made: list[Path] = []  # the directories only the staging directory made
+        self.undrawn: list[deque] = []  # per fan-out, the calls giving the results not drawn yet
         self.executor: ProcessPoolExecutor | None = None
 
     def __enter__(self) -> "ShardPool":
-        try:
-            for d in self.temp_dirs:
-                d.mkdir(parents=True, exist_ok=True)
-            if self.staging is not None:
-                self.made = [d for d in self.staging.parents if not d.exists()]
-                self.staging.mkdir(parents=True, exist_ok=True)
-        except BaseException as exc:
-            self.__exit__(type(exc))
-            raise
+        if self.staging is not None:
+            self.made = [d for d in self.staging.parents if not d.exists()]
+            try:
+                for d in (self.staging, *self.temp_dirs):
+                    d.mkdir(parents=True, exist_ok=True)
+            except BaseException as exc:
+                self.__exit__(type(exc))
+                raise
         return self
 
     def __exit__(self, exc_type=None, *exc_info) -> None:
+        failed = exc_type is not None
+        try:
+            if not failed:
+                # a result nobody drew may be a task's failure, which fails the job
+                for calls in self.undrawn:
+                    for call in calls:
+                        call()
+        except BaseException:
+            failed = True
+            raise
+        finally:
+            self._end(failed)
+
+    def _end(self, failed: bool) -> None:
         try:
             if self.executor is not None:
-                if exc_type is not None:
+                if failed:
                     # the executor's own record of its workers, so that no
                     # other child of the job's process is ended
                     workers = list((self.executor._processes or {}).values())
@@ -483,13 +505,13 @@ class ShardPool:
                     for worker in workers:
                         worker.join()
                 self.executor.shutdown(wait=True, cancel_futures=True)
-            if exc_type is None:
+            if not failed:
                 for path in self.outputs:
                     os.replace(self.staging / path.name, path)
         finally:
-            for d in filter(None, (*self.temp_dirs, self.staging)):
-                shutil.rmtree(d, ignore_errors=True)
-            if exc_type is not None:
+            if self.staging is not None:
+                shutil.rmtree(self.staging, ignore_errors=True)
+            if failed:
                 for d in self.made:
                     with suppress(OSError):
                         d.rmdir()
@@ -501,17 +523,35 @@ class ShardPool:
         self.outputs += outputs
         return [self.staging / path.name for path in outputs]
 
-    def map(self, fn: Callable, tasks: Sequence[tuple]) -> list:
-        """Run ``fn(*task)`` for every task and return the results in task order.
+    def stream(self, fn: Callable, tasks: Iterable[tuple]) -> Iterator:
+        """Run ``fn(*task)`` for every task, and return an iterator over the
+        results in task order, each given once it and every result before
+        it are in.
 
-        With ``workers <= 1`` or a single task the calls run in this process,
-        in order; otherwise they fan out over the job's process pool, started
-        by the first fan-out that needs it, so ``fn`` and its arguments must
-        pickle. An exception raised by a task propagates, the first in task
-        order, once the tasks before it have ended.
+        Every task is taken before this returns, and each one is submitted
+        as soon as ``tasks`` yields it, so ``tasks`` may be a generator that
+        makes each task's input just before yielding it. With ``workers <= 1``,
+        or a sized ``tasks`` of at most one task, the calls run in this
+        process, in order, each as its result is drawn; otherwise they fan
+        out over the job's process pool, started by the first fan-out that
+        needs it, so ``fn`` and its arguments must pickle. Drawing the result
+        of a task that failed raises its exception; the results nobody draws
+        are drawn when the scope ends.
         """
-        if self.workers <= 1 or len(tasks) <= 1:
-            return [fn(*task) for task in tasks]
+        if self.workers <= 1 or (isinstance(tasks, Sized) and len(tasks) <= 1):
+            calls = deque(partial(fn, *task) for task in tasks)
+        else:
+            calls = deque(self._submit(fn, task).result for task in tasks)
+        self.undrawn.append(calls)
+        return _drawn(calls)
+
+    def map(self, fn: Callable, tasks: Sequence[tuple]) -> list:
+        """The results of :meth:`stream` as a list: an exception raised by a
+        task propagates, the first in task order, once the tasks before it
+        have ended."""
+        return list(self.stream(fn, tasks))
+
+    def _submit(self, fn: Callable, task: tuple) -> Future:
         # the workers fork at the first submit: SIGTERM waits until the
         # executor has recorded them all, so that its shutdown joins them
         blocked = signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGTERM})
@@ -520,10 +560,16 @@ class ShardPool:
                 self.executor = ProcessPoolExecutor(
                     max_workers=self.workers, initializer=_end_with_parent, initargs=(os.getpid(),)
                 )
-            futures = [self.executor.submit(fn, *task) for task in tasks]
+            return self.executor.submit(fn, *task)
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, blocked)
-        return [f.result() for f in futures]
+
+
+def _drawn(calls: deque) -> Iterator:
+    """Call each of ``calls`` in turn, yielding its result; a call is taken
+    off before it runs, so a result is drawn once, a failure included."""
+    while calls:
+        yield calls.popleft()()
 
 
 def _end_with_parent(parent: int) -> None:

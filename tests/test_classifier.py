@@ -1,7 +1,9 @@
 import copy
 import dataclasses
 import hashlib
+import mmap
 import random
+import re
 import string
 import struct
 
@@ -768,9 +770,46 @@ class TestPersistence:
     def test_truncated_file_rejected(self, tmp_path, lang_model):
         path = tmp_path / "model.bin"
         save_model(lang_model, path)
-        path.write_bytes(path.read_bytes()[:-9])
-        with pytest.raises(ModelFormatError):
+        data = path.read_bytes()
+        path.write_bytes(data[:-9])
+        bias_at = len(data) - 8 * len(lang_model.labels)
+        with pytest.raises(ModelFormatError, match=re.escape(f"truncated model file (need 16 bytes at offset {bias_at})")):
             load_model(path)
+
+    def test_empty_file_rejected_as_truncated(self, tmp_path):
+        path = tmp_path / "model.bin"
+        path.write_bytes(b"")
+        with pytest.raises(ModelFormatError, match=re.escape("truncated model file (need 8 bytes at offset 0)")):
+            load_model(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path, lang_model):
+        path = tmp_path / "model.bin"
+        save_model(lang_model, path)
+        with open(path, "ab") as f:
+            f.write(b"\0" * 5)
+        with pytest.raises(ModelFormatError, match="5 trailing bytes after model payload"):
+            load_model(path)
+
+    def test_loaded_arrays_are_views_of_the_mapped_file(self, tmp_path, lang_model):
+        path = tmp_path / "model.bin"
+        save_model(lang_model, path)
+        got = load_model(path)
+        for array in (got.weights, got.bias):
+            base = array
+            while isinstance(base, np.ndarray):
+                base = base.base
+            assert isinstance(base, memoryview) and isinstance(base.obj, mmap.mmap)
+            assert not array.flags.writeable
+
+    def test_replacing_the_file_leaves_a_loaded_model_as_it_was(self, tmp_path, lang_model):
+        path = tmp_path / "model.bin"
+        save_model(lang_model, path)
+        got = load_model(path)
+        other = dataclasses.replace(lang_model, weights=-lang_model.weights, bias=lang_model.bias + 1.0)
+        save_model(other, path)
+        assert np.array_equal(got.weights, lang_model.weights)
+        assert np.array_equal(got.bias, lang_model.bias)
+        assert np.array_equal(load_model(path).weights, other.weights)
 
     def test_orders_must_fit_one_byte(self):
         assert NgramConfig(ngram_orders=(1, 255)).ngram_orders == (1, 255)

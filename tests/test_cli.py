@@ -784,8 +784,7 @@ class TestFailedRunsLeaveNoTempState:
             "--language-model", str(tmp_path / "missing.bin"), "--workers", workers,
         ]
         assert run_cli(*argv) == 2
-        assert not (out / ".stage-dedup").exists()
-        assert not (out / ".stage-quality").exists()
+        assert not out.exists()
         err = capsys.readouterr().err
         assert "quality_content" in err and shards[0] in err
 
@@ -797,7 +796,7 @@ class TestFailedRunsLeaveNoTempState:
         config.write_text(json.dumps({"streams": [{"documents": [str(shard)], "attributes": [str(sidecar)]}]}))
         out = tmp_path / "mixed"
         assert run_cli("mix", "--config", str(config), "--out-dir", str(out)) == 2
-        assert not (out / ".mix-parts").exists()
+        assert not out.exists()
         assert "misaligned" in capsys.readouterr().err
 
     @pytest.mark.parametrize("proportions", [{}, {"proportions": {"s": 1.0}}])
@@ -812,8 +811,7 @@ class TestFailedRunsLeaveNoTempState:
         out = tmp_path / "mixed"
         assert run_cli("mix", "--config", str(config), "--out-dir", str(out), "--workers", "2") == 2
         assert f"runtime failure: {second}:3: Expecting value" in capsys.readouterr().err
-        assert not (out / ".mix-parts").exists()
-        assert not list(out.glob("part-*.jsonl"))
+        assert not out.exists()
         assert multiprocessing.active_children() == []
 
 
@@ -862,13 +860,11 @@ PER_SHARD_JOBS = {
 class TestFailedJobLeavesOutDirAsItWas:
     """A job that fails on its third of four shards publishes nothing: its
     --out-dir is byte for byte as it was before the run. Only the staging
-    directory of tag, dedupe and decontaminate makes --out-dir, so a missing
-    one stays missing; pipeline-web's stage directories make it on entry."""
+    directory, which holds pipeline-web's stage directories too, makes
+    --out-dir, so a missing one stays missing."""
 
     @pytest.mark.parametrize(
-        "job,state",
-        [(job, state) for job in PER_SHARD_JOBS for state in ("missing", "empty", "earlier run")
-         if (job, state) != ("pipeline-web", "missing")],
+        "job,state", [(job, state) for job in PER_SHARD_JOBS for state in ("missing", "empty", "earlier run")]
     )
     def test_nothing_published(self, tmp_path, capsys, monkeypatch, job, state):
         eval_set = make_shard(tmp_path, name="eval.jsonl", n=1)
@@ -956,15 +952,16 @@ class TestSigtermLeavesNothingBehind:
         try:
             while proc.poll() is None:
                 workers = child_pids(proc.pid)
-                if (out / temp_name).exists() and len(workers) == 2:
+                if any(out.glob(f".publish-*/{temp_name}")) and len(workers) == 2:
                     break
                 time.sleep(0.005)
             proc.send_signal(signal.SIGTERM)
             assert proc.wait(timeout=60) == 143
             assert len(workers) == 2
             assert [pid for pid in workers if running(pid)] == []
-            # no .stage-*, .mix-parts/ or *.tmp, and no output shard, whole or partial
-            assert list(out.iterdir()) == []
+            # no staging directory, .stage-*, .mix-parts/ or *.tmp, and no output
+            # shard, whole or partial: the --out-dir the job made is gone
+            assert not out.exists()
         finally:
             proc.kill()
             proc.wait()
@@ -1003,7 +1000,7 @@ class TestFailingJobStopsRunningTasks:
                 # the workers start at the quality stage, the first fan-out
                 while proc.poll() is None:
                     workers = child_pids(proc.pid)
-                    if (out / ".stage-dedup").exists() and len(workers) == 2:
+                    if any(out.glob(".publish-*/.stage-dedup")) and len(workers) == 2:
                         break
                     time.sleep(0.005)
                 proc.send_signal(signal.SIGTERM)
@@ -1012,13 +1009,52 @@ class TestFailingJobStopsRunningTasks:
                 assert time.monotonic() - signalled < 1
                 assert len(workers) == 2
                 assert [pid for pid in workers if running(pid)] == []
-                assert list(out.iterdir()) == []  # no .stage-*, *.tmp or output shard
+                assert not out.exists()  # no staging directory, .stage-*, *.tmp or output shard
             finally:
                 proc.kill()
                 proc.wait()
                 for pid in workers:
                     if running(pid):
                         os.kill(pid, signal.SIGKILL)
+
+
+class TestPipelineRunsAtOnce:
+    """Two pipeline-web runs at once into one --out-dir keep their stage
+    files apart, in their own staging directories."""
+
+    def test_both_publish_what_each_publishes_alone(self, tmp_path):
+        rng = random.Random(1)
+        inputs = {}
+        for run in "ab":
+            inputs[run] = []
+            for s in range(2):
+                docs = [
+                    Document(
+                        id=f"{run}{s}-{i}",
+                        text="\n".join(sentence(rng, ENGLISH_WORDS, 12) + "." for _ in range(4)),
+                        metadata={"url": f"http://{run}.org/{s}/{i}"},
+                    )
+                    for i in range(750)
+                ]
+                inputs[run].append(str(tmp_path / f"{run}{s}.jsonl"))
+                write_documents(docs, inputs[run][-1])
+        env = dict(os.environ, PYTHONPATH=str(Path(corpuskit.__file__).parents[1]))
+
+        def start(run, out):
+            argv = ["pipeline-web", "--exact", "--inputs", *inputs[run], "--out-dir", str(out)]
+            return subprocess.Popen(
+                [sys.executable, "-m", "corpuskit.cli", *argv], env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE
+            )
+
+        procs = [start(run, tmp_path / "out") for run in "ab"]
+        errors = [proc.communicate(timeout=120)[1].decode() for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0], errors
+        for run in "ab":
+            alone = start(run, tmp_path / f"alone-{run}")
+            alone.communicate(timeout=120)
+            assert alone.returncode == 0
+        expected = {**tree(tmp_path / "alone-a"), **tree(tmp_path / "alone-b")}
+        assert tree(tmp_path / "out") == expected and len(expected) == 4
 
 
 class TestDedupeReportsMatchSidecars:

@@ -328,7 +328,70 @@ class TestWebPipeline:
         with pytest.raises(RuntimeError, match=f"stage quality_content failed on input shard {shards[0]}: gopher broke"):
             run_pipeline_web(config)
         assert time.monotonic() - float(failed_at.read_text()) < 1
-        assert [p.name for p in (tmp_path / "out").iterdir()] == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_dedup_failure_on_the_last_shard_beats_a_quality_failure_on_the_first(
+        self, tmp_path, monkeypatch, workers
+    ):
+        import corpuskit.pipeline as pipeline
+
+        rng = random.Random(11)
+        shards = write_shards(
+            tmp_path,
+            [[Document(id=f"s{s}", text=clean_text(rng, 10), metadata={"url": f"http://e{s}.org/"})] for s in range(3)],
+        )
+        quality_failed = tmp_path / "quality_failed"
+
+        def tag_gopher(doc):
+            quality_failed.touch()
+            raise ValueError("gopher broke")
+
+        real_dedupe_by_url = pipeline.dedupe_by_url
+
+        def dedupe_by_url(docs, backend):
+            for doc in real_dedupe_by_url(docs, backend):
+                if doc[0].id == "s2":
+                    # with workers, the first shard's quality task has failed by now
+                    deadline = time.monotonic() + 10
+                    while workers > 1 and not quality_failed.exists() and time.monotonic() < deadline:
+                        time.sleep(0.01)
+                    raise OSError("disk full")
+                yield doc
+
+        monkeypatch.setattr(pipeline, "tag_gopher", tag_gopher)
+        monkeypatch.setattr(pipeline, "dedupe_by_url", dedupe_by_url)
+        config = WebPipelineConfig(inputs=shards, out_dir=str(tmp_path / "out"), exact_backend=True, workers=workers)
+        with pytest.raises(RuntimeError, match=f"stage url_dedup/doc_dedup failed on input shard {shards[2]}: disk full"):
+            run_pipeline_web(config)
+        assert quality_failed.exists() == (workers > 1)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_paragraph_failure_comes_before_a_later_shards_quality_failure(self, tmp_path, monkeypatch, workers):
+        import corpuskit.pipeline as pipeline
+
+        rng = random.Random(12)
+        shards = write_shards(
+            tmp_path,
+            [[Document(id=f"s{s}", text=clean_text(rng, 10), metadata={"url": f"http://q{s}.org/"})] for s in range(2)],
+        )
+        real_tag_gopher = pipeline.tag_gopher
+
+        def tag_gopher(doc):
+            if doc.id == "s1":
+                raise ValueError("gopher broke")
+            return real_tag_gopher(doc)
+
+        def dedupe_by_paragraph(docs, backend):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pipeline, "tag_gopher", tag_gopher)
+        monkeypatch.setattr(pipeline, "dedupe_by_paragraph", dedupe_by_paragraph)
+        config = WebPipelineConfig(inputs=shards, out_dir=str(tmp_path / "out"), exact_backend=True, workers=workers)
+        with pytest.raises(RuntimeError, match=f"stage paragraph_dedup failed on input shard {shards[0]}: disk full"):
+            run_pipeline_web(config)
+        assert not (tmp_path / "out").exists()
 
     def test_only_final_shard_keeps_gz_name(self, tmp_path, monkeypatch):
         import corpuskit.pipeline as pipeline

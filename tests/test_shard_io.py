@@ -558,6 +558,11 @@ def _sleep_then_fail(seconds: float, error: str) -> None:
         raise ValueError(error)
 
 
+def _touch(path: str) -> str:
+    Path(path).touch()
+    return path
+
+
 # holds a pool of two workers open after four tasks, printing the workers' pids
 _HOLD_POOL = """
 import multiprocessing, time
@@ -623,25 +628,84 @@ class TestShardPool:
         time.sleep(0.2)
         assert len(list(tmp_path.iterdir())) == ran
 
-    def test_scope_makes_its_directories_and_removes_them_when_it_ends(self, tmp_path):
-        dirs = [tmp_path / ".stage-a", tmp_path / "deep" / ".stage-b"]
-        with ShardPool(1, *dirs):
-            assert all(d.is_dir() for d in dirs)
-        assert not any(d.exists() for d in dirs)
-        with pytest.raises(ZeroDivisionError):
-            with ShardPool(2, *dirs) as pool:
-                (dirs[1] / "part.jsonl").write_text("")
-                pool.map(divmod, [(4, 2), (1, 0)])
-        assert not any(d.exists() for d in dirs)
+    def test_a_task_starts_before_the_task_iterable_is_exhausted(self, tmp_path):
+        first, second = str(tmp_path / "first"), str(tmp_path / "second")
+        started = []
+
+        def tasks():
+            yield (first,)
+            deadline = time.monotonic() + 10
+            while not Path(first).exists() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            started.append(Path(first).exists())
+            yield (second,)
+
+        with ShardPool(2) as pool:
+            results = pool.stream(_touch, tasks())
+            assert started == [True]
+            assert list(results) == [first, second]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_every_task_taken_before_the_first_result(self, workers):
+        taken = []
+
+        def tasks():
+            for i in range(5):
+                taken.append(i)
+                yield (i, 2)
+
+        with ShardPool(workers) as pool:
+            results = pool.stream(pow, tasks())
+            assert taken == [0, 1, 2, 3, 4]
+            assert next(results) == 0
+            assert list(results) == [1, 4, 9, 16]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_single_streamed_task_runs_in_process(self, workers):
+        with ShardPool(workers) as pool:
+            assert list(pool.stream(_worker_pid, [(0.0,)])) == [os.getpid()]
+            assert pool.executor is None
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_stream_partly_drawn_fails_with_the_first_undrawn_failure(self, tmp_path, workers):
+        out = tmp_path / "out"
+        tasks = [(0.0, ""), (0.0, ""), (0.0, "third task"), (0.0, "fourth task")]
+        with pytest.raises(ValueError, match="third task"):
+            with ShardPool(workers, out_dir=out) as pool:
+                (staged,) = pool.staged([out / "a.jsonl"])
+                staged.write_text("")
+                results = pool.stream(_sleep_then_fail, tasks)
+                assert next(results) is None
+        assert not out.exists()
         assert multiprocessing.active_children() == []
 
-    def test_a_directory_that_cannot_be_made_removes_those_made(self, tmp_path):
-        (tmp_path / "file").write_text("")
-        made, unmakeable = tmp_path / ".made", tmp_path / "file" / ".stage"
-        with pytest.raises(OSError):
-            with ShardPool(1, made, unmakeable):
+    def test_scope_makes_its_directories_and_removes_them_when_it_ends(self, tmp_path):
+        out = tmp_path / "out"
+        with ShardPool(1, ".stage-a", "deep/.stage-b", out_dir=out) as pool:
+            dirs = pool.temp_dirs
+            assert dirs == [pool.staging / ".stage-a", pool.staging / "deep" / ".stage-b"]
+            assert all(d.is_dir() for d in dirs)
+        assert list(out.iterdir()) == []
+        with pytest.raises(ZeroDivisionError):
+            with ShardPool(2, ".stage-a", "deep/.stage-b", out_dir=out) as pool:
+                (pool.temp_dirs[1] / "part.jsonl").write_text("")
+                pool.map(divmod, [(4, 2), (1, 0)])
+        assert list(out.iterdir()) == []
+        assert multiprocessing.active_children() == []
+
+    def test_a_directory_that_cannot_be_made_removes_those_made(self, tmp_path, monkeypatch):
+        real_mkdir = Path.mkdir
+
+        def mkdir(path, *args, **kwargs):
+            if path.name == ".unmakeable":
+                raise PermissionError(f"cannot make {path}")
+            real_mkdir(path, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", mkdir)
+        with pytest.raises(PermissionError):
+            with ShardPool(1, ".made", ".unmakeable", out_dir=tmp_path / "new" / "out"):
                 pass
-        assert not made.exists()
+        assert list(tmp_path.iterdir()) == []
 
     def test_workers_end_when_the_job_process_is_killed(self):
         env = dict(os.environ, PYTHONPATH=str(Path(shard_io.__file__).parents[1]))
@@ -748,12 +812,13 @@ class TestPublishing:
         else:
             assert list(tmp_path.iterdir()) == []
 
-    def test_output_directory_made_by_an_intermediate_directory_kept(self, tmp_path):
+    def test_intermediate_directories_leave_no_output_directory(self, tmp_path):
         out = tmp_path / "out"
         with pytest.raises(ZeroDivisionError):
-            with ShardPool(1, out / ".stage", out_dir=out):
+            with ShardPool(1, ".stage", out_dir=out) as pool:
+                (pool.temp_dirs[0] / "0.jsonl").write_text("")
                 1 / 0
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
 
 class TestStageReportMerge:
