@@ -12,7 +12,10 @@ import math
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _INFINITIES = (math.inf, -math.inf)
 
@@ -222,6 +225,8 @@ def _class_codes(text: str) -> str:
 
 # ``\s`` in a str pattern is exactly ``str.isspace``
 _NON_SPACE_RUN = re.compile(r"\S+")
+# 1 for a byte that is not ``str.isspace``, 0 for one that is
+_NON_SPACE_BYTES = bytes(not chr(b).isspace() for b in range(256))
 
 
 def whitespace_word_spans(text: str) -> list[tuple[int, int]]:
@@ -229,12 +234,44 @@ def whitespace_word_spans(text: str) -> list[tuple[int, int]]:
     return [m.span() for m in _NON_SPACE_RUN.finditer(text)]
 
 
-def whitespace_word_ids(text: str) -> list[int]:
-    """One int id per word of :func:`whitespace_word_spans`: equal words get
-    equal ids, numbered from 0 in order of first appearance."""
+def word_ids(text: str) -> tuple[np.ndarray, list[str]]:
+    """The words of ``text.split()`` as int64 ids, equal words equal ids,
+    numbered from 0 in order of first appearance, and the distinct words:
+    ``words[ids[i]]`` is word i."""
+    # numpy loads with the first word table, not with ``import corpuskit``
+    import numpy as np
+
     intern: dict[str, int] = {}
-    # str.split() yields exactly the words those spans delimit
-    return [intern.setdefault(w, len(intern)) for w in text.split()]
+    ids = [intern.setdefault(w, len(intern)) for w in text.split()]
+    return np.array(ids, dtype=np.int64), list(intern)
+
+
+class WordTable(NamedTuple):
+    """The whitespace-delimited words of a text, from :func:`word_table`."""
+
+    ids: np.ndarray  # int64 id of each word, as :func:`word_ids` numbers them
+    words: list[str]  # the distinct words, by id
+    starts: np.ndarray  # int64 codepoint start of each word
+    ends: np.ndarray  # int64 codepoint end of each word, exclusive
+
+
+def word_table(text: str) -> WordTable:
+    """:func:`word_ids` with the codepoint bounds of each word, the bounds of
+    :func:`whitespace_word_spans`: ``text.split()`` yields exactly the runs
+    of non-whitespace characters. In ASCII text a word starts where a
+    whitespace byte (or the start) meets one that is not, and ends where
+    it meets whitespace (or the end) again; other text takes the runs from
+    the regex scan."""
+    import numpy as np
+
+    ids, words = word_ids(text)
+    if text.isascii():
+        flags = np.frombuffer(b"\0" + text.encode("ascii").translate(_NON_SPACE_BYTES) + b"\0", dtype=bool)
+        edges = np.flatnonzero(np.diff(flags))  # rises and falls alternate
+        starts, ends = edges[0::2], edges[1::2]
+    else:
+        starts, ends = np.array(whitespace_word_spans(text), dtype=np.int64).reshape(-1, 2).T
+    return WordTable(ids, words, starts, ends)
 
 
 def segment_words(text: str) -> list[AttributeSpan]:

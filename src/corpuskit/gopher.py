@@ -19,24 +19,35 @@ test suite):
   newline; duplicate-line statistics consider only lines that are non-blank
   after trimming, and count occurrences beyond the first.
 
-The n-gram statistics take one numpy pass per document. Words are interned
-to int ids, and the ids of the n+1-grams are rolled forward from those of
-the n-grams by ranking (n-gram id, next word) pairs, so equal ids mean equal
-n-grams: no hashing, no collisions. The greedy cover walks the occurrences
-of the modal n-gram only, and the duplicate coverage is the length of the
-union of the repeated n-grams' character intervals. Both are integer
-character counts over ``len(text)``, as the conventions above define them.
+Every word statistic comes from one word table per document
+(:func:`corpuskit.documents.word_table`): int word ids in order of first
+appearance, the distinct words, and the codepoint bounds of each word as
+numpy arrays. The median word length is the middle of the sorted bounds'
+differences; in ASCII text a word holds a letter when some byte from its
+start to the next word's start is a letter, one ``maximum.reduceat`` over
+per-byte letter flags; the required words are looked up among the distinct
+words only. A quality worker is forked fresh for each job and pays for the
+first call of each numpy kernel in page faults and resident pages, so the
+median sorts a list, not an array, and the letter test takes a maximum,
+not a sum: ``np.sort`` over int64 and ``add.reduceat`` over bytes would
+cost such a worker 256 and 64 KB more.
+
+The n-gram statistics work on the same arrays. The ids of the n+1-grams
+are rolled forward from those of the n-grams by ranking (n-gram id, next
+word) pairs, so equal ids mean equal n-grams: no hashing, no collisions.
+The greedy cover walks the occurrences of the modal n-gram only, and the
+duplicate coverage is the length of the union of the repeated n-grams'
+character intervals. Both are integer character counts over
+``len(text)``, as the conventions above define them.
 """
 
 from __future__ import annotations
 
-import re
-import statistics
 from dataclasses import dataclass
 
 import numpy as np
 
-from corpuskit.documents import AttributeSpan, Document, whitespace_word_ids, whitespace_word_spans
+from corpuskit.documents import AttributeSpan, Document, WordTable, word_table
 
 TOP_NGRAM_THRESHOLDS = {2: 0.20, 3: 0.18, 4: 0.16}
 DUP_NGRAM_THRESHOLDS = {5: 0.15, 6: 0.14, 7: 0.13, 8: 0.12, 9: 0.11, 10: 0.10}
@@ -59,11 +70,9 @@ ELLIPSIS_SUFFIXES = ("…", "...")
 
 _STRIP_PUNCT = "".join(chr(c) for c in range(33, 128) if not chr(c).isalnum())
 
-# a whitespace-delimited word holding a letter: in ASCII text the letters
-# are exactly [A-Za-z], and ``\s`` is ``str.isspace``, which ``str.split``
-# splits on. A match starts only at a word's start, so a word without a
-# letter is scanned once, not once from each of its characters.
-_ASCII_ALPHA_WORD = re.compile(r"(?<!\S)[^\sA-Za-z]*[A-Za-z]\S*")
+# 1 for a byte that is an ASCII letter: in ASCII text the letters
+# (``str.isalpha``) are exactly [A-Za-z]
+_ASCII_LETTER_BYTES = bytes(b < 128 and chr(b).isalpha() for b in range(256))
 
 
 @dataclass
@@ -118,9 +127,7 @@ def split_lines(text: str) -> list[str]:
     return lines
 
 
-def _ngram_fractions(
-    token_ids: list[int], spans: list[tuple[int, int]], text_len: int
-) -> tuple[dict[int, float], dict[int, float]]:
+def _ngram_fractions(table: WordTable, text_len: int) -> tuple[dict[int, float], dict[int, float]]:
     """The most-common and duplicate n-gram character fractions.
 
     Each n-gram gets an exact id: the id at n+1 is the rank of the pair
@@ -131,9 +138,8 @@ def _ngram_fractions(
     """
     top = dict.fromkeys(TOP_NGRAM_THRESHOLDS, 0.0)
     dup = dict.fromkeys(DUP_NGRAM_THRESHOLDS, 0.0)
-    words = np.array(token_ids, dtype=np.int64)
-    starts, ends = np.array(spans, dtype=np.int64).reshape(-1, 2).T
-    base = max(token_ids, default=-1) + 1  # word ids run 0..base-1
+    words, starts, ends = table.ids, table.starts, table.ends
+    base = len(table.words)  # word ids run 0..base-1
     pos, ids = np.arange(len(words)), words  # positions of repeated n-grams, their ids
     for n in range(2, max(DUP_NGRAM_THRESHOLDS) + 1):
         if len(words) < n:
@@ -151,13 +157,14 @@ def _ngram_fractions(
             # modal n-gram: highest count, earliest first occurrence on ties;
             # when none repeats, each occurs once and the first is modal
             occurrences = pos[ids == ids[np.argmax(counts)]].tolist() if len(pos) else [0]
-            covered = 0
+            cover: list[int] = []
             free = 0
             for i in occurrences:
                 if i >= free:  # greedy left-to-right non-overlapping cover
-                    covered += spans[i + n - 1][1] - spans[i][0]
+                    cover.append(i)
                     free = i + n
-            top[n] = covered / text_len
+            first = np.array(cover)
+            top[n] = int((ends[first + n - 1] - starts[first]).sum()) / text_len
         if n in dup and len(pos):
             # union of [start_i, end_(i+n-1)) over repeated n-grams; both
             # ends rise with i, so each interval adds what passes the last
@@ -166,19 +173,37 @@ def _ngram_fractions(
     return top, dup
 
 
-def gopher_report(text: str) -> GopherReport:
-    words = text.split()
-    word_count = len(words)
+def _median_word_length(table: WordTable) -> float:
+    """``statistics.median`` of the word lengths: the middle length, or
+    the mean of the two middle lengths."""
+    lengths = sorted((table.ends - table.starts).tolist())
+    if not lengths:
+        return 0.0
+    mid = len(lengths) // 2
+    return float(lengths[mid]) if len(lengths) % 2 else (lengths[mid - 1] + lengths[mid]) / 2
 
-    median_len = float(statistics.median([len(w) for w in words])) if words else 0.0
+
+def _alpha_word_count(text: str, table: WordTable) -> int:
+    """The number of words holding a letter (``str.isalpha``), in a text
+    of at least one word."""
+    if text.isascii():
+        letters = np.frombuffer(text.encode("ascii").translate(_ASCII_LETTER_BYTES), dtype=np.uint8)
+        # from each word's start to the next word's start: the word, then
+        # whitespace, which holds no letter
+        return int(np.count_nonzero(np.maximum.reduceat(letters, table.starts)))
+    alpha = np.array([any(c.isalpha() for c in w) for w in table.words])
+    return int(np.count_nonzero(alpha[table.ids]))
+
+
+def gopher_report(text: str) -> GopherReport:
+    table = word_table(text)
+    word_count = len(table.ids)
+
+    median_len = _median_word_length(table)
     symbol_count = sum(text.count(sym) for sym in SYMBOLS)
     symbol_ratio = symbol_count / word_count if word_count else 0.0
-    if text.isascii():
-        alpha_words = len(_ASCII_ALPHA_WORD.findall(text))
-    else:
-        alpha_words = sum(1 for w in words if any(c.isalpha() for c in w))
-    alpha_frac = alpha_words / word_count if word_count else 0.0
-    normalized = {w.lower().strip(_STRIP_PUNCT) for w in words}
+    alpha_frac = _alpha_word_count(text, table) / word_count if word_count else 0.0
+    normalized = {w.lower().strip(_STRIP_PUNCT) for w in table.words}
     required_hits = len(REQUIRED_WORDS & normalized)
 
     lines = split_lines(text)
@@ -212,9 +237,7 @@ def gopher_report(text: str) -> GopherReport:
     dup_line_frac = dup_lines / non_blank if non_blank else 0.0
     dup_char_frac = dup_chars / total_chars if total_chars else 0.0
 
-    top_fracs, dup_fracs = _ngram_fractions(
-        whitespace_word_ids(text), whitespace_word_spans(text), len(text)
-    )
+    top_fracs, dup_fracs = _ngram_fractions(table, len(text))
 
     return GopherReport(
         word_count=word_count,

@@ -10,8 +10,8 @@ from corpuskit.documents import (
     char_spans_to_byte_spans,
     count_words,
     metadata_flag,
-    whitespace_word_ids,
     whitespace_word_spans,
+    word_ids,
 )
 from corpuskit.gopher import split_lines
 
@@ -61,6 +61,8 @@ def _has_repeat_stretch(tokens: np.ndarray, period: int) -> bool:
     """Whether ``tokens[j] == tokens[j + period]`` holds at 100·period
     consecutive positions j, which any run of more than 100 repeats at
     this period needs."""
+    if len(tokens) - period + 1 <= MAX_TOKEN_REPETITIONS * period:
+        return False  # fewer positions j than that, before any numpy call
     unequal = np.flatnonzero(tokens[:-period] != tokens[period:])
     bounds = np.concatenate(([-1], unequal, [len(tokens) - period]))
     return bool(np.diff(bounds).max() > MAX_TOKEN_REPETITIONS * period)
@@ -75,13 +77,14 @@ def find_repetition_runs(text: str) -> list[tuple[int, int, int]]:
     long enough stretch of ``tokens[j] == tokens[j + period]`` (see
     :func:`_has_repeat_stretch`) holds no run, so its greedy scan is skipped.
     """
-    tokens = whitespace_word_ids(text)
+    token_array, _ = word_ids(text)
+    periods = [p for p in range(1, REPETITION_MAX_PERIOD + 1) if _has_repeat_stretch(token_array, p)]
+    if not periods:
+        return []
+    tokens = token_array.tolist()
     n = len(tokens)
-    token_array = np.array(tokens, dtype=np.int64)
     runs: list[tuple[int, int, int]] = []  # token index ranges + count
-    for period in range(1, REPETITION_MAX_PERIOD + 1):
-        if not _has_repeat_stretch(token_array, period):
-            continue
+    for period in periods:
         # i skips the tokens of runs found at smaller periods; runs found at
         # this period lie behind i. covered[:k] all end at or before i.
         covered = sorted(runs)

@@ -19,6 +19,14 @@ OTHER_WORDS = [
     "zzpt", "kvxq", "wzzj", "qqxv", "zkwq", "xjzz", "vqkx",
 ]
 
+# every code point that ``str.isspace`` holds true for, which ``str.split``
+# splits on
+ALL_SPACES = (
+    "\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680"
+    + "".join(map(chr, range(0x2000, 0x200B)))
+    + "\u2028\u2029\u202f\u205f\u3000"
+)
+
 TOXIC_MARKERS = ["grawlix", "blorthug", "sklonk"]
 BENIGN_WORDS = ["hello", "thanks", "weather", "lovely", "garden", "coffee", "morning"]
 

@@ -5,7 +5,8 @@ import unicodedata
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from conftest import ALL_SPACES
+from hypothesis import example, given, strategies as st
 
 from corpuskit import documents
 from corpuskit.documents import (
@@ -18,6 +19,7 @@ from corpuskit.documents import (
     segment_words,
     split_paragraphs,
     whitespace_word_spans,
+    word_table,
 )
 
 
@@ -205,6 +207,45 @@ class TestWords:
     @given(st.text())
     def test_whitespace_words_match_str_split(self, text):
         assert [text[s:e] for s, e in whitespace_word_spans(text)] == text.split()
+
+
+_ASCII_SPACES = ALL_SPACES[:10]  # \t\n\x0b\x0c\r\x1c\x1d\x1e\x1f and space
+_table_texts = (
+    # ASCII words between ASCII whitespace: the byte-table path
+    st.text(st.sampled_from(_ASCII_SPACES + "ab#.1Z_"), max_size=60)
+    # and with any whitespace and a few non-ASCII words: the regex path
+    | st.lists(
+        st.tuples(
+            st.sampled_from(["a", "bb", "é", "日本", "😀", "c#d", "a"]),
+            st.text(st.sampled_from(ALL_SPACES), max_size=3),
+        ),
+        max_size=30,
+    ).map(lambda pairs: "".join(word + sep for word, sep in pairs))
+    | st.text(st.sampled_from(ALL_SPACES), max_size=8)
+)
+
+
+class TestWordTable:
+    """``word_table`` against its oracle: first-appearance interning of
+    ``text.split()`` and the spans of ``whitespace_word_spans``."""
+
+    def test_all_spaces_are_every_isspace_code_point(self):
+        assert ALL_SPACES == "".join(c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace())
+
+    @given(_table_texts)
+    @example("")
+    @example(_ASCII_SPACES)
+    @example(ALL_SPACES)
+    @example("".join("ab"[i % 2] + space for i, space in enumerate(_ASCII_SPACES)))
+    @example("".join("ab"[i % 2] + space for i, space in enumerate(ALL_SPACES)))
+    @example(" a\x85b\xa0c\u2028a ")
+    def test_matches_split_interning_and_spans(self, text):
+        table = word_table(text)
+        intern = {}
+        assert table.ids.tolist() == [intern.setdefault(w, len(intern)) for w in text.split()]
+        assert table.words == list(intern)
+        assert list(zip(table.starts.tolist(), table.ends.tolist())) == whitespace_word_spans(text)
+        assert table.ids.dtype == table.starts.dtype == table.ends.dtype == np.int64
 
 
 class TestStats:

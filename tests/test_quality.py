@@ -4,6 +4,7 @@ Every statistic is cross-checked against a naive recount written
 independently of the production code paths.
 """
 
+import hashlib
 import random
 import statistics
 import time
@@ -11,8 +12,10 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from conftest import ALL_SPACES
 from hypothesis import example, given, strategies as st
 
+from corpuskit.cli import main
 from corpuskit.documents import Document, whitespace_word_spans
 from corpuskit.gopher import (
     DUP_NGRAM_THRESHOLDS,
@@ -24,6 +27,7 @@ from corpuskit.gopher import (
 from corpuskit.heuristics import (
     MAX_TOKEN_REPETITIONS,
     REPETITION_MAX_PERIOD,
+    _has_repeat_stretch,
     find_repetition_runs,
     tag_banned_subreddit,
     tag_c4_nopunc,
@@ -31,6 +35,7 @@ from corpuskit.heuristics import (
     tag_repetition,
     tag_wiki_min_words,
 )
+from corpuskit.shard_io import write_documents
 
 
 # ---------------------------------------------------------------- oracle --
@@ -179,9 +184,12 @@ def reference_ngram_fractions(text):
 
 
 # texts over a 2-4 word vocabulary, so n-grams tie and overlap often,
-# separated by runs of ASCII and unicode whitespace (\x1c-\x1f and the
-# ideographic space are str.isspace too), over one or several lines
-_SEPARATORS = [" ", "  ", "\n", "\t", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f", "\x0b", " \n "]
+# separated by runs of ASCII and unicode whitespace (\x1c-\x1f, \x85, the
+# no-break, line-separator and ideographic spaces are str.isspace too), over
+# one or several lines
+_SEPARATORS = [
+    " ", "  ", "\n", "\t", "\u3000", "\x1c", "\x1d", "\x1e", "\x1f", "\x0b", " \n ", "\x85", "\xa0", "\u2028",
+]
 _few_word_texts = st.lists(
     st.sampled_from(["a", "bb", "é", "c#d", "the"]), min_size=2, max_size=4, unique=True
 ).flatmap(
@@ -512,6 +520,105 @@ class TestRepetition:
     @given(_repeated_segments)
     def test_matches_reference_scan(self, text):
         assert find_repetition_runs(text) == reference_repetition_runs(text)
+
+
+def unguarded_repeat_stretch(tokens, period):
+    """The repetition screen without its early return on short inputs."""
+    unequal = np.flatnonzero(tokens[:-period] != tokens[period:])
+    bounds = np.concatenate(([-1], unequal, [len(tokens) - period]))
+    return bool(np.diff(bounds).max() > MAX_TOKEN_REPETITIONS * period)
+
+
+class TestRepetitionGuard:
+    @pytest.mark.parametrize("period", range(1, REPETITION_MAX_PERIOD + 1))
+    def test_guard_agrees_with_the_unguarded_screen_at_its_boundary(self, period):
+        # a pattern repeating at this period, so the longest stretch is as
+        # long as the tokens allow: the screen passes from 101·period on
+        edge = (MAX_TOKEN_REPETITIONS + 1) * period
+        for count in range(edge - 2, edge + 2):
+            tokens = np.arange(count, dtype=np.int64) % period
+            guarded = _has_repeat_stretch(tokens, period)
+            assert guarded == unguarded_repeat_stretch(tokens, period) == (count >= edge)
+            text = " ".join(f"t{t}" for t in tokens.tolist())
+            assert find_repetition_runs(text) == reference_repetition_runs(text)
+
+
+class TestWordTableStatistics:
+    """The median word length and the alpha-word fraction that
+    ``gopher_report`` takes from the word table, against ``statistics.median``
+    and the per-word letter loop, over odd and even word counts and words
+    of up to 300 characters."""
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(1, 300), st.sampled_from("a1é.²"), st.sampled_from([" ", "\n", "\x1c", "\xa0"])),
+            max_size=12,
+        )
+    )
+    @example([(255, "a", " "), (256, "a", " "), (257, "1", " ")])
+    @example([(1, "a", " "), (2, "a", " "), (4, "a", " "), (7, "a", " ")])
+    def test_median_and_alpha_words(self, words):
+        text = "".join(ch * length + sep for length, ch, sep in words)
+        split = text.split()
+        report = gopher_report(text)
+        assert report.median_word_length == (float(statistics.median(map(len, split))) if split else 0.0)
+        alpha = sum(1 for w in split if any(c.isalpha() for c in w))
+        assert report.alpha_word_fraction == (alpha / len(split) if split else 0.0)
+
+
+def pinned_quality_corpus():
+    """A fixed corpus of ASCII and non-ASCII documents for the three word
+    taggers: prose with bullets and ellipses, words between every kind of
+    whitespace, runs of 99-102 repeats at periods 1-5, repeated lines and
+    n-grams, and texts that are whitespace only or empty."""
+    rng = random.Random(2112)
+    ascii_words = [
+        "the", "of", "and", "to", "with", "river", "lighthouse", "a",
+        "bb", "#", "...", "x1", "42", "--", "Stone,", "THE.",
+    ]
+    other_words = ["naïve", "смех", "日本語", "straße", "²", "Ⅷ", "é", "😀", "the", "of"]
+    docs = []
+    for i in range(72):
+        kind = i % 6
+        if kind == 0:
+            lines = [
+                " ".join(rng.choice(ascii_words) for _ in range(rng.randint(0, 25))) for _ in range(rng.randint(1, 8))
+            ]
+            lines = [rng.choice(["", "- ", "* ", "  "]) + ln + rng.choice(["", ".", "...", " "]) for ln in lines]
+            text = "\n".join(lines) + rng.choice(["", "\n"])
+        elif kind == 1:
+            vocab = ascii_words + other_words
+            text = "".join(
+                rng.choice(vocab) + rng.choice(ALL_SPACES) * rng.randint(1, 2) for _ in range(rng.randint(0, 120))
+            )
+        elif kind == 2:
+            text = "".join(rng.choice(ascii_words) + rng.choice(ALL_SPACES[:10]) for _ in range(rng.randint(40, 160)))
+        elif kind == 3:
+            vocab = ascii_words if i % 4 == 3 else other_words
+            pattern = " ".join(rng.sample(vocab, 1 + i // 6 % 5)) + " "
+            lead = " ".join(rng.choice(vocab) for _ in range(rng.randint(0, 5)))
+            text = lead + " " + pattern * (99 + i // 6 % 4) + "end."
+        elif kind == 4:
+            pool = [" ".join(rng.choice(ascii_words) for _ in range(rng.randint(1, 12))) for _ in range(3)]
+            text = "\n".join(rng.choice(pool) for _ in range(rng.randint(1, 20)))
+        else:
+            text = "".join(rng.choice(ALL_SPACES) for _ in range(rng.randint(0, 4)))
+        docs.append(Document(id=f"q{i}", text=text, source="pinned"))
+    return docs
+
+
+class TestPinnedSidecar:
+    # sha256 of the sidecar as the per-word Python statistics wrote it,
+    # before the word table
+    DIGEST = "a8180c5949fee036724d6fd7037f9ebd014f71cb415d622eaf9d6dd47ff2f59d"
+
+    def test_word_taggers_sidecar_pinned(self, tmp_path):
+        write_documents(pinned_quality_corpus(), tmp_path / "in.jsonl")
+        inputs, out = str(tmp_path / "in.jsonl"), str(tmp_path / "out")
+        assert main(["tag", "--taggers", "gopher,c4,repetition", "--inputs", inputs, "--out-dir", out]) == 0
+        sidecar = (tmp_path / "out" / "in.jsonl").read_bytes()
+        assert sidecar.count(b"repetition__run") == 6
+        assert hashlib.sha256(sidecar).hexdigest() == self.DIGEST
 
 
 class TestWikiShort:
