@@ -3,11 +3,12 @@
 Sized from a target insertion count and false-positive rate; keys are
 hashed with seeded BLAKE2b double hashing so filters are portable across
 platforms. Bits only ever transition 0 -> 1. Keys go in and are looked up a
-batch at a time, ``insert_check_many`` and ``contains_many``, in numpy; the
-answers are those of inserting or probing the keys one by one in order with
-``insert_check``/``contains``, which probe the same ``probe_positions`` and
-set or test them in a Python loop, cheaper for a single key. A hash-set
-backend with the same interface exists for desk-scale oracle testing.
+batch at a time: ``insert_check_many`` and ``contains_many`` hash the keys
+(``key_digests``), turn the digests into bit positions (``probe_positions``)
+and set or test those in numpy, answering as inserting or probing the keys
+one by one in order would. ``insert_check`` and ``contains`` are batches of
+one. A hash-set backend with the same interface exists for desk-scale
+oracle testing.
 """
 
 from __future__ import annotations
@@ -15,9 +16,9 @@ from __future__ import annotations
 import hashlib
 import logging
 import math
+import os
 import struct
 import threading
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -28,6 +29,7 @@ logger = logging.getLogger(__name__)
 
 BLOOM_MAGIC = b"CKBLOOM1"
 BLOOM_VERSION = 1
+_HEADER = struct.Struct("<8sIQIQB")  # magic, version, m, k, seed, read_only
 
 _MASK64 = (1 << 64) - 1
 
@@ -55,16 +57,9 @@ def check_target(n_target: int, p_target: float) -> None:
         raise ValueError(f"p_target must be in (0, 1), got {p_target}")
 
 
-def probe_positions(keys: Sequence[bytes], m: int, k: int, seed: int) -> np.ndarray:
-    """The k bit positions of each key as a (len(keys), k) uint64 array.
-
-    Position i is ``(h1 + i*h2) mod m``, where h1 and h2 are the
-    little-endian halves of the key's 16-byte BLAKE2b digest salted with the
-    seed, and h2 has its low bit set. It is computed as ``(h1 mod m) + i*(h2
-    mod m)`` reduced mod m, with every operand uint64 (numpy 1.x would turn
-    uint64 mixed with int64 into float64); the sum is at most k*(m-1), so it
-    fits in 64 bits for every filter ``BloomFilter`` accepts, k*m < 2^64.
-    """
+def key_digests(keys: Sequence[bytes], seed: int) -> np.ndarray:
+    """Each key's 16-byte BLAKE2b digest salted with the seed, as a
+    (len(keys), 2) uint64 array of its little-endian halves (h1, h2)."""
     # one salted hash object copied per key: cheaper than passing the
     # digest size and salt to a new one for every key
     salted = hashlib.blake2b(digest_size=16, salt=seed.to_bytes(8, "little"))
@@ -73,8 +68,21 @@ def probe_positions(keys: Sequence[bytes], m: int, k: int, seed: int) -> np.ndar
         h = salted.copy()
         h.update(key)
         digests.append(h.digest())
+    return np.frombuffer(b"".join(digests), _DIGEST)
+
+
+def probe_positions(digests: np.ndarray, m: int, k: int) -> np.ndarray:
+    """The k bit positions of each key of ``key_digests`` as a
+    (len(digests), k) uint64 array.
+
+    Position i is ``(h1 + i*h2) mod m``, where h2 has its low bit set. It is
+    computed as ``(h1 mod m) + i*(h2 mod m)`` reduced mod m, with every
+    operand uint64 (numpy 1.x would turn uint64 mixed with int64 into
+    float64); the sum is at most k*(m-1), so it fits in 64 bits for every
+    filter ``BloomFilter`` accepts, k*m < 2^64.
+    """
     m = np.uint64(m)
-    h = (np.frombuffer(b"".join(digests), _DIGEST) | _H2_LOW_BIT) % m
+    h = (digests | _H2_LOW_BIT) % m
     return (h[:, :1] + np.arange(k, dtype=np.uint64) * h[:, 1:]) % m
 
 
@@ -155,7 +163,7 @@ class BloomFilter:
             raise ReadOnlyFilterError("insertion attempted on read-only filter")
         if not keys:
             return []
-        pos = probe_positions(keys, self.m, self.k, self.seed).ravel()
+        pos = probe_positions(key_digests(keys, self.seed), self.m, self.k).ravel()
         byte, mask = pos >> 3, _BIT[pos & 7]
         with self._lock:
             bits = np.frombuffer(self.bits, np.uint8)
@@ -177,31 +185,15 @@ class BloomFilter:
         """For each key, whether all its bits are set."""
         if not keys:
             return []
-        pos = probe_positions(keys, self.m, self.k, self.seed)
+        pos = probe_positions(key_digests(keys, self.seed), self.m, self.k)
         bits = np.frombuffer(self.bits, np.uint8)
         return ((bits[pos >> 3] & _BIT[pos & 7]) != 0).all(axis=1).tolist()
 
     def insert_check(self, key: bytes) -> bool:
-        """Set the key's bits; return whether all were already set.
-        Thread-safe as ``insert_check_many`` is."""
-        if self.read_only:
-            raise ReadOnlyFilterError("insertion attempted on read-only filter")
-        was_present = True
-        with self._lock:
-            bits = self.bits
-            for pos in probe_positions([key], self.m, self.k, self.seed)[0].tolist():
-                byte, mask = pos >> 3, 1 << (pos & 7)
-                if not bits[byte] & mask:
-                    was_present = False
-                    bits[byte] |= mask
-                    self.set_bits += 1
-            self.added += not was_present
-        return was_present
+        return self.insert_check_many([key])[0]
 
     def contains(self, key: bytes) -> bool:
-        bits = self.bits
-        positions = probe_positions([key], self.m, self.k, self.seed)[0].tolist()
-        return all(bits[pos >> 3] & (1 << (pos & 7)) for pos in positions)
+        return self.contains_many([key])[0]
 
     def popcount(self) -> int:
         """Set bits, counted a 64 KiB slice at a time so that no copy of the
@@ -236,27 +228,36 @@ class BloomFilter:
 def bloom_save(bloom: BloomFilter, path) -> None:
     """Header (magic, version, m, k, seed, read_only) then the raw bits."""
     with atomic_output(path) as tmp, open(tmp, "wb") as f:
-        f.write(BLOOM_MAGIC)
-        f.write(struct.pack("<IQIQB", BLOOM_VERSION, bloom.m, bloom.k, bloom.seed, int(bloom.read_only)))
-        f.write(bytes(bloom.bits))
+        f.write(_HEADER.pack(BLOOM_MAGIC, BLOOM_VERSION, bloom.m, bloom.k, bloom.seed, int(bloom.read_only)))
+        f.write(memoryview(bloom.bits))
 
 
 def bloom_load(path) -> BloomFilter:
-    data = Path(path).read_bytes()
-    header_size = 8 + struct.calcsize("<IQIQB")
-    if len(data) < header_size:
-        raise BloomFormatError("truncated bloom filter file (header incomplete)")
-    if data[:8] != BLOOM_MAGIC:
-        raise BloomFormatError("bad magic; not a bloom filter file")
-    version, m, k, seed, read_only = struct.unpack("<IQIQB", data[8:header_size])
-    if version != BLOOM_VERSION:
-        raise BloomFormatError(f"unsupported bloom filter version {version}")
-    bits = bytearray(data[header_size:])
-    if len(bits) != (m + 7) // 8:
-        raise BloomFormatError(
-            f"truncated bloom filter file: {len(bits)} payload bytes for m={m}"
-        )
-    return BloomFilter(m=m, k=k, seed=seed, read_only=bool(read_only), bits=bits)
+    """Read a filter written by :func:`bloom_save`, its bits straight into
+    one ``bytearray`` sized only once the file is known to hold them. A
+    malformed file raises ``BloomFormatError`` naming it."""
+    with open(path, "rb") as f:
+        header = f.read(_HEADER.size)
+        if len(header) < _HEADER.size:
+            raise BloomFormatError(f"{path}: truncated bloom filter file (header incomplete)")
+        magic, version, m, k, seed, read_only = _HEADER.unpack(header)
+        if magic != BLOOM_MAGIC:
+            raise BloomFormatError(f"{path}: bad magic; not a bloom filter file")
+        if version != BLOOM_VERSION:
+            raise BloomFormatError(f"{path}: unsupported bloom filter version {version}")
+        if read_only not in (0, 1):
+            raise BloomFormatError(f"{path}: read-only byte {read_only}, expected 0 or 1")
+        n_bytes = (m + 7) // 8
+        payload = os.fstat(f.fileno()).st_size - _HEADER.size
+        if payload != n_bytes:
+            raise BloomFormatError(f"{path}: {payload} payload bytes for m={m}, expected {n_bytes}")
+        bits = bytearray(n_bytes)
+        if f.readinto(bits) != n_bytes:
+            raise BloomFormatError(f"{path}: truncated while it was read")
+    try:
+        return BloomFilter(m=m, k=k, seed=seed, read_only=bool(read_only), bits=bits)
+    except ValueError as exc:  # m or k out of range
+        raise BloomFormatError(f"{path}: {exc}") from exc
 
 
 class ExactSet:

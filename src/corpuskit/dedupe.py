@@ -148,8 +148,15 @@ def dedupe_by_paragraph(
 class _DigestSet(ExactSet):
     """Exact set holding each key's 20-byte sha1 digest, not the key."""
 
+    @staticmethod
+    def _digests(keys: Sequence[bytes]) -> list[bytes]:
+        return [hashlib.sha1(key).digest() for key in keys]
+
     def insert_check_many(self, keys: Sequence[bytes]) -> list[bool]:
-        return super().insert_check_many([hashlib.sha1(key).digest() for key in keys])
+        return super().insert_check_many(self._digests(keys))
+
+    def contains_many(self, keys: Sequence[bytes]) -> list[bool]:
+        return super().contains_many(self._digests(keys))
 
 
 def plan_shard_groups(

@@ -1,14 +1,19 @@
 import hashlib
 import math
+import os
 import random
+import re
 import struct
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import corpuskit
 from corpuskit.bloom import (
     BloomFilter,
     BloomFormatError,
@@ -17,8 +22,20 @@ from corpuskit.bloom import (
     _first_probes,
     bloom_load,
     bloom_save,
+    key_digests,
     probe_positions,
 )
+
+
+# prints how far loading the filter at argv[1] raised this process's peak
+# RSS, in KiB (Linux), then the filter's set bits
+_LOAD_RSS = """
+import resource, sys
+from corpuskit.bloom import bloom_load
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+bloom = bloom_load(sys.argv[1])
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before, bloom.set_bits)
+"""
 
 
 def reference_positions(key: bytes, m: int, k: int, seed: int):
@@ -219,28 +236,55 @@ class TestPersistence:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["f.bloom"]
 
-    def test_corrupted_magic_rejected(self, tmp_path):
-        bloom = BloomFilter.create(10, 0.5, 0)
+    def test_load_reads_the_bits_without_copies(self, tmp_path):
+        # a 50 MiB frozen filter, all bits clear: the file is sparse, and the
+        # child's peak RSS rises by one bit array, not by the three copies a
+        # whole-file read, a slice and a bytearray of it would make
+        path = tmp_path / "large.bloom"
+        m = 50 * 2**20 * 8
+        with open(path, "wb") as f:
+            f.write(struct.pack("<8sIQIQB", b"CKBLOOM1", 1, m, 3, 0, 1))
+            f.truncate(f.tell() + m // 8)
+        env = dict(os.environ, PYTHONPATH=str(Path(corpuskit.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", _LOAD_RSS, str(path)], env=env, check=True, capture_output=True, text=True
+        ).stdout
+        rise_kib, set_bits = map(int, out.split())
+        assert set_bits == 0
+        assert rise_kib * 1024 < 1.5 * path.stat().st_size
+
+    @pytest.mark.parametrize(
+        "magic, version, m, k, read_only, payload, reason",
+        [
+            (b"CKBLOOM2", 1, 16, 3, 0, 2, "bad magic"),
+            (b"CKBLOOM1", 2, 16, 3, 0, 2, "unsupported bloom filter version 2"),
+            (b"CKBLOOM1", 1, 16, 3, 7, 2, "read-only byte 7, expected 0 or 1"),
+            (b"CKBLOOM1", 1, 0, 3, 1, 0, "need m >= 1 and k >= 1, got m=0, k=3"),
+            (b"CKBLOOM1", 1, 16, 0, 1, 2, "need m >= 1 and k >= 1, got m=16, k=0"),
+            (b"CKBLOOM1", 1, 2**62, 4, 1, 2, "2 payload bytes for m=4611686018427387904"),  # refused before allocating
+        ],
+        ids=["magic", "version", "read-only-7", "m-0", "k-0", "m-past-the-file"],
+    )
+    def test_corrupted_header_rejected(self, tmp_path, magic, version, m, k, read_only, payload, reason):
         path = tmp_path / "bad.bloom"
-        bloom_save(bloom, path)
-        data = bytearray(path.read_bytes())
-        data[0] ^= 0xFF
-        path.write_bytes(bytes(data))
-        with pytest.raises(BloomFormatError):
+        path.write_bytes(struct.pack("<8sIQIQB", magic, version, m, k, 0, read_only) + bytes(payload))
+        with pytest.raises(BloomFormatError, match=f"^{re.escape(f'{path}: ')}.*{re.escape(reason)}"):
             bloom_load(path)
 
-    def test_truncated_payload_rejected(self, tmp_path):
+    @pytest.mark.parametrize("damage", [lambda data: data[:-10], lambda data: data + b"\0"], ids=["cut", "trailing"])
+    def test_payload_of_the_wrong_size_rejected(self, tmp_path, damage):
         bloom = BloomFilter.create(1000, 0.01, 0)
         path = tmp_path / "trunc.bloom"
         bloom_save(bloom, path)
-        path.write_bytes(path.read_bytes()[:-10])
-        with pytest.raises(BloomFormatError):
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(BloomFormatError, match=f"^{re.escape(str(path))}: .* payload bytes for m=9586, expected 1199"):
             bloom_load(path)
 
-    def test_truncated_header_rejected(self, tmp_path):
+    @pytest.mark.parametrize("data", [b"", b"CKBLOOM1\x01"], ids=["empty", "cut"])
+    def test_truncated_header_rejected(self, tmp_path, data):
         path = tmp_path / "tiny.bloom"
-        path.write_bytes(b"CKBLOOM1\x01")
-        with pytest.raises(BloomFormatError):
+        path.write_bytes(data)
+        with pytest.raises(BloomFormatError, match=f"^{re.escape(str(path))}: truncated"):
             bloom_load(path)
 
 
@@ -284,7 +328,7 @@ class TestPinnedPositions:
 
     @pytest.mark.parametrize("key, m, k, seed, expected", CASES + [LARGEST_M])
     def test_probe_positions(self, key, m, k, seed, expected):
-        assert probe_positions([key], m, k, seed).tolist() == [expected]
+        assert probe_positions(key_digests([key], seed), m, k).tolist() == [expected]
 
     @pytest.mark.parametrize("key, m, k, seed, expected", CASES)
     def test_one_key_insert_sets_exactly_those_bits(self, key, m, k, seed, expected):
@@ -323,7 +367,7 @@ class TestBatchOracle:
             assert flags == expected
             assert bytes(bloom.bits) == bytes(expected_bits)
             assert bloom.added == expected.count(False)
-        # the one-key methods take the same positions but set and test the bits in their own loop
+        # the one-key methods, batches of one, answer as the per-key loop does
         one = BloomFilter(m, k, seed, bits=bytearray(bits))
         assert [one.contains(key) for key in batch] == contained
         assert [one.insert_check(key) for key in batch] == expected
@@ -341,7 +385,7 @@ class TestBatchOracle:
         # the largest m a filter of k probes accepts, and just below it; m is
         # near 2**62 for k = 4, and probe_positions needs no bit array
         m = (2**64 - 1) // k - below
-        got = probe_positions(keys, m, k, seed)
+        got = probe_positions(key_digests(keys, seed), m, k)
         assert got.dtype == np.uint64 and got.shape == (len(keys), k)
         assert got.tolist() == [list(reference_positions(key, m, k, seed)) for key in keys]
 

@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import random
 import signal
+import struct
 import subprocess
 import sys
 import time
@@ -59,6 +60,14 @@ class TestExitCodes:
         argv = ["tag", "--config", str(config), "--inputs", str(make_shard(tmp_path)), "--out-dir", str(tmp_path / "o")]
         assert run_cli(*argv) == 2
         assert "feature kind byte 7" in capsys.readouterr().err
+
+    def test_malformed_bloom_filter_is_runtime_error_naming_it(self, tmp_path, capsys):
+        # m = 0 in the header: refused as a format error, like a malformed shard
+        filt = tmp_path / "m0.bloom"
+        filt.write_bytes(struct.pack("<8sIQIQB", b"CKBLOOM1", 1, 0, 3, 0, 1))
+        argv = ["decontaminate", "--load-filter", str(filt), "--inputs", str(make_shard(tmp_path))]
+        assert run_cli(*argv, "--out-dir", str(tmp_path / "attrs")) == 2
+        assert f"runtime failure: {filt}: need m >= 1 and k >= 1, got m=0, k=3" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "name, damage, reason",

@@ -130,8 +130,15 @@ def _functions_calling(tree: ast.Module, callee: str) -> list[str]:
 
 def test_bloom_hashes_keys_in_one_function():
     assert _functions_calling(ast.parse((PACKAGE / "bloom.py").read_text(encoding="utf-8")), "blake2b") == [
-        "probe_positions"
+        "key_digests"
     ]
+
+
+def test_bloom_probes_in_one_place():
+    # the batch methods are the only ones that set or test bits; the
+    # one-key methods are batches of one
+    tree = ast.parse((PACKAGE / "bloom.py").read_text(encoding="utf-8"))
+    assert sorted(_functions_calling(tree, "probe_positions")) == ["contains_many", "insert_check_many"]
 
 
 # a filter's insert and sizing counters, which its health() reports

@@ -221,6 +221,13 @@ class TestCcnetGroups:
                         expected[doc.id] = hits
         assert flagged == expected
 
+    def test_digest_set_looks_up_what_it_inserted(self):
+        seen = dedupe._DigestSet()
+        assert seen.insert_check_many([b"a", b"b", b"a"]) == [False, False, True]
+        assert seen.contains(b"a") and seen.contains_many([b"b", b"c"]) == [True, False]
+        assert seen.insert_check(b"b") and not seen.insert_check(b"c")
+        assert len(seen) == 3
+
     def test_oversized_shard_gets_own_group(self, tmp_path):
         paths = self.make_shards(tmp_path, [["x" * 4000], ["small"], ["tiny"]])
         groups = plan_shard_groups(paths, max_group_bytes=1000)
