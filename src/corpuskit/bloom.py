@@ -5,10 +5,10 @@ hashed with seeded BLAKE2b double hashing so filters are portable across
 platforms. Bits only ever transition 0 -> 1. Keys go in and are looked up a
 batch at a time: ``insert_check_many`` and ``contains_many`` hash the keys
 (``key_digests``), turn the digests into bit positions (``probe_positions``)
-and set or test those in numpy, answering as inserting or probing the keys
-one by one in order would. ``insert_check`` and ``contains`` are batches of
-one. A hash-set backend with the same interface exists for desk-scale
-oracle testing.
+and test those in numpy, answering as inserting or probing the keys one by
+one in order would; an insert ORs each byte's new bits into it in one store.
+``insert_check`` and ``contains`` are batches of one. A hash-set backend
+with the same interface exists for desk-scale oracle testing.
 """
 
 from __future__ import annotations
@@ -164,7 +164,8 @@ class BloomFilter:
         if not keys:
             return []
         pos = probe_positions(key_digests(keys, self.seed), self.m, self.k).ravel()
-        byte, mask = pos >> 3, _BIT[pos & 7]
+        # intp, which holds any byte index of a bit array, indexes faster than uint64
+        byte, mask = (pos >> 3).astype(np.intp), _BIT.take(pos & 7)
         with self._lock:
             bits = np.frombuffer(self.bits, np.uint8)
             unset = np.flatnonzero(bits[byte] & mask == 0)
@@ -173,8 +174,10 @@ class BloomFilter:
             # a key is absent exactly when it is the first in the batch to
             # probe some position that was unset before the batch
             newly_set, absent = _first_probes(pos[unset], unset // self.k, self.m)
-            # unbuffered, so probes that share a byte all set their bit
-            np.bitwise_or.at(bits, byte[unset], mask[unset])
+            # ascending: the new bits of one byte form a run, OR-ed in at once
+            new_byte = (newly_set >> 3).astype(np.intp)
+            runs = _run_starts(new_byte)
+            bits[new_byte[runs]] |= np.bitwise_or.reduceat(_BIT.take(newly_set & 7), runs)
             self.set_bits += len(newly_set)
             present = np.ones(len(keys), bool)
             present[absent] = False

@@ -34,7 +34,7 @@ import sys
 import threading
 from contextlib import contextmanager
 from dataclasses import fields
-from functools import partial
+from functools import cache, partial
 from itertools import chain
 from pathlib import Path
 from typing import Iterator
@@ -524,6 +524,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+@cache
+def _parser() -> _Parser:
+    """The parser of every in-process ``main`` call; parsing leaves it as it was."""
+    return build_parser()
+
+
 _VALIDATION_ERRORS = (
     ValidationError,
     MixConfigError,
@@ -551,10 +557,11 @@ def _sigterm_as_exit() -> Iterator[None]:
 
 def main(argv: list[str] | None = None) -> int:
     with _sigterm_as_exit():
-        parser = build_parser()
+        parser = _parser()
         try:
             args = parser.parse_args(argv)
-            logging.basicConfig(level=args.log_level)
+            logging.basicConfig()  # a stderr handler, unless the host has one
+            logger.setLevel(args.log_level)
             if args.config:
                 _merge_config(args, parser.commands[args.command])
             _refuse_unread(args)

@@ -10,10 +10,10 @@ any document sharing one.
 Every stage is a chunk tagger run through :func:`corpuskit.shard_io.tagged`:
 it hands its filter the keys of a chunk of consecutive documents in one
 batch call, which answers as checking them one by one in stream order
-would. Every stage only flags: it yields each document with its attribute
-record, one document at a time, and counts nothing. Callers count what
-they need from those records and act on the flags through
-:func:`corpuskit.filters.apply_filters`.
+would; paragraph keys come from one bulk split per document, and spans
+only for the documents flagged. Every stage only flags: it yields each
+document with its attribute record, one at a time, and counts nothing.
+Callers act on the flags through :func:`corpuskit.filters.apply_filters`.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
-from functools import partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Protocol, Sequence
 from urllib.parse import urlsplit, urlunsplit
@@ -32,6 +31,7 @@ from corpuskit.documents import (
     Document,
     DocumentAttributes,
     count_words,
+    paragraph_spans,
     split_paragraphs,
 )
 from corpuskit.shard_io import ChunkTagger, read_documents, tagged
@@ -63,28 +63,28 @@ class KeyFilter(Protocol):
 
 def _key_tagger(
     name: str,
-    keys_of: Callable[[Document], Iterable[tuple[tuple[int, int] | None, bytes]]],
+    keys_of: Callable[[Document], list[bytes]],
     check_many: Callable[[list[bytes]], list[bool]],
-    whole: bool = False,
+    spans: bool = False,
 ) -> ChunkTagger:
-    """A tagger handing the keys of a chunk of documents (each key with the
-    ``(start, end)`` bytes it flags) to ``check_many`` in one call, in stream
-    order, and flagging under ``name`` a span over the bytes of every key it
-    answers true for, or with ``whole`` the whole document once any key is
-    (the keys' bounds are then unused, and may be None)."""
+    """A tagger handing the keys of a chunk of documents to ``check_many`` in
+    one call, in stream order, and flagging under ``name`` each document it
+    answers true for a key of: the whole document, or with ``spans`` (when
+    the keys are the document's :func:`split_paragraphs`) the bytes of each
+    such key. Bounds are summed only for the documents flagged."""
 
     def tag_many(docs: list[Document]) -> list[dict[str, list[AttributeSpan]]]:
-        keyed = [list(keys_of(doc)) for doc in docs]
-        flags = iter(check_many([key for pairs in keyed for _, key in pairs]))
-        out = []
-        for doc, pairs in zip(docs, keyed):
-            flagged = [bounds for bounds, _ in pairs if next(flags)]
-            if not flagged:
+        keyed = [keys_of(doc) for doc in docs]
+        flags = check_many([key for keys in keyed for key in keys])
+        out, end = [], 0
+        for doc, keys in zip(docs, keyed):
+            start, end = end, end + len(keys)
+            if True not in flags[start:end]:
                 out.append({})
-            elif whole:
-                out.append({name: [AttributeSpan(0, doc.text_size, 1.0)]})
+            elif spans:
+                out.append({name: paragraph_spans(keys, flags[start:end])})
             else:
-                out.append({name: [AttributeSpan(start, end, 1.0) for start, end in flagged]})
+                out.append({name: [AttributeSpan(0, doc.text_size, 1.0)]})
         return out
 
     return ChunkTagger(tag_many)
@@ -105,11 +105,11 @@ def dedupe_by_url(
     Documents without a URL (absent or null) pass through unflagged.
     """
 
-    def keys_of(doc: Document) -> list[tuple[None, bytes]]:
+    def keys_of(doc: Document) -> list[bytes]:
         url = doc.metadata.get("url")
-        return [] if url is None else [(None, normalize_url(str(url)).encode("utf-8"))]
+        return [] if url is None else [normalize_url(str(url)).encode("utf-8")]
 
-    yield from tagged(docs, [_key_tagger(URL_DUPLICATE, keys_of, backend.insert_check_many, whole=True)])
+    yield from tagged(docs, [_key_tagger(URL_DUPLICATE, keys_of, backend.insert_check_many)])
 
 
 def dedupe_by_document(
@@ -117,7 +117,7 @@ def dedupe_by_document(
 ) -> Iterator[tuple[Document, DocumentAttributes]]:
     """Flag exact text duplicates; the key is the raw text bytes, so empty
     documents share a key and count as duplicates of each other."""
-    tagger = _key_tagger(DOC_DUPLICATE, lambda doc: [(None, doc.text_bytes)], backend.insert_check_many, whole=True)
+    tagger = _key_tagger(DOC_DUPLICATE, lambda doc: [doc.text_bytes], backend.insert_check_many)
     yield from tagged(docs, [tagger])
 
 
@@ -127,22 +127,23 @@ def _admits(para: bytes, min_tokens: int) -> bool:
     return min_tokens <= 0 or count_words(para.decode("utf-8")) > min_tokens
 
 
-def gated_paragraphs(doc: Document, min_tokens: int) -> Iterator[tuple[tuple[int, int], bytes]]:
-    """Yield ``((start, end), paragraph bytes)`` of :func:`split_paragraphs`
-    for each paragraph the token gate :func:`_admits`."""
-    for bounds, para in split_paragraphs(doc.text_bytes):
-        if _admits(para, min_tokens):
-            yield bounds, para
-
-
 def dedupe_by_paragraph(
     docs: Iterable[Document],
     backend: KeyFilter,
     min_paragraph_tokens: int = 0,
 ) -> Iterator[tuple[Document, DocumentAttributes]]:
-    """Flag repeat paragraphs anywhere in the stream, empty ones included."""
-    keys_of = partial(gated_paragraphs, min_tokens=min_paragraph_tokens)
-    yield from tagged(docs, [_key_tagger(PARAGRAPH_DUPLICATE, keys_of, backend.insert_check_many)])
+    """Flag repeat paragraphs anywhere in the stream, empty ones included.
+    A chunk's paragraphs are split in bulk and checked in one call, the
+    token gate run once on each; spans are built only where one repeats."""
+
+    def gated_many(paras: list[bytes]) -> list[bool]:
+        admitted = [_admits(para, min_paragraph_tokens) for para in paras]
+        flags = iter(backend.insert_check_many([para for para, ok in zip(paras, admitted) if ok]))
+        return [ok and next(flags) for ok in admitted]
+
+    check_many = gated_many if min_paragraph_tokens > 0 else backend.insert_check_many
+    tagger = _key_tagger(PARAGRAPH_DUPLICATE, lambda doc: split_paragraphs(doc.text_bytes), check_many, spans=True)
+    yield from tagged(docs, [tagger])
 
 
 class _DigestSet(ExactSet):
@@ -204,7 +205,8 @@ def ccnet_group_dedupe(
 def gated_keys(test_docs: Iterable[Document], min_paragraph_tokens: int) -> list[bytes]:
     """The bytes of every test-set paragraph the token gate admits, in order:
     the keys a decontamination filter is seeded with."""
-    return [para for doc in test_docs for _, para in gated_paragraphs(doc, min_paragraph_tokens)]
+    paras = (para for doc in test_docs for para in split_paragraphs(doc.text_bytes))
+    return [para for para in paras if _admits(para, min_paragraph_tokens)]
 
 
 def seed_filter(filt: KeyFilter, keys: Sequence[bytes]) -> KeyFilter:
@@ -246,5 +248,5 @@ def decontaminate_tag(
         hits = seeded.contains_many(paras)
         return [hit and _admits(para, min_paragraph_tokens) for para, hit in zip(paras, hits)]
 
-    tagger = _key_tagger(CONTAMINATED, lambda doc: split_paragraphs(doc.text_bytes), contaminated_many, whole=True)
+    tagger = _key_tagger(CONTAMINATED, lambda doc: split_paragraphs(doc.text_bytes), contaminated_many)
     yield from tagged(docs, [tagger])

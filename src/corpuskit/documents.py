@@ -12,7 +12,8 @@ import math
 import re
 import unicodedata
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterable, Iterator, NamedTuple
+from itertools import repeat
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 if TYPE_CHECKING:
     import numpy as np
@@ -130,28 +131,30 @@ def char_spans_to_byte_spans(
     return out
 
 
-def split_paragraphs(data: bytes) -> Iterator[tuple[tuple[int, int], bytes]]:
-    """Yield ``((start, end), paragraph)`` for each paragraph of the UTF-8
-    ``data``: the bytes between newlines, with their byte offsets; the
-    newline itself is in neither. Empty paragraphs are yielded too, and
-    b"" is one empty paragraph."""
-    start = 0
-    for para in data.split(b"\n"):
-        end = start + len(para)
-        yield (start, end), para
-        start = end + 1
+def split_paragraphs(data: bytes) -> list[bytes]:
+    """The paragraphs of the UTF-8 ``data``, in one ``bytes.split``: the
+    bytes between newlines, the newline itself in none. Empty paragraphs
+    count too, and b"" is one empty paragraph. The toolkit's one paragraph
+    splitter; :func:`paragraph_spans` turns paragraphs into byte spans."""
+    return data.split(b"\n")
+
+
+def paragraph_spans(paras: list[bytes], flags: Iterable[bool]) -> list[AttributeSpan]:
+    """A span over each paragraph of :func:`split_paragraphs` whose flag is
+    true, its bounds summed from the lengths of the paragraphs before it."""
+    spans, start = [], 0
+    for para, flag in zip(paras, flags):
+        if flag:
+            spans.append(AttributeSpan(start, start + len(para), 1.0))
+        start += len(para) + 1
+    return spans
 
 
 def segment_paragraphs(text: str) -> list[AttributeSpan]:
-    """Split text into paragraph spans at newline boundaries.
-
-    A paragraph is a span of text ending in a newline; the trailing newline
-    is excluded from the span. Empty paragraphs produce empty spans (they
-    participate in deduplication like any other paragraph). Offsets are byte
-    offsets; "" yields a single empty span. These are the bounds of
-    :func:`split_paragraphs`, as spans.
-    """
-    return [AttributeSpan(start, end, 1.0) for (start, end), _ in split_paragraphs(text.encode("utf-8"))]
+    """The byte spans of every paragraph of :func:`split_paragraphs`: the
+    text between newlines, the newline in none. Empty paragraphs give empty
+    spans, which dedup like any other, and "" gives one."""
+    return paragraph_spans(split_paragraphs(text.encode("utf-8")), repeat(True))
 
 
 # UAX #29-style word segmentation, reduced to a documented rule set. Each

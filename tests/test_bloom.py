@@ -341,6 +341,34 @@ class TestPinnedPositions:
         assert bloom.contains(key)
 
 
+class TestBitsSetInOnePass:
+    """``insert_check_many`` ORs the new bits of each byte into it at once;
+    the bits must be those of setting each probe in turn, in Python."""
+
+    @pytest.mark.parametrize("m, k", [(8, 3), (61, 5), (1000, 7)])
+    def test_bits_equal_probe_by_probe(self, m, k):
+        rng = random.Random(m)
+        bloom = BloomFilter(m, k, seed=3)
+        expected = bytearray(len(bloom.bits))
+        shared_bytes = repeated_keys = 0
+        for _ in range(30):
+            keys = [b"k%d" % rng.randrange(50) for _ in range(rng.randrange(1, 9))]
+            keys += rng.sample(keys, rng.randrange(0, len(keys) + 1))  # repeats within the batch
+            before = bytes(expected)
+            new = set()
+            for pos in probe_positions(key_digests(keys, bloom.seed), m, k).ravel().tolist():
+                if not before[pos >> 3] >> (pos & 7) & 1:
+                    new.add(pos)
+                expected[pos >> 3] |= 1 << (pos & 7)
+            shared_bytes += len(new) > len({pos >> 3 for pos in new})
+            repeated_keys += len(set(keys)) < len(keys)
+            bloom.insert_check_many(keys)
+            assert bytes(bloom.bits) == bytes(expected)
+            assert bloom.set_bits == bloom.popcount()
+        # some batches set two new bits of one byte, and some repeat a key
+        assert shared_bytes and repeated_keys
+
+
 class TestBatchOracle:
     """``insert_check_many``/``contains_many`` against the per-key loop."""
 

@@ -14,7 +14,7 @@ import pytest
 
 import corpuskit
 from conftest import BENIGN_WORDS, OTHER_WORDS, ENGLISH_WORDS, child_pids, running, sentence
-from corpuskit import pipeline
+from corpuskit import cli, pipeline
 from corpuskit.bloom import BloomFilter, bloom_load
 from corpuskit.cli import build_parser, main
 from corpuskit.documents import Document
@@ -776,7 +776,7 @@ class TestDecontaminateFilterSizing:
             doc.text_bytes for doc in eval_docs
         ]
         # the filter sized and seeded as by counting the gated paragraphs, then seeding from the documents
-        n_keys = sum(1 for doc in eval_docs for _ in dedupe.gated_paragraphs(doc, 13))
+        n_keys = len(dedupe.gated_keys(eval_docs, 13))
         assert 30 < n_keys < 120
         expected = dedupe.decontaminate_seed(make_backend(n_target=n_keys), read_documents(test_set))
         bloom_save(expected, tmp_path / "expected.bloom")
@@ -1580,6 +1580,72 @@ class TestPinnedSurface:
             main([command, "--help"])
         assert exc.value.code == 0
         assert capsys.readouterr().out.startswith(f"usage: corpuskit {command}")
+
+
+class TestSharedParser:
+    """In-process ``main`` calls share one parser, built once per process;
+    a call must leave nothing in it for the next."""
+
+    def test_built_once_across_calls(self, tmp_path, monkeypatch, capsys):
+        built = []
+        monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build_parser())
+        cli._parser.cache_clear()
+        shard = str(make_shard(tmp_path))
+        assert run_cli("stats", "--inputs", shard) == 0
+        assert run_cli("frobnicate") == 1
+        assert run_cli("--log-level", "INFO", "stats", "--inputs", shard) == 0
+        assert built == [1]
+
+    def test_config_key_of_one_call_unset_in_the_next(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"stage": "document", "exact": True}))
+        argv = ["dedupe", "--inputs", str(make_shard(tmp_path))]
+        assert run_cli(*argv, "--config", str(config), "--out-dir", str(tmp_path / "a")) == 0
+        assert "bloom" not in json.loads(capsys.readouterr().out)
+        # neither key is left set: the stage is missing, and --bloom-p is read
+        assert run_cli(*argv, "--out-dir", str(tmp_path / "b")) == 1
+        assert "missing required option --stage" in capsys.readouterr().err
+        assert run_cli(*argv, "--stage", "document", "--bloom-p", "0.01", "--out-dir", str(tmp_path / "c")) == 0
+        assert "bloom" in json.loads(capsys.readouterr().out)
+
+    def test_mix_config_keys_are_none_in_each_call(self, tmp_path, capsys):
+        config = tmp_path / "mix.json"
+        config.write_text(json.dumps({"streams": [{"documents": [str(make_shard(tmp_path, n=6))]}], "seed": 0}))
+        for run in range(2):
+            assert run_cli("mix", "--config", str(config), "--out-dir", str(tmp_path / f"out{run}")) == 0
+            args = cli._parser().parse_args(["mix", "--out-dir", "o"])
+            assert {key: getattr(args, key) for key in MIX_DEFAULTS} == MIX_DEFAULTS
+            assert run_cli("mix", "--out-dir", str(tmp_path / "none")) == 1
+            assert "missing required option streams" in capsys.readouterr().err
+
+    def test_refused_calls_then_a_good_call(self, tmp_path, capsys):
+        shard = str(make_shard(tmp_path))
+        assert run_cli("stats", "--inputs", shard, "--bogus") == 1
+        argv = ["dedupe", "--stage", "document", "--exact", "--bloom-p", "0.5", "--inputs", shard]
+        assert run_cli(*argv, "--out-dir", str(tmp_path / "o")) == 1
+        with pytest.raises(SystemExit) as exc:
+            main(["dedupe", "--help"])
+        assert exc.value.code == 0
+        capsys.readouterr()
+        assert run_cli("stats", "--inputs", shard) == 0
+        assert json.loads(capsys.readouterr().out)["documents"] == 10
+
+    def test_log_level_applies_on_every_call(self, tmp_path, caplog):
+        # caplog restores the corpuskit logger's level after the test
+        caplog.set_level("WARNING", logger="corpuskit")
+        argv = ["dedupe", "--stage", "paragraph", "--ccnet-group-bytes", "1", "--inputs", str(make_shard(tmp_path))]
+
+        def capped():
+            levels = [r.levelname for r in caplog.records if "exceeds the 1-byte group cap" in r.getMessage()]
+            caplog.clear()
+            return levels
+
+        assert run_cli(*argv, "--out-dir", str(tmp_path / "a")) == 0
+        assert capped() == ["WARNING"]
+        assert run_cli("--log-level", "ERROR", *argv, "--out-dir", str(tmp_path / "b")) == 0
+        assert capped() == []
+        assert run_cli(*argv, "--out-dir", str(tmp_path / "c")) == 0
+        assert capped() == ["WARNING"]
 
 
 def run_refused(tmp_path, monkeypatch, command, options):

@@ -4,8 +4,10 @@ in its module. A one-job-scope guard beside it: only ``shard_io`` starts
 worker pools or removes directory trees, through ``ShardPool``, and only
 ``shard_io`` moves files into place or makes directories. And one
 copy of each Bloom filter computation: ``bloom`` hashes keys in one
-function, and only ``bloom`` touches a filter's insert and sizing counters,
-so every report takes them from ``BloomFilter.health()``."""
+function, sets bits without ``ufunc.at``, and only ``bloom`` touches a
+filter's insert and sizing counters, so every report takes them from
+``BloomFilter.health()``. And one paragraph splitter,
+``documents.split_paragraphs``."""
 
 import ast
 from pathlib import Path
@@ -139,6 +141,33 @@ def test_bloom_probes_in_one_place():
     # one-key methods are batches of one
     tree = ast.parse((PACKAGE / "bloom.py").read_text(encoding="utf-8"))
     assert sorted(_functions_calling(tree, "probe_positions")) == ["contains_many", "insert_check_many"]
+
+
+def test_bloom_sets_bits_without_ufunc_at():
+    # ``ufunc.at`` is unbuffered and slow; insert_check_many ORs each byte's
+    # new bits together first, so one buffered store per byte sets them all
+    tree = ast.parse((PACKAGE / "bloom.py").read_text(encoding="utf-8"))
+    assert [ast.unparse(node) for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr == "at"] == []
+
+
+def _newline_splits(path: Path) -> list[str]:
+    """``<module>.<function>`` of each call in ``path`` that splits on b"\\n"."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return [
+        f"{path.stem}.{fn.name}"
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for call in ast.walk(fn)
+        if isinstance(call, ast.Call)
+        and isinstance(call.func, ast.Attribute)
+        and call.func.attr == "split"
+        and [ast.literal_eval(arg) for arg in call.args if isinstance(arg, ast.Constant)] == [b"\n"]
+    ]
+
+
+def test_one_paragraph_splitter():
+    # documents.split_paragraphs is the only code that splits bytes into paragraphs
+    assert [split for path in MODULES for split in _newline_splits(path)] == ["documents.split_paragraphs"]
 
 
 # a filter's insert and sizing counters, which its health() reports

@@ -1,7 +1,10 @@
 import itertools
 import random
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpuskit import dedupe, shard_io
 from corpuskit.bloom import BloomFilter, ExactSet
@@ -19,7 +22,7 @@ from corpuskit.dedupe import (
     normalize_url,
     plan_shard_groups,
 )
-from corpuskit.documents import AttributeSpan, Document, segment_paragraphs, segment_words
+from corpuskit.documents import AttributeSpan, Document, count_words, segment_paragraphs, segment_words
 from corpuskit.shard_io import TAG_CHUNK_BYTES, TAG_CHUNK_DOCS, write_documents
 
 
@@ -467,3 +470,92 @@ class TestDecontaminationProbesFirst:
         assert all(seeded.contains(text.encode()) for text in counted)
         assert len(counted) <= len(hits) < len(paragraphs)
         assert bool(counted) is (gate > 0)
+
+
+def split_paragraphs_one_at_a_time(data):
+    """The per-paragraph generator the bulk splitter replaced: ``((start,
+    end), paragraph)`` of each paragraph, its bounds carried from the last."""
+    start = 0
+    for para in data.split(b"\n"):
+        end = start + len(para)
+        yield (start, end), para
+        start = end + 1
+
+
+def one_at_a_time(docs, check, gate=0, whole=False):
+    """Attributes of each document from the generator and one ``check`` per
+    paragraph that has more than ``gate`` words: a span over each paragraph
+    ``check`` answers true for, or with ``whole`` the whole document."""
+    out = []
+    for doc in docs:
+        data = doc.text_bytes
+        spans = [
+            AttributeSpan(start, end, 1.0)
+            for (start, end), para in split_paragraphs_one_at_a_time(data)
+            if (gate == 0 or count_words(para.decode("utf-8")) > gate) and check(para)
+        ]
+        if whole and spans:
+            spans = [AttributeSpan(0, len(data), 1.0)]
+        out.append(spans)
+    return out
+
+
+# empty, \r-ended, non-ASCII and long paragraphs; repeats are likely
+PARAGRAPH_POOL = ["", "\r", " ", "a", "a b c d e f", "a b c d e f\r", "é ü ö ä ß ñ", "😀 x y z w v u", "one two"]
+PARAGRAPH = st.sampled_from(PARAGRAPH_POOL) | st.text(alphabet="ab é\r😀", max_size=14)
+# a text is "\n"-joined paragraphs: [""] is the empty text, a last "" a trailing newline
+TEXTS = st.lists(st.lists(PARAGRAPH, min_size=1, max_size=6).map("\n".join), max_size=14)
+
+
+class TestBulkParagraphsMatchOneAtATime:
+    """The bulk paragraph path (one split per document, one filter call per
+    chunk, bounds summed only for flagged documents) against the generator
+    it replaced, checking one paragraph at a time."""
+
+    BACKENDS = {
+        "bloom": lambda: BloomFilter.create(12, 0.3, seed=5),  # overfull: answers depend on order
+        "exact": ExactSet,
+        "digest": dedupe._DigestSet,
+    }
+
+    @staticmethod
+    def docs(texts):
+        return [Document(id=f"d{i}", text=text) for i, text in enumerate(texts)]
+
+    @pytest.mark.parametrize("chunk_docs", [1, 32])
+    @settings(max_examples=60, deadline=None)
+    @given(texts=TEXTS, test_texts=TEXTS)
+    def test_dedupe_and_decontaminate(self, chunk_docs, texts, test_texts):
+        docs, test_docs = self.docs(texts), self.docs(test_texts)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(shard_io, "TAG_CHUNK_DOCS", chunk_docs)
+            for name, make in self.BACKENDS.items():
+                for gate in (0, 5):
+                    tagged = dedupe_by_paragraph(iter(docs), make(), gate)
+                    got = [attrs.attributes.get(PARAGRAPH_DUPLICATE, []) for _, attrs in tagged]
+                    assert got == one_at_a_time(docs, make().insert_check, gate), (name, gate)
+                    seeded = decontaminate_seed(make(), iter(test_docs), min_paragraph_tokens=gate)
+                    tagged = decontaminate_tag(iter(docs), seeded, gate)
+                    got = [attrs.attributes.get(CONTAMINATED, []) for _, attrs in tagged]
+                    assert got == one_at_a_time(docs, seeded.contains, gate, whole=True), (name, gate)
+
+    @pytest.mark.parametrize("chunk_docs", [1, 32])
+    @settings(max_examples=40, deadline=None)
+    @given(shards=st.lists(TEXTS, min_size=1, max_size=4), cap=st.integers(1, 600))
+    def test_ccnet_groups(self, chunk_docs, shards, cap):
+        with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+            patch.setattr(shard_io, "TAG_CHUNK_DOCS", chunk_docs)
+            paths = []
+            for i, texts in enumerate(shards):
+                paths.append(Path(tmp) / f"shard-{i}.jsonl")
+                write_documents([Document(id=f"s{i}-d{j}", text=t) for j, t in enumerate(texts)], paths[-1])
+            expected = []
+            for group in plan_shard_groups(paths, cap):
+                seen = ExactSet()  # one per group
+                for path in group:
+                    expected.append((path, one_at_a_time(self.docs(shards[paths.index(path)]), seen.insert_check)))
+            got = [
+                (path, [attrs.attributes.get(PARAGRAPH_DUPLICATE, []) for attrs in records])
+                for path, records in ccnet_group_dedupe(paths, cap)
+            ]
+            assert got == expected

@@ -15,6 +15,7 @@ from corpuskit.documents import (
     Document,
     count_stats,
     count_words,
+    paragraph_spans,
     segment_paragraphs,
     segment_words,
     split_paragraphs,
@@ -119,9 +120,14 @@ class TestParagraphs:
 
     @given(st.binary(max_size=200))
     def test_split_bounds_slice_out_each_paragraph(self, data):
-        pieces = list(split_paragraphs(data))
-        assert [para for _, para in pieces] == data.split(b"\n")
-        assert all(data[start:end] == para for (start, end), para in pieces)
+        paras = split_paragraphs(data)
+        assert paras == data.split(b"\n")
+        # the bounds summed from the lengths slice out each paragraph, and a
+        # flag keeps its paragraph's span
+        flags = [len(para) % 2 == 0 for para in paras]
+        spans = paragraph_spans(paras, flags)
+        assert [data[sp.start : sp.end] for sp in spans] == [para for para, flag in zip(paras, flags) if flag]
+        assert spans == [sp for sp, flag in zip(paragraph_spans(paras, [True] * len(paras)), flags) if flag]
 
     def test_byte_offsets_for_multibyte_text(self):
         text = "héllo\nwörld"
