@@ -7,8 +7,9 @@ batch at a time: ``insert_check_many`` and ``contains_many`` hash the keys
 (``key_digests``), turn the digests into bit positions (``probe_positions``)
 and test those in numpy, answering as inserting or probing the keys one by
 one in order would; an insert ORs each byte's new bits into it in one store.
-``insert_check`` and ``contains`` are batches of one. A hash-set backend
-with the same interface exists for desk-scale oracle testing.
+``insert_check`` and ``contains`` are batches of one. ``ExactSet``, a set
+of SHA-1 key digests with the same interface, is the exact backend and the
+oracle of the tests.
 """
 
 from __future__ import annotations
@@ -266,28 +267,32 @@ def bloom_load(path) -> BloomFilter:
 class ExactSet:
     """Hash-set stand-in with the Bloom interface; zero false positives.
 
-    Source of truth in oracle tests, and a usable backend for desk-scale
-    runs.
+    It holds each key's 20-byte SHA-1 digest, not the key, so its memory
+    grows per key rather than per key byte; a batch's digests are computed
+    before the lock is taken. The exact backend of every dedup pass
+    (``--exact``, grouped paragraph dedup) and the source of truth in
+    oracle tests.
     """
 
     def __init__(self, read_only: bool = False):
         self.read_only = read_only
-        self._keys: set[bytes] = set()
+        self._digests: set[bytes] = set()
         self._lock = threading.Lock()
 
     def insert_check_many(self, keys: Sequence[bytes]) -> list[bool]:
         """Add each key, in order; return for each whether it was in the set."""
         if self.read_only:
             raise ReadOnlyFilterError("insertion attempted on read-only set")
+        digests = [hashlib.sha1(key).digest() for key in keys]
         flags = []
         with self._lock:
-            for key in keys:
-                flags.append(key in self._keys)
-                self._keys.add(key)
+            for digest in digests:
+                flags.append(digest in self._digests)
+                self._digests.add(digest)
         return flags
 
     def contains_many(self, keys: Sequence[bytes]) -> list[bool]:
-        return [key in self._keys for key in keys]
+        return [hashlib.sha1(key).digest() in self._digests for key in keys]
 
     def insert_check(self, key: bytes) -> bool:
         return self.insert_check_many([key])[0]
@@ -300,7 +305,7 @@ class ExactSet:
         return self
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return len(self._digests)
 
 
 def make_backend(exact: bool = False, **bloom) -> BloomFilter | ExactSet:

@@ -11,8 +11,13 @@ with --exact, --max-depth without --strategy partial, ...), exits 1 before
 any shard is read. So do a --log-level other than DEBUG, INFO, WARNING,
 ERROR or CRITICAL (in any case), a NaN or infinite number where a finite one
 is needed (--l2, --learning-rate, a mix weight; a NaN filter threshold), a
-tagger param its tagger does not read, and a --save-filter, --report, --out
-or --model-out file in a directory that neither exists nor is the command's
+config value of the wrong type (for an integer option anything but a JSON
+integer, for a float option anything but a JSON number, a boolean for
+either; a mix stream, filter, weight or repeat count of the wrong type), a
+tagger param its tagger does not read or of the wrong type (a path that is
+not a string, an extension blocklist that is not a list of strings, a
+threshold that is not a number), and a --save-filter, --report, --out or
+--model-out file in a directory that neither exists nor is the command's
 --out-dir or above it. Reports are JSON on stdout or at --report; with a
 Bloom filter, dedupe and decontaminate reports and each dedup stage of a
 pipeline-web report end in its health: size, fill, estimated false-positive
@@ -35,7 +40,7 @@ import threading
 from contextlib import contextmanager
 from dataclasses import fields
 from functools import cache, partial
-from itertools import chain
+from itertools import chain, starmap
 from pathlib import Path
 from typing import Iterator
 
@@ -57,7 +62,7 @@ from corpuskit.dedupe import (
     seed_filter,
 )
 from corpuskit.documents import count_stats
-from corpuskit.filters import FilterConfigError
+from corpuskit.filters import JSON_KINDS, FilterConfigError
 from corpuskit.mixer import MixConfig, MixConfigError, mix
 from corpuskit.ngram_classifier import (
     NgramConfig,
@@ -169,16 +174,29 @@ def _tagger_specs(value) -> list[tuple[str, dict]]:
     return specs
 
 
+# the JSON kind of a config value for a flag of each numeric type
+_JSON_KIND_OF_TYPE = {
+    int: "an integer",
+    _positive_int: "an integer",
+    _non_negative_int: "an integer",
+    float: "a number",
+}
+
+
 def _from_config(action: argparse.Action, value):
     """A config value checked and converted like the argument of its flag; a
-    flag that takes no value (``--exact``) takes a JSON boolean, and one
-    without a type (a path, a name) a string."""
+    flag that takes no value (``--exact``) takes a JSON boolean, an integer
+    flag a JSON integer, a float flag a JSON number (neither a boolean), and
+    one without a type (a path, a name) a string."""
     if action.nargs == "+":
         return _as_list(value)
     if action.nargs == 0:
         if not isinstance(value, bool):
             raise TypeError(f"must be true or false, got {value!r}")
         return value
+    kind = _JSON_KIND_OF_TYPE.get(action.type)
+    if kind is not None and not JSON_KINDS[kind](value):
+        raise TypeError(f"must be {kind}, got {value!r}")
     if action.type:
         value = action.type(value)
     elif not isinstance(value, str):
@@ -276,13 +294,12 @@ def _cmd_tag(args) -> dict:
     return tag_report_json(run_tag(list(args.inputs), args.taggers or [], args.out_dir, **_given(args, "workers")))
 
 
-def _write_counted(stage: str, outputs, shards) -> StageReport:
-    """Write each input shard's attribute records to its output path,
-    counting the records written and what they flag."""
-    report = StageReport(stage)
-    for out_path, records in zip(outputs, shards):
-        write_attributes(map(report.flag, records), out_path)
-    return report
+def _write_flagged(flag, out_dir, outputs, streams) -> None:
+    """Write each input shard's (document, attributes) stream to its output
+    path, counting each pair with ``flag``, in one job scope."""
+    with ShardPool(1, out_dir=out_dir) as pool:
+        for out_path, pairs in zip(pool.staged(outputs), streams):
+            write_attributes(starmap(flag, pairs), out_path)
 
 
 # each --stage of dedupe: its flagging function and the attribute it flags
@@ -298,27 +315,26 @@ def _cmd_dedupe(args) -> dict:
     stage_fn, attribute = _DEDUPE_STAGES[stage]
     outputs = output_paths(inputs, args.out_dir)
     group_bytes = args.ccnet_group_bytes
+    counts = StageReport(stage)
+    flag, missing_url = counts.flag, 0
     if group_bytes is not None:
-        # one (shard, records) pair per input, in input order
-        shards = (records for _, records in ccnet_group_dedupe(list(inputs), group_bytes))
+        # one (shard, stream) pair per input, in input order
+        streams = (stream for _, stream in ccnet_group_dedupe(list(inputs), group_bytes))
         report = {"stage": "paragraph", "grouping": "ccnet", "max_group_bytes": group_bytes}
     else:
         with _option_values():
             backend = make_backend(**_given(args, "exact", n_target="bloom_n", p_target="bloom_p", seed="seed"))
         gate = _given(args, "min_paragraph_tokens")  # refused unless the stage is paragraph
-        missing_url = 0
-
-        def records(path):
-            nonlocal missing_url
-            for doc, attrs in stage_fn(read_documents(path), backend, **gate):
-                if stage == "url" and doc.metadata.get("url") is None:
-                    missing_url += 1
-                yield attrs
-
-        shards = (records(path) for path in inputs)
+        streams = (stage_fn(read_documents(path), backend, **gate) for path in inputs)
         report = {"stage": stage}
-    with ShardPool(1, out_dir=args.out_dir) as pool:
-        counts = _write_counted(stage, pool.staged(outputs), shards)
+        if stage == "url":
+
+            def flag(doc, attrs):
+                nonlocal missing_url
+                missing_url += doc.metadata.get("url") is None
+                return counts.flag(doc, attrs)
+
+    _write_flagged(flag, args.out_dir, outputs, streams)
     report.update(documents=counts.input_docs, flagged_documents=counts.flagged_docs.get(attribute, 0))
     if group_bytes is None:
         if args.save_filter:
@@ -345,12 +361,9 @@ def _cmd_decontaminate(args) -> dict:
             filt = make_backend(n_target=max(len(keys), 1), **_given(args, "exact", p_target="bloom_p", seed="seed"))
         seeded = seed_filter(filt, keys)
 
-    shards = (
-        (attrs for _, attrs in decontaminate_tag(read_documents(path), seeded, min_paragraph_tokens=min_tokens))
-        for path in args.inputs
-    )
-    with ShardPool(1, out_dir=args.out_dir) as pool:
-        counts = _write_counted("decontaminate", pool.staged(outputs), shards)
+    counts = StageReport("decontaminate")
+    streams = (decontaminate_tag(read_documents(path), seeded, min_paragraph_tokens=min_tokens) for path in args.inputs)
+    _write_flagged(counts.flag, args.out_dir, outputs, streams)
     if args.save_filter:
         bloom_save(seeded, args.save_filter)
     report = {

@@ -18,7 +18,6 @@ Callers act on the flags through :func:`corpuskit.filters.apply_filters`.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import os
 from pathlib import Path
@@ -146,20 +145,6 @@ def dedupe_by_paragraph(
     yield from tagged(docs, [tagger])
 
 
-class _DigestSet(ExactSet):
-    """Exact set holding each key's 20-byte sha1 digest, not the key."""
-
-    @staticmethod
-    def _digests(keys: Sequence[bytes]) -> list[bytes]:
-        return [hashlib.sha1(key).digest() for key in keys]
-
-    def insert_check_many(self, keys: Sequence[bytes]) -> list[bool]:
-        return super().insert_check_many(self._digests(keys))
-
-    def contains_many(self, keys: Sequence[bytes]) -> list[bool]:
-        return super().contains_many(self._digests(keys))
-
-
 def plan_shard_groups(
     paths: list[str | os.PathLike], max_group_bytes: int = CCNET_MAX_GROUP_BYTES
 ) -> list[list[Path]]:
@@ -189,17 +174,20 @@ def plan_shard_groups(
 def ccnet_group_dedupe(
     shard_paths: list[str | os.PathLike],
     max_group_bytes: int = CCNET_MAX_GROUP_BYTES,
-) -> Iterator[tuple[Path, list[DocumentAttributes]]]:
+) -> Iterator[tuple[Path, Iterator[tuple[Document, DocumentAttributes]]]]:
     """Exact paragraph dedup within consecutive byte-capped shard groups.
 
-    This is :func:`dedupe_by_paragraph` without a token gate over a fresh
-    exact set per group, keyed by each paragraph's sha1 digest; duplicates
-    across different groups are deliberately not flagged.
+    Yields each shard's path with its stream: :func:`dedupe_by_paragraph`
+    without a token gate over the group's fresh :class:`ExactSet`, which
+    keys each paragraph by its SHA-1 digest. Nothing of a shard is read
+    until its stream is drawn, and a stream must be drawn before the next
+    shard is taken, so the group's set sees its keys in shard order.
+    Duplicates across different groups are deliberately not flagged.
     """
     for group in plan_shard_groups(shard_paths, max_group_bytes):
-        seen = _DigestSet()
+        seen = ExactSet()
         for path in group:
-            yield path, [attrs for _, attrs in dedupe_by_paragraph(read_documents(path), seen)]
+            yield path, dedupe_by_paragraph(read_documents(path), seen)
 
 
 def gated_keys(test_docs: Iterable[Document], min_paragraph_tokens: int) -> list[bytes]:

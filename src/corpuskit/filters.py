@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, replace
-from typing import Sequence, Union
+from typing import Callable, Sequence, Union
 
 from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
 
@@ -36,6 +36,47 @@ class FilterConfigError(ValueError):
 
 class SpanBoundsError(ValueError):
     pass
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# the kinds of value a key of a JSON configuration may take, each with its
+# test: a number is an int or a float and an integer an int, neither a boolean
+JSON_KINDS: dict[str, Callable[[object], bool]] = {
+    "a string": lambda v: isinstance(v, str),
+    "a string or null": lambda v: v is None or isinstance(v, str),
+    "a number": _is_number,
+    "an integer": lambda v: type(v) is int,
+    "a list": lambda v: isinstance(v, list),
+    "a list of strings": lambda v: isinstance(v, list) and all(isinstance(item, str) for item in v),
+    "an object of numbers": lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
+    "an object of integers": lambda v: isinstance(v, dict) and all(type(n) is int for n in v.values()),
+}
+
+
+def config_value(obj: dict, key: str, kind: str, error: type[ValueError], default=...):
+    """``obj[key]``, or ``default``, if one is given, when it is absent or
+    null; any other value not of ``kind``, a key of ``JSON_KINDS``, raises
+    ``error`` naming the key."""
+    value = obj.get(key)
+    if value is None and default is not ...:
+        return default
+    if not JSON_KINDS[kind](value):
+        raise error(f"{key!r} must be {kind}, got {value!r}")
+    return value
+
+
+# each key of a filter's JSON object and the kind of its value
+_FILTER_KEYS = {
+    "attribute": "a string",
+    "scope": "a string",
+    "op": "a string",
+    "threshold": "a number",
+    "action": "a string",
+    "replacement": "a string or null",
+}
 
 
 @dataclass(frozen=True)
@@ -76,14 +117,13 @@ class FilterExpr:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FilterExpr":
-        return cls(
-            attribute=obj["attribute"],
-            scope=obj["scope"],
-            op=obj["op"],
-            threshold=float(obj["threshold"]),
-            action=obj["action"],
-            replacement=obj.get("replacement"),
-        )
+        """The filter a JSON object describes; a missing key or a value of the
+        wrong type raises :class:`FilterConfigError` naming the key."""
+        if not isinstance(obj, dict):
+            raise FilterConfigError(f"'filters' must hold JSON objects, got {obj!r}")
+        values = {key: config_value(obj, key, kind, FilterConfigError) for key, kind in _FILTER_KEYS.items()}
+        values["threshold"] = float(values["threshold"])
+        return cls(**values)
 
 
 @dataclass(frozen=True)

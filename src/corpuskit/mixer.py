@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterator
 
 from corpuskit.documents import Document, DocumentAttributes
-from corpuskit.filters import Drop, FilterExpr, SpanBoundsError, apply_filters
+from corpuskit.filters import Drop, FilterExpr, SpanBoundsError, apply_filters, config_value
 from corpuskit.shard_io import (
     ShardPool,
     StageReport,
@@ -52,10 +52,14 @@ class StreamConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "StreamConfig":
+        """A stream from its JSON object: ``documents`` and ``attributes``
+        lists of paths and ``filters`` a list of filter objects."""
+        if not isinstance(obj, dict):
+            raise MixConfigError(f"'streams' must hold JSON objects, got {obj!r}")
         return cls(
-            documents=list(obj["documents"]),
-            attributes=list(obj.get("attributes", [])),
-            filters=[FilterExpr.from_json(e) for e in obj.get("filters", [])],
+            documents=config_value(obj, "documents", "a list of strings", MixConfigError),
+            attributes=config_value(obj, "attributes", "a list of strings", MixConfigError, []),
+            filters=[FilterExpr.from_json(e) for e in config_value(obj, "filters", "a list", MixConfigError, [])],
         )
 
 
@@ -83,12 +87,18 @@ class MixConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MixConfig":
+        """The mix a JSON object describes; a missing ``streams`` or a value of
+        the wrong type raises :class:`MixConfigError` naming its key. Weights
+        are JSON numbers, and repeats, the seed and the shard size integers."""
+        def value(key: str, kind: str, default=...):
+            return config_value(obj, key, kind, MixConfigError, default)
+
         return cls(
-            streams=[StreamConfig.from_json(s) for s in obj["streams"]],
-            proportions=obj.get("proportions"),
-            upsample={k: int(v) for k, v in obj.get("upsample", {}).items()},
-            seed=int(obj.get("seed", 0)),
-            output_shard_bytes=int(obj.get("output_shard_bytes", DEFAULT_SHARD_BYTES)),
+            streams=[StreamConfig.from_json(s) for s in value("streams", "a list")],
+            proportions=value("proportions", "an object of numbers", None),
+            upsample=value("upsample", "an object of integers", {}),
+            seed=value("seed", "an integer", 0),
+            output_shard_bytes=value("output_shard_bytes", "an integer", DEFAULT_SHARD_BYTES),
         )
 
 

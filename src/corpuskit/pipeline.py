@@ -32,6 +32,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import partial
+from itertools import starmap
 from typing import Callable, Iterator
 
 from corpuskit import code_rules, heuristics
@@ -45,7 +46,7 @@ from corpuskit.dedupe import (
     dedupe_by_url,
 )
 from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
-from corpuskit.filters import Decision, Drop, FilterExpr, apply_filters
+from corpuskit.filters import Decision, Drop, FilterExpr, apply_filters, config_value
 from corpuskit.gopher import tag_gopher
 from corpuskit.ngram_classifier import (
     ENGLISH_KEEP_THRESHOLD,
@@ -84,8 +85,14 @@ class UnknownTaggerError(TaggerConfigError):
     pass
 
 
+def _param(params: dict, key: str, kind: str, default=...):
+    """The tagger param ``key``, checked by :func:`config_value`: a value of
+    the wrong type raises :class:`TaggerConfigError` naming the key."""
+    return config_value(params, key, kind, TaggerConfigError, default)
+
+
 def _language_tagger(params: dict) -> TaggerFn:
-    model = load_model(params["model"])
+    model = load_model(_param(params, "model", "a string"))
 
     def tag(doc: Document) -> dict[str, list[AttributeSpan]]:
         end = doc.text_size
@@ -96,7 +103,7 @@ def _language_tagger(params: dict) -> TaggerFn:
 
 
 def _language_paragraph_tagger(params: dict) -> TaggerFn:
-    model = load_model(params["model"])
+    model = load_model(_param(params, "model", "a string"))
 
     def tag_many(docs: list[Document]) -> list[dict[str, list[AttributeSpan]]]:
         results = score_language_paragraph_avg_many(model, [doc.text for doc in docs])
@@ -113,13 +120,16 @@ def _language_paragraph_tagger(params: dict) -> TaggerFn:
 
 
 def _toxicity_tagger(params: dict) -> TaggerFn:
-    hate = load_model(params["hate_model"]) if params.get("hate_model") else None
-    nsfw = load_model(params["nsfw_model"]) if params.get("nsfw_model") else None
-    config = ContentTagConfig(
-        toxicity_threshold=params.get("threshold", ContentTagConfig().toxicity_threshold),
-        hate_threshold=params.get("hate_threshold"),
-        nsfw_threshold=params.get("nsfw_threshold"),
-    )
+    paths = [_param(params, key, "a string", None) for key in ("hate_model", "nsfw_model")]
+    hate, nsfw = (load_model(path) if path else None for path in paths)
+    try:
+        config = ContentTagConfig(
+            toxicity_threshold=_param(params, "threshold", "a number", ContentTagConfig().toxicity_threshold),
+            hate_threshold=_param(params, "hate_threshold", "a number", None),
+            nsfw_threshold=_param(params, "nsfw_threshold", "a number", None),
+        )
+    except ValueError as exc:  # a threshold outside [0, 1]
+        raise TaggerConfigError(str(exc)) from exc
     return ChunkTagger(lambda docs: tag_toxicity_many(docs, hate, nsfw, config))
 
 
@@ -132,14 +142,13 @@ def _reddit_quality_tagger(params: dict) -> TaggerFn:
 
 
 def _banned_subreddit_tagger(params: dict) -> TaggerFn:
-    blocklist = heuristics.load_subreddit_blocklist(params["blocklist"])
+    blocklist = heuristics.load_subreddit_blocklist(_param(params, "blocklist", "a string"))
     return lambda doc: heuristics.tag_banned_subreddit(doc, blocklist)
 
 
 def _extension_tagger(params: dict) -> TaggerFn:
-    blocklist = frozenset(
-        e.lower() for e in params.get("blocklist", code_rules.DEFAULT_BLOCKED_EXTENSIONS)
-    )
+    extensions = _param(params, "blocklist", "a list of strings", code_rules.DEFAULT_BLOCKED_EXTENSIONS)
+    blocklist = frozenset(e.lower() for e in extensions)
     return lambda doc: code_rules.tag_extension_filter(doc, blocklist)
 
 
@@ -196,13 +205,7 @@ def build_tagger(name: str, params: dict | None = None) -> TaggerFn:
 def _tag_one_shard(doc_path: str, out_path: str, specs: list[tuple[str, dict]]) -> StageReport:
     taggers = [build_tagger(name, params) for name, params in specs]
     report = StageReport(stage="tag")
-
-    def records():
-        for doc, attrs in tagged(read_documents(doc_path), taggers):
-            report.input_text_bytes += doc.text_size
-            yield report.flag(attrs)
-
-    write_attributes(records(), out_path)
+    write_attributes(starmap(report.flag, tagged(read_documents(doc_path), taggers)), out_path)
     return report
 
 

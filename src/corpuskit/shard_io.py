@@ -28,8 +28,9 @@ its iterable yields it and gives the results in task order as they come
 in, so a job can overlap its own stages with its tasks; ``map`` is its list form.
 Jobs fold their per-shard :class:`StageReport` counters together with
 ``merge``: it is the one counted report of every job, its ``flag`` the
-one counter of attribute records and its ``kept`` the one counter of
-filter decisions.
+one counter of sidecar input (documents, text bytes and the attribute
+records written for them) and its ``kept`` the one counter of filter
+decisions.
 
 :func:`tagged` is the one loop that tags a stream of documents: taggers,
 dedup stages and decontamination alike get chunks of consecutive
@@ -640,12 +641,14 @@ class StageReport:
                 self.kept_docs += 1
                 yield decision.doc
 
-    def flag(self, attrs: DocumentAttributes) -> DocumentAttributes:
-        """Count one input document's attribute record: each attribute with
-        spans flags the document once, and adds its spans and the bytes
-        they cover once merged. Returns ``attrs``, so a writer can count
-        the records it writes with ``map(report.flag, records)``."""
+    def flag(self, doc: Document, attrs: DocumentAttributes) -> DocumentAttributes:
+        """Count one input document, its UTF-8 text bytes and its attribute
+        record: each attribute with spans flags the document once, and adds
+        its spans and the bytes they cover once merged. Returns ``attrs``,
+        so a job writes and counts a stream of (document, attributes) pairs
+        with ``write_attributes(starmap(report.flag, pairs), path)``."""
         self.input_docs += 1
+        self.input_text_bytes += doc.text_size
         for name, spans in attrs.attributes.items():
             if spans:
                 self.flagged_docs[name] = self.flagged_docs.get(name, 0) + 1

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -295,6 +296,21 @@ class TestExactSet:
         assert exact.insert_check(b"x") is True
         assert exact.contains(b"x") and not exact.contains(b"y")
         assert len(exact) == 1
+
+    def test_keeps_digests_not_keys(self):
+        # 200 distinct 100 KiB keys that nothing else holds: the keys themselves are 20 MiB
+        size = 100 * 1024
+        exact = ExactSet()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for i in range(200):
+                assert exact.insert_check_many([i.to_bytes(2, "little") * (size // 2)]) == [False]
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(exact) == 200 and retained < 2**20
+        assert exact.contains((7).to_bytes(2, "little") * (size // 2))
 
     def test_freeze(self):
         exact = ExactSet()

@@ -1723,6 +1723,14 @@ MISSING_PARENT = [
 ]
 
 NAN_FILTER = {"attribute": "a", "scope": "document", "op": ">", "threshold": float("nan"), "action": "drop_doc"}
+MISSING_SCOPE_FILTER = {key: value for key, value in NAN_FILTER.items() if key != "scope"}
+# the commands whose config reads each key, for a key's refusal test
+CONFIG_COMMANDS = {
+    "tag": ("workers",),
+    "dedupe": ("bloom_n", "bloom_p", "seed", "min_paragraph_tokens", "ccnet_group_bytes"),
+    "pipeline-web": ("toxicity_threshold",),
+    "train-classifier": ("epochs", "learning_rate"),
+}
 
 
 class TestRefusedBeforeReading:
@@ -1772,6 +1780,93 @@ class TestRefusedBeforeReading:
         assert run_cli("mix", "--config", "mix.json", "--out-dir", "out") == 1
         assert message in capsys.readouterr().err
         assert sorted(tmp_path.iterdir()) == [tmp_path / "mix.json"]
+
+    @pytest.mark.parametrize(
+        "config,key",
+        [
+            ({"streams": [{"documents": "/d.jsonl"}]}, "documents"),  # would be split into one-character paths
+            ({"streams": [{"documents": ["absent.jsonl"], "attributes": "attrs"}]}, "attributes"),
+            ({"streams": [{"attributes": []}]}, "documents"),
+            ({"streams": [{"documents": [1]}]}, "documents"),
+            ({"streams": [{"documents": ["absent.jsonl"], "filters": {"attribute": "a"}}]}, "filters"),
+            ({"streams": [{"documents": ["absent.jsonl"], "filters": [{**NAN_FILTER, "scope": None}]}]}, "scope"),
+            ({"streams": [{"documents": ["absent.jsonl"], "filters": [MISSING_SCOPE_FILTER]}]}, "scope"),
+            ({"streams": [{"documents": ["absent.jsonl"], "filters": [{**NAN_FILTER, "threshold": "x"}]}]}, "threshold"),
+            ({"streams": [{"documents": ["absent.jsonl"], "filters": [{**NAN_FILTER, "threshold": True}]}]}, "threshold"),
+            ({"streams": [{"documents": ["absent.jsonl"], "filters": [{**NAN_FILTER, "op": [">"]}]}]}, "op"),
+            ({"streams": [{"documents": ["absent.jsonl"], "filters": [{**NAN_FILTER, "attribute": 5}]}]}, "attribute"),
+            ({"streams": [{"documents": ["absent.jsonl"], "filters": [{**NAN_FILTER, "replacement": 5}]}]}, "replacement"),
+            ({"streams": "abc"}, "streams"),
+            ({"streams": ["abc"]}, "streams"),
+            ({"streams": [{"documents": ["absent.jsonl"], "filters": ["abc"]}]}, "filters"),
+            ({"proportions": [1]}, "proportions"),
+            ({"proportions": {"s": "x"}}, "proportions"),
+            ({"proportions": {"s": True}}, "proportions"),
+            ({"upsample": [1]}, "upsample"),
+            ({"upsample": {"s": 1.5}}, "upsample"),
+            ({"output_shard_bytes": 1.5}, "output_shard_bytes"),
+            ({"seed": True}, "seed"),
+            ({"seed": "3"}, "seed"),
+        ],
+    )
+    def test_mix_value_of_wrong_type(self, tmp_path, monkeypatch, capsys, config, key):
+        monkeypatch.chdir(tmp_path)
+        Path("mix.json").write_text(json.dumps({"streams": [{"documents": ["absent.jsonl"]}], **config}))
+        assert run_cli("mix", "--config", "mix.json", "--out-dir", "out") == 1
+        assert repr(key) in capsys.readouterr().err
+        assert sorted(tmp_path.iterdir()) == [tmp_path / "mix.json"]
+
+    @pytest.mark.parametrize(
+        "config,key",
+        [
+            ({"taggers": "c4", "workers": True}, "workers"),  # int(True) would run one worker
+            ({"taggers": "c4", "workers": 1.9}, "workers"),
+            ({"taggers": "c4", "workers": "2"}, "workers"),
+            ({"stage": "document", "bloom_n": 1.5}, "bloom_n"),  # would size the filter for one key
+            ({"stage": "document", "bloom_p": True}, "bloom_p"),
+            ({"stage": "document", "bloom_p": "0.5"}, "bloom_p"),
+            ({"stage": "url", "seed": 3.0}, "seed"),
+            ({"stage": "paragraph", "min_paragraph_tokens": True}, "min_paragraph_tokens"),  # would gate at 1
+            ({"stage": "paragraph", "ccnet_group_bytes": 10.5}, "ccnet_group_bytes"),
+            ({"toxicity_threshold": False}, "toxicity_threshold"),
+            ({"epochs": 2.0}, "epochs"),
+            ({"learning_rate": True}, "learning_rate"),
+        ],
+    )
+    def test_config_number_of_wrong_type(self, tmp_path, capsys, monkeypatch, config, key):
+        command = next(c for c, keys in CONFIG_COMMANDS.items() if key in keys)
+        (tmp_path / "c.json").write_text(json.dumps(config))
+        assert run_refused(tmp_path, monkeypatch, command, "--config c.json") == (1, False)
+        assert f"config key {key!r}: must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "tagger,params,key",
+        [
+            # an integer path is opened as a file descriptor (0 reads standard input);
+            # one that no process holds open keeps this test from reading any
+            ("banned_subreddit", {"blocklist": 987654}, "blocklist"),
+            ("banned_subreddit", {"blocklist": ["b.txt"]}, "blocklist"),
+            ("banned_subreddit", {}, "blocklist"),
+            ("language", {"model": 987654}, "model"),
+            ("language_paragraph", {"model": ["m.bin"]}, "model"),
+            ("toxicity", {"hate_model": 987654}, "hate_model"),
+            ("toxicity", {"nsfw_model": {"path": "m.bin"}}, "nsfw_model"),
+            ("extension", {"blocklist": "json"}, "blocklist"),  # would block j, s, o and n
+            ("extension", {"blocklist": [1]}, "blocklist"),
+            ("toxicity", {"threshold": "x"}, "threshold"),
+            ("toxicity", {"threshold": True}, "threshold"),
+            ("toxicity", {"hate_threshold": "0.5"}, "hate_threshold"),
+        ],
+    )
+    def test_tagger_param_of_wrong_type(self, tmp_path, monkeypatch, capsys, tagger, params, key):
+        (tmp_path / "c.json").write_text(json.dumps({"taggers": [{"name": tagger, "params": params}]}))
+        assert run_refused(tmp_path, monkeypatch, "tag", "--config c.json") == (1, False)
+        assert f"error: {key!r} must be" in capsys.readouterr().err
+
+    def test_tagger_threshold_out_of_range(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "c.json").write_text(json.dumps({"taggers": [{"name": "toxicity", "params": {"threshold": 5}}]}))
+        assert run_refused(tmp_path, monkeypatch, "tag", "--config c.json") == (1, False)
+        assert "toxicity threshold must be in [0, 1], got 5" in capsys.readouterr().err
 
     @pytest.mark.parametrize("tagger", ["gopher", "toxicity"])
     def test_tagger_param_the_tagger_does_not_read(self, tmp_path, monkeypatch, capsys, tagger):

@@ -7,7 +7,9 @@ copy of each Bloom filter computation: ``bloom`` hashes keys in one
 function, sets bits without ``ufunc.at``, and only ``bloom`` touches a
 filter's insert and sizing counters, so every report takes them from
 ``BloomFilter.health()``. And one paragraph splitter,
-``documents.split_paragraphs``."""
+``documents.split_paragraphs``; one exact key set and one Bloom filter,
+which no module subclasses; and one counter of input text bytes,
+``StageReport.flag``."""
 
 import ast
 from pathlib import Path
@@ -212,3 +214,38 @@ def test_only_shard_io_sizes_tagging_chunks(path):
 
 def test_chunk_cap_guard_sees_shard_io():
     assert _chunk_cap_names(ast.parse((PACKAGE / "shard_io.py").read_text(encoding="utf-8"))) == CHUNK_CAPS
+
+
+def _subclassed(tree: ast.Module, bases: set[str]) -> list[str]:
+    """The classes in ``tree`` that name one of ``bases`` as a base."""
+    return [
+        node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+        and any(getattr(base, "id", getattr(base, "attr", None)) in bases for base in node.bases)
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE.glob("*.py") if p.name != "bloom.py"], ids=lambda p: p.name)
+def test_one_exact_key_set_and_one_bloom_filter(path):
+    # ExactSet and BloomFilter are the only key sets: no module keeps a variant of either
+    assert _subclassed(ast.parse(path.read_text(encoding="utf-8")), {"ExactSet", "BloomFilter"}) == []
+
+
+def _stores(tree: ast.Module, attr: str) -> list[int]:
+    """The lines of ``tree`` that assign to an attribute named ``attr``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == attr and isinstance(node.ctx, ast.Store)
+    ]
+
+
+@pytest.mark.parametrize("path", [p for p in PACKAGE.glob("*.py") if p.name != "shard_io.py"], ids=lambda p: p.name)
+def test_only_stage_report_counts_input_text_bytes(path):
+    # StageReport.flag counts each input document's text bytes; no job keeps a second counter
+    assert _stores(ast.parse(path.read_text(encoding="utf-8")), "input_text_bytes") == []
+
+
+def test_input_text_bytes_guard_sees_shard_io():
+    assert _stores(ast.parse((PACKAGE / "shard_io.py").read_text(encoding="utf-8")), "input_text_bytes") != []

@@ -168,9 +168,14 @@ class TestCcnetGroups:
             paths.append(path)
         return paths
 
+    @staticmethod
+    def records(shards):
+        """Each shard's attribute records, its stream drawn before the next shard is taken."""
+        return {path: [attrs for _, attrs in stream] for path, stream in shards}
+
     def test_duplicate_within_group_flagged(self, tmp_path):
         paths = self.make_shards(tmp_path, [["shared para\nunique a"], ["shared para\nunique b"]])
-        results = dict(ccnet_group_dedupe(paths, max_group_bytes=10**9))
+        results = self.records(ccnet_group_dedupe(paths, max_group_bytes=10**9))
         assert results[paths[0]][0].attributes == {}
         assert PARAGRAPH_DUPLICATE in results[paths[1]][0].attributes
 
@@ -180,7 +185,7 @@ class TestCcnetGroups:
         cap = paths[0].stat().st_size
         groups = plan_shard_groups(paths, cap)
         assert len(groups) == 2
-        results = dict(ccnet_group_dedupe(paths, cap))
+        results = self.records(ccnet_group_dedupe(paths, cap))
         assert results[paths[0]][0].attributes == {}
         assert results[paths[1]][0].attributes == {}
 
@@ -200,8 +205,8 @@ class TestCcnetGroups:
         assert len(groups) == 2 and [len(g) for g in groups] == [3, 3]
 
         flagged = {}
-        for path, records in ccnet_group_dedupe(paths, cap):
-            for rec in records:
+        for path, stream in ccnet_group_dedupe(paths, cap):
+            for _, rec in stream:
                 spans = rec.attributes.get(PARAGRAPH_DUPLICATE, [])
                 if spans:
                     flagged[rec.id] = [(sp.start, sp.end) for sp in spans]
@@ -225,11 +230,32 @@ class TestCcnetGroups:
         assert flagged == expected
 
     def test_digest_set_looks_up_what_it_inserted(self):
-        seen = dedupe._DigestSet()
+        seen = ExactSet()  # the set of each group, keyed by SHA-1 digests
         assert seen.insert_check_many([b"a", b"b", b"a"]) == [False, False, True]
         assert seen.contains(b"a") and seen.contains_many([b"b", b"c"]) == [True, False]
         assert seen.insert_check(b"b") and not seen.insert_check(b"c")
         assert len(seen) == 3
+
+    def test_streams_each_shard(self, tmp_path, monkeypatch):
+        paths = self.make_shards(tmp_path, [["a\nb", "b"], ["a", "c"], ["b"]])
+        ids = [[doc.id for doc in shard_io.read_documents(path)] for path in paths]
+        read = []
+
+        def spy(path):
+            for doc in shard_io.read_documents(path):
+                read.append(doc.id)
+                yield doc
+
+        monkeypatch.setattr(dedupe, "read_documents", spy)
+        shards = ccnet_group_dedupe(paths, paths[0].stat().st_size + paths[1].stat().st_size)
+        for path, shard_ids in zip(paths, ids):
+            before = list(read)
+            got, stream = next(shards)
+            assert got == path and read == before  # taking a shard's item reads none of it
+            flagged = [bool(attrs.attributes) for _, attrs in stream]
+            assert read == before + shard_ids
+        assert next(shards, None) is None
+        assert flagged == [False]  # the third shard opens a new group, whose set is empty
 
     def test_oversized_shard_gets_own_group(self, tmp_path):
         paths = self.make_shards(tmp_path, [["x" * 4000], ["small"], ["tiny"]])
@@ -482,6 +508,18 @@ def split_paragraphs_one_at_a_time(data):
         start = end + 1
 
 
+def set_insert_check(seen):
+    """``insert_check`` over the plain set ``seen``: whether the key was in
+    it, then add it."""
+
+    def insert_check(key):
+        found = key in seen
+        seen.add(key)
+        return found
+
+    return insert_check
+
+
 def one_at_a_time(docs, check, gate=0, whole=False):
     """Attributes of each document from the generator and one ``check`` per
     paragraph that has more than ``gate`` words: a span over each paragraph
@@ -515,7 +553,6 @@ class TestBulkParagraphsMatchOneAtATime:
     BACKENDS = {
         "bloom": lambda: BloomFilter.create(12, 0.3, seed=5),  # overfull: answers depend on order
         "exact": ExactSet,
-        "digest": dedupe._DigestSet,
     }
 
     @staticmethod
@@ -551,11 +588,11 @@ class TestBulkParagraphsMatchOneAtATime:
                 write_documents([Document(id=f"s{i}-d{j}", text=t) for j, t in enumerate(texts)], paths[-1])
             expected = []
             for group in plan_shard_groups(paths, cap):
-                seen = ExactSet()  # one per group
+                check = set_insert_check(set())  # one set of raw paragraphs per group
                 for path in group:
-                    expected.append((path, one_at_a_time(self.docs(shards[paths.index(path)]), seen.insert_check)))
+                    expected.append((path, one_at_a_time(self.docs(shards[paths.index(path)]), check)))
             got = [
-                (path, [attrs.attributes.get(PARAGRAPH_DUPLICATE, []) for attrs in records])
-                for path, records in ccnet_group_dedupe(paths, cap)
+                (path, [attrs.attributes.get(PARAGRAPH_DUPLICATE, []) for _, attrs in stream])
+                for path, stream in ccnet_group_dedupe(paths, cap)
             ]
             assert got == expected

@@ -858,10 +858,12 @@ class TestStageReportMerge:
         report = StageReport(stage="s")
         overlapping = [AttributeSpan(0, 5, 1.0), AttributeSpan(3, 8, 0.5), AttributeSpan(10, 12, 1.0)]
         rec = DocumentAttributes(id="a", attributes={"t__a": overlapping, "t__empty": []})
-        assert report.flag(rec) is rec
-        report.flag(DocumentAttributes(id="b"))
-        report.flag(DocumentAttributes(id="c", attributes={"t__a": [AttributeSpan(0, 4, 1.0)]}))
+        assert report.flag(Document(id="a", text="twelve bytes"), rec) is rec
+        report.flag(Document(id="b", text="é"), DocumentAttributes(id="b"))
+        spans = {"t__a": [AttributeSpan(0, 4, 1.0)]}
+        report.flag(Document(id="c", text="four"), DocumentAttributes(id="c", attributes=spans))
         assert report.input_docs == 3
+        assert report.input_text_bytes == 12 + 2 + 4  # UTF-8 bytes, not characters
         assert report.flagged_docs == {"t__a": 2}  # an attribute without spans flags nothing
         assert report.flagged_spans == {"t__a": 4}
         assert report.flagged_bytes == {"t__a": 8 + 2 + 4}  # [0, 8) and [10, 12) merged, then [0, 4)
