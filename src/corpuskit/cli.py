@@ -14,11 +14,14 @@ is needed (--l2, --learning-rate, a mix weight; a NaN filter threshold), a
 config value of the wrong type (for an integer option anything but a JSON
 integer, for a float option anything but a JSON number, a boolean for
 either; a mix stream, filter, weight or repeat count of the wrong type), a
-tagger param its tagger does not read or of the wrong type (a path that is
-not a string, an extension blocklist that is not a list of strings, a
-threshold that is not a number), and a --save-filter, --report, --out or
---model-out file in a directory that neither exists nor is the command's
---out-dir or above it. Reports are JSON on stdout or at --report; with a
+key that a mix stream, filter or configuration or a tagger spec does not
+read, a tagger param its tagger does not read or of the wrong type (a path
+that is not a string, an extension blocklist that is not a list of strings,
+a threshold that is not a number), a tagger named twice, and a
+--save-filter, --report, --out or --model-out file in a directory that
+neither exists nor is the command's --out-dir or above it. A mix upsample
+source that no input document has exits 1 once the inputs are read, with
+nothing written. Reports are JSON on stdout or at --report; with a
 Bloom filter, dedupe and decontaminate reports and each dedup stage of a
 pipeline-web report end in its health: size, fill, estimated false-positive
 rate, new keys and the key count it was sized for. A failed job moves no
@@ -62,7 +65,7 @@ from corpuskit.dedupe import (
     seed_filter,
 )
 from corpuskit.documents import count_stats
-from corpuskit.filters import JSON_KINDS, FilterConfigError
+from corpuskit.filters import JSON_KINDS, ConfigObject, FilterConfigError
 from corpuskit.mixer import MixConfig, MixConfigError, mix
 from corpuskit.ngram_classifier import (
     NgramConfig,
@@ -161,16 +164,9 @@ def _tagger_specs(value) -> list[tuple[str, dict]]:
         raise TypeError(f"must be a list of tagger specs or a string, got {value!r}")
     specs = []
     for entry in value:
-        if isinstance(entry, str):
-            specs.append((entry, {}))
-        elif (
-            isinstance(entry, dict)
-            and isinstance(entry.get("name"), str)
-            and isinstance(entry.get("params", {}), dict)
-        ):
-            specs.append((entry["name"], entry.get("params", {})))
-        else:
-            raise TypeError(f"bad tagger spec {entry!r}")
+        spec = ConfigObject({"name": entry} if isinstance(entry, str) else entry, TaggerConfigError, "a tagger spec")
+        specs.append((spec.take("name", "a string"), spec.take("params", "an object", {})))
+        spec.refuse_unread()
     return specs
 
 

@@ -6,6 +6,11 @@ Document-scope comparisons use the maximum span score for the attribute;
 span-scope expressions act on each matching span. An attribute a record
 does not carry matches nothing, because sparse taggers leave attributes
 absent on clean documents.
+
+Every JSON configuration object (a filter, a mix stream, the mix config, a
+tagger spec and a tagger's params) is read through :class:`ConfigObject`,
+which checks each value against ``JSON_KINDS`` and refuses a key that
+nothing reads.
 """
 
 from __future__ import annotations
@@ -49,23 +54,49 @@ JSON_KINDS: dict[str, Callable[[object], bool]] = {
     "a string or null": lambda v: v is None or isinstance(v, str),
     "a number": _is_number,
     "an integer": lambda v: type(v) is int,
-    "a list": lambda v: isinstance(v, list),
     "a list of strings": lambda v: isinstance(v, list) and all(isinstance(item, str) for item in v),
+    "a list of objects": lambda v: isinstance(v, list) and all(isinstance(item, dict) for item in v),
+    "an object": lambda v: isinstance(v, dict),
     "an object of numbers": lambda v: isinstance(v, dict) and all(map(_is_number, v.values())),
     "an object of integers": lambda v: isinstance(v, dict) and all(type(n) is int for n in v.values()),
 }
 
 
-def config_value(obj: dict, key: str, kind: str, error: type[ValueError], default=...):
-    """``obj[key]``, or ``default``, if one is given, when it is absent or
-    null; any other value not of ``kind``, a key of ``JSON_KINDS``, raises
-    ``error`` naming the key."""
-    value = obj.get(key)
-    if value is None and default is not ...:
-        return default
-    if not JSON_KINDS[kind](value):
-        raise error(f"{key!r} must be {kind}, got {value!r}")
-    return value
+class ConfigObject(dict):
+    """A JSON object of configuration that notes each key read by :meth:`take`,
+    ``[]`` or ``get``; ``name`` names its reader and ``noun`` its keys in the
+    ``error`` it raises for anything but a JSON object or an unread key."""
+
+    def __init__(self, obj, error: type[ValueError], name: str, noun: str = "keys") -> None:
+        if not isinstance(obj, dict):
+            raise error(f"{name} needs a JSON object, got {obj!r}")
+        super().__init__(obj)
+        self.error, self.name, self.noun, self.read = error, name, noun, set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        self.read.add(key)
+        return super().get(key, default)
+
+    def take(self, key: str, kind: str, default=...):
+        """``self[key]``, or ``default``, if one is given, when it is absent
+        or null; any other value not of ``kind``, a key of ``JSON_KINDS``,
+        raises the object's error naming the key."""
+        value = self.get(key)
+        if value is None and default is not ...:
+            return default
+        if not JSON_KINDS[kind](value):
+            raise self.error(f"{key!r} must be {kind}, got {value!r}")
+        return value
+
+    def refuse_unread(self) -> None:
+        """Raise the object's error naming every key that was never read."""
+        unread = sorted(self.keys() - self.read)
+        if unread:
+            raise self.error(f"{self.name} does not read {self.noun} {', '.join(map(repr, unread))}")
 
 
 # each key of a filter's JSON object and the kind of its value
@@ -117,11 +148,11 @@ class FilterExpr:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FilterExpr":
-        """The filter a JSON object describes; a missing key or a value of the
-        wrong type raises :class:`FilterConfigError` naming the key."""
-        if not isinstance(obj, dict):
-            raise FilterConfigError(f"'filters' must hold JSON objects, got {obj!r}")
-        values = {key: config_value(obj, key, kind, FilterConfigError) for key, kind in _FILTER_KEYS.items()}
+        """The filter a JSON object describes; a missing, mistyped or unread
+        key raises :class:`FilterConfigError` naming the key."""
+        obj = ConfigObject(obj, FilterConfigError, "a filter")
+        values = {key: obj.take(key, kind) for key, kind in _FILTER_KEYS.items()}
+        obj.refuse_unread()
         values["threshold"] = float(values["threshold"])
         return cls(**values)
 

@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Iterator
 
 from corpuskit.documents import Document, DocumentAttributes
-from corpuskit.filters import Drop, FilterExpr, SpanBoundsError, apply_filters, config_value
+from corpuskit.filters import ConfigObject, Drop, FilterExpr, SpanBoundsError, apply_filters
 from corpuskit.shard_io import (
     ShardPool,
     StageReport,
@@ -54,13 +54,14 @@ class StreamConfig:
     def from_json(cls, obj: dict) -> "StreamConfig":
         """A stream from its JSON object: ``documents`` and ``attributes``
         lists of paths and ``filters`` a list of filter objects."""
-        if not isinstance(obj, dict):
-            raise MixConfigError(f"'streams' must hold JSON objects, got {obj!r}")
-        return cls(
-            documents=config_value(obj, "documents", "a list of strings", MixConfigError),
-            attributes=config_value(obj, "attributes", "a list of strings", MixConfigError, []),
-            filters=[FilterExpr.from_json(e) for e in config_value(obj, "filters", "a list", MixConfigError, [])],
+        obj = ConfigObject(obj, MixConfigError, "a stream")
+        stream = cls(
+            documents=obj.take("documents", "a list of strings"),
+            attributes=obj.take("attributes", "a list of strings", []),
+            filters=[FilterExpr.from_json(e) for e in obj.take("filters", "a list of objects", [])],
         )
+        obj.refuse_unread()
+        return stream
 
 
 @dataclass
@@ -87,19 +88,19 @@ class MixConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MixConfig":
-        """The mix a JSON object describes; a missing ``streams`` or a value of
-        the wrong type raises :class:`MixConfigError` naming its key. Weights
-        are JSON numbers, and repeats, the seed and the shard size integers."""
-        def value(key: str, kind: str, default=...):
-            return config_value(obj, key, kind, MixConfigError, default)
-
-        return cls(
-            streams=[StreamConfig.from_json(s) for s in value("streams", "a list")],
-            proportions=value("proportions", "an object of numbers", None),
-            upsample=value("upsample", "an object of integers", {}),
-            seed=value("seed", "an integer", 0),
-            output_shard_bytes=value("output_shard_bytes", "an integer", DEFAULT_SHARD_BYTES),
+        """The mix a JSON object describes; a missing ``streams`` or a mistyped or
+        unread key raises :class:`MixConfigError` naming the key. Weights are
+        JSON numbers, and repeats, the seed and the shard size integers."""
+        obj = ConfigObject(obj, MixConfigError, "the mix config")
+        config = cls(
+            streams=[StreamConfig.from_json(s) for s in obj.take("streams", "a list of objects")],
+            proportions=obj.take("proportions", "an object of numbers", None),
+            upsample=obj.take("upsample", "an object of integers", {}),
+            seed=obj.take("seed", "an integer", 0),
+            output_shard_bytes=obj.take("output_shard_bytes", "an integer", DEFAULT_SHARD_BYTES),
         )
+        obj.refuse_unread()
+        return config
 
 
 def sample_proportions(weights: dict[str, float], sizes: dict[str, float]) -> dict[str, float]:
@@ -287,6 +288,9 @@ def mix(config: MixConfig, out_dir: str | os.PathLike, workers: int = 1) -> MixR
         for sources in pool.map(_filter_one_file, tasks):
             for name, counts in sources.items():
                 report.source(name).merge(counts)
+        absent = sorted(config.upsample.keys() - report.sources.keys())
+        if absent:
+            raise MixConfigError(f"upsample source {absent[0]!r} has no documents")
 
         # Phase 2: concatenate parts in config order into byte-capped shards.
         # A shard takes at least one line, and an empty mix writes one empty shard.

@@ -46,7 +46,7 @@ from corpuskit.dedupe import (
     dedupe_by_url,
 )
 from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
-from corpuskit.filters import Decision, Drop, FilterExpr, apply_filters, config_value
+from corpuskit.filters import ConfigObject, Decision, Drop, FilterExpr, apply_filters
 from corpuskit.gopher import tag_gopher
 from corpuskit.ngram_classifier import (
     ENGLISH_KEEP_THRESHOLD,
@@ -85,14 +85,8 @@ class UnknownTaggerError(TaggerConfigError):
     pass
 
 
-def _param(params: dict, key: str, kind: str, default=...):
-    """The tagger param ``key``, checked by :func:`config_value`: a value of
-    the wrong type raises :class:`TaggerConfigError` naming the key."""
-    return config_value(params, key, kind, TaggerConfigError, default)
-
-
-def _language_tagger(params: dict) -> TaggerFn:
-    model = load_model(_param(params, "model", "a string"))
+def _language_tagger(params: ConfigObject) -> TaggerFn:
+    model = load_model(params.take("model", "a string"))
 
     def tag(doc: Document) -> dict[str, list[AttributeSpan]]:
         end = doc.text_size
@@ -102,8 +96,8 @@ def _language_tagger(params: dict) -> TaggerFn:
     return tag
 
 
-def _language_paragraph_tagger(params: dict) -> TaggerFn:
-    model = load_model(_param(params, "model", "a string"))
+def _language_paragraph_tagger(params: ConfigObject) -> TaggerFn:
+    model = load_model(params.take("model", "a string"))
 
     def tag_many(docs: list[Document]) -> list[dict[str, list[AttributeSpan]]]:
         results = score_language_paragraph_avg_many(model, [doc.text for doc in docs])
@@ -119,14 +113,14 @@ def _language_paragraph_tagger(params: dict) -> TaggerFn:
     return ChunkTagger(tag_many)
 
 
-def _toxicity_tagger(params: dict) -> TaggerFn:
-    paths = [_param(params, key, "a string", None) for key in ("hate_model", "nsfw_model")]
+def _toxicity_tagger(params: ConfigObject) -> TaggerFn:
+    paths = [params.take(key, "a string", None) for key in ("hate_model", "nsfw_model")]
     hate, nsfw = (load_model(path) if path else None for path in paths)
     try:
         config = ContentTagConfig(
-            toxicity_threshold=_param(params, "threshold", "a number", ContentTagConfig().toxicity_threshold),
-            hate_threshold=_param(params, "hate_threshold", "a number", None),
-            nsfw_threshold=_param(params, "nsfw_threshold", "a number", None),
+            toxicity_threshold=params.take("threshold", "a number", ContentTagConfig().toxicity_threshold),
+            hate_threshold=params.take("hate_threshold", "a number", None),
+            nsfw_threshold=params.take("nsfw_threshold", "a number", None),
         )
     except ValueError as exc:  # a threshold outside [0, 1]
         raise TaggerConfigError(str(exc)) from exc
@@ -141,13 +135,13 @@ def _reddit_quality_tagger(params: dict) -> TaggerFn:
     return heuristics.tag_reddit_quality
 
 
-def _banned_subreddit_tagger(params: dict) -> TaggerFn:
-    blocklist = heuristics.load_subreddit_blocklist(_param(params, "blocklist", "a string"))
+def _banned_subreddit_tagger(params: ConfigObject) -> TaggerFn:
+    blocklist = heuristics.load_subreddit_blocklist(params.take("blocklist", "a string"))
     return lambda doc: heuristics.tag_banned_subreddit(doc, blocklist)
 
 
-def _extension_tagger(params: dict) -> TaggerFn:
-    extensions = _param(params, "blocklist", "a list of strings", code_rules.DEFAULT_BLOCKED_EXTENSIONS)
+def _extension_tagger(params: ConfigObject) -> TaggerFn:
+    extensions = params.take("blocklist", "a list of strings", code_rules.DEFAULT_BLOCKED_EXTENSIONS)
     blocklist = frozenset(e.lower() for e in extensions)
     return lambda doc: code_rules.tag_extension_filter(doc, blocklist)
 
@@ -174,31 +168,13 @@ def register_tagger(name: str, factory: Callable[[dict], TaggerFn]) -> None:
     _REGISTRY[name] = factory
 
 
-class _ReadParams(dict):
-    """Tagger params that note each key a tagger factory reads."""
-
-    def __init__(self, params: dict) -> None:
-        super().__init__(params)
-        self.read: set[str] = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        self.read.add(key)
-        return super().get(key, default)
-
-
 def build_tagger(name: str, params: dict | None = None) -> TaggerFn:
     """Build a registered tagger; a param its factory does not read is an error."""
     if name not in _REGISTRY:
         raise UnknownTaggerError(f"unknown tagger {name!r}; known: {sorted(_REGISTRY)}")
-    params = _ReadParams(params or {})
+    params = ConfigObject({} if params is None else params, TaggerConfigError, f"tagger {name!r}", "params")
     tagger = _REGISTRY[name](params)
-    unread = sorted(params.keys() - params.read)
-    if unread:
-        raise TaggerConfigError(f"tagger {name!r} does not read params {', '.join(map(repr, unread))}")
+    params.refuse_unread()
     return tagger
 
 
@@ -215,7 +191,12 @@ def run_tag(
     out_dir: str,
     workers: int = 1,
 ) -> StageReport:
-    """Tag every shard, writing one sidecar per input shard (same name)."""
+    """Tag every shard, writing one sidecar per input shard (same name); a
+    tagger named twice, whose attributes would collide, is refused first."""
+    names = [name for name, _ in tagger_specs]
+    for index, name in enumerate(names):
+        if name in names[:index]:
+            raise TaggerConfigError(f"tagger {name!r} is named twice")
     outputs = output_paths(doc_paths, out_dir)
     started = time.monotonic()
     report = StageReport(stage="tag")

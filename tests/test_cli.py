@@ -1799,6 +1799,10 @@ class TestRefusedBeforeReading:
             ({"streams": "abc"}, "streams"),
             ({"streams": ["abc"]}, "streams"),
             ({"streams": [{"documents": ["absent.jsonl"], "filters": ["abc"]}]}, "filters"),
+            # a key nothing reads: the stream would mix unfiltered, the filter run without it
+            ({"streams": [{"documents": ["absent.jsonl"], "filter": [NAN_FILTER]}]}, "filter"),
+            ({"streams": [{"documents": ["absent.jsonl"], "attribute": ["attrs"]}]}, "attribute"),
+            ({"streams": [{"documents": ["absent.jsonl"], "filters": [{**NAN_FILTER, "replacment": "x"}]}]}, "replacment"),
             ({"proportions": [1]}, "proportions"),
             ({"proportions": {"s": "x"}}, "proportions"),
             ({"proportions": {"s": True}}, "proportions"),
@@ -1840,28 +1844,48 @@ class TestRefusedBeforeReading:
         assert f"config key {key!r}: must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "tagger,params,key",
+        "spec,message",
         [
-            # an integer path is opened as a file descriptor (0 reads standard input);
-            # one that no process holds open keeps this test from reading any
-            ("banned_subreddit", {"blocklist": 987654}, "blocklist"),
-            ("banned_subreddit", {"blocklist": ["b.txt"]}, "blocklist"),
-            ("banned_subreddit", {}, "blocklist"),
-            ("language", {"model": 987654}, "model"),
-            ("language_paragraph", {"model": ["m.bin"]}, "model"),
-            ("toxicity", {"hate_model": 987654}, "hate_model"),
-            ("toxicity", {"nsfw_model": {"path": "m.bin"}}, "nsfw_model"),
-            ("extension", {"blocklist": "json"}, "blocklist"),  # would block j, s, o and n
-            ("extension", {"blocklist": [1]}, "blocklist"),
-            ("toxicity", {"threshold": "x"}, "threshold"),
-            ("toxicity", {"threshold": True}, "threshold"),
-            ("toxicity", {"hate_threshold": "0.5"}, "hate_threshold"),
+            *(
+                ({"name": tagger, "params": params}, f"error: {key!r} must be")
+                for tagger, params, key in [
+                    # an integer path is opened as a file descriptor (0 reads standard input);
+                    # one that no process holds open keeps this test from reading any
+                    ("banned_subreddit", {"blocklist": 987654}, "blocklist"),
+                    ("banned_subreddit", {"blocklist": ["b.txt"]}, "blocklist"),
+                    ("banned_subreddit", {}, "blocklist"),
+                    ("language", {"model": 987654}, "model"),
+                    ("language_paragraph", {"model": ["m.bin"]}, "model"),
+                    ("toxicity", {"hate_model": 987654}, "hate_model"),
+                    ("toxicity", {"nsfw_model": {"path": "m.bin"}}, "nsfw_model"),
+                    ("extension", {"blocklist": "json"}, "blocklist"),  # would block j, s, o and n
+                    ("extension", {"blocklist": [1]}, "blocklist"),
+                    ("toxicity", {"threshold": "x"}, "threshold"),
+                    ("toxicity", {"threshold": True}, "threshold"),
+                    ("toxicity", {"hate_threshold": "0.5"}, "hate_threshold"),
+                ]
+            ),
+            # a misspelt "params" would run the tagger with its default blocklist
+            (
+                {"name": "extension", "param": {"blocklist": ["exe"]}},
+                "error: config key 'taggers': a tagger spec does not read keys 'param'",
+            ),
         ],
     )
-    def test_tagger_param_of_wrong_type(self, tmp_path, monkeypatch, capsys, tagger, params, key):
-        (tmp_path / "c.json").write_text(json.dumps({"taggers": [{"name": tagger, "params": params}]}))
+    def test_tagger_param_of_wrong_type(self, tmp_path, monkeypatch, capsys, spec, message):
+        (tmp_path / "c.json").write_text(json.dumps({"taggers": [spec]}))
         assert run_refused(tmp_path, monkeypatch, "tag", "--config c.json") == (1, False)
-        assert f"error: {key!r} must be" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "options,tagger",
+        [("--taggers gopher,c4,gopher", "gopher"), ("--config c.json", "pii")],
+    )
+    def test_tagger_named_twice(self, tmp_path, monkeypatch, capsys, options, tagger):
+        # both instances would write the same attributes for every document
+        (tmp_path / "c.json").write_text(json.dumps({"taggers": ["pii", {"name": "pii", "params": {}}]}))
+        assert run_refused(tmp_path, monkeypatch, "tag", options) == (1, False)
+        assert f"error: tagger {tagger!r} is named twice" in capsys.readouterr().err
 
     def test_tagger_threshold_out_of_range(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "c.json").write_text(json.dumps({"taggers": [{"name": "toxicity", "params": {"threshold": 5}}]}))

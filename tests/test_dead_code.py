@@ -8,8 +8,10 @@ function, sets bits without ``ufunc.at``, and only ``bloom`` touches a
 filter's insert and sizing counters, so every report takes them from
 ``BloomFilter.health()``. And one paragraph splitter,
 ``documents.split_paragraphs``; one exact key set and one Bloom filter,
-which no module subclasses; and one counter of input text bytes,
-``StageReport.flag``."""
+which no module subclasses; one counter of input text bytes,
+``StageReport.flag``; and one reader of JSON configuration objects,
+``filters.ConfigObject``, which every ``from_json`` and
+``pipeline.build_tagger`` build and no other class resembles."""
 
 import ast
 from pathlib import Path
@@ -249,3 +251,59 @@ def test_only_stage_report_counts_input_text_bytes(path):
 
 def test_input_text_bytes_guard_sees_shard_io():
     assert _stores(ast.parse((PACKAGE / "shard_io.py").read_text(encoding="utf-8")), "input_text_bytes") != []
+
+
+# the readers of JSON configuration objects that ConfigObject replaced
+GONE_CONFIG_READERS = {"config_value", "_ReadParams", "_param"}
+# the functions that read a JSON configuration object
+CONFIG_READERS = {"from_json", "build_tagger"}
+
+
+def _identifiers(tree: ast.Module) -> set[str]:
+    """Every name ``tree`` defines, loads, imports or takes as an attribute."""
+    return {
+        value
+        for node in ast.walk(tree)
+        for value in (getattr(node, key, None) for key in ("id", "attr", "name"))
+        if isinstance(value, str)
+    }
+
+
+def _config_readers(tree: ast.Module) -> list[tuple[str, bool]]:
+    """The name of each function of ``tree`` in ``CONFIG_READERS``, and
+    whether it calls ``ConfigObject``."""
+    return [
+        (fn.name, any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "ConfigObject" for call in ast.walk(fn)))
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in CONFIG_READERS
+    ]
+
+
+def _item_reads(tree: ast.Module) -> list[str]:
+    """``<class>.<method>`` of each ``get`` or ``__getitem__`` a class of ``tree`` defines."""
+    return [
+        f"{cls.name}.{fn.name}"
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef) and fn.name in ("get", "__getitem__")
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_config_object_reader(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert _identifiers(tree) & GONE_CONFIG_READERS == set()
+    assert [name for name, builds in _config_readers(tree) if not builds] == []
+    if path.name != "filters.py":
+        # a dict that notes its reads is a second ConfigObject
+        assert _item_reads(tree) == []
+
+
+def test_config_reader_guard_sees_every_reader():
+    readers = [
+        f"{path.stem}.{name}" for path in MODULES for name, _ in _config_readers(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert sorted(readers) == ["filters.from_json", "mixer.from_json", "mixer.from_json", "pipeline.build_tagger"]
+    filters = ast.parse((PACKAGE / "filters.py").read_text(encoding="utf-8"))
+    assert _item_reads(filters) == ["ConfigObject.__getitem__", "ConfigObject.get"]

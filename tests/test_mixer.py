@@ -4,7 +4,7 @@ import pytest
 
 from corpuskit import mixer
 from corpuskit.documents import AttributeSpan, Document, DocumentAttributes
-from corpuskit.filters import FilterExpr
+from corpuskit.filters import FilterConfigError, FilterExpr
 from corpuskit.mixer import (
     MixConfig,
     MixConfigError,
@@ -15,6 +15,9 @@ from corpuskit.mixer import (
     sample_proportions,
 )
 from corpuskit.shard_io import ShardPool, read_documents, write_attributes, write_documents
+
+
+DROP_FILTER = {"attribute": "a", "scope": "document", "op": ">=", "threshold": 1, "action": "drop_doc"}
 
 
 def write_corpus(path, docs):
@@ -101,6 +104,18 @@ class TestMixBasics:
         ]
         for doc in docs:
             assert out_ids.count(doc.id) == 2
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("proportions", [None, {"up": 1.0}])
+    def test_upsample_source_with_no_documents_refused(self, tmp_path, workers, proportions):
+        # a misspelt source would otherwise be ignored, and the mix run without its repeats
+        shards = [
+            write_corpus(tmp_path / f"in{i}.jsonl", [Document(id=f"d{i}", text="body", source="up")]) for i in range(2)
+        ]
+        config = MixConfig(streams=[StreamConfig(documents=shards)], proportions=proportions, upsample={"upp": 2})
+        with pytest.raises(MixConfigError, match="upsample source 'upp' has no documents"):
+            mix(config, tmp_path / "out", workers=workers)
+        assert not (tmp_path / "out").exists()
 
     def test_filters_drop_documents(self, tmp_path):
         docs = [Document(id=f"d{i}", text=f"body {i}", source="s") for i in range(10)]
@@ -313,6 +328,24 @@ class TestConfig:
         assert config.streams[0].filters[0].attribute == "gopher__matches_any"
         assert config.upsample == {"books": 2}
         assert config.seed == 3
+
+    @pytest.mark.parametrize(
+        "obj,error,message",
+        [
+            ({"proportion": {"web": 1.0}}, MixConfigError, "the mix config does not read keys 'proportion'"),
+            ({"seed": 1, "upsampel": {}, "Seed": 2}, MixConfigError, "does not read keys 'Seed', 'upsampel'"),
+            ({"streams": [{"documents": ["a.jsonl"], "filter": []}]}, MixConfigError, "a stream does not read keys 'filter'"),
+            (
+                {"streams": [{"documents": ["a.jsonl"], "filters": [{**DROP_FILTER, "note": ""}]}]},
+                FilterConfigError,
+                "a filter does not read keys 'note'",
+            ),
+        ],
+    )
+    def test_from_json_refuses_a_key_it_does_not_read(self, obj, error, message):
+        # a misspelt key would otherwise mix as if it were absent
+        with pytest.raises(error, match=message):
+            MixConfig.from_json({"streams": [{"documents": ["a.jsonl"]}], **obj})
 
     def test_validation(self):
         with pytest.raises(MixConfigError):
